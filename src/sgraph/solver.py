@@ -6,13 +6,13 @@ variables are updated in their local coordinates.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .factors import LOCAL_DIM, VariableKey, huber_cost_and_weight
+from .factors import LOCAL_DIM, VariableKey
 from .graph import SGraph
+from .linearize import BatchedFactors
 
 
 class SingularSystem(RuntimeError):
@@ -40,11 +40,10 @@ class SolverReport:
 
 
 def _variable_order(graph: SGraph) -> tuple[list[VariableKey], dict[VariableKey, int], int]:
-    """Deterministic variable ordering; keyframe 0 is excluded (gauge)."""
-    keys: list[VariableKey] = []
-    for kf_id in sorted(graph.keyframes):
-        if kf_id != min(graph.keyframes):
-            keys.append(("kf", kf_id))
+    """Deterministic variable ordering; the first keyframe is the gauge and is
+    excluded."""
+    gauge = min(graph.keyframes, default=None)
+    keys: list[VariableKey] = [("kf", k) for k in sorted(graph.keyframes) if k != gauge]
     for pid in sorted(graph.planes):
         keys.append(("plane", pid))
     for rid in sorted(graph.rooms):
@@ -61,64 +60,12 @@ def _variable_order(graph: SGraph) -> tuple[list[VariableKey], dict[VariableKey,
 
 def layer_costs(graph: SGraph, huber_delta: float = 1.0) -> dict[str, float]:
     """Per-layer cost decomposition (odometry+loop, plane, room, corridor)."""
-    from .factors import FactorKind
-
-    costs = {"tracking": 0.0, "plane": 0.0, "room": 0.0, "corridor": 0.0}
-    layer = {
-        FactorKind.ODOMETRY: "tracking",
-        FactorKind.LOOP_CLOSURE: "tracking",
-        FactorKind.POSE_PLANE: "plane",
-        FactorKind.ROOM_PLANE: "room",
-        FactorKind.CORRIDOR_PLANE: "corridor",
-    }
-    for f in graph.factors:
-        r, _ = graph.evaluate_factor(f)
-        w = f.sqrt_information() @ r
-        s = float(w @ w)
-        if f.robust:
-            s, _ = huber_cost_and_weight(s, huber_delta)
-        costs[layer[f.kind]] += s
-    return costs
+    _, offsets, dim = _variable_order(graph)
+    return BatchedFactors(graph, offsets, dim).layer_costs(graph, huber_delta)
 
 
 def total_cost(graph: SGraph, huber_delta: float = 1.0) -> float:
     return sum(layer_costs(graph, huber_delta).values())
-
-
-def _build_normal_equations(
-    graph: SGraph,
-    offsets: dict[VariableKey, int],
-    dim: int,
-    huber_delta: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Assemble H = J^T J and g = J^T r over whitened, robust-weighted
-    residuals. Returns (H, g, cost)."""
-    H = np.zeros((dim, dim))
-    g = np.zeros(dim)
-    cost = 0.0
-    for f in graph.factors:
-        r, jacs = graph.evaluate_factor(f)
-        L = f.sqrt_information()
-        wr = L @ r
-        s = float(wr @ wr)
-        if f.robust:
-            rho, weight = huber_cost_and_weight(s, huber_delta)
-            cost += rho
-            scale = np.sqrt(weight)
-        else:
-            cost += s
-            scale = 1.0
-        wr = wr * scale
-        blocks = []
-        for key, J in jacs.items():
-            if key not in offsets:
-                continue  # gauge-fixed variable
-            blocks.append((offsets[key], LOCAL_DIM[key[0]], scale * (L @ J)))
-        for off_i, dim_i, Ji in blocks:
-            g[off_i : off_i + dim_i] += Ji.T @ wr
-            for off_j, dim_j, Jj in blocks:
-                H[off_i : off_i + dim_i, off_j : off_j + dim_j] += Ji.T @ Jj
-    return H, g, cost
 
 
 def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
@@ -135,7 +82,8 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
         c = total_cost(graph, cfg.huber_delta)
         return SolverReport(c, c, 0, True)
 
-    H, g, cost = _build_normal_equations(graph, offsets, dim, cfg.huber_delta)
+    factors = BatchedFactors(graph, offsets, dim)
+    H, g, cost = factors.normal_equations(graph, cfg.huber_delta)
     if cfg.check_rank:
         eigs = np.linalg.eigvalsh(H)
         scale = max(float(eigs[-1]), 1.0)
@@ -164,16 +112,15 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
             for k in keys:
                 off = offsets[k]
                 graph.apply_update(k, delta[off : off + LOCAL_DIM[k[0]]])
-            H_new, g_new, cost_new = _build_normal_equations(
-                graph, offsets, dim, cfg.huber_delta
-            )
+            # a damped try needs the cost only; H and g follow an accepted step
+            cost_new = factors.cost(graph, cfg.huber_delta)
             if cost_new <= cost:
                 accepted = True
                 lam = max(lam / 10.0, 1e-12)
-                rel_change = (cost - cost_new) / max(cost, 1e-300)
-                H, g, cost = H_new, g_new, cost_new
-                if rel_change < cfg.rel_tol:
-                    converged = True
+                converged = (cost - cost_new) / max(cost, 1e-300) < cfg.rel_tol
+                cost = cost_new
+                if not converged:
+                    H, g, _ = factors.normal_equations(graph, cfg.huber_delta)
                 break
             _restore(graph, keys, backup)
             lam *= 10.0

@@ -184,8 +184,6 @@ def update_topology(
     x_planes = [p for p in visible if p.plane_class is PlaneClass.X_VERTICAL]
     y_planes = [p for p in visible if p.plane_class is PlaneClass.Y_VERTICAL]
 
-    linked = graph.linked_plane_ids()
-
     def corridor_of(plane_id: int) -> int | None:
         for cid, corr in graph.corridors.items():
             if plane_id in corr.plane_links:
@@ -221,7 +219,6 @@ def update_topology(
                     graph.remove_corridor(cid)
                     stats["upgrades"] += 1
             graph.add_room(candidate, information)
-            linked = graph.linked_plane_ids()
             stats["rooms_added"] += 1
 
     linked = graph.linked_plane_ids()

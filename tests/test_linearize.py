@@ -1,0 +1,310 @@
+"""Batched per-kind linearization against the per-factor reference kernels.
+
+`SGraph.evaluate_factor` (the scalar kernels in `sgraph.factors`) is the
+reference: batched residuals and Jacobian blocks must match it per factor,
+and the assembled H, g and cost must match a dense J^T J built from it.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from sgraph.factors import LOCAL_DIM, Factor, FactorKind, huber_cost_and_weight
+from sgraph.geometry import PlaneClass, PlaneMinimal, Pose3, from_minimal, rot_exp, wrap_angle
+from sgraph.graph import CorridorNode, Keyframe, PlaneLandmark, RoomNode, SGraph
+from sgraph.linearize import LAYER_OF_KIND, BatchedFactors
+from sgraph.solver import _variable_order
+
+from test_io import sample_graph
+
+TOL = 1e-9
+PLANE_INFO = np.diag([2500.0, 2500.0, 2500.0])
+
+
+def add_kf(g, i, pose):
+    g.keyframes[i] = Keyframe(id=i, timestamp=float(i), pose=pose, odom_pose=pose,
+                              odom_cov=np.eye(6) * 1e-4)
+
+
+def add_plane(g, pid, az, el, d, cls=PlaneClass.X_VERTICAL):
+    g.planes[pid] = PlaneLandmark(id=pid, params=PlaneMinimal(az, el, d), plane_class=cls,
+                                  extent=np.ones(2), centroid=np.zeros(3))
+
+
+def observe(g, kf_id, pid, meas, robust=True, info=PLANE_INFO):
+    g.factors.append(Factor(FactorKind.POSE_PLANE, (("kf", kf_id), ("plane", pid)),
+                            PlaneMinimal(*meas), info, robust=robust))
+
+
+def between(g, a, b, meas, kind=FactorKind.LOOP_CLOSURE, robust=True):
+    g.factors.append(Factor(kind, (("kf", a), ("kf", b)), meas, np.eye(6) * 37.5,
+                            robust=robust))
+
+
+def batched(graph):
+    _, offsets, dim = _variable_order(graph)
+    return BatchedFactors(graph, offsets, dim)
+
+
+def assert_matches_reference(graph):
+    """Every factor's batched residual and Jacobian blocks equal the scalar
+    kernel's; returns the kinds seen. Azimuth residuals are angles and are
+    compared on the circle, where +pi and -pi meet."""
+    seen = set()
+    for block, r, J in batched(graph).evaluate(graph):
+        for row, fi in enumerate(block.factor_index):
+            f = graph.factors[fi]
+            r_ref, jacs = graph.evaluate_factor(f)
+            if f.kind is FactorKind.POSE_PLANE:
+                assert abs(wrap_angle(r[row][0] - r_ref[0])) <= TOL
+                r_ref = np.concatenate([[r[row][0]], r_ref[1:]])
+            np.testing.assert_allclose(r[row], r_ref, rtol=TOL, atol=TOL)
+            split = LOCAL_DIM[f.variables[0][0]]
+            np.testing.assert_allclose(J[row][:, :split], jacs[f.variables[0]], rtol=TOL, atol=TOL)
+            np.testing.assert_allclose(J[row][:, split:], jacs[f.variables[1]], rtol=TOL, atol=TOL)
+            seen.add(fi)
+    assert seen == set(range(len(graph.factors)))
+    return {f.kind for f in graph.factors}
+
+
+def dense_reference(graph, huber_delta=1.0):
+    """H, g, cost and per-layer cost from evaluate_factor, one factor at a time."""
+    _, offsets, dim = _variable_order(graph)
+    H, g, cost = np.zeros((dim, dim)), np.zeros(dim), 0.0
+    layers = dict.fromkeys(("tracking", "plane", "room", "corridor"), 0.0)
+    for f in graph.factors:
+        r, jacs = graph.evaluate_factor(f)
+        L = f.sqrt_information()
+        wr = L @ r
+        s = float(wr @ wr)
+        weight = 1.0
+        if f.robust:
+            s, weight = huber_cost_and_weight(s, huber_delta)
+        cost += s
+        layers[LAYER_OF_KIND[f.kind]] += s
+        scale = math.sqrt(weight)
+        blocks = [(offsets[k], scale * (L @ J)) for k, J in jacs.items() if k in offsets]
+        for oi, Ji in blocks:
+            g[oi : oi + Ji.shape[1]] += Ji.T @ (scale * wr)
+            for oj, Jj in blocks:
+                H[oi : oi + Ji.shape[1], oj : oj + Jj.shape[1]] += Ji.T @ Jj
+    return H, g, cost, layers
+
+
+def assert_normal_equations_match(graph, huber_delta=1.0):
+    H_ref, g_ref, cost_ref, layers_ref = dense_reference(graph, huber_delta)
+    bf = batched(graph)
+    H, g, cost = bf.normal_equations(graph, huber_delta)
+    assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
+    assert np.max(np.abs(g - g_ref)) <= 1e-12 * max(np.max(np.abs(g_ref)), 1e-300)
+    assert cost == pytest.approx(cost_ref, rel=1e-12)
+    assert bf.cost(graph, huber_delta) == cost
+    layers = bf.layer_costs(graph, huber_delta)
+    assert layers == pytest.approx(layers_ref, rel=1e-12, abs=1e-300)
+    np.testing.assert_array_equal(H, H.T)
+
+
+def tilted(roll, pitch, t=(0.3, -0.4, 1.1)):
+    return Pose3(rot_exp(np.array([roll, pitch, 0.0])), np.array(t))
+
+
+class TestResidualsAndJacobians:
+    def test_sample_graph_every_kind(self):
+        g = sample_graph()
+        assert assert_matches_reference(g) == set(FactorKind)
+
+    def test_floor_and_ceiling_planes_at_and_near_the_pole(self):
+        g = SGraph()
+        add_kf(g, 0, Pose3.identity())
+        tilts = [(0.0, 0.0), (2e-4, 0.0), (0.0, -5e-4), (4e-4, 6e-4), (9e-4, 0.0),
+                 (0.0, 1.5e-3), (-2e-3, 1e-3), (3e-3, -3e-3), (0.05, 0.02)]
+        for i, (roll, pitch) in enumerate(tilts, start=1):
+            add_kf(g, i, tilted(roll, pitch))
+        planes = [(0.0, math.pi / 2, 2.5), (0.0, -math.pi / 2, 1.0),
+                  (0.7, math.pi / 2 - 5e-4, 2.0), (-2.0, -math.pi / 2 + 8e-4, 1.2)]
+        for pid, params in enumerate(planes):
+            add_plane(g, pid, *params, cls=PlaneClass.HORIZONTAL)
+        rho = []
+        for i, _ in enumerate(tilts, start=1):
+            R = g.keyframes[i].pose.rotation
+            for pid, (az, el, d) in enumerate(planes):
+                n_m = np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az),
+                                math.sin(el)])
+                rho.append(float(np.hypot(*(R.T @ n_m)[:2])))
+                observe(g, i, pid, (0.01 * i, el - 0.001 * pid, d + 0.02))
+        # azimuth pinned (rho < 1e-3) and live rows just beyond it
+        assert min(rho) < 1e-3 and any(1e-3 < x < 2e-3 for x in rho)
+        assert_matches_reference(g)
+        assert_normal_equations_match(g)
+
+    def test_closest_point_sign_flip(self):
+        g = SGraph()
+        add_kf(g, 0, Pose3.identity())
+        add_kf(g, 1, Pose3(rot_exp(np.array([0.1, -0.05, 0.4])), np.array([5.0, 0.5, 0.2])))
+        add_kf(g, 2, Pose3.from_xyz_yaw(3.9, -4.0, 0.0, 2.0))
+        add_plane(g, 0, 0.0, 0.0, 2.0)
+        add_plane(g, 1, -math.pi / 2, 0.0, 3.0, cls=PlaneClass.Y_VERTICAL)
+        for i in (1, 2):
+            for pid in (0, 1):
+                observe(g, i, pid, (0.2, 0.01, 1.0))
+        flipped = []
+        for f in g.factors:
+            plane = from_minimal(g.planes[f.variables[1][1]].params)
+            t = g.keyframes[f.variables[0][1]].pose.translation
+            flipped.append(plane.distance - float(t @ plane.normal))
+        assert min(flipped) < 0.0 < max(flipped)
+        assert_matches_reference(g)
+        assert_normal_equations_match(g)
+
+    def test_azimuth_wraps_across_pi(self):
+        g = SGraph()
+        add_kf(g, 0, Pose3.identity())
+        add_kf(g, 1, Pose3.from_xyz_yaw(0.2, 0.1, 0.0, 0.03))
+        add_kf(g, 2, Pose3.from_xyz_yaw(-0.2, 0.1, 0.0, -0.03))
+        add_plane(g, 0, math.pi - 0.01, 0.0, 3.0)
+        add_plane(g, 1, -math.pi + 0.005, 0.0, 2.0)
+        for i in (1, 2):
+            observe(g, i, 0, (-math.pi + 0.01, 0.0, 3.0))
+            observe(g, i, 1, (math.pi - 0.005, 0.0, 2.0))
+        for block, r, _ in batched(g).evaluate(g):
+            assert np.all(np.abs(r[:, 0]) < 0.1)  # wrapped, not ~2*pi
+        assert_matches_reference(g)
+
+    def test_loop_closure_with_rotation_near_pi(self):
+        g = SGraph()
+        add_kf(g, 0, Pose3.identity())
+        add_kf(g, 1, Pose3.from_xyz_yaw(1.0, 2.0, 0.0, math.pi))
+        axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+        add_kf(g, 2, Pose3(rot_exp((math.pi - 5e-7) * axis), np.array([0.5, 0.0, 0.1])))
+        add_kf(g, 3, Pose3.from_xyz_yaw(2.0, 0.0, 0.0, 0.3))
+        between(g, 0, 1, Pose3.identity())
+        between(g, 0, 2, Pose3(np.eye(3), np.array([0.4, 0.1, 0.0])))
+        between(g, 0, 3, Pose3.from_xyz_yaw(1.9, 0.1, 0.0, 0.1), kind=FactorKind.ODOMETRY)
+        between(g, 1, 3, Pose3.identity())
+        angles = [float(np.linalg.norm(g.evaluate_factor(f)[0][3:])) for f in g.factors]
+        assert sum(a > math.pi - 1e-6 for a in angles) == 2
+        assert any(a < math.pi - 1e-3 for a in angles)
+        assert_matches_reference(g)
+
+    def test_room_slots_and_corridor_slots_on_both_axes(self):
+        g = SGraph()
+        add_kf(g, 0, Pose3.identity())
+        # normals on both sides of each axis, so the axis sign is +1 and -1
+        add_plane(g, 0, math.pi, 0.0, 1.1)  # x = -1.1
+        add_plane(g, 1, 0.0, 0.0, 2.9)  # x = 2.9
+        add_plane(g, 2, -math.pi / 2, 0.0, 1.4, cls=PlaneClass.Y_VERTICAL)  # y = -1.4
+        add_plane(g, 3, math.pi / 2, 0.0, 1.6, cls=PlaneClass.Y_VERTICAL)  # y = 1.6
+        add_plane(g, 4, 0.02, 0.0, 6.0)
+        add_plane(g, 5, 0.0, 0.01, 8.1)
+        add_plane(g, 6, math.pi / 2 - 0.01, 0.0, 5.0, cls=PlaneClass.Y_VERTICAL)
+        add_plane(g, 7, -math.pi / 2, 0.0, 0.1, cls=PlaneClass.Y_VERTICAL)
+        g.add_room(RoomNode(0, np.array([0.95, 0.05]), np.array([4.1, 2.9]), (0, 1, 2, 3)), 100.0)
+        g.add_corridor(CorridorNode(0, PlaneClass.X_VERTICAL, np.array([7.0, 0.3]), 2.2, (4, 5)),
+                       100.0)
+        g.add_corridor(CorridorNode(0, PlaneClass.Y_VERTICAL, np.array([-3.0, 2.5]), 4.8, (7, 6)),
+                       100.0)
+        slots = {(f.kind, f.measurement) for f in g.factors}
+        assert {s for k, s in slots if k is FactorKind.ROOM_PLANE} == {0, 1, 2, 3}
+        assert {s for k, s in slots if k is FactorKind.CORRIDOR_PLANE} == {0, 1}
+        assert_matches_reference(g)
+        assert_normal_equations_match(g)
+
+    def test_invalid_slot_rejected(self):
+        g = SGraph()
+        add_kf(g, 0, Pose3.identity())
+        add_plane(g, 0, 0.0, 0.0, 1.0)
+        g.rooms[0] = RoomNode(0, np.zeros(2), np.ones(2), (0, 0, 0, 0))
+        g.factors.append(Factor(FactorKind.ROOM_PLANE, (("room", 0), ("plane", 0)), 4,
+                                np.array([[100.0]])))
+        with pytest.raises(ValueError):
+            batched(g)
+
+
+class TestNormalEquations:
+    def test_sample_graph_matches_dense_reference(self):
+        g = sample_graph()
+        assert_normal_equations_match(g)
+        assert_normal_equations_match(g, huber_delta=0.1)
+
+    def test_robust_factors_beyond_huber_delta(self):
+        g = SGraph()
+        add_kf(g, 0, Pose3.identity())
+        add_kf(g, 1, Pose3.from_xyz_yaw(1.0, 0.0, 0.0, 0.1))
+        add_plane(g, 0, 0.0, 0.0, 4.0)
+        add_plane(g, 1, math.pi / 2, 0.0, 2.0, cls=PlaneClass.Y_VERTICAL)
+        observe(g, 1, 0, (0.1, 0.0, 3.0))  # off by ~0.1 rad: far beyond delta
+        observe(g, 1, 1, (math.pi / 2 - 0.1, 0.0, 2.0 + 1e-4))
+        observe(g, 0, 0, (0.0, 0.0, 4.0 + 1e-4))  # inside delta
+        observe(g, 0, 1, (math.pi / 2, 0.0, 2.5), robust=False)  # not robust, large
+        between(g, 0, 1, Pose3.from_xyz_yaw(1.5, 0.0, 0.0, 0.1))  # beyond delta
+        s = []
+        for f in g.factors:
+            wr = f.sqrt_information() @ g.evaluate_factor(f)[0]
+            s.append(float(wr @ wr))
+        robust = [f.robust for f in g.factors]
+        assert any(x > 1.0 and r for x, r in zip(s, robust))
+        assert any(x <= 1.0 and r for x, r in zip(s, robust))
+        assert any(x > 1.0 and not r for x, r in zip(s, robust))
+        assert_normal_equations_match(g)
+
+    def test_gauge_keyframe_excluded(self):
+        g = SGraph()
+        add_kf(g, 0, Pose3.from_xyz_yaw(0.1, 0.2, 0.0, 0.3))
+        add_kf(g, 1, Pose3.from_xyz_yaw(1.0, 0.0, 0.0, 0.1))
+        between(g, 0, 1, Pose3.from_xyz_yaw(1.1, 0.1, 0.0, -0.2), robust=False)
+        bf = batched(g)
+        H, grad, _ = bf.normal_equations(g, 1.0)
+        f = g.factors[0]
+        r, jacs = g.evaluate_factor(f)
+        L = f.sqrt_information()
+        Jb = L @ jacs[("kf", 1)]
+        assert H.shape == (6, 6)
+        np.testing.assert_allclose(H, Jb.T @ Jb, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(grad, Jb.T @ (L @ r), rtol=1e-12, atol=1e-12)
+
+    def test_sample_graph_gauge_columns(self):
+        g = sample_graph()
+        _, offsets, dim = _variable_order(g)
+        assert ("kf", 0) not in offsets
+        assert dim == 6 * 2 + 3 * 2 + 4 + 2
+        H, _, _ = batched(g).normal_equations(g, 1.0)
+        assert H.shape == (dim, dim)
+
+
+# -- property: random poses and planes, normals near the pole included -------
+
+angle = st.floats(-math.pi, math.pi, allow_nan=False)
+rotvec = st.tuples(*[st.floats(-1.5, 1.5, allow_nan=False)] * 3)
+position = st.tuples(*[st.floats(-6.0, 6.0, allow_nan=False)] * 3)
+elevation = st.one_of(
+    st.floats(-math.pi / 2, math.pi / 2, allow_nan=False),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(0.0, 3e-3)).map(
+        lambda p: p[0] * (math.pi / 2 - p[1])
+    ),
+)
+tilt = st.one_of(rotvec, st.tuples(*[st.floats(-3e-3, 3e-3)] * 2, angle))
+
+
+@given(tilt, position, rotvec, position, angle, elevation, st.floats(0.05, 8.0),
+       st.tuples(angle, st.floats(-1.5, 1.5), st.floats(0.0, 8.0)), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_random_poses_and_planes_match_reference(w1, t1, w2, t2, az, el, d, meas, robust):
+    pose = Pose3(rot_exp(np.array(w1)), np.array(t1))
+    g = SGraph()
+    add_kf(g, 0, Pose3(rot_exp(np.array(w2)), np.array(t2)))
+    add_kf(g, 1, pose)
+    add_plane(g, 0, az, el, d)
+    observe(g, 1, 0, meas, robust=robust)
+    observe(g, 0, 0, (meas[0] + 0.1, meas[1], meas[2]), robust=robust)
+    between(g, 0, 1, Pose3(rot_exp(np.array(w1) * 0.5), np.array(t2)), robust=robust)
+    # stay off the two switching surfaces, where a last-digit difference
+    # legitimately selects another branch: d = 0 (sign flip) and the
+    # rho = 1e-3 pole threshold
+    n_m = np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)])
+    for kf in g.keyframes.values():
+        n_l = kf.pose.rotation.T @ n_m
+        assume(abs(d - float(kf.pose.translation @ n_m)) > 1e-9)
+        assume(abs(math.hypot(n_l[0], n_l[1]) - 1e-3) > 1e-9)
+    assert_matches_reference(g)

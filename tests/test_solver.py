@@ -1,10 +1,22 @@
+import math
+
 import numpy as np
 import pytest
 
 from sgraph.factors import Factor, FactorKind
 from sgraph.geometry import PlaneMinimal, Pose3, rot_exp, to_minimal, transform_plane, from_minimal
 from sgraph.graph import KeyframePolicy, SGraph
-from sgraph.solver import SingularSystem, SolverConfig, layer_costs, optimize, total_cost
+from sgraph.linearize import BatchedFactors
+from sgraph.solver import (
+    SingularSystem,
+    SolverConfig,
+    _variable_order,
+    layer_costs,
+    optimize,
+    total_cost,
+)
+
+from test_io import sample_graph
 
 
 def tx(x):
@@ -126,3 +138,39 @@ class TestOptimize:
         with pytest.raises(SingularSystem) as err:
             optimize(g, SolverConfig(check_rank=True))
         assert err.value.nullity == 3
+
+
+def variable_state(g):
+    """Every optimized quantity of the graph, as plain tuples."""
+    return (
+        {k: (kf.pose.rotation.tobytes(), kf.pose.translation.tobytes())
+         for k, kf in g.keyframes.items()},
+        {k: lm.params for k, lm in g.planes.items()},
+        {k: (r.center.tobytes(), r.widths.tobytes()) for k, r in g.rooms.items()},
+        {k: (c.center.tobytes(), c.width) for k, c in g.corridors.items()},
+    )
+
+
+class TestDampedTries:
+    def test_cost_only_equals_full_linearization_cost(self):
+        g = sample_graph()
+        _, offsets, dim = _variable_order(g)
+        factors = BatchedFactors(g, offsets, dim)
+        _, _, cost = factors.normal_equations(g, 1.0)
+        assert factors.cost(g, 1.0) == pytest.approx(cost, rel=1e-12)
+        assert total_cost(g) == pytest.approx(cost, rel=1e-12)
+
+    def test_rejected_try_restores_every_variable(self, monkeypatch):
+        g = sample_graph()
+        before = variable_state(g)
+        tried = []
+
+        def reject(self, graph, huber_delta):
+            tried.append(variable_state(graph))
+            return math.inf
+
+        monkeypatch.setattr(BatchedFactors, "cost", reject)
+        report = optimize(g, SolverConfig(check_rank=False))
+        assert len(tried) == 20 and all(state != before for state in tried)
+        assert report.final_cost == report.initial_cost
+        assert variable_state(g) == before
