@@ -40,15 +40,6 @@ VariableKey = tuple[str, int]  # ("kf" | "plane" | "room" | "corridor", id)
 
 LOCAL_DIM = {"kf": 6, "plane": 3, "room": 4, "corridor": 2}
 
-RESIDUAL_DIM = {
-    FactorKind.ODOMETRY: 6,
-    FactorKind.POSE_PLANE: 3,
-    FactorKind.ROOM_PLANE: 1,
-    FactorKind.CORRIDOR_PLANE: 1,
-    FactorKind.LOOP_CLOSURE: 6,
-}
-
-
 @dataclass
 class Factor:
     kind: FactorKind

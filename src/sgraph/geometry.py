@@ -174,6 +174,19 @@ def inverse_compose(a: Pose3, b: Pose3) -> Pose3:
     return a.inverse().compose(b)
 
 
+def align_rigid(src: np.ndarray, dst: np.ndarray) -> Pose3:
+    """Closed-form rigid alignment (rotation + translation, no scale)
+    minimizing ||R src + t - dst||^2 (Kabsch)."""
+    mu_s = src.mean(axis=0)
+    mu_d = dst.mean(axis=0)
+    H = (src - mu_s).T @ (dst - mu_d)
+    U, _, Vt = np.linalg.svd(H)
+    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))])
+    R = Vt.T @ D @ U.T
+    t = mu_d - R @ mu_s
+    return Pose3(R, t)
+
+
 class PlaneClass(Enum):
     X_VERTICAL = "x"
     Y_VERTICAL = "y"

@@ -22,11 +22,10 @@ from .geometry import (
     Pose3,
     PlaneClass,
     PlaneMinimal,
-    from_minimal,
+    classify_plane,
     inverse_compose,
     to_minimal,
     transform_plane,
-    wrap_angle,
 )
 from .planes import PlaneDetection
 
@@ -186,7 +185,7 @@ class SGraph:
         """
         kf = self.keyframes[kf_id]
         map_plane = transform_plane(kf.pose, det.plane, to_sensor=False)
-        cls = classify_map_plane(map_plane)
+        cls = classify_plane(map_plane)
         meas = to_minimal(det.plane)
         meas_cov = np.linalg.inv(np.asarray(plane_information, dtype=float))
 
@@ -224,7 +223,7 @@ class SGraph:
             self.planes[lm_id] = PlaneLandmark(
                 id=lm_id,
                 params=to_minimal(map_plane),
-                plane_class=classify_map_plane(map_plane),
+                plane_class=classify_plane(map_plane),
                 extent=np.asarray(det.extent, dtype=float).copy(),
                 centroid=kf.pose.transform_point(det.centroid),
                 side=1.0 if gap >= 0.0 else -1.0,
@@ -359,43 +358,9 @@ class SGraph:
             return np.array([r]), {kc: Jc.reshape(1, 2), kp: Jp.reshape(1, 3)}
         raise ValueError(f"unknown factor kind {kind}")
 
-    # -- local-coordinate updates -------------------------------------------
-
-    def apply_update(self, key: VariableKey, delta: np.ndarray) -> None:
-        kind, vid = key
-        if kind == "kf":
-            kf = self.keyframes[vid]
-            kf.pose = kf.pose.retract(delta)
-        elif kind == "plane":
-            lm = self.planes[vid]
-            p = lm.params
-            lm.params = PlaneMinimal(
-                wrap_angle(p.azimuth + delta[0]),
-                p.elevation + delta[1],
-                p.distance + delta[2],
-            )
-        elif kind == "room":
-            room = self.rooms[vid]
-            room.center = room.center + delta[0:2]
-            room.widths = room.widths + delta[2:4]
-        elif kind == "corridor":
-            corr = self.corridors[vid]
-            axis_idx = 0 if corr.axis is PlaneClass.X_VERTICAL else 1
-            center = corr.center.copy()
-            center[axis_idx] += delta[0]
-            corr.center = center
-            corr.width = corr.width + delta[1]
-        else:
-            raise ValueError(f"unknown variable kind {kind}")
-
     def update_map_to_odom(self) -> None:
         """Re-derive the map-to-odometry offset from the newest keyframe."""
         last = self.last_keyframe()
         if last is not None:
             self.map_to_odom = last.pose.compose(last.odom_pose.inverse())
 
-
-def classify_map_plane(plane) -> PlaneClass:
-    from .geometry import classify_plane
-
-    return classify_plane(plane)

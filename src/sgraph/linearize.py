@@ -6,6 +6,10 @@ factor of a kind at once: between (odometry and loop closure), pose-plane,
 room-plane and corridor-plane. They are whitened, Huber-weighted and
 scattered into the dense normal equations. The same pass without Jacobians
 gives the cost alone, per layer.
+
+The solver works on the estimates gathered into arrays (`_Values`): it
+gathers them once, retracts a damped step onto them in batch, and writes
+the accepted result back into the graph once.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .factors import LOCAL_DIM, FactorKind, VariableKey, pose_between_residual
-from .geometry import PlaneClass, Pose3
+from .geometry import PlaneClass, PlaneMinimal, Pose3
 from .graph import SGraph
 
 LAYER_OF_KIND = {
@@ -34,7 +38,8 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class _Values:
-    """Current estimates gathered into arrays, rows in sorted-id order."""
+    """Estimates gathered into arrays, rows in sorted-id order. The arrays
+    are never written in place: a retraction builds new ones."""
 
     rotations: np.ndarray  # (K, 3, 3)
     translations: np.ndarray  # (K, 3)
@@ -80,6 +85,19 @@ def _skew(v: np.ndarray) -> np.ndarray:
 def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Stacked matrix-vector products."""
     return (M @ v[..., None])[..., 0]
+
+
+def _rot_exp(w: np.ndarray) -> np.ndarray:
+    """`geometry.rot_exp` on stacked rotation vectors, term by term."""
+    # a dot product per row, as the 1-D `np.linalg.norm` takes, so theta
+    # matches it bit for bit; a sum of squares along an axis does not
+    theta = np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0])
+    W = _skew(w)
+    small = theta < 1e-10
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))
+    return np.eye(3) + a[:, None, None] * W + b[:, None, None] * (W @ W)
 
 
 def _wrap(a: np.ndarray) -> np.ndarray:
@@ -262,27 +280,30 @@ class BatchedFactors:
 
     `offsets` maps each optimized variable to its first column in H;
     variables without an offset (the gauge keyframe) are held fixed. Build
-    once per factor set; each call then reads the graph's current estimates.
+    once per factor set; `values` gathers the graph's estimates, and the
+    other methods work on gathered values until `write` stores them back.
     """
 
     def __init__(self, graph: SGraph, offsets: dict[VariableKey, int], dim: int):
         self.dim = dim
-        self.kf_ids = sorted(graph.keyframes)
-        self.plane_ids = sorted(graph.planes)
-        self.room_ids = sorted(graph.rooms)
-        self.corridor_ids = sorted(graph.corridors)
+        self.ids = {
+            "kf": sorted(graph.keyframes),
+            "plane": sorted(graph.planes),
+            "room": sorted(graph.rooms),
+            "corridor": sorted(graph.corridors),
+        }
         self.corridor_axis = np.array(
-            [0 if graph.corridors[c].axis is PlaneClass.X_VERTICAL else 1 for c in self.corridor_ids],
+            [0 if graph.corridors[c].axis is PlaneClass.X_VERTICAL else 1 for c in self.ids["corridor"]],
             dtype=int,
         )
         row: dict[VariableKey, int] = {}
-        for kind, ids in (
-            ("kf", self.kf_ids),
-            ("plane", self.plane_ids),
-            ("room", self.room_ids),
-            ("corridor", self.corridor_ids),
-        ):
+        # columns in H of each variable's local coordinates, by kind and
+        # value row; -1 for the fixed gauge keyframe
+        self.columns: dict[str, np.ndarray] = {}
+        for kind, ids in self.ids.items():
             row.update(((kind, vid), i) for i, vid in enumerate(ids))
+            first = np.array([offsets.get((kind, vid), -1) for vid in ids], dtype=int)[:, None]
+            self.columns[kind] = np.where(first >= 0, first + np.arange(LOCAL_DIM[kind]), -1)
 
         by_layer: dict[str, list[int]] = {layer: [] for layer in LAYERS}
         for i, f in enumerate(graph.factors):
@@ -320,7 +341,8 @@ class BatchedFactors:
                     self.corridor_axis[rows[:, 0]],
                     np.array([_slot_half(f.measurement, 2) for f in factors]),
                 )
-            cols = np.array([_columns(f.variables, offsets) for f in factors], dtype=int)
+            kinds = [kind for kind, _ in factors[0].variables]
+            cols = np.hstack([self.columns[kind][rows[:, j]] for j, kind in enumerate(kinds)])
             g_keep = cols >= 0
             h_keep = g_keep[:, :, None] & g_keep[:, None, :]
             g_index.append(cols[g_keep])
@@ -341,15 +363,16 @@ class BatchedFactors:
         self._g_index = np.concatenate(g_index)
         self._h_index = np.concatenate(h_index)
 
-    def _values(self, graph: SGraph) -> _Values:
-        poses = [graph.keyframes[k].pose for k in self.kf_ids]
-        rooms = [graph.rooms[r] for r in self.room_ids]
-        corridors = [graph.corridors[c] for c in self.corridor_ids]
+    def values(self, graph: SGraph) -> _Values:
+        """The graph's current estimates, gathered into arrays."""
+        poses = [graph.keyframes[k].pose for k in self.ids["kf"]]
+        rooms = [graph.rooms[r] for r in self.ids["room"]]
+        corridors = [graph.corridors[c] for c in self.ids["corridor"]]
         return _Values(
             rotations=np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
             translations=np.array([p.translation for p in poses]).reshape(-1, 3),
             planes=np.array(
-                [graph.planes[p].params.as_array() for p in self.plane_ids]
+                [graph.planes[p].params.as_array() for p in self.ids["plane"]]
             ).reshape(-1, 3),
             room_centers=np.array([r.center for r in rooms], dtype=float).reshape(-1, 2),
             room_widths=np.array([r.widths for r in rooms], dtype=float).reshape(-1, 2),
@@ -359,19 +382,58 @@ class BatchedFactors:
             corridor_widths=np.array([c.width for c in corridors], dtype=float),
         )
 
-    def evaluate(self, graph: SGraph, jacobians: bool = True):
-        """Yield (block, r, J) per kind at the current estimates: raw
-        residuals (N, m) and, with `jacobians`, Jacobians (N, m, D) whose
-        columns are the local coordinates of the factor's two variables."""
-        values = self._values(graph)
-        for b in self.blocks:
-            yield (b, *b.kernel(values, b.rows, b.meas, jacobians))
+    def retract(self, v: _Values, delta: np.ndarray) -> _Values:
+        """New values moved by `delta`, a step in the local coordinates of
+        the columns of H: poses by `Pose3.retract`, the plane azimuth
+        wrapped, everything else additive. The gauge keyframe stays put."""
+        cols = self.columns["kf"]
+        fixed = cols[:, :1] < 0
+        step = np.where(cols >= 0, delta[cols], 0.0)
+        planes = v.planes + delta[self.columns["plane"]]
+        room = delta[self.columns["room"]]
+        corridor = delta[self.columns["corridor"]]
+        return _Values(
+            rotations=np.where(
+                fixed[:, :, None], v.rotations, v.rotations @ _rot_exp(step[:, 3:6])
+            ),
+            translations=np.where(
+                fixed, v.translations, v.translations + _mv(v.rotations, step[:, 0:3])
+            ),
+            planes=np.column_stack([_wrap(planes[:, 0]), planes[:, 1:]]),
+            room_centers=v.room_centers + room[:, 0:2],
+            room_widths=v.room_widths + room[:, 2:4],
+            corridor_centers=v.corridor_centers + corridor[:, 0],
+            corridor_widths=v.corridor_widths + corridor[:, 1],
+        )
 
-    def _linearize(self, graph: SGraph, huber_delta: float, jacobians: bool):
+    def write(self, graph: SGraph, v: _Values) -> None:
+        """Store values into the graph's variables."""
+        for i, k in enumerate(self.ids["kf"]):
+            graph.keyframes[k].pose = Pose3(v.rotations[i].copy(), v.translations[i].copy())
+        for i, p in enumerate(self.ids["plane"]):
+            graph.planes[p].params = PlaneMinimal(*v.planes[i].tolist())
+        for i, r in enumerate(self.ids["room"]):
+            room = graph.rooms[r]
+            room.center, room.widths = v.room_centers[i].copy(), v.room_widths[i].copy()
+        for i, (c, axis) in enumerate(zip(self.ids["corridor"], self.corridor_axis)):
+            corr = graph.corridors[c]
+            # the cross-axis component of the center is not optimized
+            center = np.array(corr.center, dtype=float)
+            center[axis] = v.corridor_centers[i]
+            corr.center, corr.width = center, float(v.corridor_widths[i])
+
+    def evaluate(self, v: _Values, jacobians: bool = True):
+        """Yield (block, r, J) per kind at the values `v`: raw residuals
+        (N, m) and, with `jacobians`, Jacobians (N, m, D) whose columns are
+        the local coordinates of the factor's two variables."""
+        for b in self.blocks:
+            yield (b, *b.kernel(v, b.rows, b.meas, jacobians))
+
+    def _linearize(self, v: _Values, huber_delta: float, jacobians: bool):
         """Per-layer costs and, with Jacobians, the normal equations H, g."""
         costs = dict.fromkeys(LAYERS, 0.0)
         g_parts, h_parts = [np.zeros(0)], [np.zeros(0)]
-        for b, r, J in self.evaluate(graph, jacobians):
+        for b, r, J in self.evaluate(v, jacobians):
             wr = _mv(b.sqrt_info, r)
             s = np.einsum("ij,ij->i", wr, wr)
             cost = s.copy()
@@ -396,27 +458,17 @@ class BatchedFactors:
         H = np.bincount(self._h_index, np.concatenate(h_parts), minlength=dim * dim)
         return costs, H.reshape(dim, dim), g
 
-    def layer_costs(self, graph: SGraph, huber_delta: float) -> dict[str, float]:
+    def layer_costs(self, v: _Values, huber_delta: float) -> dict[str, float]:
         """Robust cost per layer (tracking, plane, room, corridor), residuals only."""
-        return self._linearize(graph, huber_delta, jacobians=False)[0]
+        return self._linearize(v, huber_delta, jacobians=False)[0]
 
-    def cost(self, graph: SGraph, huber_delta: float) -> float:
-        return sum(self.layer_costs(graph, huber_delta).values())
+    def cost(self, v: _Values, huber_delta: float) -> float:
+        return sum(self.layer_costs(v, huber_delta).values())
 
     def normal_equations(
-        self, graph: SGraph, huber_delta: float
+        self, v: _Values, huber_delta: float
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """H = J^T J and g = J^T r over whitened, robust-weighted residuals,
-        and the cost; the cost equals `cost()` at the same estimates."""
-        costs, H, g = self._linearize(graph, huber_delta, jacobians=True)
+        and the cost; the cost equals `cost()` at the same values."""
+        costs, H, g = self._linearize(v, huber_delta, jacobians=True)
         return H, g, sum(costs.values())
-
-
-def _columns(variables: tuple[VariableKey, ...], offsets: dict[VariableKey, int]) -> list[int]:
-    """Columns in H of a factor's stacked Jacobian; -1 for fixed variables."""
-    cols: list[int] = []
-    for key in variables:
-        off = offsets.get(key, -1)
-        n = LOCAL_DIM[key[0]]
-        cols.extend(range(off, off + n) if off >= 0 else [-1] * n)
-    return cols

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .factors import Factor, FactorKind
-from .geometry import Pose3, inverse_compose
+from .geometry import Pose3, align_rigid, inverse_compose
 from .graph import SGraph
 from .planes import PointCloud
 
@@ -74,18 +74,6 @@ def find_candidates(graph: SGraph, query_id: int, cfg: LoopConfig) -> list[LoopC
     return out
 
 
-def _best_fit_transform(src: np.ndarray, dst: np.ndarray) -> Pose3:
-    """Closed-form rigid transform aligning src onto dst (Kabsch)."""
-    mu_s = src.mean(axis=0)
-    mu_d = dst.mean(axis=0)
-    H = (src - mu_s).T @ (dst - mu_d)
-    U, _, Vt = np.linalg.svd(H)
-    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))])
-    R = Vt.T @ D @ U.T
-    t = mu_d - R @ mu_s
-    return Pose3(R, t)
-
-
 def register_scans(
     query: PointCloud, match: PointCloud, initial_guess: Pose3, cfg: LoopConfig
 ) -> LoopConstraint:
@@ -111,7 +99,7 @@ def register_scans(
         if int(mask.sum()) < cfg.min_points:
             raise NoConvergence("correspondence set collapsed")
         fitness = float(np.mean(dists[mask] ** 2))
-        step = _best_fit_transform(moved[mask], target[idx[mask]])
+        step = align_rigid(moved[mask], target[idx[mask]])
         pose = step.compose(pose)
         at_final_radius = corr_dist <= cfg.max_corr_dist
         if at_final_radius and abs(prev_fitness - fitness) <= cfg.icp_tol * max(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose3, rot_log
+from .geometry import Pose3, align_rigid, rot_log
 from .simulator import WorldModel
 
 
@@ -39,19 +39,6 @@ def associate(
         if abs(ref_times[i] - t) <= max_dt:
             pairs.append((pose, reference[i][1]))
     return pairs
-
-
-def align_rigid(src: np.ndarray, dst: np.ndarray) -> Pose3:
-    """Closed-form rigid alignment (rotation + translation, no scale)
-    minimizing ||R src + t - dst||^2."""
-    mu_s = src.mean(axis=0)
-    mu_d = dst.mean(axis=0)
-    H = (src - mu_s).T @ (dst - mu_d)
-    U, _, Vt = np.linalg.svd(H)
-    D = np.diag([1.0, 1.0, np.sign(np.linalg.det(Vt.T @ U.T))])
-    R = Vt.T @ D @ U.T
-    t = mu_d - R @ mu_s
-    return Pose3(R, t)
 
 
 def ate(pair: TrajectoryPair, max_dt: float = 0.25) -> float:

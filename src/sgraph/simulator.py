@@ -157,7 +157,7 @@ def _subtract_intervals(
     return segments
 
 
-def generate_world(layout: LayoutSpec, seed: int = 0) -> WorldModel:
+def generate_world(layout: LayoutSpec) -> WorldModel:
     """Build walls, floor/ceiling and ground-truth annotations from a
     rectangle floorplan. Shared boundaries become door openings."""
     rects = list(layout.rects)
@@ -351,9 +351,7 @@ def simulate_run(
     return steps
 
 
-def perimeter_waypoints(
-    rects: list[RectSpec], margin: float = 1.0
-) -> tuple[tuple[float, float, float], ...]:
+def perimeter_waypoints(rects: list[RectSpec]) -> tuple[tuple[float, float, float], ...]:
     """Waypoints visiting the center of each rectangle in order."""
     wps = []
     for r in rects:

@@ -39,8 +39,9 @@ class SolverReport:
     converged: bool
 
 
-def _variable_order(graph: SGraph) -> tuple[list[VariableKey], dict[VariableKey, int], int]:
-    """Deterministic variable ordering; the first keyframe is the gauge and is
+def _variable_order(graph: SGraph) -> tuple[dict[VariableKey, int], int]:
+    """Deterministic variable ordering: the first column in H of each
+    variable, and the dimension. The first keyframe is the gauge and is
     excluded."""
     gauge = min(graph.keyframes, default=None)
     keys: list[VariableKey] = [("kf", k) for k in sorted(graph.keyframes) if k != gauge]
@@ -55,13 +56,14 @@ def _variable_order(graph: SGraph) -> tuple[list[VariableKey], dict[VariableKey,
     for k in keys:
         offsets[k] = dim
         dim += LOCAL_DIM[k[0]]
-    return keys, offsets, dim
+    return offsets, dim
 
 
 def layer_costs(graph: SGraph, huber_delta: float = 1.0) -> dict[str, float]:
     """Per-layer cost decomposition (odometry+loop, plane, room, corridor)."""
-    _, offsets, dim = _variable_order(graph)
-    return BatchedFactors(graph, offsets, dim).layer_costs(graph, huber_delta)
+    offsets, dim = _variable_order(graph)
+    factors = BatchedFactors(graph, offsets, dim)
+    return factors.layer_costs(factors.values(graph), huber_delta)
 
 
 def total_cost(graph: SGraph, huber_delta: float = 1.0) -> float:
@@ -71,19 +73,22 @@ def total_cost(graph: SGraph, huber_delta: float = 1.0) -> float:
 def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
     """Levenberg-Marquardt over all variables; mutates the graph in place.
 
+    The estimates are gathered into arrays once; each damped try retracts
+    its step onto them, and the result is written back once at the end.
     Accepted steps never increase the cost; termination on relative cost
     change, gradient norm, or the iteration cap. After convergence the
     map-to-odometry offset is re-derived from the newest keyframe.
     """
     if not graph.keyframes:
         raise ValueError("graph has no keyframes")
-    keys, offsets, dim = _variable_order(graph)
+    offsets, dim = _variable_order(graph)
     if dim == 0:
         c = total_cost(graph, cfg.huber_delta)
         return SolverReport(c, c, 0, True)
 
     factors = BatchedFactors(graph, offsets, dim)
-    H, g, cost = factors.normal_equations(graph, cfg.huber_delta)
+    values = factors.values(graph)
+    H, g, cost = factors.normal_equations(values, cfg.huber_delta)
     if cfg.check_rank:
         eigs = np.linalg.eigvalsh(H)
         scale = max(float(eigs[-1]), 1.0)
@@ -108,55 +113,26 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            backup = _snapshot(graph, keys)
-            for k in keys:
-                off = offsets[k]
-                graph.apply_update(k, delta[off : off + LOCAL_DIM[k[0]]])
-            # a damped try needs the cost only; H and g follow an accepted step
-            cost_new = factors.cost(graph, cfg.huber_delta)
+            # a damped try needs the cost only; H and g follow an accepted
+            # step, and a rejected one is dropped
+            tried = factors.retract(values, delta)
+            cost_new = factors.cost(tried, cfg.huber_delta)
             if cost_new <= cost:
                 accepted = True
                 lam = max(lam / 10.0, 1e-12)
                 converged = (cost - cost_new) / max(cost, 1e-300) < cfg.rel_tol
                 cost = cost_new
+                values = tried
                 if not converged:
-                    H, g, _ = factors.normal_equations(graph, cfg.huber_delta)
+                    H, g, _ = factors.normal_equations(values, cfg.huber_delta)
                 break
-            _restore(graph, keys, backup)
             lam *= 10.0
         if not accepted:
             converged = cost <= initial_cost  # stalled at a (local) minimum
             break
         if converged:
             break
+    factors.write(graph, values)
     graph.update_map_to_odom()
     return SolverReport(initial_cost, cost, iters, converged)
 
-
-def _snapshot(graph: SGraph, keys: list[VariableKey]):
-    state = {}
-    for kind, vid in keys:
-        if kind == "kf":
-            state[(kind, vid)] = graph.keyframes[vid].pose
-        elif kind == "plane":
-            state[(kind, vid)] = graph.planes[vid].params
-        elif kind == "room":
-            room = graph.rooms[vid]
-            state[(kind, vid)] = (room.center.copy(), room.widths.copy())
-        elif kind == "corridor":
-            corr = graph.corridors[vid]
-            state[(kind, vid)] = (corr.center.copy(), corr.width)
-    return state
-
-
-def _restore(graph: SGraph, keys: list[VariableKey], state) -> None:
-    for key in keys:
-        kind, vid = key
-        if kind == "kf":
-            graph.keyframes[vid].pose = state[key]
-        elif kind == "plane":
-            graph.planes[vid].params = state[key]
-        elif kind == "room":
-            graph.rooms[vid].center, graph.rooms[vid].widths = state[key]
-        elif kind == "corridor":
-            graph.corridors[vid].center, graph.corridors[vid].width = state[key]

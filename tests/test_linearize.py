@@ -18,6 +18,7 @@ from sgraph.linearize import LAYER_OF_KIND, BatchedFactors
 from sgraph.solver import _variable_order
 
 from test_io import sample_graph
+from test_solver import variable_state
 
 TOL = 1e-9
 PLANE_INFO = np.diag([2500.0, 2500.0, 2500.0])
@@ -44,7 +45,7 @@ def between(g, a, b, meas, kind=FactorKind.LOOP_CLOSURE, robust=True):
 
 
 def batched(graph):
-    _, offsets, dim = _variable_order(graph)
+    offsets, dim = _variable_order(graph)
     return BatchedFactors(graph, offsets, dim)
 
 
@@ -53,7 +54,8 @@ def assert_matches_reference(graph):
     kernel's; returns the kinds seen. Azimuth residuals are angles and are
     compared on the circle, where +pi and -pi meet."""
     seen = set()
-    for block, r, J in batched(graph).evaluate(graph):
+    bf = batched(graph)
+    for block, r, J in bf.evaluate(bf.values(graph)):
         for row, fi in enumerate(block.factor_index):
             f = graph.factors[fi]
             r_ref, jacs = graph.evaluate_factor(f)
@@ -71,7 +73,7 @@ def assert_matches_reference(graph):
 
 def dense_reference(graph, huber_delta=1.0):
     """H, g, cost and per-layer cost from evaluate_factor, one factor at a time."""
-    _, offsets, dim = _variable_order(graph)
+    offsets, dim = _variable_order(graph)
     H, g, cost = np.zeros((dim, dim)), np.zeros(dim), 0.0
     layers = dict.fromkeys(("tracking", "plane", "room", "corridor"), 0.0)
     for f in graph.factors:
@@ -96,12 +98,13 @@ def dense_reference(graph, huber_delta=1.0):
 def assert_normal_equations_match(graph, huber_delta=1.0):
     H_ref, g_ref, cost_ref, layers_ref = dense_reference(graph, huber_delta)
     bf = batched(graph)
-    H, g, cost = bf.normal_equations(graph, huber_delta)
+    v = bf.values(graph)
+    H, g, cost = bf.normal_equations(v, huber_delta)
     assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
     assert np.max(np.abs(g - g_ref)) <= 1e-12 * max(np.max(np.abs(g_ref)), 1e-300)
     assert cost == pytest.approx(cost_ref, rel=1e-12)
-    assert bf.cost(graph, huber_delta) == cost
-    layers = bf.layer_costs(graph, huber_delta)
+    assert bf.cost(v, huber_delta) == cost
+    layers = bf.layer_costs(v, huber_delta)
     assert layers == pytest.approx(layers_ref, rel=1e-12, abs=1e-300)
     np.testing.assert_array_equal(H, H.T)
 
@@ -168,7 +171,8 @@ class TestResidualsAndJacobians:
         for i in (1, 2):
             observe(g, i, 0, (-math.pi + 0.01, 0.0, 3.0))
             observe(g, i, 1, (math.pi - 0.005, 0.0, 2.0))
-        for block, r, _ in batched(g).evaluate(g):
+        bf = batched(g)
+        for block, r, _ in bf.evaluate(bf.values(g)):
             assert np.all(np.abs(r[:, 0]) < 0.1)  # wrapped, not ~2*pi
         assert_matches_reference(g)
 
@@ -255,7 +259,7 @@ class TestNormalEquations:
         add_kf(g, 1, Pose3.from_xyz_yaw(1.0, 0.0, 0.0, 0.1))
         between(g, 0, 1, Pose3.from_xyz_yaw(1.1, 0.1, 0.0, -0.2), robust=False)
         bf = batched(g)
-        H, grad, _ = bf.normal_equations(g, 1.0)
+        H, grad, _ = bf.normal_equations(bf.values(g), 1.0)
         f = g.factors[0]
         r, jacs = g.evaluate_factor(f)
         L = f.sqrt_information()
@@ -266,11 +270,108 @@ class TestNormalEquations:
 
     def test_sample_graph_gauge_columns(self):
         g = sample_graph()
-        _, offsets, dim = _variable_order(g)
+        offsets, dim = _variable_order(g)
         assert ("kf", 0) not in offsets
         assert dim == 6 * 2 + 3 * 2 + 4 + 2
-        H, _, _ = batched(g).normal_equations(g, 1.0)
+        bf = batched(g)
+        H, _, _ = bf.normal_equations(bf.values(g), 1.0)
         assert H.shape == (dim, dim)
+
+
+class TestRetractAndWrite:
+    """`retract` moves the gathered values as the per-variable updates do:
+    `Pose3.retract`, the plane azimuth wrapped by `wrap_angle`, everything
+    else additive; `write` stores them back."""
+
+    @staticmethod
+    def solve_setup(g):
+        offsets, dim = _variable_order(g)
+        bf = BatchedFactors(g, offsets, dim)
+        return bf, offsets, bf.values(g)
+
+    def test_poses_match_pose_retract_bit_for_bit(self):
+        g = sample_graph()
+        rng = np.random.default_rng(5)
+        angles = [1e-13, 3e-11, 9e-11, 2e-7, 0.4, 1.7, 3.1]
+        for i, _ in enumerate(angles, start=3):
+            # with R = I the product keeps the series' second-order term,
+            # which a tilted R rounds away
+            R = np.eye(3) if i % 2 else rot_exp(rng.normal(0, 1.0, 3))
+            add_kf(g, i, Pose3(R, rng.normal(0, 3.0, 3)))
+        bf, offsets, v = self.solve_setup(g)
+        delta = rng.normal(0, 0.5, bf.dim)
+        for i, theta in enumerate(angles, start=3):
+            axis = rng.normal(size=3)
+            delta[offsets[("kf", i)] + 3 : offsets[("kf", i)] + 6] = theta * axis / np.linalg.norm(axis)
+        moved = bf.retract(v, delta)
+        for row, k in enumerate(bf.ids["kf"]):
+            if ("kf", k) not in offsets:
+                continue
+            off = offsets[("kf", k)]
+            ref = g.keyframes[k].pose.retract(delta[off : off + 6])
+            assert moved.rotations[row].tobytes() == ref.rotation.tobytes()
+            assert moved.translations[row].tobytes() == ref.translation.tobytes()
+
+    def test_gauge_keyframe_does_not_move(self):
+        g = SGraph()
+        # yaw 0 leaves -0.0 entries, which multiplying by an identity would turn to +0.0
+        add_kf(g, 0, Pose3.from_xyz_yaw(0.4, -0.3, 0.0, 0.0))
+        add_kf(g, 1, Pose3.from_xyz_yaw(1.0, 0.0, 0.0, 0.1))
+        between(g, 0, 1, Pose3.from_xyz_yaw(1.1, 0.1, 0.0, -0.2))
+        bf, offsets, v = self.solve_setup(g)
+        assert np.signbit(v.rotations[0]).any()
+        moved = bf.retract(v, np.full(bf.dim, 0.3))
+        assert moved.rotations[0].tobytes() == v.rotations[0].tobytes()
+        assert moved.translations[0].tobytes() == v.translations[0].tobytes()
+        assert moved.translations[1].tobytes() != v.translations[1].tobytes()
+        before = g.keyframes[0].pose
+        bf.write(g, moved)
+        assert g.keyframes[0].pose.rotation.tobytes() == before.rotation.tobytes()
+        assert g.keyframes[0].pose.translation.tobytes() == before.translation.tobytes()
+
+    def test_azimuth_wraps_across_pi(self):
+        g = SGraph()
+        add_kf(g, 0, Pose3.identity())
+        add_plane(g, 0, math.pi - 0.01, 0.0, 3.0)
+        add_plane(g, 1, -math.pi + 0.005, 0.02, 2.0)
+        bf, offsets, v = self.solve_setup(g)
+        delta = np.array([0.03, 0.001, 0.1, -0.02, -0.003, 0.2])
+        moved = bf.retract(v, delta)
+        assert moved.planes[0, 0] < -math.pi + 0.03 and moved.planes[1, 0] > math.pi - 0.02
+        bf.write(g, moved)
+        for pid, params in ((0, (math.pi - 0.01, 0.0, 3.0)), (1, (-math.pi + 0.005, 0.02, 2.0))):
+            d = delta[offsets[("plane", pid)] :][:3]
+            expected = PlaneMinimal(wrap_angle(params[0] + d[0]), params[1] + d[1], params[2] + d[2])
+            assert g.planes[pid].params == expected
+
+    def test_corridor_cross_axis_center_untouched_on_both_axes(self):
+        g = SGraph()
+        add_kf(g, 0, Pose3.identity())
+        g.add_room(RoomNode(0, np.array([0.95, 0.05]), np.array([4.1, 2.9]), (0, 1, 2, 3)), 100.0)
+        g.add_corridor(CorridorNode(0, PlaneClass.X_VERTICAL, np.array([7.0, 0.3]), 2.2, (4, 5)),
+                       100.0)
+        g.add_corridor(CorridorNode(0, PlaneClass.Y_VERTICAL, np.array([-3.0, 2.5]), 4.8, (7, 6)),
+                       100.0)
+        for pid in range(8):
+            add_plane(g, pid, 0.0, 0.0, 1.0 + pid)
+        bf, offsets, v = self.solve_setup(g)
+        delta = np.random.default_rng(2).normal(0, 0.1, bf.dim)
+        bf.write(g, bf.retract(v, delta))
+        room = delta[offsets[("room", 0)] :][:4]
+        assert g.rooms[0].center.tolist() == [0.95 + room[0], 0.05 + room[1]]
+        assert g.rooms[0].widths.tolist() == [4.1 + room[2], 2.9 + room[3]]
+        x, y = (delta[offsets[("corridor", c)] :][:2] for c in (0, 1))
+        assert g.corridors[0].center.tolist() == [7.0 + x[0], 0.3]
+        assert g.corridors[0].width == 2.2 + x[1]
+        assert g.corridors[1].center.tolist() == [-3.0, 2.5 + y[0]]
+        assert g.corridors[1].width == 4.8 + y[1]
+
+    def test_write_of_gathered_values_changes_nothing(self):
+        g = sample_graph()
+        before = variable_state(g)
+        bf, _, v = self.solve_setup(g)
+        bf.write(g, v)
+        assert variable_state(g) == before
 
 
 # -- property: random poses and planes, normals near the pole included -------
