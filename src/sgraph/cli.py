@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .ablation import evaluate_run, run_ablation, stream_digest
+from .ablation import run_ablation, stream_digest
 from .graph import KeyframePolicy
 from .io import export_dataset, load_dataset, read_tum, save_graph, write_tum
 from .metrics import TrajectoryPair, ate, map_rmse, start_end_error

@@ -4,7 +4,7 @@ re-optimization after every new keyframe."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -11,7 +11,8 @@ from .geometry import PlaneHessian, flip_to_positive
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # not np.cross: that costs over 10x more per call on 3-vectors, in the RANSAC loop
+    # not np.cross: that costs over 10x more per call on 3-vectors, and
+    # `_plane_basis` calls this thousands of times per replay
     return np.array(
         [
             a[1] * b[2] - a[2] * b[1],
@@ -174,11 +175,17 @@ def _dominant_patch(points: np.ndarray, mask: np.ndarray, normal: np.ndarray,
     return out
 
 
+def _median(x: np.ndarray) -> float:
+    """`np.median` of a non-empty 1-D float array, bit for bit, without its overhead."""
+    h = x.size // 2
+    if x.size % 2:
+        return float(np.partition(x, h)[h])
+    part = np.partition(x, (h - 1, h))
+    return float((part[h - 1] + part[h]) / 2)
+
+
 def _trim_fit(
-    points: np.ndarray,
-    mask: np.ndarray,
-    cfg: RansacConfig,
-    allowed: np.ndarray | None = None,
+    points: np.ndarray, mask: np.ndarray, cfg: RansacConfig
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Iteratively refit a plane and trim its inlier mask.
 
@@ -188,27 +195,104 @@ def _trim_fit(
     for gaussian noise the MAD scale is consistent with sigma and the bulk
     of inliers is kept. Returns (mask, normal, d).
     """
-    normal = d = None
     for _ in range(25):
         normal, d, _ = _fit_plane_lsq(points[mask])
         signed = points @ normal - d
         r_in = signed[mask]
-        med = float(np.median(r_in))
-        mad = float(np.median(np.abs(r_in - med)))
+        med = _median(r_in)
+        mad = _median(np.abs(r_in - med))
         band = min(max(3.0 * 1.4826 * mad, 1e-9), cfg.threshold)
         # center on the median: outliers shift the least-squares offset,
         # while the median tracks the dominant surface
-        cand = np.abs(signed - med) <= band
-        if allowed is not None:
-            cand &= allowed
-        new_mask = _dominant_patch(points, cand, normal)
-        if int(new_mask.sum()) < cfg.min_inliers:
-            break
-        if np.array_equal(new_mask, mask):
-            break
+        new_mask = _dominant_patch(points, np.abs(signed - med) <= band, normal)
+        if int(new_mask.sum()) < cfg.min_inliers or np.array_equal(new_mask, mask):
+            return mask, normal, d  # (normal, d) is already the fit of mask
         mask = new_mask
     normal, d, _ = _fit_plane_lsq(points[mask])
     return mask, normal, d
+
+
+# hypotheses scored per batch; each batch is one (B, 3) @ (3, N) product
+_CHUNK = 32
+
+
+def _score_hypotheses(
+    points: np.ndarray, samples: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inlier masks (B, N) and counts (B,) of the planes through sample triples.
+
+    Each plane is the one `_cross3` and the 1-D `np.linalg.norm` and `@` give
+    for its triple, bit for bit: the same elementwise products, and one dot
+    product per row. A degenerate triple (normal norm < 1e-12) counts 0.
+    """
+    p = points[samples]  # (B, 3 samples, 3 coords)
+    a = p[:, 1] - p[:, 0]
+    b = p[:, 2] - p[:, 0]
+    normals = np.stack(
+        [
+            a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+            a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
+        ],
+        axis=1,
+    )
+    nn = np.sqrt((normals[:, None, :] @ normals[:, :, None])[:, 0, 0])
+    valid = nn >= 1e-12
+    normals /= np.where(valid, nn, 1.0)[:, None]
+    d = (normals[:, None, :] @ p[:, 0, :, None])[:, 0, 0]
+    inliers = np.abs(normals @ points.T - d[:, None]) <= threshold
+    return inliers, np.where(valid, np.count_nonzero(inliers, axis=1), 0)
+
+
+def _ransac_round(
+    rng: np.random.Generator, points: np.ndarray, cfg: RansacConfig
+) -> tuple[np.ndarray | None, int]:
+    """One RANSAC search with the adaptive stop: (best inlier mask, its count).
+
+    Hypotheses are drawn one `rng.choice` each, as a one-at-a-time loop
+    would draw them, and scored in batches. A batch that overshoots the
+    adaptive stop rewinds the generator and redraws only the hypotheses
+    the stop let run, so the generator leaves the round in the same state
+    as the one-at-a-time loop. Degenerate samples use up an iteration and
+    never win.
+    """
+    n_pts = points.shape[0]
+    best_mask = None
+    best_count = 0
+    needed = cfg.max_iters
+    it = 0
+    while it < needed:
+        start_state = rng.bit_generator.state
+        size = min(_CHUNK, needed - it)
+        samples = np.array([rng.choice(n_pts, size=3, replace=False) for _ in range(size)])
+        inliers, counts = _score_hypotheses(points, samples, cfg.threshold)
+        # walk the running-max improvements only, in draw order
+        before = np.maximum.accumulate(np.concatenate(([best_count], counts[:-1])))
+        best_row = -1
+        for j in np.nonzero(counts > before)[0]:
+            if it + j >= needed:
+                break
+            best_count = int(counts[j])
+            best_row = j
+            # adaptive stop: trials needed to sample an all-inlier
+            # triple with 99.9% confidence at the current inlier ratio
+            w = best_count / n_pts
+            if w >= 1.0 - 1e-12:
+                needed = it + j + 1
+            else:
+                needed = min(
+                    cfg.max_iters,
+                    int(math.ceil(math.log(1e-3) / math.log(1.0 - w**3))),
+                )
+        if best_row >= 0:
+            best_mask = inliers[best_row]
+        used = min(size, needed - it)
+        if used < size:
+            rng.bit_generator.state = start_state
+            for _ in range(used):
+                rng.choice(n_pts, size=3, replace=False)
+        it += used
+    return best_mask, best_count
 
 
 def extract_planes(cloud: PointCloud, cfg: RansacConfig) -> list[PlaneDetection]:
@@ -225,37 +309,7 @@ def extract_planes(cloud: PointCloud, cfg: RansacConfig) -> list[PlaneDetection]
     fits: list[tuple[np.ndarray, float, np.ndarray]] = []  # (normal, d, index array)
     while remaining_idx.size >= max(cfg.min_inliers, 3):
         remaining = pts[remaining_idx]
-        n_pts = remaining.shape[0]
-        best_mask = None
-        best_count = 0
-        needed = cfg.max_iters
-        for it in range(cfg.max_iters):
-            if it >= needed:
-                break
-            sample = rng.choice(n_pts, size=3, replace=False)
-            p0, p1, p2 = remaining[sample]
-            normal = _cross3(p1 - p0, p2 - p0)
-            nn = np.linalg.norm(normal)
-            if nn < 1e-12:
-                continue
-            normal = normal / nn
-            d = normal @ p0
-            dist = np.abs(remaining @ normal - d)
-            mask = dist <= cfg.threshold
-            count = int(mask.sum())
-            if count > best_count:
-                best_count = count
-                best_mask = mask
-                # adaptive stop: trials needed to sample an all-inlier
-                # triple with 99.9% confidence at the current inlier ratio
-                w = count / n_pts
-                if w >= 1.0 - 1e-12:
-                    needed = it + 1
-                else:
-                    needed = min(
-                        cfg.max_iters,
-                        int(math.ceil(math.log(1e-3) / math.log(1.0 - w**3))),
-                    )
+        best_mask, best_count = _ransac_round(rng, remaining, cfg)
         if best_mask is None or best_count < cfg.min_inliers:
             break
         normal, d, _ = _fit_plane_lsq(remaining[best_mask])
@@ -278,13 +332,14 @@ def extract_planes(cloud: PointCloud, cfg: RansacConfig) -> list[PlaneDetection]
         new_fits = []
         changed = False
         for k, (normal, d, idx) in enumerate(fits):
-            owned = (owner == k) & (dists[k] <= cfg.threshold)
-            mask = _dominant_patch(pts, owned, normal)
+            owned_idx = np.nonzero((owner == k) & (dists[k] <= cfg.threshold))[0]
+            owned = pts[owned_idx]
+            mask = _dominant_patch(owned, np.ones(owned_idx.size, dtype=bool), normal)
             if int(mask.sum()) < cfg.min_inliers:
                 changed = True
                 continue
-            mask, normal, d = _trim_fit(pts, mask, cfg, allowed=owned)
-            new_idx = np.nonzero(mask)[0]
+            mask, normal, d = _trim_fit(owned, mask, cfg)
+            new_idx = owned_idx[mask]
             changed = changed or not np.array_equal(new_idx, idx)
             new_fits.append((normal, d, new_idx))
         fits = new_fits

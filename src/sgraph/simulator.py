@@ -4,7 +4,7 @@ trajectories, drifting odometry and ray-cast LiDAR scans."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -19,8 +19,7 @@ from sgraph.factors import (
     pose_plane_residual,
     room_plane_residual,
 )
-from sgraph.geometry import PlaneClass, PlaneMinimal, Pose3, rot_exp
-from sgraph.graph import PlaneLandmark
+from sgraph.geometry import PlaneMinimal, Pose3, rot_exp
 from sgraph.io import graph_from_dict, graph_to_dict, read_tum, write_tum
 from sgraph.metrics import TrajectoryPair, ate, map_rmse
 from sgraph.pipeline import SlamConfig, run_slam
@@ -37,7 +36,7 @@ from sgraph.simulator import (
     simulate_run,
 )
 from sgraph.solver import SolverConfig, optimize, total_cost
-from sgraph.topology import RoomCriterionConfig, detect_corridor, detect_room
+from sgraph.topology import detect_corridor, detect_room
 
 from test_io import sample_graph
 from test_topology import CFG as TOPO_CFG

@@ -11,7 +11,7 @@ from sgraph.factors import (
     pose_plane_residual,
     room_plane_residual,
 )
-from sgraph.geometry import PlaneMinimal, Pose3, rot_exp, to_minimal, transform_plane, PlaneHessian
+from sgraph.geometry import PlaneMinimal, Pose3, rot_exp, to_minimal, transform_plane
 
 
 def tx(x):

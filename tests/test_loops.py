@@ -1,7 +1,5 @@
 """Loop closure: candidate gating, scan registration, factor insertion."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -3,7 +3,6 @@
 import json
 
 import numpy as np
-import pytest
 
 from sgraph.cli import main, parse_seeds
 from sgraph.io import graph_to_dict

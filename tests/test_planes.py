@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from sgraph import planes
 from sgraph.planes import (
     EmptyCloud,
     FilterConfig,
-    PlaneDetection,
     PointCloud,
     RansacConfig,
     TooFewPoints,
@@ -164,6 +164,259 @@ class TestExtractPlanesNoisy:
         cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=300, seed=0)
         dets = extract_planes(cloud, cfg)
         assert len(dets) == 0
+
+
+def reference_round(rng, points, cfg):
+    """The one-hypothesis-at-a-time RANSAC loop that `_ransac_round` batches.
+
+    Returns (best mask, best count, hypotheses drawn, degenerate samples).
+    """
+    n_pts = points.shape[0]
+    best_mask = None
+    best_count = 0
+    needed = cfg.max_iters
+    used = degenerate = 0
+    for it in range(cfg.max_iters):
+        if it >= needed:
+            break
+        used += 1
+        sample = rng.choice(n_pts, size=3, replace=False)
+        p0, p1, p2 = points[sample]
+        normal = planes._cross3(p1 - p0, p2 - p0)
+        nn = np.linalg.norm(normal)
+        if nn < 1e-12:
+            degenerate += 1
+            continue
+        normal = normal / nn
+        d = normal @ p0
+        mask = np.abs(points @ normal - d) <= cfg.threshold
+        count = int(mask.sum())
+        if count > best_count:
+            best_count = count
+            best_mask = mask
+            w = count / n_pts
+            if w >= 1.0 - 1e-12:
+                needed = it + 1
+            else:
+                needed = min(
+                    cfg.max_iters,
+                    int(math.ceil(math.log(1e-3) / math.log(1.0 - w**3))),
+                )
+    return best_mask, best_count, used, degenerate
+
+
+def reference_trim_fit(points, mask, cfg, allowed):
+    """`_trim_fit` as it was on the whole cloud, restricted by an `allowed` mask."""
+    for _ in range(25):
+        normal, d, _ = planes._fit_plane_lsq(points[mask])
+        signed = points @ normal - d
+        r_in = signed[mask]
+        med = float(np.median(r_in))
+        mad = float(np.median(np.abs(r_in - med)))
+        band = min(max(3.0 * 1.4826 * mad, 1e-9), cfg.threshold)
+        cand = (np.abs(signed - med) <= band) & allowed
+        new_mask = planes._dominant_patch(points, cand, normal)
+        if int(new_mask.sum()) < cfg.min_inliers or np.array_equal(new_mask, mask):
+            break
+        mask = new_mask
+    normal, d, _ = planes._fit_plane_lsq(points[mask])
+    return mask, normal, d
+
+
+def plane_with_outliers(n_in, n_out, seed=0, sigma=0.0):
+    """n_in points on z = 0 and n_out points 0.5-2 m above it. Noiseless,
+    every sample of three plane points scores exactly n_in, so the adaptive
+    stop falls at a hypothesis count fixed by the inlier ratio."""
+    rng = np.random.default_rng(seed)
+    on = np.column_stack([rng.uniform(-2, 2, size=(n_in, 2)), np.zeros(n_in)])
+    off = np.column_stack([rng.uniform(-2, 2, size=(n_out, 2)), rng.uniform(0.5, 2.0, n_out)])
+    on[:, 2] = rng.normal(0.0, sigma, n_in)
+    return np.vstack([on, off])
+
+
+def degenerate_cloud(seed=0):
+    """Plane points, each repeated four times, plus points on the x axis:
+    duplicate and collinear samples have an exactly zero normal."""
+    rng = np.random.default_rng(seed)
+    plane = np.column_stack([rng.uniform(-2, 2, size=(40, 2)), np.full(40, 1.0)])
+    line = np.column_stack([rng.uniform(-2, 2, 120), np.zeros(120), np.zeros(120)])
+    return np.vstack([np.repeat(plane, 4, axis=0), line])
+
+
+def collinear_cloud():
+    """Points on an oblique line: through rounding, ~95 % of samples have a
+    normal of norm 1e-18 to 1e-14 rather than zero."""
+    return np.outer(np.linspace(-3, 3, 150), [0.3, 0.7, -0.2]) + np.array([1.0, 2.0, 0.5])
+
+
+def detection_bytes(dets):
+    return [
+        (
+            det.plane.normal.tobytes(),
+            float(det.plane.distance).hex(),
+            det.inlier_count,
+            float(det.inlier_rms).hex(),
+            det.extent.tobytes(),
+            det.centroid.tobytes(),
+            det.inlier_indices.tobytes(),
+        )
+        for det in dets
+    ]
+
+
+class TestBatchedRansac:
+    """`_ransac_round` scores hypotheses in batches of `_CHUNK`; every result
+    and the generator state it leaves equal the one-at-a-time loop's."""
+
+    CASES = {
+        # name: (points, max_iters)
+        "stop inside a chunk (w = 0.7, 17 hypotheses)": (plane_with_outliers(700, 300), 300),
+        "stop on a chunk boundary (w = 0.582, 32)": (plane_with_outliers(582, 418), 300),
+        "stop on a chunk boundary (w = 0.469, 64)": (plane_with_outliers(469, 531, seed=1), 500),
+        # with round seed 2 the first hypothesis past the stop would improve
+        "improvement just past the stop": (plane_with_outliers(700, 300, seed=4, sigma=0.01), 300),
+        "single exact plane (w = 1, 1 hypothesis)": (plane_with_outliers(300, 0), 300),
+        "no stop, max_iters 300": (np.random.default_rng(99).uniform(-5, 5, size=(200, 3)), 300),
+        "no stop, max_iters 500": (np.random.default_rng(98).uniform(-5, 5, size=(200, 3)), 500),
+        "duplicate and collinear samples": (degenerate_cloud(), 300),
+        "all samples collinear, max_iters 300": (collinear_cloud(), 300),
+        "all samples collinear, max_iters 500": (collinear_cloud(), 500),
+        "box faces": (box_cloud(sigma=0.01)[0].points, 300),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_round_equals_one_at_a_time_loop(self, name):
+        points, max_iters = self.CASES[name]
+        cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters)
+        for seed in range(4):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            mask, count = planes._ransac_round(rng, points, cfg)
+            ref_mask, ref_count, _, _ = reference_round(ref_rng, points, cfg)
+            assert count == ref_count
+            if ref_mask is None:
+                assert mask is None
+            else:
+                assert np.array_equal(mask, ref_mask)
+            # the next round draws from the same stream
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_cases_reach_every_stop(self):
+        """The cases above stop inside a chunk, on a chunk boundary, after one
+        hypothesis and at max_iters (300 and 500, not multiples of 32), and
+        draw degenerate samples."""
+        assert planes._CHUNK == 32
+        used = {}
+        degenerate = 0
+        for name, (points, max_iters) in self.CASES.items():
+            cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters)
+            _, _, n, k = reference_round(np.random.default_rng(0), points, cfg)
+            used[name] = n
+            degenerate += k
+        assert used["stop inside a chunk (w = 0.7, 17 hypotheses)"] == 17
+        assert used["stop on a chunk boundary (w = 0.582, 32)"] == 32
+        assert used["stop on a chunk boundary (w = 0.469, 64)"] == 64
+        assert used["single exact plane (w = 1, 1 hypothesis)"] == 1
+        assert used["no stop, max_iters 300"] == 300
+        assert used["no stop, max_iters 500"] == 500
+        assert used["all samples collinear, max_iters 500"] == 500
+        assert degenerate >= 800
+        points, max_iters = self.CASES["improvement just past the stop"]
+        cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters)
+        rng = np.random.default_rng(2)
+        _, best_count, _, _ = reference_round(rng, points, cfg)
+        p0, p1, p2 = points[rng.choice(points.shape[0], size=3, replace=False)]
+        normal = planes._cross3(p1 - p0, p2 - p0)
+        normal = normal / np.linalg.norm(normal)
+        assert int((np.abs(points @ normal - normal @ p0) <= cfg.threshold).sum()) > best_count
+
+    @pytest.mark.parametrize("max_iters", [300, 500])
+    @pytest.mark.parametrize(
+        "cloud",
+        [
+            box_cloud(sigma=0.01)[0],
+            box_cloud(rng=np.random.default_rng(7), sigma=0.02, n_per_face=250)[0],
+            PointCloud(np.vstack([box_cloud(sigma=0.0)[0].points, degenerate_cloud()]), 2.0),
+            PointCloud(plane_with_outliers(582, 418), 3.0),
+            PointCloud(collinear_cloud(), 4.0),
+        ],
+        ids=["box", "noisy-box", "box-with-degenerate", "plane-with-outliers", "collinear"],
+    )
+    def test_detections_equal_one_at_a_time_loop(self, monkeypatch, cloud, max_iters):
+        # later rounds of a multi-plane cloud see the right stream only if
+        # every earlier round rewound its last batch correctly
+        cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters, seed=3)
+        got = detection_bytes(planes.extract_planes(cloud, cfg))
+        monkeypatch.setattr(planes, "_ransac_round", lambda rng, pts, c: reference_round(rng, pts, c)[:2])
+        want = detection_bytes(planes.extract_planes(cloud, cfg))
+        assert got == want
+
+    def test_chunk_counts_equal_per_hypothesis_counts(self):
+        points = np.vstack([box_cloud(sigma=0.01)[0].points, degenerate_cloud()])
+        rng = np.random.default_rng(5)
+        samples = np.array([rng.choice(points.shape[0], size=3, replace=False) for _ in range(200)])
+        # plus duplicate and collinear triples
+        samples[:3] = [[2400, 2401, 2402], [2560, 2561, 2562], [0, 0 + 2400, 2400]]
+        thr = 0.03
+        inliers, counts = planes._score_hypotheses(points, samples, thr)
+        assert counts[:2].tolist() == [0, 0]
+        for row, sample in enumerate(samples):
+            p0, p1, p2 = points[sample]
+            n = planes._cross3(p1 - p0, p2 - p0)
+            nn = np.linalg.norm(n)
+            if nn < 1e-12:
+                assert counts[row] == 0
+                continue
+            n = n / nn
+            d = n @ p0
+            assert counts[row] == int((np.abs(points @ n - d) <= thr).sum())
+            assert np.array_equal(inliers[row], np.abs(points @ n - d) <= thr)
+
+
+class TestTrim:
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 101, 1000, 1001])
+    def test_median_equals_numpy(self, size):
+        rng = np.random.default_rng(size)
+        for x in (rng.normal(size=size), rng.normal(size=size) * 1e-3 + 0.1, np.round(rng.normal(size=size), 1)):
+            assert planes._median(x).hex() == float(np.median(x)).hex()
+
+    def test_trim_on_owned_points_equals_allowed_mask(self):
+        cloud, _ = box_cloud(sigma=0.01)
+        pts = cloud.points
+        cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=300)
+        for normal in map(np.array, ([0, 0, 1.0], [1.0, 0, 0], [0, -1.0, 0])):
+            # owned: the points in a band around a face, minus a stripe of
+            # that face, which the untrimmed band would take back
+            dist = np.abs(pts @ normal - 2.0)
+            for width in (0.03, 0.2, 0.6):
+                owned = (dist <= width) & (pts @ np.roll(normal, 1) < 1.5)
+                mask = planes._dominant_patch(pts, owned, normal)
+                want_mask, want_n, want_d = reference_trim_fit(pts, mask, cfg, allowed=owned)
+                owned_idx = np.nonzero(owned)[0]
+                got_mask, got_n, got_d = planes._trim_fit(pts[owned_idx], mask[owned_idx], cfg)
+                assert np.array_equal(owned_idx[got_mask], np.nonzero(want_mask)[0])
+                assert got_n.tobytes() == want_n.tobytes()
+                assert float(got_d).hex() == float(want_d).hex()
+
+    def test_mask_cycling_to_the_cap_returns_the_fit_of_its_mask(self, monkeypatch):
+        # a mask that never settles runs all 25 iterations; the plane
+        # returned is refitted to the mask returned
+        cloud, _ = box_cloud(sigma=0.01)
+        pts = cloud.points[:800]  # the two x faces
+        cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=300)
+        first = np.arange(800) < 400
+        second = first & (np.arange(800) % 3 > 0)
+        calls = []
+
+        def alternate(points, mask, normal):
+            calls.append(None)
+            return second if len(calls) % 2 else first
+
+        monkeypatch.setattr(planes, "_dominant_patch", alternate)
+        mask, normal, d = planes._trim_fit(pts, first, cfg)
+        assert len(calls) == 25
+        assert np.array_equal(mask, first if len(calls) % 2 == 0 else second)
+        want_n, want_d, _ = planes._fit_plane_lsq(pts[mask])
+        assert normal.tobytes() == want_n.tobytes() and d == want_d
 
 
 class TestPlaneExtent:

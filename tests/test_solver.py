@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sgraph.factors import Factor, FactorKind
-from sgraph.geometry import PlaneMinimal, Pose3, rot_exp, to_minimal, transform_plane, from_minimal
+from sgraph.geometry import PlaneMinimal, Pose3
 from sgraph.graph import KeyframePolicy, SGraph
 from sgraph.linearize import BatchedFactors
 from sgraph.solver import (

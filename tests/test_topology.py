@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sgraph.factors import FactorKind, corridor_plane_residual, room_plane_residual
-from sgraph.geometry import PlaneClass, PlaneMinimal, Pose3
+from sgraph.geometry import PlaneClass, PlaneMinimal
 from sgraph.graph import PlaneLandmark, SGraph
 from sgraph.topology import (
     NEW_ROOM,
