@@ -11,15 +11,18 @@ from .geometry import PlaneHessian, flip_to_positive
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of 3-vectors, or row by row of (B, 3) arrays."""
     # not np.cross: that costs over 10x more per call on 3-vectors, and
-    # `_plane_basis` calls this thousands of times per replay
+    # `_plane_basis` calls this thousands of times per replay; RANSAC
+    # scoring calls it once per batch of hypotheses
+    a, b = a.T, b.T
     return np.array(
         [
             a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0],
         ]
-    )
+    ).T
 
 
 class EmptyCloud(ValueError):
@@ -228,14 +231,8 @@ def _score_hypotheses(
     p = points[samples]  # (B, 3 samples, 3 coords)
     a = p[:, 1] - p[:, 0]
     b = p[:, 2] - p[:, 0]
-    normals = np.stack(
-        [
-            a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-            a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
-            a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0],
-        ],
-        axis=1,
-    )
+    # C order: each normal is read contiguously, as the 1-D `@` reads it
+    normals = np.ascontiguousarray(_cross3(a, b))
     nn = np.sqrt((normals[:, None, :] @ normals[:, :, None])[:, 0, 0])
     valid = nn >= 1e-12
     normals /= np.where(valid, nn, 1.0)[:, None]
@@ -252,9 +249,9 @@ def _ransac_round(
     Hypotheses are drawn one `rng.choice` each, as a one-at-a-time loop
     would draw them, and scored in batches. A batch that overshoots the
     adaptive stop rewinds the generator and redraws only the hypotheses
-    the stop let run, so the generator leaves the round in the same state
-    as the one-at-a-time loop. Degenerate samples use up an iteration and
-    never win.
+    the one-at-a-time loop would have drawn, so the generator leaves the
+    round in the same state as that loop. Degenerate samples use up an
+    iteration and never win.
     """
     n_pts = points.shape[0]
     best_mask = None
@@ -286,7 +283,10 @@ def _ransac_round(
                 )
         if best_row >= 0:
             best_mask = inliers[best_row]
-        used = min(size, needed - it)
+        # the one-at-a-time loop stops at the first index past `needed`, but
+        # only after drawing the last improvement, which may have set
+        # `needed` at or below its own index
+        used = min(size, max(needed - it, best_row + 1))
         if used < size:
             rng.bit_generator.state = start_state
             for _ in range(used):

@@ -169,7 +169,8 @@ class TestExtractPlanesNoisy:
 def reference_round(rng, points, cfg):
     """The one-hypothesis-at-a-time RANSAC loop that `_ransac_round` batches.
 
-    Returns (best mask, best count, hypotheses drawn, degenerate samples).
+    Returns (best mask, best count, hypotheses drawn, degenerate samples,
+    the adaptive stop it ended with).
     """
     n_pts = points.shape[0]
     best_mask = None
@@ -202,7 +203,7 @@ def reference_round(rng, points, cfg):
                     cfg.max_iters,
                     int(math.ceil(math.log(1e-3) / math.log(1.0 - w**3))),
                 )
-    return best_mask, best_count, used, degenerate
+    return best_mask, best_count, used, degenerate, needed
 
 
 def reference_trim_fit(points, mask, cfg, allowed):
@@ -275,6 +276,16 @@ class TestBatchedRansac:
         "stop on a chunk boundary (w = 0.469, 64)": (plane_with_outliers(469, 531, seed=1), 500),
         # with round seed 2 the first hypothesis past the stop would improve
         "improvement just past the stop": (plane_with_outliers(700, 300, seed=4, sigma=0.01), 300),
+        # with round seed 2 a later, larger count sets the stop below the
+        # index of the hypothesis that set it
+        "improvement sets the stop below its index, first chunk": (
+            plane_with_outliers(650, 350, seed=1, sigma=0.01),
+            300,
+        ),
+        "improvement sets the stop below its index, later chunk": (
+            plane_with_outliers(650, 350, seed=0, sigma=0.02),
+            300,
+        ),
         "single exact plane (w = 1, 1 hypothesis)": (plane_with_outliers(300, 0), 300),
         "no stop, max_iters 300": (np.random.default_rng(99).uniform(-5, 5, size=(200, 3)), 300),
         "no stop, max_iters 500": (np.random.default_rng(98).uniform(-5, 5, size=(200, 3)), 500),
@@ -291,7 +302,7 @@ class TestBatchedRansac:
         for seed in range(4):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             mask, count = planes._ransac_round(rng, points, cfg)
-            ref_mask, ref_count, _, _ = reference_round(ref_rng, points, cfg)
+            ref_mask, ref_count, *_ = reference_round(ref_rng, points, cfg)
             assert count == ref_count
             if ref_mask is None:
                 assert mask is None
@@ -302,14 +313,15 @@ class TestBatchedRansac:
 
     def test_cases_reach_every_stop(self):
         """The cases above stop inside a chunk, on a chunk boundary, after one
-        hypothesis and at max_iters (300 and 500, not multiples of 32), and
-        draw degenerate samples."""
+        hypothesis and at max_iters (300 and 500, not multiples of 32), end
+        on an improvement drawn past the stop it set, in the first chunk and
+        in a later one, and draw degenerate samples."""
         assert planes._CHUNK == 32
         used = {}
         degenerate = 0
         for name, (points, max_iters) in self.CASES.items():
             cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters)
-            _, _, n, k = reference_round(np.random.default_rng(0), points, cfg)
+            _, _, n, k, _ = reference_round(np.random.default_rng(0), points, cfg)
             used[name] = n
             degenerate += k
         assert used["stop inside a chunk (w = 0.7, 17 hypotheses)"] == 17
@@ -323,11 +335,21 @@ class TestBatchedRansac:
         points, max_iters = self.CASES["improvement just past the stop"]
         cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters)
         rng = np.random.default_rng(2)
-        _, best_count, _, _ = reference_round(rng, points, cfg)
+        _, best_count, *_ = reference_round(rng, points, cfg)
         p0, p1, p2 = points[rng.choice(points.shape[0], size=3, replace=False)]
         normal = planes._cross3(p1 - p0, p2 - p0)
         normal = normal / np.linalg.norm(normal)
         assert int((np.abs(points @ normal - normal @ p0) <= cfg.threshold).sum()) > best_count
+        # the last improvement is drawn at index used - 1, past the stop
+        # it set: at 30 (stop 22) in the first chunk, at 68 (stop 38) in the third
+        for name, last, stop in [
+            ("improvement sets the stop below its index, first chunk", 30, 22),
+            ("improvement sets the stop below its index, later chunk", 68, 38),
+        ]:
+            points, max_iters = self.CASES[name]
+            cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters)
+            _, _, used, _, needed = reference_round(np.random.default_rng(2), points, cfg)
+            assert (used - 1, needed) == (last, stop)
 
     @pytest.mark.parametrize("max_iters", [300, 500])
     @pytest.mark.parametrize(
@@ -338,8 +360,19 @@ class TestBatchedRansac:
             PointCloud(np.vstack([box_cloud(sigma=0.0)[0].points, degenerate_cloud()]), 2.0),
             PointCloud(plane_with_outliers(582, 418), 3.0),
             PointCloud(collinear_cloud(), 4.0),
+            # at max_iters 300, round 4 ends on an improvement drawn past its stop
+            PointCloud(
+                box_cloud(rng=np.random.default_rng(0), sigma=0.015, n_per_face=250)[0].points, 5.0
+            ),
         ],
-        ids=["box", "noisy-box", "box-with-degenerate", "plane-with-outliers", "collinear"],
+        ids=[
+            "box",
+            "noisy-box",
+            "box-with-degenerate",
+            "plane-with-outliers",
+            "collinear",
+            "noisy-box-stop-below-improvement",
+        ],
     )
     def test_detections_equal_one_at_a_time_loop(self, monkeypatch, cloud, max_iters):
         # later rounds of a multi-plane cloud see the right stream only if
