@@ -3,7 +3,9 @@ scan registration producing relative-pose constraints."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -82,7 +84,8 @@ def register_scans(
 
     The returned relative pose maps match-frame points into the query
     frame. Raises NoConvergence when the final fitness exceeds the
-    acceptance threshold.
+    acceptance threshold. It reads only its arguments and writes nothing,
+    which is why close_loops may run it in threads.
     """
     if len(query) < cfg.min_points or len(match) < cfg.min_points:
         raise NoConvergence("too few points for registration")
@@ -94,7 +97,9 @@ def register_scans(
     corr_dist = max(cfg.coarse_corr_dist, cfg.max_corr_dist)
     for _ in range(cfg.max_icp_iters):
         moved = match.points @ pose.rotation.T + pose.translation
-        dists, idx = tree.query(moved, k=1)
+        # the margin keeps a pair at exactly corr_dist, which the bounded
+        # query's strict < would drop; mask stays the deciding test
+        dists, idx = tree.query(moved, k=1, distance_upper_bound=corr_dist * (1.0 + 1e-9))
         mask = dists <= corr_dist
         if int(mask.sum()) < cfg.min_points:
             raise NoConvergence("correspondence set collapsed")
@@ -137,28 +142,37 @@ def add_loop_factor(graph: SGraph, constraint: LoopConstraint) -> None:
 def close_loops(graph: SGraph, query_id: int, cfg: LoopConfig) -> int:
     """Find, register and insert loop constraints for one keyframe.
 
-    Returns the number of accepted constraints. Candidates whose
-    registration does not converge are silently dropped.
+    The candidates are registered concurrently, on up to one thread per
+    CPU; the graph is not touched until every registration has returned,
+    and the accepted constraints are then inserted in candidate order, so
+    the result equals registering them one after another. Returns the
+    number of accepted constraints. Candidates whose registration does not
+    converge are silently dropped; any other error propagates.
     """
     query = graph.keyframes[query_id]
     if query.scan is None:
         return 0
-    accepted = 0
-    for cand in find_candidates(graph, query_id, cfg):
+    cands = [
+        c
+        for c in find_candidates(graph, query_id, cfg)
+        if graph.keyframes[c.match_id].scan is not None
+    ]
+    if not cands:
+        return 0
+
+    def register(cand: LoopCandidate) -> LoopConstraint | None:
         match = graph.keyframes[cand.match_id]
-        if match.scan is None:
-            continue
         try:
-            constraint = register_scans(query.scan, match.scan, cand.prior_relative, cfg)
+            return register_scans(query.scan, match.scan, cand.prior_relative, cfg)
         except NoConvergence:
+            return None
+
+    with ThreadPoolExecutor(min(len(cands), os.cpu_count() or 1)) as pool:
+        results = list(pool.map(register, cands))
+    accepted = 0
+    for cand, constraint in zip(cands, results):
+        if constraint is None:
             continue
-        constraint = LoopConstraint(
-            query_id=query_id,
-            match_id=cand.match_id,
-            relative=constraint.relative,
-            fitness=constraint.fitness,
-            information=constraint.information,
-        )
-        add_loop_factor(graph, constraint)
+        add_loop_factor(graph, replace(constraint, query_id=query_id, match_id=cand.match_id))
         accepted += 1
     return accepted

@@ -1,10 +1,14 @@
 """Loop closure: candidate gating, scan registration, factor insertion."""
 
+import threading
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from sgraph import loops
 from sgraph.factors import FactorKind
-from sgraph.geometry import Pose3, rot_exp
+from sgraph.geometry import Pose3, align_rigid, rot_exp
 from sgraph.graph import Keyframe, SGraph
 from sgraph.loops import (
     LoopConfig,
@@ -38,6 +42,66 @@ def box_scan(rng, n=600, half=4.0):
             p[:, axis] = sgn * half
             pts.append(p)
     return PointCloud(np.vstack(pts), timestamp=0.0)
+
+
+def reference_register(query, match, initial_guess, cfg):
+    """register_scans with the unbounded nearest-neighbour query."""
+    if len(query) < cfg.min_points or len(match) < cfg.min_points:
+        raise NoConvergence("too few points for registration")
+    target = query.points
+    tree = cKDTree(target)
+    pose = initial_guess
+    prev_fitness = np.inf
+    fitness = np.inf
+    corr_dist = max(cfg.coarse_corr_dist, cfg.max_corr_dist)
+    for _ in range(cfg.max_icp_iters):
+        moved = match.points @ pose.rotation.T + pose.translation
+        dists, idx = tree.query(moved, k=1)
+        mask = dists <= corr_dist
+        if int(mask.sum()) < cfg.min_points:
+            raise NoConvergence("correspondence set collapsed")
+        fitness = float(np.mean(dists[mask] ** 2))
+        step = align_rigid(moved[mask], target[idx[mask]])
+        pose = step.compose(pose)
+        at_final_radius = corr_dist <= cfg.max_corr_dist
+        if at_final_radius and abs(prev_fitness - fitness) <= cfg.icp_tol * max(
+            prev_fitness, 1e-12
+        ):
+            break
+        prev_fitness = fitness
+        corr_dist = max(cfg.max_corr_dist, corr_dist * cfg.corr_decay)
+    if fitness > cfg.accept_threshold:
+        raise NoConvergence(f"fitness {fitness:.4f} > {cfg.accept_threshold}")
+    scale = min(1.0 / max(fitness, 1e-6), cfg.info_scale_cap)
+    return LoopConstraint(
+        query_id=-1, match_id=-1, relative=pose, fitness=fitness, information=np.eye(6) * scale
+    )
+
+
+def outcome(register, *args):
+    """A registration's result by bytes, or the text of its NoConvergence."""
+    try:
+        c = register(*args)
+    except NoConvergence as exc:
+        return ("no convergence", str(exc))
+    return (
+        c.relative.rotation.tobytes(),
+        c.relative.translation.tobytes(),
+        np.float64(c.fitness).tobytes(),
+        c.information.tobytes(),
+    )
+
+
+def grid_with_offsets(offset, n_offset):
+    """A 1 m grid on z = 0 as the query, and the same grid plus n_offset
+    match points straight above grid points at exactly `offset` metres from
+    their nearest query point (every other grid point is farther)."""
+    xs, ys = np.meshgrid(np.arange(-5.0, 6.0), np.arange(-5.0, 6.0))
+    grid = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(xs.size)])
+    above = grid[:n_offset] + np.array([0.0, 0.0, offset])
+    query = PointCloud(grid, timestamp=0.0)
+    match = PointCloud(np.vstack([grid, above]), timestamp=1.0)
+    return query, match
 
 
 class TestFindCandidates:
@@ -84,10 +148,12 @@ class TestRegisterScans:
         inv = true_rel.inverse()
         match = PointCloud(query.points @ inv.rotation.T + inv.translation, timestamp=1.0)
         guess = Pose3(np.eye(3), np.zeros(3))
-        out = register_scans(query, match, guess, LoopConfig())
+        args = (query, match, guess, LoopConfig())
+        out = register_scans(*args)
         assert np.max(np.abs(out.relative.translation - true_rel.translation)) < 5e-3
         assert np.max(np.abs(out.relative.rotation - true_rel.rotation)) < 5e-3
         assert out.fitness < 1e-4
+        assert outcome(register_scans, *args) == outcome(reference_register, *args)
 
     def test_coarse_initialization_converges(self):
         # initial guess off by well over the final correspondence radius
@@ -95,9 +161,11 @@ class TestRegisterScans:
         query = box_scan(rng, n=1200)
         match = PointCloud(query.points.copy(), timestamp=1.0)
         guess = Pose3(rot_exp(np.array([0, 0, 0.1])), np.array([1.6, -1.2, 0.0]))
-        out = register_scans(query, match, guess, LoopConfig())
+        args = (query, match, guess, LoopConfig())
+        out = register_scans(*args)
         assert np.max(np.abs(out.relative.translation)) < 2e-2
         assert np.max(np.abs(out.relative.rotation - np.eye(3))) < 2e-2
+        assert outcome(register_scans, *args) == outcome(reference_register, *args)
 
     def test_too_few_points(self):
         cloud = PointCloud(np.zeros((10, 3)), timestamp=0.0)
@@ -108,8 +176,39 @@ class TestRegisterScans:
         rng = np.random.default_rng(5)
         a = PointCloud(rng.uniform(-5, 5, size=(400, 3)), timestamp=0.0)
         b = PointCloud(rng.uniform(-5, 5, size=(400, 3)), timestamp=1.0)
-        with pytest.raises(NoConvergence):
-            register_scans(a, b, Pose3(np.eye(3), np.zeros(3)), LoopConfig())
+        args = (a, b, Pose3(np.eye(3), np.zeros(3)), LoopConfig())
+        with pytest.raises(NoConvergence, match="fitness"):
+            register_scans(*args)
+        assert outcome(register_scans, *args) == outcome(reference_register, *args)
+
+    def test_collapsed_correspondences_rejected(self):
+        rng = np.random.default_rng(5)
+        a = PointCloud(rng.uniform(-5, 5, size=(400, 3)), timestamp=0.0)
+        far = PointCloud(a.points + np.array([20.0, 0.0, 0.0]), timestamp=1.0)
+        args = (a, far, Pose3(np.eye(3), np.zeros(3)), LoopConfig())
+        with pytest.raises(NoConvergence, match="collapsed"):
+            register_scans(*args)
+        assert outcome(register_scans, *args) == outcome(reference_register, *args)
+
+    @pytest.mark.parametrize(
+        "offset, cfg",
+        [
+            # the coarse radius, on the first iteration
+            (3.0, LoopConfig(max_icp_iters=1, accept_threshold=10.0)),
+            # the final radius, on the first iteration
+            (1.0, LoopConfig(coarse_corr_dist=1.0, max_icp_iters=1, accept_threshold=10.0)),
+            (3.0, LoopConfig(accept_threshold=10.0)),
+            (1.0, LoopConfig(coarse_corr_dist=1.0, accept_threshold=10.0)),
+        ],
+    )
+    def test_pairs_at_exactly_the_radius_are_kept(self, offset, cfg):
+        query, match = grid_with_offsets(offset, n_offset=40)
+        args = (query, match, Pose3(np.eye(3), np.zeros(3)), cfg)
+        got = outcome(register_scans, *args)
+        assert got == outcome(reference_register, *args)
+        if cfg.max_icp_iters == 1:
+            # the 40 points at the radius count: fitness is 40 r^2 / 161
+            assert np.frombuffer(got[2])[0] == pytest.approx(40 * offset**2 / 161, rel=1e-12)
 
     def test_information_scales_with_fitness(self):
         rng = np.random.default_rng(6)
@@ -173,3 +272,87 @@ class TestCloseLoops:
         # identical scans at identical poses: relative pose is identity
         assert np.max(np.abs(f.measurement.translation)) < 1e-6
         assert np.max(np.abs(f.measurement.rotation - np.eye(3))) < 1e-6
+
+    def loop_graph(self):
+        """Query keyframe 14 with five candidates, nearest first: 1 and 3
+        converge, 0 has too few points, 2 an unrelated scan, 4 no scan."""
+        rng = np.random.default_rng(8)
+        scan = box_scan(rng)
+        g = make_graph([(0.0, 0.0, 0.0)] * 15)
+        for kf in g.keyframes.values():
+            kf.scan = None
+        offsets = {0: 0.05, 1: 0.1, 2: 0.15, 3: 0.2, 4: 0.25}
+        for i, dx in offsets.items():
+            kf = g.keyframes[i]
+            kf.pose = Pose3(rot_exp(np.array([0.0, 0.0, 0.02 * i])), np.array([dx, -dx, 0.0]))
+            # the box seen from this keyframe's pose, the query at the origin
+            inv = kf.pose.inverse()
+            kf.scan = PointCloud(scan.points @ inv.rotation.T + inv.translation, timestamp=i)
+        g.keyframes[0].scan = PointCloud(scan.points[:20], timestamp=0.0)
+        g.keyframes[2].scan = PointCloud(rng.uniform(-4, 4, size=(600, 3)), timestamp=2.0)
+        g.keyframes[4].scan = None
+        g.keyframes[14].scan = scan
+        return g
+
+    def serial_reference(self, graph, query_id, cfg):
+        """Register the candidates one after another and insert each."""
+        query = graph.keyframes[query_id]
+        accepted = 0
+        for cand in find_candidates(graph, query_id, cfg):
+            match = graph.keyframes[cand.match_id]
+            if match.scan is None:
+                continue
+            try:
+                c = register_scans(query.scan, match.scan, cand.prior_relative, cfg)
+            except NoConvergence:
+                continue
+            add_loop_factor(
+                graph,
+                LoopConstraint(query_id, cand.match_id, c.relative, c.fitness, c.information),
+            )
+            accepted += 1
+        return accepted
+
+    @staticmethod
+    def factor_bytes(graph):
+        return [
+            (
+                f.kind,
+                f.variables,
+                f.robust,
+                f.measurement.rotation.tobytes(),
+                f.measurement.translation.tobytes(),
+                f.information.tobytes(),
+            )
+            for f in graph.factors
+        ]
+
+    def test_concurrent_equals_serial_reference(self):
+        cfg = LoopConfig(gate=1.0)
+        g = self.loop_graph()
+        assert [c.match_id for c in find_candidates(g, 14, cfg)] == [0, 1, 2, 3, 4]
+        ref = self.loop_graph()
+        before = threading.active_count()
+        assert close_loops(g, 14, cfg) == self.serial_reference(ref, 14, cfg) == 2
+        # no pool thread outlives the call
+        assert threading.active_count() == before
+        expect = [(("kf", 14), ("kf", 1)), (("kf", 14), ("kf", 3))]
+        assert [f.variables for f in g.factors] == expect
+        assert self.factor_bytes(g) == self.factor_bytes(ref)
+
+    def test_other_errors_propagate_and_insert_nothing(self, monkeypatch):
+        g = self.loop_graph()
+        bad = g.keyframes[3].scan
+        real = loops.register_scans
+
+        def failing(query, match, guess, cfg):
+            if match is bad:
+                raise ValueError("boom")
+            return real(query, match, guess, cfg)
+
+        monkeypatch.setattr(loops, "register_scans", failing)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="boom"):
+            close_loops(g, 14, LoopConfig(gate=1.0))
+        assert g.factors == []
+        assert threading.active_count() == before
