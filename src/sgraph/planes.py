@@ -168,11 +168,8 @@ def _dominant_patch(points: np.ndarray, mask: np.ndarray, normal: np.ndarray,
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
         return mask
-    u, v = _plane_basis(normal)
-    keep = _largest_segment(points[idx] @ u, gap)
-    idx = idx[keep]
-    keep = _largest_segment(points[idx] @ v, gap)
-    idx = idx[keep]
+    for axis in _plane_basis(normal):
+        idx = idx[_largest_segment(points[idx] @ axis, gap)]
     out = np.zeros_like(mask)
     out[idx] = True
     return out
@@ -196,10 +193,13 @@ def _trim_fit(
     noise scale: points from adjacent surfaces near plane junctions sit
     inside the RANSAC band and would bias a plain least-squares fit, while
     for gaussian noise the MAD scale is consistent with sigma and the bulk
-    of inliers is kept. Returns (mask, normal, d).
+    of inliers is kept. On a repeated mask the largest mask of the cycle
+    (the earliest on a tie) is returned. Returns (mask, normal, d).
     """
+    seen = []  # (mask, normal, d) of every mask fitted
     for _ in range(25):
         normal, d, _ = _fit_plane_lsq(points[mask])
+        seen.append((mask, normal, d))
         signed = points @ normal - d
         r_in = signed[mask]
         med = _median(r_in)
@@ -208,8 +208,11 @@ def _trim_fit(
         # center on the median: outliers shift the least-squares offset,
         # while the median tracks the dominant surface
         new_mask = _dominant_patch(points, np.abs(signed - med) <= band, normal)
-        if int(new_mask.sum()) < cfg.min_inliers or np.array_equal(new_mask, mask):
-            return mask, normal, d  # (normal, d) is already the fit of mask
+        if int(new_mask.sum()) < cfg.min_inliers:
+            return mask, normal, d
+        k = next((k for k, fit in enumerate(seen) if np.array_equal(fit[0], new_mask)), None)
+        if k is not None:  # a settled mask is a cycle of one; max keeps the first of equals
+            return max(seen[k:], key=lambda fit: np.count_nonzero(fit[0]))
         mask = new_mask
     normal, d, _ = _fit_plane_lsq(points[mask])
     return mask, normal, d
@@ -241,17 +244,25 @@ def _score_hypotheses(
     return inliers, np.where(valid, np.count_nonzero(inliers, axis=1), 0)
 
 
+def _draw_triples(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
+    """(size, 3) ordered triples of distinct indices in [0, n), exactly
+    uniform, from one generator call: each column is drawn from the values
+    the columns before it leave, then shifted past them."""
+    s = rng.integers(0, [n, n - 1, n - 2], size=(size, 3))
+    s[:, 1] += s[:, 1] >= s[:, 0]
+    s[:, 2] += s[:, 2] >= s[:, :2].min(axis=1)
+    s[:, 2] += s[:, 2] >= s[:, :2].max(axis=1)
+    return s
+
+
 def _ransac_round(
     rng: np.random.Generator, points: np.ndarray, cfg: RansacConfig
 ) -> tuple[np.ndarray | None, int]:
     """One RANSAC search with the adaptive stop: (best inlier mask, its count).
 
-    Hypotheses are drawn one `rng.choice` each, as a one-at-a-time loop
-    would draw them, and scored in batches. A batch that overshoots the
-    adaptive stop rewinds the generator and redraws only the hypotheses
-    the one-at-a-time loop would have drawn, so the generator leaves the
-    round in the same state as that loop. Degenerate samples use up an
-    iteration and never win.
+    Each batch of hypotheses is drawn in one generator call and scored at
+    once; hypotheses a batch draws past the adaptive stop are ignored.
+    Degenerate samples use up an iteration and never win.
     """
     n_pts = points.shape[0]
     best_mask = None
@@ -259,18 +270,15 @@ def _ransac_round(
     needed = cfg.max_iters
     it = 0
     while it < needed:
-        start_state = rng.bit_generator.state
         size = min(_CHUNK, needed - it)
-        samples = np.array([rng.choice(n_pts, size=3, replace=False) for _ in range(size)])
-        inliers, counts = _score_hypotheses(points, samples, cfg.threshold)
+        inliers, counts = _score_hypotheses(points, _draw_triples(rng, n_pts, size), cfg.threshold)
         # walk the running-max improvements only, in draw order
         before = np.maximum.accumulate(np.concatenate(([best_count], counts[:-1])))
-        best_row = -1
         for j in np.nonzero(counts > before)[0]:
             if it + j >= needed:
                 break
             best_count = int(counts[j])
-            best_row = j
+            best_mask = inliers[j]
             # adaptive stop: trials needed to sample an all-inlier
             # triple with 99.9% confidence at the current inlier ratio
             w = best_count / n_pts
@@ -281,17 +289,7 @@ def _ransac_round(
                     cfg.max_iters,
                     int(math.ceil(math.log(1e-3) / math.log(1.0 - w**3))),
                 )
-        if best_row >= 0:
-            best_mask = inliers[best_row]
-        # the one-at-a-time loop stops at the first index past `needed`, but
-        # only after drawing the last improvement, which may have set
-        # `needed` at or below its own index
-        used = min(size, max(needed - it, best_row + 1))
-        if used < size:
-            rng.bit_generator.state = start_state
-            for _ in range(used):
-                rng.choice(n_pts, size=3, replace=False)
-        it += used
+        it += size
     return best_mask, best_count
 
 

@@ -1,10 +1,12 @@
-"""Source hygiene: no module in the package or the tests imports a name it never uses."""
+"""Source hygiene: no module in the package or the tests imports a name it
+never uses, and the package defines no private name it never uses."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "sgraph").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted((ROOT / "src" / "sgraph").glob("*.py"))
+FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,3 +42,54 @@ def test_scan_catches_an_unused_import():
         "print(math.tau, parse)\n"
     )
     assert unused_imports(source) == ["dumps", "os"]
+
+
+def unused_privates(sources: dict[str, str]) -> list[str]:
+    """`module:name` of each module-level `_private` function, class or
+    constant that no source references besides its definition. A reference
+    is a name read, an attribute or an imported name; dunders are skipped."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {a.name for a in node.names}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            dead += [
+                f"{module}:{name}"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in used
+            ]
+    return sorted(dead)
+
+
+def test_no_unused_private_names():
+    assert unused_privates({p.stem: p.read_text() for p in PACKAGE}) == []
+
+
+def test_scan_catches_an_unused_private_name():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n_SCALE: float = 2.0\n_SPARE = 1\n__version__ = '1'\n"
+            "class _Box:\n    pass\n"
+            "def _kept(x):\n    return x * _LIMIT\n"
+            "def _dead(x):\n    _local = x\n    return _local\n"
+            "def _recursive(x):\n    return _recursive(x - 1) if x else _Box()\n"
+            "def public():\n    return _kept(1)\n"
+        ),
+        "b": "from a import _SCALE\nimport a\nprint(_SCALE, a._recursive)\n",
+    }
+    assert unused_privates(sources) == ["a:_SPARE", "a:_dead"]

@@ -1,5 +1,6 @@
 """Pre-filtering, sequential RANSAC plane recovery and extent computation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -167,43 +168,49 @@ class TestExtractPlanesNoisy:
 
 
 def reference_round(rng, points, cfg):
-    """The one-hypothesis-at-a-time RANSAC loop that `_ransac_round` batches.
+    """`_ransac_round` one hypothesis at a time: the same `_draw_triples`
+    batches (`min(_CHUNK, needed - it)` triples each), each triple scored
+    alone with the scalar code, and only indices below the adaptive stop
+    considered.
 
-    Returns (best mask, best count, hypotheses drawn, degenerate samples,
-    the adaptive stop it ended with).
+    Returns (best mask, best count, hypotheses drawn, hypotheses considered,
+    degenerate samples, the largest count drawn past the stop).
     """
     n_pts = points.shape[0]
     best_mask = None
     best_count = 0
     needed = cfg.max_iters
-    used = degenerate = 0
-    for it in range(cfg.max_iters):
-        if it >= needed:
-            break
-        used += 1
-        sample = rng.choice(n_pts, size=3, replace=False)
-        p0, p1, p2 = points[sample]
-        normal = planes._cross3(p1 - p0, p2 - p0)
-        nn = np.linalg.norm(normal)
-        if nn < 1e-12:
-            degenerate += 1
-            continue
-        normal = normal / nn
-        d = normal @ p0
-        mask = np.abs(points @ normal - d) <= cfg.threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-            w = count / n_pts
-            if w >= 1.0 - 1e-12:
-                needed = it + 1
-            else:
-                needed = min(
-                    cfg.max_iters,
-                    int(math.ceil(math.log(1e-3) / math.log(1.0 - w**3))),
-                )
-    return best_mask, best_count, used, degenerate, needed
+    it = considered = degenerate = past_stop = 0
+    while it < needed:
+        size = min(planes._CHUNK, needed - it)
+        for j, sample in enumerate(planes._draw_triples(rng, n_pts, size)):
+            p0, p1, p2 = points[sample]
+            normal = planes._cross3(p1 - p0, p2 - p0)
+            nn = np.linalg.norm(normal)
+            if it + j < needed:
+                considered += 1
+                degenerate += nn < 1e-12
+            if nn < 1e-12:
+                continue
+            normal = normal / nn
+            d = normal @ p0
+            mask = np.abs(points @ normal - d) <= cfg.threshold
+            count = int(mask.sum())
+            if it + j >= needed:
+                past_stop = max(past_stop, count)
+            elif count > best_count:
+                best_count = count
+                best_mask = mask
+                w = count / n_pts
+                if w >= 1.0 - 1e-12:
+                    needed = it + j + 1
+                else:
+                    needed = min(
+                        cfg.max_iters,
+                        int(math.ceil(math.log(1e-3) / math.log(1.0 - w**3))),
+                    )
+        it += size
+    return best_mask, best_count, it, considered, degenerate, past_stop
 
 
 def reference_trim_fit(points, mask, cfg, allowed):
@@ -266,26 +273,17 @@ def detection_bytes(dets):
 
 
 class TestBatchedRansac:
-    """`_ransac_round` scores hypotheses in batches of `_CHUNK`; every result
-    and the generator state it leaves equal the one-at-a-time loop's."""
+    """`_ransac_round` draws each batch of `_CHUNK` hypotheses in one call and
+    scores it at once; every result and the generator state it leaves equal
+    those of the same draws scored one at a time."""
 
     CASES = {
         # name: (points, max_iters)
         "stop inside a chunk (w = 0.7, 17 hypotheses)": (plane_with_outliers(700, 300), 300),
         "stop on a chunk boundary (w = 0.582, 32)": (plane_with_outliers(582, 418), 300),
         "stop on a chunk boundary (w = 0.469, 64)": (plane_with_outliers(469, 531, seed=1), 500),
-        # with round seed 2 the first hypothesis past the stop would improve
-        "improvement just past the stop": (plane_with_outliers(700, 300, seed=4, sigma=0.01), 300),
-        # with round seed 2 a later, larger count sets the stop below the
-        # index of the hypothesis that set it
-        "improvement sets the stop below its index, first chunk": (
-            plane_with_outliers(650, 350, seed=1, sigma=0.01),
-            300,
-        ),
-        "improvement sets the stop below its index, later chunk": (
-            plane_with_outliers(650, 350, seed=0, sigma=0.02),
-            300,
-        ),
+        # with round seed 0 the last batch holds a larger count past the stop
+        "larger count drawn past the stop": (plane_with_outliers(700, 300, seed=5, sigma=0.01), 300),
         "single exact plane (w = 1, 1 hypothesis)": (plane_with_outliers(300, 0), 300),
         "no stop, max_iters 300": (np.random.default_rng(99).uniform(-5, 5, size=(200, 3)), 300),
         "no stop, max_iters 500": (np.random.default_rng(98).uniform(-5, 5, size=(200, 3)), 500),
@@ -312,44 +310,28 @@ class TestBatchedRansac:
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_cases_reach_every_stop(self):
-        """The cases above stop inside a chunk, on a chunk boundary, after one
-        hypothesis and at max_iters (300 and 500, not multiples of 32), end
-        on an improvement drawn past the stop it set, in the first chunk and
-        in a later one, and draw degenerate samples."""
+        """With round seed 0 the cases above stop inside a chunk, on a chunk
+        boundary, after one hypothesis and at max_iters (300 and 500, not
+        multiples of 32), ignore a larger count drawn past the stop, and
+        draw degenerate samples."""
         assert planes._CHUNK == 32
-        used = {}
+        runs = {}
         degenerate = 0
         for name, (points, max_iters) in self.CASES.items():
             cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters)
-            _, _, n, k, _ = reference_round(np.random.default_rng(0), points, cfg)
-            used[name] = n
+            _, count, drawn, considered, k, past_stop = reference_round(np.random.default_rng(0), points, cfg)
+            runs[name] = (drawn, considered)
             degenerate += k
-        assert used["stop inside a chunk (w = 0.7, 17 hypotheses)"] == 17
-        assert used["stop on a chunk boundary (w = 0.582, 32)"] == 32
-        assert used["stop on a chunk boundary (w = 0.469, 64)"] == 64
-        assert used["single exact plane (w = 1, 1 hypothesis)"] == 1
-        assert used["no stop, max_iters 300"] == 300
-        assert used["no stop, max_iters 500"] == 500
-        assert used["all samples collinear, max_iters 500"] == 500
+            if name == "larger count drawn past the stop":
+                assert past_stop > count
+        assert runs["stop inside a chunk (w = 0.7, 17 hypotheses)"] == (32, 17)
+        assert runs["stop on a chunk boundary (w = 0.582, 32)"] == (32, 32)
+        assert runs["stop on a chunk boundary (w = 0.469, 64)"] == (64, 64)
+        assert runs["single exact plane (w = 1, 1 hypothesis)"] == (32, 1)
+        assert runs["no stop, max_iters 300"] == (300, 300)
+        assert runs["no stop, max_iters 500"] == (500, 500)
+        assert runs["all samples collinear, max_iters 500"] == (500, 500)
         assert degenerate >= 800
-        points, max_iters = self.CASES["improvement just past the stop"]
-        cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters)
-        rng = np.random.default_rng(2)
-        _, best_count, *_ = reference_round(rng, points, cfg)
-        p0, p1, p2 = points[rng.choice(points.shape[0], size=3, replace=False)]
-        normal = planes._cross3(p1 - p0, p2 - p0)
-        normal = normal / np.linalg.norm(normal)
-        assert int((np.abs(points @ normal - normal @ p0) <= cfg.threshold).sum()) > best_count
-        # the last improvement is drawn at index used - 1, past the stop
-        # it set: at 30 (stop 22) in the first chunk, at 68 (stop 38) in the third
-        for name, last, stop in [
-            ("improvement sets the stop below its index, first chunk", 30, 22),
-            ("improvement sets the stop below its index, later chunk", 68, 38),
-        ]:
-            points, max_iters = self.CASES[name]
-            cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters)
-            _, _, used, _, needed = reference_round(np.random.default_rng(2), points, cfg)
-            assert (used - 1, needed) == (last, stop)
 
     @pytest.mark.parametrize("max_iters", [300, 500])
     @pytest.mark.parametrize(
@@ -360,10 +342,8 @@ class TestBatchedRansac:
             PointCloud(np.vstack([box_cloud(sigma=0.0)[0].points, degenerate_cloud()]), 2.0),
             PointCloud(plane_with_outliers(582, 418), 3.0),
             PointCloud(collinear_cloud(), 4.0),
-            # at max_iters 300, round 4 ends on an improvement drawn past its stop
-            PointCloud(
-                box_cloud(rng=np.random.default_rng(0), sigma=0.015, n_per_face=250)[0].points, 5.0
-            ),
+            # its first round ignores a count of 690 drawn past the stop its 683 set
+            PointCloud(plane_with_outliers(700, 300, seed=5, sigma=0.01), 6.0),
         ],
         ids=[
             "box",
@@ -371,12 +351,12 @@ class TestBatchedRansac:
             "box-with-degenerate",
             "plane-with-outliers",
             "collinear",
-            "noisy-box-stop-below-improvement",
+            "noisy-plane-larger-count-past-a-stop",
         ],
     )
     def test_detections_equal_one_at_a_time_loop(self, monkeypatch, cloud, max_iters):
         # later rounds of a multi-plane cloud see the right stream only if
-        # every earlier round rewound its last batch correctly
+        # every earlier round drew exactly the batches it should
         cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters, seed=3)
         got = detection_bytes(planes.extract_planes(cloud, cfg))
         monkeypatch.setattr(planes, "_ransac_round", lambda rng, pts, c: reference_round(rng, pts, c)[:2])
@@ -405,6 +385,50 @@ class TestBatchedRansac:
             assert np.array_equal(inliers[row], np.abs(points @ n - d) <= thr)
 
 
+class TestDrawTriples:
+    @pytest.mark.parametrize("n", [3, 4, 5, 100])
+    def test_indices_in_range_and_distinct(self, n):
+        s = planes._draw_triples(np.random.default_rng(n), n, 5000)
+        assert s.shape == (5000, 3)
+        assert s.min() >= 0 and s.max() < n
+        assert np.all((s[:, 0] != s[:, 1]) & (s[:, 0] != s[:, 2]) & (s[:, 1] != s[:, 2]))
+
+    def test_three_points_give_only_their_permutations(self):
+        s = planes._draw_triples(np.random.default_rng(0), 3, 600)
+        assert set(map(tuple, s.tolist())) == set(itertools.permutations(range(3)))
+
+    def test_ordered_triples_are_uniform(self):
+        n, draws = 5, 200_000
+        s = planes._draw_triples(np.random.default_rng(2024), n, draws)
+        counts = np.bincount((s[:, 0] * n + s[:, 1]) * n + s[:, 2], minlength=n**3)
+        triples = list(itertools.permutations(range(n), 3))
+        p = 1.0 / len(triples)
+        observed = np.array([counts[(i * n + j) * n + k] for i, j, k in triples])
+        assert observed.sum() == draws
+        assert np.all(np.abs(observed - draws * p) <= 5.0 * math.sqrt(draws * p * (1.0 - p)))
+
+    def test_empty_batch(self):
+        assert planes._draw_triples(np.random.default_rng(0), 5, 0).shape == (0, 3)
+
+    def test_one_generator_call_per_batch(self):
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+                self.sizes = []
+
+            def integers(self, low, high, size):
+                self.sizes.append(size[0])
+                return self.rng.integers(low, high, size=size)
+
+        cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=300)
+        rng = CountingRng(0)
+        planes._ransac_round(rng, np.random.default_rng(99).uniform(-5, 5, size=(200, 3)), cfg)
+        assert rng.sizes == [32] * 9 + [12]
+        rng = CountingRng(0)
+        planes._ransac_round(rng, plane_with_outliers(469, 531, seed=1), cfg)
+        assert rng.sizes == [32, 32]
+
+
 class TestTrim:
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 101, 1000, 1001])
     def test_median_equals_numpy(self, size):
@@ -430,26 +454,76 @@ class TestTrim:
                 assert got_n.tobytes() == want_n.tobytes()
                 assert float(got_d).hex() == float(want_d).hex()
 
-    def test_mask_cycling_to_the_cap_returns_the_fit_of_its_mask(self, monkeypatch):
-        # a mask that never settles runs all 25 iterations; the plane
-        # returned is refitted to the mask returned
+    @staticmethod
+    def run_patched(monkeypatch, pts, start, sequence, cfg):
+        """`_trim_fit` with `_dominant_patch` returning `sequence` in turn;
+        returns (mask, normal, d, patch calls)."""
+        calls = []
+
+        def patch(points, mask, normal):
+            calls.append(None)
+            return sequence[(len(calls) - 1) % len(sequence)]
+
+        monkeypatch.setattr(planes, "_dominant_patch", patch)
+        mask, normal, d = planes._trim_fit(pts, start, cfg)
+        want_n, want_d, _ = planes._fit_plane_lsq(pts[mask])
+        # the plane returned is the fit of the mask returned
+        assert normal.tobytes() == want_n.tobytes() and d == want_d
+        return mask, len(calls)
+
+    def test_repeated_mask_returns_the_largest_mask_of_its_cycle(self, monkeypatch):
         cloud, _ = box_cloud(sigma=0.01)
         pts = cloud.points[:800]  # the two x faces
         cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=300)
-        first = np.arange(800) < 400
-        second = first & (np.arange(800) % 3 > 0)
-        calls = []
+        idx = np.arange(800)
+        a = idx < 400
+        b, c, d = a & (idx % 3 > 0), a & (idx % 5 > 0), a & (idx % 7 > 0)
+        # a period-2 cycle through the start: stops at the repeat, keeps a
+        mask, calls = self.run_patched(monkeypatch, pts, a, [b, a], cfg)
+        assert calls == 2 and np.array_equal(mask, a)
+        # after a lead-in, the cycle b -> c -> d -> b: d has the most points
+        mask, calls = self.run_patched(monkeypatch, pts, a, [b, c, d], cfg)
+        assert calls == 4 and np.array_equal(mask, d)
+        # equal counts: the cycle's first mask wins
+        e = a & (idx >= 134)
+        assert e.sum() == b.sum()
+        mask, calls = self.run_patched(monkeypatch, pts, a, [e, b], cfg)
+        assert calls == 3 and np.array_equal(mask, e)
 
-        def alternate(points, mask, normal):
-            calls.append(None)
-            return second if len(calls) % 2 else first
+    def test_mask_changing_to_the_cap_returns_the_fit_of_its_mask(self, monkeypatch):
+        # a mask that changes without repeating runs all 25 iterations
+        cloud, _ = box_cloud(sigma=0.01)
+        pts = cloud.points[:800]
+        cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=300)
+        shrinking = [np.arange(800) < 400 - k for k in range(1, 30)]
+        mask, calls = self.run_patched(monkeypatch, pts, np.arange(800) < 400, shrinking, cfg)
+        assert calls == 25 and np.array_equal(mask, shrinking[24])
 
-        monkeypatch.setattr(planes, "_dominant_patch", alternate)
-        mask, normal, d = planes._trim_fit(pts, first, cfg)
-        assert len(calls) == 25
-        assert np.array_equal(mask, first if len(calls) % 2 == 0 else second)
-        want_n, want_d, _ = planes._fit_plane_lsq(pts[mask])
-        assert normal.tobytes() == want_n.tobytes() and d == want_d
+
+class TestSegments:
+    def test_gap_equal_to_the_limit_does_not_split(self):
+        coords = np.array([1.0, 0.0, 0.5])  # steps of exactly 0.5
+        assert sorted(planes._largest_segment(coords, 0.5).tolist()) == [0, 1, 2]
+        assert sorted(planes._largest_segment(np.array([1.25, 0.0, 0.5]), 0.5).tolist()) == [1, 2]
+
+    def test_equal_runs_go_to_the_first(self):
+        coords = np.array([5.1, 0.1, 5.0, 0.0])
+        assert sorted(planes._largest_segment(coords, 1.0).tolist()) == [1, 3]
+
+    def test_empty_mask_comes_back_unchanged(self):
+        pts = np.random.default_rng(0).uniform(-1, 1, size=(20, 3))
+        mask = np.zeros(20, dtype=bool)
+        out = planes._dominant_patch(pts, mask, np.array([0.0, 0.0, 1.0]))
+        assert out is mask and not out.any()
+
+    def test_collinear_walls_keep_the_larger(self):
+        rng = np.random.default_rng(1)
+        # two walls on the plane x = 2, 3 m apart along y: 1 m and 0.5 m long
+        big = np.column_stack([np.full(60, 2.0), rng.uniform(0.0, 1.0, 60), rng.uniform(0.0, 2.0, 60)])
+        small = np.column_stack([np.full(30, 2.0), rng.uniform(4.0, 4.5, 30), rng.uniform(0.0, 2.0, 30)])
+        pts = np.vstack([small, big])
+        mask = planes._dominant_patch(pts, np.ones(90, dtype=bool), np.array([-1.0, 0.0, 0.0]))
+        assert np.array_equal(mask, np.arange(90) >= 30)
 
 
 class TestPlaneExtent:
