@@ -1,4 +1,13 @@
-"""Factor definitions: residuals, analytic Jacobians and robust weighting.
+"""Factor definitions and the one copy of their residuals and analytic
+Jacobians.
+
+Each kernel evaluates every factor of one kind at once, on the estimates
+gathered into arrays (`_Values`): between (odometry and loop closure),
+pose-plane, room-plane and corridor-plane. `sgraph.linearize` whitens,
+Huber-weights and scatters them into the normal equations,
+`SGraph.associate_plane` scores its candidate landmarks with the
+pose-plane kernel, and the per-factor functions at the end of this module
+are one-row calls of the kernels.
 
 Local coordinates per variable type:
   keyframe pose : 6  [dt (body frame), dw (rotation vector, right perturbation)]
@@ -11,21 +20,13 @@ Local coordinates per variable type:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
-from .geometry import (
-    Pose3,
-    PlaneClass,
-    PlaneMinimal,
-    from_minimal,
-    rot_log,
-    skew,
-    so3_right_jacobian_inv,
-    wrap_angle,
-)
+from .geometry import Pose3, PlaneClass, PlaneMinimal, rot_log
 
 
 class FactorKind(Enum):
@@ -57,184 +58,300 @@ class Factor:
         return self._sqrt_info
 
 
-def huber_cost_and_weight(s: float, delta: float) -> tuple[float, float]:
-    """Robust cost and IRLS weight for whitened residual norm-squared s.
+_TWO_PI = 2.0 * math.pi
 
-    Returns (rho(s), weight) with weight = 1 inside the delta region and
-    delta/||r|| outside; residual and Jacobian rows are scaled by sqrt(weight).
+
+@dataclass(frozen=True)
+class _Values:
+    """Estimates gathered into arrays, rows in sorted-id order. The arrays
+    are never written in place: a retraction builds new ones."""
+
+    rotations: np.ndarray  # (K, 3, 3)
+    translations: np.ndarray  # (K, 3)
+    planes: np.ndarray  # (P, 3) azimuth, elevation, distance
+    room_centers: np.ndarray  # (R, 2)
+    room_widths: np.ndarray  # (R, 2)
+    corridor_centers: np.ndarray  # (C,) center component along the corridor axis
+    corridor_widths: np.ndarray  # (C,)
+
+
+Kernel = Callable[[_Values, np.ndarray, tuple, bool], tuple[np.ndarray, np.ndarray | None]]
+
+
+# -- batched geometry --------------------------------------------------------
+
+
+def _skew(v: np.ndarray) -> np.ndarray:
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., 0, 1] = -v[..., 2]
+    S[..., 0, 2] = v[..., 1]
+    S[..., 1, 0] = v[..., 2]
+    S[..., 1, 2] = -v[..., 0]
+    S[..., 2, 0] = -v[..., 1]
+    S[..., 2, 1] = v[..., 0]
+    return S
+
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products."""
+    return (M @ v[..., None])[..., 0]
+
+
+def _wrap(a: np.ndarray) -> np.ndarray:
+    """`geometry.wrap_angle` on an array."""
+    a = np.fmod(a, _TWO_PI)
+    a = np.where(a <= -math.pi, a + _TWO_PI, a)
+    return np.where(a > math.pi, a - _TWO_PI, a)
+
+
+def _rot_log(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`geometry.rot_log` on stacked rotations, and the mask of rows in its
+    near-pi branch, which this leaves for the caller to evaluate."""
+    w = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], 1)
+    cos_theta = np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
+    theta = np.arccos(cos_theta)
+    small = theta < 1e-10
+    safe = np.where(small, 1.0, theta)
+    out = np.where(small[:, None], w / 2.0, w * (safe / (2.0 * np.sin(safe)))[:, None])
+    return out, theta > math.pi - 1e-6
+
+
+def _right_jacobian_inv(w: np.ndarray) -> np.ndarray:
+    """Inverse right Jacobian of SO(3) at stacked rotation vectors."""
+    theta = np.linalg.norm(w, axis=1)
+    W = _skew(w)
+    WW = W @ W
+    small = theta < 1e-8
+    safe = np.where(small, 1.0, theta)
+    cot_term = 1.0 / (safe * safe) - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe))
+    second = np.where(small[:, None, None], WW / 12.0, cot_term[:, None, None] * WW)
+    return np.eye(3) + 0.5 * W + second
+
+
+def _axis_sign(planes: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Sign of each plane normal's component along its axis (0 is x, 1 is
+    y): the sign of the wall's signed distance along that axis."""
+    ce = np.cos(planes[:, 1])
+    component = np.where(axis == 0, ce * np.cos(planes[:, 0]), ce * np.sin(planes[:, 0]))
+    return np.where(component >= 0.0, 1.0, -1.0)
+
+
+def _edge_slots(slots: list, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(axis, half) of each slot of a `count`-slot node: slot s bounds axis
+    s // 2, on its low edge (half -0.5) when s is even, else its high edge
+    (half +0.5). Rooms have slots 0 low-x, 1 high-x, 2 low-y, 3 high-y. A
+    corridor's slots 0 (low) and 1 (high) lie on the corridor's own axis,
+    which the caller puts in place of the 0 returned here."""
+    for slot in slots:
+        if not (isinstance(slot, (int, np.integer)) and 0 <= slot < count):
+            raise ValueError(f"invalid slot {slot!r} for a {count}-slot node")
+    slots = np.array(slots, dtype=int)
+    return slots // 2, np.where(slots % 2 == 0, -0.5, 0.5)
+
+
+# -- kernels: residuals (N, m) and Jacobians (N, m, D) over both variables ----
+
+
+def _between(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
+    """Relative-pose residual r = [R_m^T (t_pred - t_m); Log(R_m^T R_pred)],
+    the prediction being pose b in the frame of pose a; columns
+    [pose a (6) | pose b (6)].
+
+    Rows whose error rotation is within 1e-6 of pi, where the batched log
+    takes its angle from an ill-conditioned arccos, get their rotation
+    residual from `geometry.rot_log`.
     """
-    if s <= delta * delta:
-        return s, 1.0
-    norm = math.sqrt(s)
-    return 2.0 * delta * norm - delta * delta, delta / norm
+    Rm, tm = meas
+    RmT = Rm.transpose(0, 2, 1)
+    Ra, ta = v.rotations[rows[:, 0]], v.translations[rows[:, 0]]
+    Rb, tb = v.rotations[rows[:, 1]], v.translations[rows[:, 1]]
+    RaT = Ra.transpose(0, 2, 1)
+    Rp = RaT @ Rb
+    tp = _mv(RaT, tb - ta)
+    E = RmT @ Rp
+    r_w, near_pi = _rot_log(E)
+    for i in np.flatnonzero(near_pi):
+        r_w[i] = rot_log(E[i])
+    r = np.concatenate([_mv(RmT, tp - tm), r_w], axis=1)
+    if not jacobians:
+        return r, None
+    Jinv = _right_jacobian_inv(r_w)
+    J = np.zeros((len(rows), 6, 12))
+    J[:, 0:3, 0:3] = -RmT
+    J[:, 0:3, 3:6] = RmT @ _skew(tp)
+    J[:, 3:6, 3:6] = -Jinv @ Rp.transpose(0, 2, 1)
+    J[:, 0:3, 6:9] = E
+    J[:, 3:6, 9:12] = Jinv
+    return r, J
+
+
+def _pose_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
+    """Plane-observation residual; columns [pose (6) | plane (3)].
+
+    The map plane is predicted into the sensor frame, flipped to the
+    closest-point convention, converted to (azimuth, elevation, distance)
+    and compared against the measurement with azimuth wrapping.
+    """
+    (m,) = meas
+    RT = v.rotations[rows[:, 0]].transpose(0, 2, 1)
+    t = v.translations[rows[:, 0]]
+    az, el, d_m = v.planes[rows[:, 1]].T
+    ca, sa, ce, se = np.cos(az), np.sin(az), np.cos(el), np.sin(el)
+    n_m = np.stack([ce * ca, ce * sa, se], axis=1)
+    n_l = _mv(RT, n_m)
+    d_l = d_m - np.einsum("ij,ij->i", t, n_m)
+    # closest-point convention at the linearization point
+    sign = np.where(d_l < 0.0, -1.0, 1.0)
+    n_l = n_l * sign[:, None]
+    d_l = d_l * sign
+    nx, ny, nz = n_l.T
+    rho_l = np.hypot(nx, ny)
+    # near the pole the predicted azimuth is pinned to zero, as in the
+    # minimal-parameter convention of the measurements, and d(azimuth,
+    # elevation)/d(normal) is zeroed: horizontal planes are steered
+    # through their distance only
+    live = rho_l >= 1e-3
+    az_l = np.where(live, np.arctan2(ny, nx), 0.0)
+    r = np.stack(
+        [_wrap(az_l - m[:, 0]), np.arctan2(nz, rho_l) - m[:, 1], d_l - m[:, 2]], axis=1
+    )
+    if not jacobians:
+        return r, None
+
+    rho2 = nx * nx + ny * ny
+    rho = np.sqrt(rho2)
+    rho2 = np.where(live, rho2, 1.0)
+    rho_s = np.where(live, rho, 1.0)
+    Jmin = np.zeros((len(rows), 2, 3))
+    Jmin[:, 0, 0] = -ny / rho2
+    Jmin[:, 0, 1] = nx / rho2
+    Jmin[:, 1, 0] = -nx * nz / rho_s
+    Jmin[:, 1, 1] = -ny * nz / rho_s
+    Jmin[:, 1, 2] = rho
+    Jmin[~live] = 0.0
+
+    zero = np.zeros(len(rows))
+    dn_daz = np.stack([-ce * sa, ce * ca, zero], axis=1)
+    dn_del = np.stack([-se * ca, -se * sa, ce], axis=1)
+    dnl = RT @ np.stack([dn_daz, dn_del], axis=2)  # (N, 3, 2)
+
+    J = np.zeros((len(rows), 3, 9))
+    # pose perturbation R <- R exp(w^), t <- t + R u, and
+    # sign * skew(n_l before the flip) == skew(n_l after it)
+    J[:, 0:2, 3:6] = Jmin @ _skew(n_l)
+    J[:, 2, 0:3] = -n_l
+    J[:, 0:2, 6:8] = Jmin @ (sign[:, None, None] * dnl)
+    J[:, 2, 6] = sign * -np.einsum("ij,ij->i", t, dn_daz)
+    J[:, 2, 7] = sign * -np.einsum("ij,ij->i", t, dn_del)
+    J[:, 2, 8] = sign
+    return r, J
+
+
+def _room_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool, sign=None):
+    """Room-plane edge residual; columns [room (4) | plane (3)].
+
+    The plane enters through its signed distance along the slot's axis,
+    the sign taken from its normal unless given.
+    """
+    axis, half = meas
+    room = rows[:, 0]
+    planes = v.planes[rows[:, 1]]
+    if sign is None:
+        sign = _axis_sign(planes, axis)
+    edge = v.room_centers[room, axis] + half * v.room_widths[room, axis]
+    r = (edge - sign * planes[:, 2])[:, None]
+    if not jacobians:
+        return r, None
+    n = np.arange(len(rows))
+    J = np.zeros((len(rows), 1, 7))
+    J[n, 0, axis] = 1.0
+    J[n, 0, 2 + axis] = half
+    J[:, 0, 6] = -sign
+    return r, J
+
+
+def _corridor_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool, sign=None):
+    """Corridor-plane edge residual, as `_room_plane` along the corridor's
+    axis; columns [corridor (2) | plane (3)]."""
+    axis, half = meas
+    corr = rows[:, 0]
+    planes = v.planes[rows[:, 1]]
+    if sign is None:
+        sign = _axis_sign(planes, axis)
+    edge = v.corridor_centers[corr] + half * v.corridor_widths[corr]
+    r = (edge - sign * planes[:, 2])[:, None]
+    if not jacobians:
+        return r, None
+    J = np.zeros((len(rows), 1, 5))
+    J[:, 0, 0] = 1.0
+    J[:, 0, 1] = half
+    J[:, 0, 4] = -sign
+    return r, J
+
+
+# -- one factor at a time: one-row calls of the kernels ----------------------
+
+# values of no variable, for `replace` to fill in the arrays a kernel reads
+_NO_VALUES = _Values(*[np.zeros(0)] * 7)
+_ONE_ROW = np.zeros((1, 2), dtype=int)
 
 
 def pose_between_residual(
     x_prev: Pose3, x_curr: Pose3, meas: Pose3
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual of a relative-pose factor plus Jacobians w.r.t. both poses.
-
-    r = [R_m^T (t_pred - t_m); Log(R_m^T R_pred)] with the prediction the
-    relative pose of x_curr in the frame of x_prev.
-    """
-    Ra, ta = x_prev.rotation, x_prev.translation
-    Rb, tb = x_curr.rotation, x_curr.translation
-    Rm, tm = meas.rotation, meas.translation
-
-    Rp = Ra.T @ Rb
-    tp = Ra.T @ (tb - ta)
-
-    r_t = Rm.T @ (tp - tm)
-    E = Rm.T @ Rp
-    r_w = rot_log(E)
-    r = np.concatenate([r_t, r_w])
-
-    Jinv = so3_right_jacobian_inv(r_w)
-
-    Ja = np.zeros((6, 6))
-    Jb = np.zeros((6, 6))
-    # translation block
-    Jb[0:3, 0:3] = Rm.T @ Rp
-    Ja[0:3, 0:3] = -Rm.T
-    Ja[0:3, 3:6] = Rm.T @ skew(tp)
-    # rotation block
-    Jb[3:6, 3:6] = Jinv
-    Ja[3:6, 3:6] = -Jinv @ Rp.T
-    return r, Ja, Jb
-
-
-def _minimal_jacobian_wrt_normal(n: np.ndarray) -> np.ndarray:
-    """d(azimuth, elevation)/d(unit normal), a 2x3 matrix."""
-    nx, ny, nz = n
-    rho2 = nx * nx + ny * ny
-    rho = math.sqrt(rho2)
-    J = np.zeros((2, 3))
-    if rho < 1e-3:
-        # azimuth is pinned to zero near the pole and elevation sits at an
-        # extremum, so horizontal planes are steered through distance only
-        return J
-    J[0, 0] = -ny / rho2
-    J[0, 1] = nx / rho2
-    J[1, 0] = -nx * nz / rho
-    J[1, 1] = -ny * nz / rho
-    J[1, 2] = rho
-    return J
+    """Residual of a relative-pose factor plus Jacobians w.r.t. both poses."""
+    v = replace(
+        _NO_VALUES,
+        rotations=np.array([x_prev.rotation, x_curr.rotation]),
+        translations=np.array([x_prev.translation, x_curr.translation]),
+    )
+    r, J = _between(v, np.array([[0, 1]]), (meas.rotation[None], meas.translation[None]), True)
+    return r[0], J[0, :, :6], J[0, :, 6:]
 
 
 def pose_plane_residual(
     pose: Pose3, plane: PlaneMinimal, meas: PlaneMinimal
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual of a plane observation plus Jacobians (pose 3x6, plane 3x3).
-
-    The map plane is predicted into the sensor frame, converted to minimal
-    parameters, and compared against the measured minimal parameters with
-    azimuth wrapping.
-    """
-    R, t = pose.rotation, pose.translation
-    ca, sa = math.cos(plane.azimuth), math.sin(plane.azimuth)
-    ce, se = math.cos(plane.elevation), math.sin(plane.elevation)
-    n_m = np.array([ce * ca, ce * sa, se])
-    d_m = plane.distance
-
-    n_l = R.T @ n_m
-    d_l = d_m - float(t @ n_m)
-
-    # derivatives of the map-frame normal w.r.t. (azimuth, elevation)
-    dn_daz = np.array([-ce * sa, ce * ca, 0.0])
-    dn_del = np.array([-se * ca, -se * sa, ce])
-
-    # chain into the sensor frame
-    dnl_daz = R.T @ dn_daz
-    dnl_del = R.T @ dn_del
-    ddl_daz = -float(t @ dn_daz)
-    ddl_del = -float(t @ dn_del)
-
-    # pose perturbation: R <- R exp(w^), t <- t + R u
-    dnl_dw = skew(n_l)  # 3x3
-    ddl_du = -n_l  # 1x3
-    # d_l depends on t only through -t.n_m; rotation perturbation leaves d_l
-    # unchanged to first order only through n_m (map quantities fixed)
-
-    sign = 1.0
-    if d_l < 0.0:
-        # closest-point convention at the linearization point
-        sign = -1.0
-        n_l = -n_l
-        d_l = -d_l
-
-    Jmin = _minimal_jacobian_wrt_normal(n_l)
-
-    rho_l = math.hypot(n_l[0], n_l[1])
-    # near the pole the predicted azimuth is pinned to zero, matching the
-    # minimal-parameter convention used for measurements
-    az_l = math.atan2(n_l[1], n_l[0]) if rho_l >= 1e-3 else 0.0
-    r = np.array(
-        [
-            wrap_angle(az_l - meas.azimuth),
-            math.atan2(n_l[2], rho_l) - meas.elevation,
-            d_l - meas.distance,
-        ]
+    """Residual of a plane observation plus Jacobians (pose 3x6, plane 3x3)."""
+    v = replace(
+        _NO_VALUES,
+        rotations=pose.rotation[None],
+        translations=pose.translation[None],
+        planes=plane.as_array()[None],
     )
-
-    Jplane = np.zeros((3, 3))
-    Jplane[0:2, 0] = Jmin @ (sign * dnl_daz)
-    Jplane[0:2, 1] = Jmin @ (sign * dnl_del)
-    Jplane[2, 0] = sign * ddl_daz
-    Jplane[2, 1] = sign * ddl_del
-    Jplane[2, 2] = sign * 1.0
-
-    Jpose = np.zeros((3, 6))
-    Jpose[0:2, 3:6] = Jmin @ (sign * dnl_dw)
-    Jpose[2, 0:3] = sign * ddl_du
-    return r, Jpose, Jplane
+    r, J = _pose_plane(v, _ONE_ROW, (meas.as_array()[None],), True)
+    return r[0], J[0, :, :6], J[0, :, 6:]
 
 
 def plane_axis_sign(plane: PlaneMinimal, cls: PlaneClass) -> float:
     """Sign of the normal component along the class axis (signed distance)."""
-    n = from_minimal(plane).normal
-    idx = 0 if cls is PlaneClass.X_VERTICAL else 1
-    return 1.0 if n[idx] >= 0.0 else -1.0
+    axis = 0 if cls is PlaneClass.X_VERTICAL else 1
+    return float(_axis_sign(plane.as_array()[None], np.array([axis]))[0])
 
 
 def room_plane_residual(
     center: np.ndarray, widths: np.ndarray, plane: PlaneMinimal, slot: int, sign: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Room-plane edge residual plus Jacobians (room 1x4, plane 1x3).
-
-    Slots: 0 low-x, 1 high-x, 2 low-y, 3 high-y. The plane enters through
-    its signed distance along the room axis, sign fixed by its normal.
-    """
-    d_signed = sign * plane.distance
-    if slot == 0:
-        r = (center[0] - widths[0] / 2.0) - d_signed
-        Jr = np.array([1.0, 0.0, -0.5, 0.0])
-    elif slot == 1:
-        r = (center[0] + widths[0] / 2.0) - d_signed
-        Jr = np.array([1.0, 0.0, 0.5, 0.0])
-    elif slot == 2:
-        r = (center[1] - widths[1] / 2.0) - d_signed
-        Jr = np.array([0.0, 1.0, 0.0, -0.5])
-    elif slot == 3:
-        r = (center[1] + widths[1] / 2.0) - d_signed
-        Jr = np.array([0.0, 1.0, 0.0, 0.5])
-    else:
-        raise ValueError(f"invalid room slot {slot}")
-    Jp = np.array([0.0, 0.0, -sign])
-    return float(r), Jr, Jp
+    """Room-plane edge residual plus Jacobians (room 1x4, plane 1x3)."""
+    v = replace(
+        _NO_VALUES,
+        planes=plane.as_array()[None],
+        room_centers=np.asarray(center, dtype=float)[None],
+        room_widths=np.asarray(widths, dtype=float)[None],
+    )
+    r, J = _room_plane(v, _ONE_ROW, _edge_slots([slot], 4), True, np.array([sign]))
+    return float(r[0, 0]), J[0, 0, :4], J[0, 0, 4:]
 
 
 def corridor_plane_residual(
     center_axis: float, width: float, plane: PlaneMinimal, slot: int, sign: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Corridor-plane edge residual plus Jacobians (corridor 1x2, plane 1x3)."""
-    d_signed = sign * plane.distance
-    if slot == 0:
-        r = (center_axis - width / 2.0) - d_signed
-        Jc = np.array([1.0, -0.5])
-    elif slot == 1:
-        r = (center_axis + width / 2.0) - d_signed
-        Jc = np.array([1.0, 0.5])
-    else:
-        raise ValueError(f"invalid corridor slot {slot}")
-    Jp = np.array([0.0, 0.0, -sign])
-    return float(r), Jc, Jp
+    v = replace(
+        _NO_VALUES,
+        planes=plane.as_array()[None],
+        corridor_centers=np.array([center_axis], dtype=float),
+        corridor_widths=np.array([width], dtype=float),
+    )
+    r, J = _corridor_plane(v, _ONE_ROW, _edge_slots([slot], 2), True, np.array([sign]))
+    return float(r[0, 0]), J[0, 0, :2], J[0, 0, 2:]

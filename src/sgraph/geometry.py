@@ -90,19 +90,6 @@ def rot_log(R: np.ndarray) -> np.ndarray:
     return w * (theta / (2.0 * math.sin(theta)))
 
 
-def so3_right_jacobian_inv(w: np.ndarray) -> np.ndarray:
-    """Inverse right Jacobian of SO(3) at rotation vector w."""
-    theta = float(np.linalg.norm(w))
-    W = skew(w)
-    if theta < 1e-8:
-        return np.eye(3) + 0.5 * W + (W @ W) / 12.0
-    half = theta / 2.0
-    cot_term = (1.0 / (theta * theta)) - (1.0 + math.cos(theta)) / (
-        2.0 * theta * math.sin(theta)
-    )
-    return np.eye(3) + 0.5 * W + cot_term * (W @ W)
-
-
 @dataclass(frozen=True)
 class Pose3:
     """Rigid-body pose: rotation matrix plus translation (meters)."""

@@ -3,15 +3,16 @@ plane data association."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .factors import (
+    _NO_VALUES,
     Factor,
     FactorKind,
     VariableKey,
+    _pose_plane,
     corridor_plane_residual,
     plane_axis_sign,
     pose_between_residual,
@@ -176,31 +177,38 @@ class SGraph:
     ) -> int:
         """Mahalanobis association of a detection against mapped planes.
 
-        Returns the id of the nearest same-class landmark inside the gate,
-        or NEW_LANDMARK. Each mapped plane is predicted into the current
-        sensor frame and compared there against the detection, so the
-        distance coordinate is not inflated by the robot's position in the
-        map. The covariance is the measurement covariance plus the latest
-        odometry-increment uncertainty pushed through the prediction.
+        Returns the id of the nearest same-class landmark strictly inside
+        the gate, the first in `planes` order on a tie, or NEW_LANDMARK.
+        One pose-plane kernel call predicts every candidate into the
+        current sensor frame and compares it there against the detection,
+        so the distance coordinate is not inflated by the robot's position
+        in the map. The covariance is the measurement covariance plus the
+        latest odometry-increment uncertainty pushed through the prediction.
         """
         kf = self.keyframes[kf_id]
         map_plane = transform_plane(kf.pose, det.plane, to_sensor=False)
         cls = classify_plane(map_plane)
-        meas = to_minimal(det.plane)
+        candidates = [lm for lm in self.planes.values() if lm.plane_class is cls]
+        if not candidates:
+            return NEW_LANDMARK
+        n = len(candidates)
+        values = replace(
+            _NO_VALUES,
+            rotations=kf.pose.rotation[None],
+            translations=kf.pose.translation[None],
+            planes=np.array([lm.params.as_array() for lm in candidates]),
+        )
+        rows = np.column_stack([np.zeros(n, dtype=int), np.arange(n)])
+        meas = np.tile(to_minimal(det.plane).as_array(), (n, 1))
+        diff, J = _pose_plane(values, rows, (meas,), True)
+        J_pose = J[:, :, :6]
         meas_cov = np.linalg.inv(np.asarray(plane_information, dtype=float))
-
-        best_id = NEW_LANDMARK
-        best_dist = gate
-        for lm in self.planes.values():
-            if lm.plane_class is not cls:
-                continue
-            diff, Jpose, _ = pose_plane_residual(kf.pose, lm.params, meas)
-            cov = meas_cov + Jpose @ kf.odom_cov @ Jpose.T
-            dist = math.sqrt(float(diff @ np.linalg.solve(cov, diff)))
-            if dist < best_dist:
-                best_dist = dist
-                best_id = lm.id
-        return best_id
+        cov = meas_cov + J_pose @ kf.odom_cov @ J_pose.transpose(0, 2, 1)
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, np.linalg.solve(cov, diff[:, :, None])[:, :, 0]))
+        inside = np.flatnonzero(dist < gate)
+        if not inside.size:
+            return NEW_LANDMARK
+        return candidates[inside[np.argmin(dist[inside])]].id
 
     def add_plane_observation(
         self,
@@ -316,7 +324,8 @@ class SGraph:
         self, factor: Factor
     ) -> tuple[np.ndarray, dict[VariableKey, np.ndarray]]:
         """Raw residual and per-variable Jacobian blocks at the current
-        estimates (no whitening, no robust weighting)."""
+        estimates (no whitening, no robust weighting), from the one-row
+        calls of the kernels in `factors`."""
         kind = factor.kind
         if kind in (FactorKind.ODOMETRY, FactorKind.LOOP_CLOSURE):
             ka, kb = factor.variables

@@ -1,11 +1,9 @@
-"""Batched linearization of the whole graph, one factor kind at a time.
+"""The normal equations of the whole graph, one factor kind at a time.
 
-The kernels in `factors` evaluate one factor at a time and stay the
-reference. Here the same residuals and Jacobians are computed for every
-factor of a kind at once: between (odometry and loop closure), pose-plane,
-room-plane and corridor-plane. They are whitened, Huber-weighted and
-scattered into the dense normal equations. The same pass without Jacobians
-gives the cost alone, per layer.
+The kernels in `factors` compute the residuals and Jacobians of every
+factor of a kind at once. Here they are whitened, Huber-weighted and
+scattered into the dense normal equations; the same pass without
+Jacobians gives the cost alone, per layer.
 
 The solver works on the estimates gathered into arrays (`_Values`): it
 gathers them once, retracts a damped step onto them in batch, and writes
@@ -14,13 +12,25 @@ the accepted result back into the graph once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .factors import LOCAL_DIM, FactorKind, VariableKey, pose_between_residual
+from .factors import (
+    LOCAL_DIM,
+    FactorKind,
+    Kernel,
+    VariableKey,
+    _between,
+    _corridor_plane,
+    _edge_slots,
+    _mv,
+    _pose_plane,
+    _room_plane,
+    _skew,
+    _Values,
+    _wrap,
+)
 from .geometry import PlaneClass, PlaneMinimal, Pose3
 from .graph import SGraph
 
@@ -32,25 +42,6 @@ LAYER_OF_KIND = {
     FactorKind.CORRIDOR_PLANE: "corridor",
 }
 LAYERS = ("tracking", "plane", "room", "corridor")
-
-_TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class _Values:
-    """Estimates gathered into arrays, rows in sorted-id order. The arrays
-    are never written in place: a retraction builds new ones."""
-
-    rotations: np.ndarray  # (K, 3, 3)
-    translations: np.ndarray  # (K, 3)
-    planes: np.ndarray  # (P, 3) azimuth, elevation, distance
-    room_centers: np.ndarray  # (R, 2)
-    room_widths: np.ndarray  # (R, 2)
-    corridor_centers: np.ndarray  # (C,) center component along the corridor axis
-    corridor_widths: np.ndarray  # (C,)
-
-
-Kernel = Callable[[_Values, np.ndarray, tuple, bool], tuple[np.ndarray, np.ndarray | None]]
 
 
 @dataclass(frozen=True)
@@ -68,25 +59,6 @@ class FactorBlock:
     h_keep: np.ndarray  # (N, D, D) their pairs
 
 
-# -- batched geometry --------------------------------------------------------
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    S = np.zeros(v.shape[:-1] + (3, 3))
-    S[..., 0, 1] = -v[..., 2]
-    S[..., 0, 2] = v[..., 1]
-    S[..., 1, 0] = v[..., 2]
-    S[..., 1, 2] = -v[..., 0]
-    S[..., 2, 0] = -v[..., 1]
-    S[..., 2, 1] = v[..., 0]
-    return S
-
-
-def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Stacked matrix-vector products."""
-    return (M @ v[..., None])[..., 0]
-
-
 def _rot_exp(w: np.ndarray) -> np.ndarray:
     """`geometry.rot_exp` on stacked rotation vectors, term by term."""
     # a dot product per row, as the 1-D `np.linalg.norm` takes, so theta
@@ -98,178 +70,6 @@ def _rot_exp(w: np.ndarray) -> np.ndarray:
     a = np.where(small, 1.0, np.sin(safe) / safe)
     b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))
     return np.eye(3) + a[:, None, None] * W + b[:, None, None] * (W @ W)
-
-
-def _wrap(a: np.ndarray) -> np.ndarray:
-    """`geometry.wrap_angle` on an array."""
-    a = np.fmod(a, _TWO_PI)
-    a = np.where(a <= -math.pi, a + _TWO_PI, a)
-    return np.where(a > math.pi, a - _TWO_PI, a)
-
-
-def _rot_log(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`geometry.rot_log` on stacked rotations, and the mask of rows in its
-    near-pi branch, which this leaves for the caller to evaluate."""
-    w = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], 1)
-    cos_theta = np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_theta)
-    small = theta < 1e-10
-    safe = np.where(small, 1.0, theta)
-    out = np.where(small[:, None], w / 2.0, w * (safe / (2.0 * np.sin(safe)))[:, None])
-    return out, theta > math.pi - 1e-6
-
-
-def _right_jacobian_inv(w: np.ndarray) -> np.ndarray:
-    """`geometry.so3_right_jacobian_inv` on stacked rotation vectors."""
-    theta = np.linalg.norm(w, axis=1)
-    W = _skew(w)
-    WW = W @ W
-    small = theta < 1e-8
-    safe = np.where(small, 1.0, theta)
-    cot_term = 1.0 / (safe * safe) - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe))
-    second = np.where(small[:, None, None], WW / 12.0, cot_term[:, None, None] * WW)
-    return np.eye(3) + 0.5 * W + second
-
-
-def _axis_sign(planes: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """`factors.plane_axis_sign` per row; axis 0 is x, 1 is y."""
-    ce = np.cos(planes[:, 1])
-    component = np.where(axis == 0, ce * np.cos(planes[:, 0]), ce * np.sin(planes[:, 0]))
-    return np.where(component >= 0.0, 1.0, -1.0)
-
-
-# -- kernels: residuals (N, m) and Jacobians (N, m, D) over both variables ----
-
-
-def _between(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
-    """`factors.pose_between_residual`; columns [pose a (6) | pose b (6)].
-
-    Rows whose error rotation is within 1e-6 of pi, where `rot_log` takes
-    its rotation angle from an ill-conditioned arccos, are evaluated by the
-    scalar kernel so both paths agree there too.
-    """
-    Rm, tm = meas
-    RmT = Rm.transpose(0, 2, 1)
-    Ra, ta = v.rotations[rows[:, 0]], v.translations[rows[:, 0]]
-    Rb, tb = v.rotations[rows[:, 1]], v.translations[rows[:, 1]]
-    RaT = Ra.transpose(0, 2, 1)
-    Rp = RaT @ Rb
-    tp = _mv(RaT, tb - ta)
-    E = RmT @ Rp
-    r_w, near_pi = _rot_log(E)
-    r = np.concatenate([_mv(RmT, tp - tm), r_w], axis=1)
-    J = None
-    if jacobians:
-        Jinv = _right_jacobian_inv(r_w)
-        J = np.zeros((len(rows), 6, 12))
-        J[:, 0:3, 0:3] = -RmT
-        J[:, 0:3, 3:6] = RmT @ _skew(tp)
-        J[:, 3:6, 3:6] = -Jinv @ Rp.transpose(0, 2, 1)
-        J[:, 0:3, 6:9] = E
-        J[:, 3:6, 9:12] = Jinv
-    for i in np.flatnonzero(near_pi):
-        r[i], Ja, Jb = pose_between_residual(
-            Pose3(Ra[i], ta[i]), Pose3(Rb[i], tb[i]), Pose3(Rm[i], tm[i])
-        )
-        if jacobians:
-            J[i] = np.hstack([Ja, Jb])
-    return r, J
-
-
-def _pose_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
-    """`factors.pose_plane_residual`; columns [pose (6) | plane (3)]."""
-    (m,) = meas
-    RT = v.rotations[rows[:, 0]].transpose(0, 2, 1)
-    t = v.translations[rows[:, 0]]
-    az, el, d_m = v.planes[rows[:, 1]].T
-    ca, sa, ce, se = np.cos(az), np.sin(az), np.cos(el), np.sin(el)
-    n_m = np.stack([ce * ca, ce * sa, se], axis=1)
-    n_l = _mv(RT, n_m)
-    d_l = d_m - np.einsum("ij,ij->i", t, n_m)
-    # closest-point convention at the linearization point
-    sign = np.where(d_l < 0.0, -1.0, 1.0)
-    n_l = n_l * sign[:, None]
-    d_l = d_l * sign
-    nx, ny, nz = n_l.T
-    rho_l = np.hypot(nx, ny)
-    # the predicted azimuth is pinned to zero near the pole
-    az_l = np.where(rho_l >= 1e-3, np.arctan2(ny, nx), 0.0)
-    r = np.stack(
-        [_wrap(az_l - m[:, 0]), np.arctan2(nz, rho_l) - m[:, 1], d_l - m[:, 2]], axis=1
-    )
-    if not jacobians:
-        return r, None
-
-    # d(azimuth, elevation)/d(normal), zero near the pole as in
-    # `factors._minimal_jacobian_wrt_normal`
-    rho2 = nx * nx + ny * ny
-    rho = np.sqrt(rho2)
-    live = rho >= 1e-3
-    rho2 = np.where(live, rho2, 1.0)
-    rho_s = np.where(live, rho, 1.0)
-    Jmin = np.zeros((len(rows), 2, 3))
-    Jmin[:, 0, 0] = -ny / rho2
-    Jmin[:, 0, 1] = nx / rho2
-    Jmin[:, 1, 0] = -nx * nz / rho_s
-    Jmin[:, 1, 1] = -ny * nz / rho_s
-    Jmin[:, 1, 2] = rho
-    Jmin[~live] = 0.0
-
-    zero = np.zeros(len(rows))
-    dn_daz = np.stack([-ce * sa, ce * ca, zero], axis=1)
-    dn_del = np.stack([-se * ca, -se * sa, ce], axis=1)
-    dnl = RT @ np.stack([dn_daz, dn_del], axis=2)  # (N, 3, 2)
-
-    J = np.zeros((len(rows), 3, 9))
-    # sign * skew(n_l before the flip) == skew(n_l after it)
-    J[:, 0:2, 3:6] = Jmin @ _skew(n_l)
-    J[:, 2, 0:3] = -n_l
-    J[:, 0:2, 6:8] = Jmin @ (sign[:, None, None] * dnl)
-    J[:, 2, 6] = sign * -np.einsum("ij,ij->i", t, dn_daz)
-    J[:, 2, 7] = sign * -np.einsum("ij,ij->i", t, dn_del)
-    J[:, 2, 8] = sign
-    return r, J
-
-
-def _room_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
-    """`factors.room_plane_residual`; columns [room (4) | plane (3)]."""
-    axis, half = meas
-    room = rows[:, 0]
-    planes = v.planes[rows[:, 1]]
-    sign = _axis_sign(planes, axis)
-    edge = v.room_centers[room, axis] + half * v.room_widths[room, axis]
-    r = (edge - sign * planes[:, 2])[:, None]
-    if not jacobians:
-        return r, None
-    n = np.arange(len(rows))
-    J = np.zeros((len(rows), 1, 7))
-    J[n, 0, axis] = 1.0
-    J[n, 0, 2 + axis] = half
-    J[:, 0, 6] = -sign
-    return r, J
-
-
-def _corridor_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
-    """`factors.corridor_plane_residual`; columns [corridor (2) | plane (3)]."""
-    axis, half = meas
-    corr = rows[:, 0]
-    planes = v.planes[rows[:, 1]]
-    sign = _axis_sign(planes, axis)
-    edge = v.corridor_centers[corr] + half * v.corridor_widths[corr]
-    r = (edge - sign * planes[:, 2])[:, None]
-    if not jacobians:
-        return r, None
-    J = np.zeros((len(rows), 1, 5))
-    J[:, 0, 0] = 1.0
-    J[:, 0, 1] = half
-    J[:, 0, 4] = -sign
-    return r, J
-
-
-def _slot_half(slot: int, slots: int) -> float:
-    if not (isinstance(slot, (int, np.integer)) and 0 <= slot < slots):
-        raise ValueError(f"invalid slot {slot!r} for a {slots}-slot node")
-    return -0.5 if slot % 2 == 0 else 0.5
 
 
 # -- the batched graph -----------------------------------------------------
@@ -331,16 +131,11 @@ class BatchedFactors:
                 meas = (np.array([f.measurement.as_array() for f in factors]),)
             elif layer == "room":
                 kernel = _room_plane
-                meas = (
-                    np.array([f.measurement // 2 for f in factors], dtype=int),
-                    np.array([_slot_half(f.measurement, 4) for f in factors]),
-                )
+                meas = _edge_slots([f.measurement for f in factors], 4)
             else:
                 kernel = _corridor_plane
-                meas = (
-                    self.corridor_axis[rows[:, 0]],
-                    np.array([_slot_half(f.measurement, 2) for f in factors]),
-                )
+                _, half = _edge_slots([f.measurement for f in factors], 2)
+                meas = (self.corridor_axis[rows[:, 0]], half)
             kinds = [kind for kind, _ in factors[0].variables]
             cols = np.hstack([self.columns[kind][rows[:, j]] for j, kind in enumerate(kinds)])
             g_keep = cols >= 0

@@ -1,0 +1,310 @@
+"""The per-factor kernels as they stood before the batched kernels in
+`sgraph.factors` became the only copy, kept verbatim as a second,
+independent implementation for the cross-checks in the tests.
+
+`so3_right_jacobian_inv` is the old scalar copy from `sgraph.geometry`,
+`evaluate_factor` the old per-kind ladder of `SGraph.evaluate_factor` and
+`associate_plane` the old per-landmark loop of `SGraph.associate_plane`,
+the last two taking the graph as their first argument.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from sgraph.factors import Factor, FactorKind, VariableKey
+from sgraph.geometry import (
+    Pose3,
+    PlaneClass,
+    PlaneMinimal,
+    classify_plane,
+    from_minimal,
+    rot_log,
+    skew,
+    to_minimal,
+    transform_plane,
+    wrap_angle,
+)
+from sgraph.graph import NEW_LANDMARK, SGraph
+from sgraph.planes import PlaneDetection
+
+
+def so3_right_jacobian_inv(w: np.ndarray) -> np.ndarray:
+    """Inverse right Jacobian of SO(3) at rotation vector w."""
+    theta = float(np.linalg.norm(w))
+    W = skew(w)
+    if theta < 1e-8:
+        return np.eye(3) + 0.5 * W + (W @ W) / 12.0
+    half = theta / 2.0
+    cot_term = (1.0 / (theta * theta)) - (1.0 + math.cos(theta)) / (
+        2.0 * theta * math.sin(theta)
+    )
+    return np.eye(3) + 0.5 * W + cot_term * (W @ W)
+
+
+def huber_cost_and_weight(s: float, delta: float) -> tuple[float, float]:
+    """Robust cost and IRLS weight for whitened residual norm-squared s.
+
+    Returns (rho(s), weight) with weight = 1 inside the delta region and
+    delta/||r|| outside; residual and Jacobian rows are scaled by sqrt(weight).
+    """
+    if s <= delta * delta:
+        return s, 1.0
+    norm = math.sqrt(s)
+    return 2.0 * delta * norm - delta * delta, delta / norm
+
+
+def pose_between_residual(
+    x_prev: Pose3, x_curr: Pose3, meas: Pose3
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual of a relative-pose factor plus Jacobians w.r.t. both poses.
+
+    r = [R_m^T (t_pred - t_m); Log(R_m^T R_pred)] with the prediction the
+    relative pose of x_curr in the frame of x_prev.
+    """
+    Ra, ta = x_prev.rotation, x_prev.translation
+    Rb, tb = x_curr.rotation, x_curr.translation
+    Rm, tm = meas.rotation, meas.translation
+
+    Rp = Ra.T @ Rb
+    tp = Ra.T @ (tb - ta)
+
+    r_t = Rm.T @ (tp - tm)
+    E = Rm.T @ Rp
+    r_w = rot_log(E)
+    r = np.concatenate([r_t, r_w])
+
+    Jinv = so3_right_jacobian_inv(r_w)
+
+    Ja = np.zeros((6, 6))
+    Jb = np.zeros((6, 6))
+    # translation block
+    Jb[0:3, 0:3] = Rm.T @ Rp
+    Ja[0:3, 0:3] = -Rm.T
+    Ja[0:3, 3:6] = Rm.T @ skew(tp)
+    # rotation block
+    Jb[3:6, 3:6] = Jinv
+    Ja[3:6, 3:6] = -Jinv @ Rp.T
+    return r, Ja, Jb
+
+
+def _minimal_jacobian_wrt_normal(n: np.ndarray) -> np.ndarray:
+    """d(azimuth, elevation)/d(unit normal), a 2x3 matrix."""
+    nx, ny, nz = n
+    rho2 = nx * nx + ny * ny
+    rho = math.sqrt(rho2)
+    J = np.zeros((2, 3))
+    if rho < 1e-3:
+        # azimuth is pinned to zero near the pole and elevation sits at an
+        # extremum, so horizontal planes are steered through distance only
+        return J
+    J[0, 0] = -ny / rho2
+    J[0, 1] = nx / rho2
+    J[1, 0] = -nx * nz / rho
+    J[1, 1] = -ny * nz / rho
+    J[1, 2] = rho
+    return J
+
+
+def pose_plane_residual(
+    pose: Pose3, plane: PlaneMinimal, meas: PlaneMinimal
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residual of a plane observation plus Jacobians (pose 3x6, plane 3x3).
+
+    The map plane is predicted into the sensor frame, converted to minimal
+    parameters, and compared against the measured minimal parameters with
+    azimuth wrapping.
+    """
+    R, t = pose.rotation, pose.translation
+    ca, sa = math.cos(plane.azimuth), math.sin(plane.azimuth)
+    ce, se = math.cos(plane.elevation), math.sin(plane.elevation)
+    n_m = np.array([ce * ca, ce * sa, se])
+    d_m = plane.distance
+
+    n_l = R.T @ n_m
+    d_l = d_m - float(t @ n_m)
+
+    # derivatives of the map-frame normal w.r.t. (azimuth, elevation)
+    dn_daz = np.array([-ce * sa, ce * ca, 0.0])
+    dn_del = np.array([-se * ca, -se * sa, ce])
+
+    # chain into the sensor frame
+    dnl_daz = R.T @ dn_daz
+    dnl_del = R.T @ dn_del
+    ddl_daz = -float(t @ dn_daz)
+    ddl_del = -float(t @ dn_del)
+
+    # pose perturbation: R <- R exp(w^), t <- t + R u
+    dnl_dw = skew(n_l)  # 3x3
+    ddl_du = -n_l  # 1x3
+    # d_l depends on t only through -t.n_m; rotation perturbation leaves d_l
+    # unchanged to first order only through n_m (map quantities fixed)
+
+    sign = 1.0
+    if d_l < 0.0:
+        # closest-point convention at the linearization point
+        sign = -1.0
+        n_l = -n_l
+        d_l = -d_l
+
+    Jmin = _minimal_jacobian_wrt_normal(n_l)
+
+    rho_l = math.hypot(n_l[0], n_l[1])
+    # near the pole the predicted azimuth is pinned to zero, matching the
+    # minimal-parameter convention used for measurements
+    az_l = math.atan2(n_l[1], n_l[0]) if rho_l >= 1e-3 else 0.0
+    r = np.array(
+        [
+            wrap_angle(az_l - meas.azimuth),
+            math.atan2(n_l[2], rho_l) - meas.elevation,
+            d_l - meas.distance,
+        ]
+    )
+
+    Jplane = np.zeros((3, 3))
+    Jplane[0:2, 0] = Jmin @ (sign * dnl_daz)
+    Jplane[0:2, 1] = Jmin @ (sign * dnl_del)
+    Jplane[2, 0] = sign * ddl_daz
+    Jplane[2, 1] = sign * ddl_del
+    Jplane[2, 2] = sign * 1.0
+
+    Jpose = np.zeros((3, 6))
+    Jpose[0:2, 3:6] = Jmin @ (sign * dnl_dw)
+    Jpose[2, 0:3] = sign * ddl_du
+    return r, Jpose, Jplane
+
+
+def plane_axis_sign(plane: PlaneMinimal, cls: PlaneClass) -> float:
+    """Sign of the normal component along the class axis (signed distance)."""
+    n = from_minimal(plane).normal
+    idx = 0 if cls is PlaneClass.X_VERTICAL else 1
+    return 1.0 if n[idx] >= 0.0 else -1.0
+
+
+def room_plane_residual(
+    center: np.ndarray, widths: np.ndarray, plane: PlaneMinimal, slot: int, sign: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Room-plane edge residual plus Jacobians (room 1x4, plane 1x3).
+
+    Slots: 0 low-x, 1 high-x, 2 low-y, 3 high-y. The plane enters through
+    its signed distance along the room axis, sign fixed by its normal.
+    """
+    d_signed = sign * plane.distance
+    if slot == 0:
+        r = (center[0] - widths[0] / 2.0) - d_signed
+        Jr = np.array([1.0, 0.0, -0.5, 0.0])
+    elif slot == 1:
+        r = (center[0] + widths[0] / 2.0) - d_signed
+        Jr = np.array([1.0, 0.0, 0.5, 0.0])
+    elif slot == 2:
+        r = (center[1] - widths[1] / 2.0) - d_signed
+        Jr = np.array([0.0, 1.0, 0.0, -0.5])
+    elif slot == 3:
+        r = (center[1] + widths[1] / 2.0) - d_signed
+        Jr = np.array([0.0, 1.0, 0.0, 0.5])
+    else:
+        raise ValueError(f"invalid room slot {slot}")
+    Jp = np.array([0.0, 0.0, -sign])
+    return float(r), Jr, Jp
+
+
+def corridor_plane_residual(
+    center_axis: float, width: float, plane: PlaneMinimal, slot: int, sign: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Corridor-plane edge residual plus Jacobians (corridor 1x2, plane 1x3)."""
+    d_signed = sign * plane.distance
+    if slot == 0:
+        r = (center_axis - width / 2.0) - d_signed
+        Jc = np.array([1.0, -0.5])
+    elif slot == 1:
+        r = (center_axis + width / 2.0) - d_signed
+        Jc = np.array([1.0, 0.5])
+    else:
+        raise ValueError(f"invalid corridor slot {slot}")
+    Jp = np.array([0.0, 0.0, -sign])
+    return float(r), Jc, Jp
+
+
+def associate_plane(
+    graph: SGraph,
+    det: PlaneDetection,
+    kf_id: int,
+    gate: float,
+    plane_information: np.ndarray,
+) -> int:
+    """Mahalanobis association of a detection against mapped planes.
+
+    Returns the id of the nearest same-class landmark inside the gate,
+    or NEW_LANDMARK. Each mapped plane is predicted into the current
+    sensor frame and compared there against the detection, so the
+    distance coordinate is not inflated by the robot's position in the
+    map. The covariance is the measurement covariance plus the latest
+    odometry-increment uncertainty pushed through the prediction.
+    """
+    kf = graph.keyframes[kf_id]
+    map_plane = transform_plane(kf.pose, det.plane, to_sensor=False)
+    cls = classify_plane(map_plane)
+    meas = to_minimal(det.plane)
+    meas_cov = np.linalg.inv(np.asarray(plane_information, dtype=float))
+
+    best_id = NEW_LANDMARK
+    best_dist = gate
+    for lm in graph.planes.values():
+        if lm.plane_class is not cls:
+            continue
+        diff, Jpose, _ = pose_plane_residual(kf.pose, lm.params, meas)
+        cov = meas_cov + Jpose @ kf.odom_cov @ Jpose.T
+        dist = math.sqrt(float(diff @ np.linalg.solve(cov, diff)))
+        if dist < best_dist:
+            best_dist = dist
+            best_id = lm.id
+    return best_id
+
+
+def evaluate_factor(
+    graph: SGraph, factor: Factor
+) -> tuple[np.ndarray, dict[VariableKey, np.ndarray]]:
+    """Raw residual and per-variable Jacobian blocks at the current
+    estimates (no whitening, no robust weighting)."""
+    kind = factor.kind
+    if kind in (FactorKind.ODOMETRY, FactorKind.LOOP_CLOSURE):
+        ka, kb = factor.variables
+        r, Ja, Jb = pose_between_residual(
+            graph.keyframes[ka[1]].pose,
+            graph.keyframes[kb[1]].pose,
+            factor.measurement,
+        )
+        return r, {ka: Ja, kb: Jb}
+    if kind is FactorKind.POSE_PLANE:
+        kk, kp = factor.variables
+        r, Jpose, Jplane = pose_plane_residual(
+            graph.keyframes[kk[1]].pose,
+            graph.planes[kp[1]].params,
+            factor.measurement,
+        )
+        return r, {kk: Jpose, kp: Jplane}
+    if kind is FactorKind.ROOM_PLANE:
+        kr, kp = factor.variables
+        room = graph.rooms[kr[1]]
+        plane = graph.planes[kp[1]]
+        slot = factor.measurement
+        axis = PlaneClass.X_VERTICAL if slot < 2 else PlaneClass.Y_VERTICAL
+        sign = plane_axis_sign(plane.params, axis)
+        r, Jr, Jp = room_plane_residual(
+            room.center, room.widths, plane.params, slot, sign
+        )
+        return np.array([r]), {kr: Jr.reshape(1, 4), kp: Jp.reshape(1, 3)}
+    if kind is FactorKind.CORRIDOR_PLANE:
+        kc, kp = factor.variables
+        corr = graph.corridors[kc[1]]
+        plane = graph.planes[kp[1]]
+        slot = factor.measurement
+        sign = plane_axis_sign(plane.params, corr.axis)
+        axis_idx = 0 if corr.axis is PlaneClass.X_VERTICAL else 1
+        r, Jc, Jp = corridor_plane_residual(
+            float(corr.center[axis_idx]), corr.width, plane.params, slot, sign
+        )
+        return np.array([r]), {kc: Jc.reshape(1, 2), kp: Jp.reshape(1, 3)}
+    raise ValueError(f"unknown factor kind {kind}")

@@ -1,5 +1,6 @@
 """Source hygiene: no module in the package or the tests imports a name it
-never uses, and the package defines no private name it never uses."""
+never uses, the package defines no private name it never uses, and no
+public function or class of the package is there for the tests alone."""
 
 import ast
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "sgraph").glob("*.py"))
 FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# the code whose use makes a public name of the package live
+USERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,13 +47,10 @@ def test_scan_catches_an_unused_import():
     assert unused_imports(source) == ["dumps", "os"]
 
 
-def unused_privates(sources: dict[str, str]) -> list[str]:
-    """`module:name` of each module-level `_private` function, class or
-    constant that no source references besides its definition. A reference
-    is a name read, an attribute or an imported name; dunders are skipped."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def references(trees) -> set[str]:
+    """Every name the trees read, use as an attribute or import by name."""
     used = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
@@ -58,22 +58,47 @@ def unused_privates(sources: dict[str, str]) -> list[str]:
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used |= {a.name for a in node.names}
-    dead = []
-    for module, tree in trees.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            dead += [
-                f"{module}:{name}"
-                for name in names
-                if name.startswith("_") and not name.startswith("__") and name not in used
-            ]
-    return sorted(dead)
+    return used
+
+
+def module_level_names(tree, constants: bool = True) -> list[str]:
+    """Names a module defines at its top level: functions, classes and,
+    with `constants`, assigned names."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif constants and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return names
+
+
+def unused_privates(sources: dict[str, str]) -> list[str]:
+    """`module:name` of each module-level `_private` function, class or
+    constant that no source references besides its definition. A reference
+    is a name read, an attribute or an imported name; dunders are skipped."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = references(trees.values())
+    return sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in module_level_names(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    )
+
+
+def public_without_users(package: dict[str, str], users: dict[str, str]) -> list[str]:
+    """`module:name` of each public module-level function or class of
+    `package` that no source in `users` (the package itself among them)
+    references: code kept for the tests alone, or for nobody."""
+    used = references(ast.parse(source) for source in users.values())
+    return sorted(
+        f"{module}:{name}"
+        for module, source in package.items()
+        for name in module_level_names(ast.parse(source), constants=False)
+        if not name.startswith("_") and name not in used
+    )
 
 
 def test_no_unused_private_names():
@@ -93,3 +118,28 @@ def test_scan_catches_an_unused_private_name():
         "b": "from a import _SCALE\nimport a\nprint(_SCALE, a._recursive)\n",
     }
     assert unused_privates(sources) == ["a:_SPARE", "a:_dead"]
+
+
+def test_no_public_code_for_the_tests_alone():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    users = {f"{p.parent.name}/{p.name}": p.read_text() for p in USERS}
+    assert public_without_users(package, users) == []
+
+
+def test_scan_catches_public_code_for_the_tests_alone():
+    package = {
+        "a": (
+            "LIMIT = 3\n"
+            "def used_here(x):\n    return x * LIMIT\n"
+            "def caller():\n    return used_here(1)\n"
+            "def tested_only(x):\n    return x\n"
+            "class Box:\n    pass\n"
+            "class Unused:\n    pass\n"
+            "def _private():\n    pass\n"
+            "def recursive(x):\n    return recursive(x - 1) if x else 0\n"
+        ),
+        "b": "from a import Box\nimport a\nprint(a.caller)\n",
+    }
+    bench = "import a\nprint(a.recursive)\n"
+    users = dict(package, bench=bench)
+    assert public_without_users(package, users) == ["a:Unused", "a:tested_only"]

@@ -1,8 +1,10 @@
-"""Batched per-kind linearization against the per-factor reference kernels.
+"""The batched kernels and normal equations against a second implementation.
 
-`SGraph.evaluate_factor` (the scalar kernels in `sgraph.factors`) is the
-reference: batched residuals and Jacobian blocks must match it per factor,
-and the assembled H, g and cost must match a dense J^T J built from it.
+`reference_factors` keeps the per-factor kernels that `sgraph.factors`
+replaced, written one factor at a time with their own formulas; it is the
+reference: the batched residuals and Jacobian blocks must match it per
+factor, and the assembled H, g and cost must match a dense J^T J built
+from it.
 """
 
 import math
@@ -11,12 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sgraph.factors import LOCAL_DIM, Factor, FactorKind, huber_cost_and_weight
+from sgraph.factors import LOCAL_DIM, Factor, FactorKind
 from sgraph.geometry import PlaneClass, PlaneMinimal, Pose3, from_minimal, rot_exp, wrap_angle
 from sgraph.graph import CorridorNode, Keyframe, PlaneLandmark, RoomNode, SGraph
 from sgraph.linearize import LAYER_OF_KIND, BatchedFactors
 from sgraph.solver import _variable_order
 
+from reference_factors import evaluate_factor, huber_cost_and_weight
 from test_io import sample_graph
 from test_solver import variable_state
 
@@ -50,15 +53,15 @@ def batched(graph):
 
 
 def assert_matches_reference(graph):
-    """Every factor's batched residual and Jacobian blocks equal the scalar
-    kernel's; returns the kinds seen. Azimuth residuals are angles and are
+    """Every factor's batched residual and Jacobian blocks equal the
+    reference's; returns the kinds seen. Azimuth residuals are angles and are
     compared on the circle, where +pi and -pi meet."""
     seen = set()
     bf = batched(graph)
     for block, r, J in bf.evaluate(bf.values(graph)):
         for row, fi in enumerate(block.factor_index):
             f = graph.factors[fi]
-            r_ref, jacs = graph.evaluate_factor(f)
+            r_ref, jacs = evaluate_factor(graph, f)
             if f.kind is FactorKind.POSE_PLANE:
                 assert abs(wrap_angle(r[row][0] - r_ref[0])) <= TOL
                 r_ref = np.concatenate([[r[row][0]], r_ref[1:]])
@@ -72,12 +75,12 @@ def assert_matches_reference(graph):
 
 
 def dense_reference(graph, huber_delta=1.0):
-    """H, g, cost and per-layer cost from evaluate_factor, one factor at a time."""
+    """H, g, cost and per-layer cost from the reference, one factor at a time."""
     offsets, dim = _variable_order(graph)
     H, g, cost = np.zeros((dim, dim)), np.zeros(dim), 0.0
     layers = dict.fromkeys(("tracking", "plane", "room", "corridor"), 0.0)
     for f in graph.factors:
-        r, jacs = graph.evaluate_factor(f)
+        r, jacs = evaluate_factor(graph, f)
         L = f.sqrt_information()
         wr = L @ r
         s = float(wr @ wr)
@@ -187,7 +190,7 @@ class TestResidualsAndJacobians:
         between(g, 0, 2, Pose3(np.eye(3), np.array([0.4, 0.1, 0.0])))
         between(g, 0, 3, Pose3.from_xyz_yaw(1.9, 0.1, 0.0, 0.1), kind=FactorKind.ODOMETRY)
         between(g, 1, 3, Pose3.identity())
-        angles = [float(np.linalg.norm(g.evaluate_factor(f)[0][3:])) for f in g.factors]
+        angles = [float(np.linalg.norm(evaluate_factor(g, f)[0][3:])) for f in g.factors]
         assert sum(a > math.pi - 1e-6 for a in angles) == 2
         assert any(a < math.pi - 1e-3 for a in angles)
         assert_matches_reference(g)
@@ -245,7 +248,7 @@ class TestNormalEquations:
         between(g, 0, 1, Pose3.from_xyz_yaw(1.5, 0.0, 0.0, 0.1))  # beyond delta
         s = []
         for f in g.factors:
-            wr = f.sqrt_information() @ g.evaluate_factor(f)[0]
+            wr = f.sqrt_information() @ evaluate_factor(g, f)[0]
             s.append(float(wr @ wr))
         robust = [f.robust for f in g.factors]
         assert any(x > 1.0 and r for x, r in zip(s, robust))
@@ -261,7 +264,7 @@ class TestNormalEquations:
         bf = batched(g)
         H, grad, _ = bf.normal_equations(bf.values(g), 1.0)
         f = g.factors[0]
-        r, jacs = g.evaluate_factor(f)
+        r, jacs = evaluate_factor(g, f)
         L = f.sqrt_information()
         Jb = L @ jacs[("kf", 1)]
         assert H.shape == (6, 6)
