@@ -4,7 +4,7 @@ identical sensor streams, plus duplicate-landmark accounting."""
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -106,24 +106,11 @@ class AblationReport:
         )
 
     def to_dict(self) -> dict:
-        def runs_to_dict(runs):
-            return {
-                str(seed): {
-                    "ate": m.ate,
-                    "n_planes": m.n_planes,
-                    "n_duplicates": m.n_duplicates,
-                    "n_rooms": m.n_rooms,
-                    "n_corridors": m.n_corridors,
-                    "final_cost": m.final_cost,
-                }
-                for seed, m in runs.items()
-            }
-
         return {
             "seeds": self.seeds,
             "stream_digests": {str(k): v for k, v in self.digests.items()},
-            "full": runs_to_dict(self.full),
-            "without_topology": runs_to_dict(self.without_topology),
+            "full": {str(k): asdict(m) for k, m in self.full.items()},
+            "without_topology": {str(k): asdict(m) for k, m in self.without_topology.items()},
             "mean_ate_full": self.mean_ate("full"),
             "mean_ate_without_topology": self.mean_ate("without"),
             "mean_duplicates_full": self.mean_duplicates("full"),

@@ -9,16 +9,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .ablation import run_ablation, stream_digest
-from .graph import KeyframePolicy
-from .io import export_dataset, load_dataset, read_tum, save_graph, write_tum
-from .metrics import TrajectoryPair, ate, map_rmse, start_end_error
-from .pipeline import SlamConfig, aggregate_map_points, run_slam
-from .planes import FilterConfig, RansacConfig
+from .io import export_dataset, from_json, load_dataset, load_graph, read_tum, save_graph, write_tum
+from .metrics import TrajectoryPair, align_rigid, associate, ate, map_rmse, start_end_error
+from .pipeline import SlamConfig, SlamResult, aggregate_map_points, run_slam
 from .simulator import (
     LayoutSpec,
     NoiseSpec,
-    RectSpec,
     ScanPattern,
     TrajectorySpec,
     generate_world,
@@ -28,62 +27,21 @@ from .simulator import (
 
 def load_layout(path) -> tuple[LayoutSpec, TrajectorySpec, ScanPattern]:
     d = json.loads(Path(path).read_text())
-    layout = LayoutSpec(
-        rects=tuple(RectSpec(**r) for r in d["rects"]),
-        wall_height=d.get("wall_height", 2.5),
-    )
-    t = d.get("trajectory", {})
-    traj = TrajectorySpec(
-        waypoints=tuple(tuple(w) for w in t.get("waypoints", [])),
-        speed=t.get("speed", 1.0),
-        scan_rate=t.get("scan_rate", 2.0),
-        loops=t.get("loops", 1),
-        sensor_height=t.get("sensor_height", 1.0),
-    )
-    p = d.get("pattern", {})
-    pattern = ScanPattern(
-        n_rings=p.get("n_rings", 16),
-        n_azimuth=p.get("n_azimuth", 360),
-        max_range=p.get("max_range", 50.0),
-    )
-    return layout, traj, pattern
+    traj = from_json(TrajectorySpec, d.pop("trajectory", {}))
+    pattern = from_json(ScanPattern, d.pop("pattern", {}))
+    return from_json(LayoutSpec, d), traj, pattern
 
 
 def load_noise(path, seed: int) -> NoiseSpec:
-    d = json.loads(Path(path).read_text())
-    return NoiseSpec(
-        trans_drift=d.get("trans_drift", 0.0),
-        rot_drift=d.get("rot_drift", 0.0),
-        range_sigma=d.get("range_sigma", 0.0),
-        seed=seed,
-    )
+    return replace(from_json(NoiseSpec, json.loads(Path(path).read_text())), seed=seed)
 
 
 def load_slam_config(path) -> SlamConfig:
+    """Every SlamConfig field may be set; a nested object overlays the
+    pipeline's default for that field, and an unknown key is an error."""
     if path is None:
         return SlamConfig()
-    d = json.loads(Path(path).read_text())
-    cfg = SlamConfig()
-    if "keyframe" in d:
-        cfg = replace(cfg, keyframe=KeyframePolicy(**d["keyframe"]))
-    if "filter" in d:
-        cfg = replace(cfg, filter=FilterConfig(**d["filter"]))
-    if "ransac" in d:
-        cfg = replace(cfg, ransac=RansacConfig(**d["ransac"]))
-    for key in (
-        "odom_sigma_t",
-        "odom_sigma_r",
-        "plane_sigma_angle",
-        "plane_sigma_d",
-        "topology_sigma",
-        "association_gate",
-        "min_plane_inlier_count",
-        "enable_topology",
-        "enable_loop_closure",
-    ):
-        if key in d:
-            cfg = replace(cfg, **{key: d[key]})
-    return cfg
+    return from_json(SlamConfig, json.loads(Path(path).read_text()))
 
 
 def cmd_simulate(args) -> int:
@@ -97,8 +55,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_slam(args) -> int:
-    world, steps = load_dataset(args.dataset)
     cfg = load_slam_config(args.config)
+    world, steps = load_dataset(args.dataset)
     if args.no_topology:
         cfg = replace(cfg, enable_topology=False)
     if args.no_loop_closure:
@@ -136,14 +94,7 @@ def cmd_eval(args) -> int:
     ate_val = ate(pair)
 
     # rebuild the optimized map from the estimate and the dataset scans
-    from .io import load_graph
-
     graph = load_graph(run_dir / "graph.json")
-    from .pipeline import SlamResult
-
-    kf_steps = []
-    import numpy as np
-
     step_times = np.array([s.timestamp for s in steps])
     for kf_id in sorted(graph.keyframes):
         kf = graph.keyframes[kf_id]
@@ -154,8 +105,6 @@ def cmd_eval(args) -> int:
     if points.shape[0]:
         # map points live in the estimate's frame; bring them into the
         # world frame with the same rigid alignment the ATE uses
-        from .metrics import align_rigid, associate
-
         pairs = associate(estimate, reference, 0.25)
         T = align_rigid(
             np.array([p.translation for p, _ in pairs]),

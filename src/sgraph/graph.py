@@ -44,7 +44,9 @@ class Keyframe:
     pose: Pose3  # map frame, optimized
     odom_pose: Pose3  # odometry frame, as reported
     odom_cov: np.ndarray  # 6x6 covariance of the incoming odometry increment
-    scan: object = None  # optional PointCloud kept for hard loop closure
+    # optional PointCloud kept for hard loop closure; not part of the value,
+    # so snapshots leave it out
+    scan: object = field(default=None, compare=False)
 
 
 @dataclass

@@ -1,27 +1,93 @@
-"""File formats: TUM trajectories, ASCII PLY clouds, world descriptions and
-versioned graph snapshots."""
+"""File formats: TUM trajectories, ASCII PLY clouds, and one JSON codec
+for world descriptions, versioned graph snapshots and CLI inputs."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
 from pathlib import Path
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.spatial.transform import Rotation
 
 from .factors import Factor, FactorKind
-from .geometry import PlaneClass, PlaneMinimal, Pose3
-from .graph import CorridorNode, Keyframe, PlaneLandmark, RoomNode, SGraph
+from .geometry import PlaneMinimal, Pose3
+from .graph import SGraph
 from .planes import PointCloud
-from .simulator import (
-    CorridorAnnotation,
-    RoomAnnotation,
-    SimStep,
-    WallRect,
-    WorldModel,
-)
+from .simulator import SimStep, WorldModel
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+
+# what a factor's measurement decodes to, by kind (room and corridor
+# factors measure the slot of their plane)
+_MEASUREMENT_TYPE = {
+    FactorKind.ODOMETRY: Pose3,
+    FactorKind.LOOP_CLOSURE: Pose3,
+    FactorKind.POSE_PLANE: PlaneMinimal,
+    FactorKind.ROOM_PLANE: int,
+    FactorKind.CORRIDOR_PLANE: int,
+}
+
+
+# -- JSON codec -------------------------------------------------------------
+
+
+def to_json(obj):
+    """JSON value of a dataclass, enum, array, sequence, mapping or scalar.
+
+    A dataclass becomes an object of its fields, except the fields declared
+    `compare=False`: they are not part of the value, so they are not saved.
+    Enums are written by value, arrays as nested lists and mapping keys as
+    strings."""
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj) if f.compare}
+    if isinstance(obj, Enum):
+        return obj.value
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(to_json(k)): to_json(v) for k, v in obj.items()}
+    return obj
+
+
+def from_json(tp, data, base=None):
+    """The value of type `tp` that `to_json` wrote as `data`.
+
+    Dataclass fields are read through their type hints. A missing field
+    takes its default, a nested object overlays the field's default (`base`
+    holds the defaults one level down), and an unknown key raises
+    ValueError. Arrays read back as float arrays, and a factor's
+    measurement as the type its kind names."""
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        if tp is Factor:
+            hints["measurement"] = _MEASUREMENT_TYPE[FactorKind(data["kind"])]
+        unknown = sorted(set(data) - {f.name for f in fields(tp) if f.compare})
+        if unknown:
+            raise ValueError(f"unknown {tp.__name__} field(s): {', '.join(unknown)}")
+        defaults = tp if base is None else base
+        values = {k: from_json(hints[k], v, getattr(defaults, k, None)) for k, v in data.items()}
+        return tp(**values) if base is None else replace(base, **values)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType):
+        (inner,) = [a for a in args if a is not type(None)]  # X | None only
+        return None if data is None else from_json(inner, data)
+    if tp is np.ndarray:
+        return np.array(data, dtype=float)
+    if origin is tuple and args[-1] is Ellipsis:
+        return tuple(from_json(args[0], v) for v in data)
+    if origin is tuple:
+        return tuple(from_json(a, v) for a, v in zip(args, data, strict=True))
+    if origin is list:
+        return [from_json(args[0], v) for v in data]
+    if origin is dict:
+        return {from_json(args[0], k): from_json(args[1], v) for k, v in data.items()}
+    return tp(data)  # enums by value, and scalars
 
 
 # -- poses ------------------------------------------------------------------
@@ -103,51 +169,12 @@ def read_ply(path) -> PointCloud:
 # -- world model ------------------------------------------------------------
 
 
-def world_to_dict(world: WorldModel) -> dict:
-    return {
-        "wall_height": world.wall_height,
-        "walls": [
-            {
-                "axis": w.axis,
-                "offset": w.offset,
-                "u_min": w.u_min,
-                "u_max": w.u_max,
-                "v_min": w.v_min,
-                "v_max": w.v_max,
-            }
-            for w in world.walls
-        ],
-        "rooms": [
-            {"center": list(r.center), "widths": list(r.widths)} for r in world.rooms
-        ],
-        "corridors": [
-            {"axis": c.axis.value, "center": list(c.center), "width": c.width}
-            for c in world.corridors
-        ],
-    }
-
-
-def world_from_dict(d: dict) -> WorldModel:
-    return WorldModel(
-        walls=tuple(WallRect(**w) for w in d["walls"]),
-        rooms=tuple(
-            RoomAnnotation(np.array(r["center"]), np.array(r["widths"]))
-            for r in d["rooms"]
-        ),
-        corridors=tuple(
-            CorridorAnnotation(PlaneClass(c["axis"]), np.array(c["center"]), c["width"])
-            for c in d["corridors"]
-        ),
-        wall_height=d["wall_height"],
-    )
-
-
 def save_world(path, world: WorldModel) -> None:
-    Path(path).write_text(json.dumps(world_to_dict(world), indent=1))
+    Path(path).write_text(json.dumps(to_json(world), indent=1))
 
 
 def load_world(path) -> WorldModel:
-    return world_from_dict(json.loads(Path(path).read_text()))
+    return from_json(WorldModel, json.loads(Path(path).read_text()))
 
 
 # -- dataset directories ----------------------------------------------------
@@ -185,136 +212,16 @@ def load_dataset(data_dir) -> tuple[WorldModel, list[SimStep]]:
 # -- graph snapshots --------------------------------------------------------
 
 
-def _measurement_to_json(factor: Factor):
-    if factor.kind in (FactorKind.ODOMETRY, FactorKind.LOOP_CLOSURE):
-        return pose_to_list(factor.measurement)
-    if factor.kind is FactorKind.POSE_PLANE:
-        m = factor.measurement
-        return [m.azimuth, m.elevation, m.distance]
-    return int(factor.measurement)
-
-
-def _measurement_from_json(kind: FactorKind, m):
-    if kind in (FactorKind.ODOMETRY, FactorKind.LOOP_CLOSURE):
-        return pose_from_list(m)
-    if kind is FactorKind.POSE_PLANE:
-        return PlaneMinimal(m[0], m[1], m[2])
-    return int(m)
-
-
 def graph_to_dict(graph: SGraph) -> dict:
-    return {
-        "version": SNAPSHOT_VERSION,
-        "map_to_odom": pose_to_list(graph.map_to_odom),
-        "keyframes": [
-            {
-                "id": kf.id,
-                "t": kf.timestamp,
-                "pose": pose_to_list(kf.pose),
-                "odom_pose": pose_to_list(kf.odom_pose),
-                "odom_cov": kf.odom_cov.tolist(),
-            }
-            for kf in (graph.keyframes[k] for k in sorted(graph.keyframes))
-        ],
-        "planes": [
-            {
-                "id": p.id,
-                "class": p.plane_class.value,
-                "phi": p.params.azimuth,
-                "theta": p.params.elevation,
-                "d": p.params.distance,
-                "extent": p.extent.tolist(),
-                "centroid": p.centroid.tolist(),
-                "observations": p.observation_count,
-                "side": p.side,
-            }
-            for p in (graph.planes[k] for k in sorted(graph.planes))
-        ],
-        "rooms": [
-            {
-                "id": r.id,
-                "center": r.center.tolist(),
-                "widths": r.widths.tolist(),
-                "planes": list(r.plane_links),
-            }
-            for r in (graph.rooms[k] for k in sorted(graph.rooms))
-        ],
-        "corridors": [
-            {
-                "id": c.id,
-                "axis": c.axis.value,
-                "center": c.center.tolist(),
-                "width": c.width,
-                "planes": list(c.plane_links),
-            }
-            for c in (graph.corridors[k] for k in sorted(graph.corridors))
-        ],
-        "factors": [
-            {
-                "kind": f.kind.value,
-                "variables": [[k, v] for k, v in f.variables],
-                "measurement": _measurement_to_json(f),
-                "information": np.atleast_2d(f.information).tolist(),
-                "robust": f.robust,
-            }
-            for f in graph.factors
-        ],
-    }
+    return {"version": SNAPSHOT_VERSION, **to_json(graph)}
 
 
 def graph_from_dict(d: dict) -> SGraph:
-    if d.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {d.get('version')}")
-    graph = SGraph()
-    graph.map_to_odom = pose_from_list(d["map_to_odom"])
-    for kf in d["keyframes"]:
-        graph.keyframes[kf["id"]] = Keyframe(
-            id=kf["id"],
-            timestamp=kf["t"],
-            pose=pose_from_list(kf["pose"]),
-            odom_pose=pose_from_list(kf["odom_pose"]),
-            odom_cov=np.array(kf["odom_cov"]),
-        )
-    for p in d["planes"]:
-        graph.planes[p["id"]] = PlaneLandmark(
-            id=p["id"],
-            params=PlaneMinimal(p["phi"], p["theta"], p["d"]),
-            plane_class=PlaneClass(p["class"]),
-            extent=np.array(p["extent"]),
-            centroid=np.array(p["centroid"]),
-            observation_count=p["observations"],
-            side=p.get("side", 1.0),
-        )
-    for r in d["rooms"]:
-        graph.rooms[r["id"]] = RoomNode(
-            id=r["id"],
-            center=np.array(r["center"]),
-            widths=np.array(r["widths"]),
-            plane_links=tuple(r["planes"]),
-        )
-    for c in d["corridors"]:
-        graph.corridors[c["id"]] = CorridorNode(
-            id=c["id"],
-            axis=PlaneClass(c["axis"]),
-            center=np.array(c["center"]),
-            width=c["width"],
-            plane_links=tuple(c["planes"]),
-        )
-    for f in d["factors"]:
-        kind = FactorKind(f["kind"])
-        graph.factors.append(
-            Factor(
-                kind=kind,
-                variables=tuple((k, v) for k, v in f["variables"]),
-                measurement=_measurement_from_json(kind, f["measurement"]),
-                information=np.array(f["information"]),
-                robust=f["robust"],
-            )
-        )
-    graph._next_plane_id = max(graph.planes, default=-1) + 1
-    graph._next_room_id = max(graph.rooms, default=-1) + 1
-    graph._next_corridor_id = max(graph.corridors, default=-1) + 1
-    return graph
+    d = dict(d)
+    version = d.pop("version", None)
+    if version != SNAPSHOT_VERSION:
+        raise ValueError(f"unsupported snapshot version {version}")
+    return from_json(SGraph, d)
 
 
 def save_graph(path, graph: SGraph) -> None:

@@ -1,6 +1,7 @@
 """Source hygiene: no module in the package or the tests imports a name it
-never uses, the package defines no private name it never uses, and no
-public function or class of the package is there for the tests alone."""
+never uses, the package imports only at module level, defines no private
+name it never uses, and has no public function or class that is there for
+the tests alone."""
 
 import ast
 from pathlib import Path
@@ -45,6 +46,40 @@ def test_scan_catches_an_unused_import():
         "print(math.tau, parse)\n"
     )
     assert unused_imports(source) == ["dumps", "os"]
+
+
+def function_local_imports(source: str) -> list[int]:
+    """Line numbers of the import statements inside function bodies."""
+    functions = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    return sorted(
+        {
+            node.lineno
+            for fn in functions
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        }
+    )
+
+
+def test_package_imports_at_module_level():
+    found = {p.name: function_local_imports(p.read_text()) for p in PACKAGE}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scan_catches_a_function_local_import():
+    source = (
+        "import math\n"
+        "def f():\n    import os\n    return os\n"
+        "class A:\n    from json import dumps\n"
+        "    def g(self):\n        def h():\n            from json import loads\n"
+        "        return h\n"
+        "async def k():\n    import re\n"
+    )
+    assert function_local_imports(source) == [3, 9, 12]
 
 
 def references(trees) -> set[str]:

@@ -1,14 +1,19 @@
 """Serialization round trips: graph snapshots, TUM trajectories, PLY clouds,
 world models and datasets."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from sgraph.factors import Factor, FactorKind
 from sgraph.geometry import PlaneClass, PlaneMinimal, Pose3, rot_exp
 from sgraph.graph import CorridorNode, Keyframe, PlaneLandmark, RoomNode, SGraph
 from sgraph.io import (
+    SNAPSHOT_VERSION,
+    from_json,
     graph_from_dict,
     graph_to_dict,
     load_dataset,
@@ -22,14 +27,19 @@ from sgraph.io import (
     write_ply,
     write_tum,
 )
+from sgraph.pipeline import SlamConfig, run_slam
 from sgraph.planes import PointCloud
 from sgraph.simulator import (
+    CorridorAnnotation,
     LayoutSpec,
     NoiseSpec,
     RectSpec,
     ScanPattern,
     TrajectorySpec,
+    WorldModel,
+    default_multi_room_layout,
     generate_world,
+    perimeter_waypoints,
     simulate_run,
 )
 
@@ -194,6 +204,64 @@ class TestGraphRoundTrip:
         assert h._next_corridor_id == 1
 
 
+def slam_graph():
+    """The graph `run_slam` builds on a two-room world with drifting odometry."""
+    layout = default_multi_room_layout(2)
+    world = generate_world(layout)
+    traj = TrajectorySpec(waypoints=perimeter_waypoints(list(layout.rects)))
+    noise = NoiseSpec(trans_drift=0.01, rot_drift=0.005, range_sigma=0.01, seed=3)
+    steps = simulate_run(world, traj, noise, ScanPattern(n_rings=8, n_azimuth=180))
+    return run_slam(steps, SlamConfig()).graph
+
+
+def pose_bytes(graph):
+    """Every pose of the graph as raw bytes: keyframes, odometry and map frame."""
+    poses = [graph.map_to_odom]
+    for k in sorted(graph.keyframes):
+        poses += [graph.keyframes[k].pose, graph.keyframes[k].odom_pose]
+    return [p.rotation.tobytes() + p.translation.tobytes() for p in poses]
+
+
+class TestExactSnapshot:
+    @pytest.mark.parametrize("make", [sample_graph, slam_graph], ids=["sample", "run_slam"])
+    def test_round_trip_is_exact(self, make, tmp_path):
+        g = make()
+        path = tmp_path / "graph.json"
+        save_graph(path, g)
+        h = load_graph(path)
+        assert graph_to_dict(h) == graph_to_dict(g)
+        assert pose_bytes(h) == pose_bytes(g)
+
+    def test_scans_are_not_saved(self):
+        g = sample_graph()
+        g.keyframes[0].scan = PointCloud(np.ones((4, 3)))
+        d = graph_to_dict(g)
+        assert "scan" not in d["keyframes"]["0"]
+        assert graph_from_dict(d).keyframes[0].scan is None
+
+    def test_next_corridor_id_survives_removal(self, tmp_path):
+        g = sample_graph()
+        g.remove_corridor(0)
+        path = tmp_path / "graph.json"
+        save_graph(path, g)
+        h = load_graph(path)
+        node = CorridorNode(-1, PlaneClass.X_VERTICAL, np.array([1.0, 5.0]), 2.0, (0, 1))
+        assert h.add_corridor(node, 100.0) == g.add_corridor(replace(node), 100.0) == 1
+
+    def test_only_the_current_version_is_read(self):
+        d = graph_to_dict(sample_graph())
+        assert d["version"] == SNAPSHOT_VERSION == 2
+        for version in (1, None):
+            with pytest.raises(ValueError, match="unsupported snapshot version"):
+                graph_from_dict(dict(d, version=version))
+
+    def test_unknown_field_rejected(self):
+        d = graph_to_dict(sample_graph())
+        d["keyframes"]["0"]["stamp"] = 0.0
+        with pytest.raises(ValueError, match="stamp"):
+            graph_from_dict(d)
+
+
 class TestTumRoundTrip:
     def test_lossless(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -243,6 +311,39 @@ class TestWorldAndDataset:
         for wa, wb in zip(world.walls, back.walls):
             assert wa == wb
         assert len(back.rooms) == len(world.rooms)
+
+    def test_world_json_format_pinned(self, tmp_path):
+        # the dataset format: changing it breaks datasets already exported
+        path = tmp_path / "world.json"
+        save_world(path, generate_world(self.LAYOUT))
+        assert json.loads(path.read_text()) == {
+            "walls": [
+                {"axis": 0, "offset": -3.0, "u_min": -2.0, "u_max": 2.0, "v_min": 0.0, "v_max": 2.5},
+                {"axis": 0, "offset": 3.0, "u_min": -2.0, "u_max": 2.0, "v_min": 0.0, "v_max": 2.5},
+                {"axis": 1, "offset": -2.0, "u_min": -3.0, "u_max": 3.0, "v_min": 0.0, "v_max": 2.5},
+                {"axis": 1, "offset": 2.0, "u_min": -3.0, "u_max": 3.0, "v_min": 0.0, "v_max": 2.5},
+                {"axis": 2, "offset": 0.0, "u_min": -3.0, "u_max": 3.0, "v_min": -2.0, "v_max": 2.0},
+                {"axis": 2, "offset": 2.5, "u_min": -3.0, "u_max": 3.0, "v_min": -2.0, "v_max": 2.0},
+            ],
+            "rooms": [{"center": [0.0, 0.0], "widths": [6.0, 4.0]}],
+            "corridors": [],
+            "wall_height": 2.5,
+        }
+
+    def test_corridor_annotation_read(self):
+        world = from_json(
+            WorldModel,
+            {
+                "wall_height": 2.5,
+                "walls": [],
+                "rooms": [],
+                "corridors": [{"axis": "y", "center": [0.0, 5.0], "width": 2.0}],
+            },
+        )
+        (corr,) = world.corridors
+        assert isinstance(corr, CorridorAnnotation)
+        assert corr.axis is PlaneClass.Y_VERTICAL
+        assert np.array_equal(corr.center, [0.0, 5.0]) and corr.width == 2.0
 
     def test_dataset_round_trip(self, tmp_path):
         world = generate_world(self.LAYOUT)

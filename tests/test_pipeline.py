@@ -1,11 +1,14 @@
 """End-to-end pipeline behavior and the command-line interface."""
 
 import json
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
+import pytest
 
-from sgraph.cli import main, parse_seeds
-from sgraph.io import graph_to_dict
+from sgraph.ablation import AblationReport, RunMetrics
+from sgraph.cli import load_layout, load_slam_config, main, parse_seeds
+from sgraph.io import graph_to_dict, save_world, to_json
 from sgraph.metrics import TrajectoryPair, ate
 from sgraph.pipeline import SlamConfig, run_slam
 from sgraph.simulator import (
@@ -110,6 +113,28 @@ class TestCli:
         assert rep["map_rmse"] < 1e-6
         assert report.with_suffix(".csv").exists()
 
+    def test_integer_coordinates_are_read_as_floats(self, tmp_path):
+        # the README's example layout, written with integers
+        layout = {
+            "rects": [{"x_min": -4, "x_max": 4, "y_min": -3, "y_max": 3}],
+            "trajectory": {"waypoints": [[-2, -1, 0], [2, -1, 0], [2, 1, 0]]},
+            "pattern": {"n_rings": 16, "n_azimuth": 360},
+        }
+        (tmp_path / "layout.json").write_text(json.dumps(layout))
+        spec, traj, pattern = load_layout(tmp_path / "layout.json")
+        assert spec.rects[0] == RectSpec(-4.0, 4.0, -3.0, 3.0)
+        assert type(spec.rects[0].x_min) is float and type(traj.waypoints[0][0]) is float
+        assert pattern == ScanPattern(n_rings=16, n_azimuth=360)
+        save_world(tmp_path / "world.json", generate_world(spec))
+
+    def test_unknown_layout_key_is_named(self, tmp_path):
+        self.write_configs(tmp_path)
+        layout = json.loads((tmp_path / "layout.json").read_text())
+        layout["pattern"]["n_ring"] = 4
+        (tmp_path / "layout.json").write_text(json.dumps(layout))
+        with pytest.raises(ValueError, match="n_ring"):
+            load_layout(tmp_path / "layout.json")
+
     def test_error_gives_nonzero_exit(self, tmp_path):
         assert main(["slam", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path)]) == 1
 
@@ -128,3 +153,119 @@ class TestCli:
         d = json.loads(report.read_text())
         assert "mean_ate_full" in d or "mean_ate" in str(d)
         assert report.with_suffix(".csv").exists()
+
+
+def every_leaf_changed(cfg):
+    """`cfg` with every scalar field, nested ones included, off its value."""
+    changes = {}
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if is_dataclass(v):
+            changes[f.name] = every_leaf_changed(v)
+        elif isinstance(v, bool):
+            changes[f.name] = not v
+        elif isinstance(v, int):
+            changes[f.name] = v + 1
+        else:
+            changes[f.name] = v * 1.5 + 0.25
+    return replace(cfg, **changes)
+
+
+def leaves(cfg, prefix=""):
+    """(dotted name, value) of every scalar field, nested ones included."""
+    out = []
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        out += leaves(v, f"{prefix}{f.name}.") if is_dataclass(v) else [(prefix + f.name, v)]
+    return out
+
+
+class TestSlamConfigFile:
+    def load(self, tmp_path, d):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(d))
+        return load_slam_config(path)
+
+    def test_no_file_is_the_default(self):
+        assert load_slam_config(None) == SlamConfig()
+
+    def test_nested_object_overlays_the_pipeline_default(self, tmp_path):
+        cfg = self.load(tmp_path, {"ransac": {"threshold": 0.05}})
+        assert cfg.ransac == replace(SlamConfig().ransac, threshold=0.05)
+        assert cfg.ransac.max_iters == 300
+        assert replace(cfg, ransac=SlamConfig().ransac) == SlamConfig()
+
+    def test_every_field_is_read(self, tmp_path):
+        cfg = self.load(
+            tmp_path,
+            {
+                "room": {"min_width": 0.8},
+                "loop": {"gate": 5.0},
+                "solver": {"max_iters": 10},
+                "optimize_every_keyframe": False,
+            },
+        )
+        default = SlamConfig()
+        assert cfg.room == replace(default.room, min_width=0.8)
+        assert cfg.loop == replace(default.loop, gate=5.0)
+        assert cfg.solver == replace(default.solver, max_iters=10)
+        assert cfg.solver.check_rank is False
+        assert cfg.optimize_every_keyframe is False
+
+    def test_every_leaf_round_trips(self, tmp_path):
+        cfg = every_leaf_changed(SlamConfig())
+        unchanged = [n for (n, a), (_, b) in zip(leaves(cfg), leaves(SlamConfig())) if a == b]
+        assert unchanged == []
+        assert self.load(tmp_path, to_json(cfg)) == cfg
+
+    @pytest.mark.parametrize(
+        "d, key",
+        [({"enable_topolgy": False}, "enable_topolgy"), ({"ransac": {"treshold": 0.1}}, "treshold")],
+    )
+    def test_unknown_key_is_named(self, tmp_path, d, key):
+        with pytest.raises(ValueError, match=key):
+            self.load(tmp_path, d)
+
+    def test_unknown_key_fails_the_slam_command(self, tmp_path, capsys):
+        (tmp_path / "cfg.json").write_text(json.dumps({"enable_topolgy": False}))
+        argv = ["slam", "--dataset", str(tmp_path), "--config", str(tmp_path / "cfg.json")]
+        assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+        assert "enable_topolgy" in capsys.readouterr().err
+
+
+def test_ablation_report_json_unchanged():
+    run = RunMetrics(ate=0.5, n_planes=7, n_duplicates=1, n_rooms=2, n_corridors=1, final_cost=3.25)
+    off = RunMetrics(ate=0.75, n_planes=9, n_duplicates=3, n_rooms=0, n_corridors=0, final_cost=4.0)
+    report = AblationReport(
+        seeds=[4], digests={4: "abc"}, full={4: run}, without_topology={4: off}
+    )
+    expected = {
+        "seeds": [4],
+        "stream_digests": {"4": "abc"},
+        "full": {
+            "4": {
+                "ate": 0.5,
+                "n_planes": 7,
+                "n_duplicates": 1,
+                "n_rooms": 2,
+                "n_corridors": 1,
+                "final_cost": 3.25,
+            }
+        },
+        "without_topology": {
+            "4": {
+                "ate": 0.75,
+                "n_planes": 9,
+                "n_duplicates": 3,
+                "n_rooms": 0,
+                "n_corridors": 0,
+                "final_cost": 4.0,
+            }
+        },
+        "mean_ate_full": 0.5,
+        "mean_ate_without_topology": 0.75,
+        "mean_duplicates_full": 1.0,
+        "mean_duplicates_without_topology": 3.0,
+        "improvement_confirmed": True,
+    }
+    assert json.dumps(report.to_dict(), indent=1) == json.dumps(expected, indent=1)
