@@ -11,7 +11,12 @@ are one-row calls of the kernels.
 
 Local coordinates per variable type:
   keyframe pose : 6  [dt (body frame), dw (rotation vector, right perturbation)]
-  plane         : 3  [d_azimuth, d_elevation, d_distance]
+  plane         : 3  [u_az, u_el, d_distance]: the normal moves on the unit
+                     sphere by the exponential map of u_az e_az + u_el e_el,
+                     (e_az, e_el) the unit tangents of the stored normal
+                     along azimuth and elevation; the distance is additive.
+                     (azimuth, elevation, distance) is only how a plane is
+                     stored, so its pole is not a singularity of the step.
   room          : 4  [d_cx, d_cy, d_wx, d_wy]
   corridor      : 2  [d_center_along_axis, d_width]   (the cross-axis center
                      component is deliberately not optimized)
@@ -58,9 +63,6 @@ class Factor:
         return self._sqrt_info
 
 
-_TWO_PI = 2.0 * math.pi
-
-
 @dataclass(frozen=True)
 class _Values:
     """Estimates gathered into arrays, rows in sorted-id order. The arrays
@@ -97,11 +99,32 @@ def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (M @ v[..., None])[..., 0]
 
 
-def _wrap(a: np.ndarray) -> np.ndarray:
-    """`geometry.wrap_angle` on an array."""
-    a = np.fmod(a, _TWO_PI)
-    a = np.where(a <= -math.pi, a + _TWO_PI, a)
-    return np.where(a > math.pi, a - _TWO_PI, a)
+def _sphere_frame(az: np.ndarray, el: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit normals at stacked (azimuth, elevation), and their unit tangents
+    e_az and e_el along azimuth and elevation: an orthonormal frame, the
+    pole included, each (N, 3)."""
+    ca, sa, ce, se = np.cos(az), np.sin(az), np.cos(el), np.sin(el)
+    n = np.stack([ce * ca, ce * sa, se], axis=1)
+    e_az = np.stack([-sa, ca, np.zeros_like(az)], axis=1)
+    e_el = np.stack([-se * ca, -se * sa, ce], axis=1)
+    return n, e_az, e_el
+
+
+def _retract_planes(planes: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Stacked (azimuth, elevation, distance) moved by local steps
+    (u_az, u_el, d_distance): the normal along the great circle of the
+    tangent u_az e_az + u_el e_el, by its norm."""
+    n, e_az, e_el = _sphere_frame(planes[:, 0], planes[:, 1])
+    u = step[:, 0:1] * e_az + step[:, 1:2] * e_el
+    theta = np.hypot(step[:, 0], step[:, 1])
+    n = np.cos(theta)[:, None] * n + np.sinc(theta / math.pi)[:, None] * u
+    return np.column_stack(
+        [
+            np.arctan2(n[:, 1], n[:, 0]),
+            np.arctan2(n[:, 2], np.hypot(n[:, 0], n[:, 1])),
+            planes[:, 2] + step[:, 2],
+        ]
+    )
 
 
 def _rot_log(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,61 +211,50 @@ def _between(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
 def _pose_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
     """Plane-observation residual; columns [pose (6) | plane (3)].
 
-    The map plane is predicted into the sensor frame, flipped to the
-    closest-point convention, converted to (azimuth, elevation, distance)
-    and compared against the measurement with azimuth wrapping.
+    The map plane is predicted into the sensor frame and flipped to the
+    closest-point convention. The first two rows are the azimuth and
+    elevation of the predicted normal in the frame [n, e_az, e_el] of the
+    measured one, where the measurement sits at (0, 0). They are smooth
+    at the poles of the stored (azimuth, elevation); their only singular
+    points are a prediction at +-e_el, 90 degrees off, and the antipode,
+    where the azimuth wraps: opposite normals differ by pi. The last row
+    is the distance difference.
     """
     (m,) = meas
     RT = v.rotations[rows[:, 0]].transpose(0, 2, 1)
     t = v.translations[rows[:, 0]]
-    az, el, d_m = v.planes[rows[:, 1]].T
-    ca, sa, ce, se = np.cos(az), np.sin(az), np.cos(el), np.sin(el)
-    n_m = np.stack([ce * ca, ce * sa, se], axis=1)
+    planes = v.planes[rows[:, 1]]
+    n_m, e_az, e_el = _sphere_frame(planes[:, 0], planes[:, 1])
     n_l = _mv(RT, n_m)
-    d_l = d_m - np.einsum("ij,ij->i", t, n_m)
+    d_l = planes[:, 2] - np.einsum("ij,ij->i", t, n_m)
     # closest-point convention at the linearization point
     sign = np.where(d_l < 0.0, -1.0, 1.0)
     n_l = n_l * sign[:, None]
     d_l = d_l * sign
-    nx, ny, nz = n_l.T
-    rho_l = np.hypot(nx, ny)
-    # near the pole the predicted azimuth is pinned to zero, as in the
-    # minimal-parameter convention of the measurements, and d(azimuth,
-    # elevation)/d(normal) is zeroed: horizontal planes are steered
-    # through their distance only
-    live = rho_l >= 1e-3
-    az_l = np.where(live, np.arctan2(ny, nx), 0.0)
-    r = np.stack(
-        [_wrap(az_l - m[:, 0]), np.arctan2(nz, rho_l) - m[:, 1], d_l - m[:, 2]], axis=1
-    )
+    B = np.stack(_sphere_frame(m[:, 0], m[:, 1]), axis=1)  # rows n, e_az, e_el
+    x, y, z = _mv(B, n_l).T
+    rho = np.hypot(x, y)
+    r = np.stack([np.arctan2(y, x), np.arctan2(z, rho), d_l - m[:, 2]], axis=1)
     if not jacobians:
         return r, None
 
-    rho2 = nx * nx + ny * ny
-    rho = np.sqrt(rho2)
-    rho2 = np.where(live, rho2, 1.0)
-    rho_s = np.where(live, rho, 1.0)
-    Jmin = np.zeros((len(rows), 2, 3))
-    Jmin[:, 0, 0] = -ny / rho2
-    Jmin[:, 0, 1] = nx / rho2
-    Jmin[:, 1, 0] = -nx * nz / rho_s
-    Jmin[:, 1, 1] = -ny * nz / rho_s
-    Jmin[:, 1, 2] = rho
-    Jmin[~live] = 0.0
-
-    zero = np.zeros(len(rows))
-    dn_daz = np.stack([-ce * sa, ce * ca, zero], axis=1)
-    dn_del = np.stack([-se * ca, -se * sa, ce], axis=1)
-    dnl = RT @ np.stack([dn_daz, dn_del], axis=2)  # (N, 3, 2)
+    # d(azimuth, elevation)/d(x, y, z) on the unit sphere, then d/d n_l
+    Jang = np.zeros((len(rows), 2, 3))
+    Jang[:, 0, 0] = -y / (rho * rho)
+    Jang[:, 0, 1] = x / (rho * rho)
+    Jang[:, 1, 0] = -x * z / rho
+    Jang[:, 1, 1] = -y * z / rho
+    Jang[:, 1, 2] = rho
+    Jn = Jang @ B
+    tangent = np.stack([e_az, e_el], axis=2)  # (N, 3, 2) d n_m / d(u_az, u_el)
 
     J = np.zeros((len(rows), 3, 9))
     # pose perturbation R <- R exp(w^), t <- t + R u, and
     # sign * skew(n_l before the flip) == skew(n_l after it)
-    J[:, 0:2, 3:6] = Jmin @ _skew(n_l)
+    J[:, 0:2, 3:6] = Jn @ _skew(n_l)
     J[:, 2, 0:3] = -n_l
-    J[:, 0:2, 6:8] = Jmin @ (sign[:, None, None] * dnl)
-    J[:, 2, 6] = sign * -np.einsum("ij,ij->i", t, dn_daz)
-    J[:, 2, 7] = sign * -np.einsum("ij,ij->i", t, dn_del)
+    J[:, 0:2, 6:8] = Jn @ (sign[:, None, None] * (RT @ tangent))
+    J[:, 2, 6:8] = -sign[:, None] * (t[:, None, :] @ tangent)[:, 0]
     J[:, 2, 8] = sign
     return r, J
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import fields, is_dataclass, replace
 from enum import Enum
+from numbers import Integral, Real
 from pathlib import Path
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -34,6 +35,10 @@ _MEASUREMENT_TYPE = {
 
 # -- JSON codec -------------------------------------------------------------
 
+# the values a scalar field accepts: JSON has one number type, so an
+# integer is a valid float, but a bool is no number and a string no bool
+_SCALAR_JSON_TYPES = {bool: (bool, np.bool_), int: Integral, float: Real, str: str}
+
 
 def to_json(obj):
     """JSON value of a dataclass, enum, array, sequence, mapping or scalar.
@@ -61,7 +66,8 @@ def from_json(tp, data, base=None):
     Dataclass fields are read through their type hints. A missing field
     takes its default, a nested object overlays the field's default (`base`
     holds the defaults one level down), and an unknown key raises
-    ValueError. Arrays read back as float arrays, and a factor's
+    ValueError, as does a scalar of the wrong JSON type (a JSON integer
+    is a valid float). Arrays read back as float arrays, and a factor's
     measurement as the type its kind names."""
     if is_dataclass(tp):
         hints = get_type_hints(tp)
@@ -71,7 +77,12 @@ def from_json(tp, data, base=None):
         if unknown:
             raise ValueError(f"unknown {tp.__name__} field(s): {', '.join(unknown)}")
         defaults = tp if base is None else base
-        values = {k: from_json(hints[k], v, getattr(defaults, k, None)) for k, v in data.items()}
+        values = {}
+        for k, v in data.items():
+            try:
+                values[k] = from_json(hints[k], v, getattr(defaults, k, None))
+            except TypeError as err:
+                raise ValueError(f"{tp.__name__}.{k}: {err}") from None
         return tp(**values) if base is None else replace(base, **values)
     origin, args = get_origin(tp), get_args(tp)
     if origin in (Union, UnionType):
@@ -86,7 +97,11 @@ def from_json(tp, data, base=None):
     if origin is list:
         return [from_json(args[0], v) for v in data]
     if origin is dict:
-        return {from_json(args[0], k): from_json(args[1], v) for k, v in data.items()}
+        # keys were written as strings
+        return {args[0](k): from_json(args[1], v) for k, v in data.items()}
+    if tp in _SCALAR_JSON_TYPES:
+        if not isinstance(data, _SCALAR_JSON_TYPES[tp]) or (tp is not bool and isinstance(data, bool)):
+            raise TypeError(f"expected {tp.__name__}, got {type(data).__name__} {data!r}")
     return tp(data)  # enums by value, and scalars
 
 

@@ -26,10 +26,10 @@ from .factors import (
     _edge_slots,
     _mv,
     _pose_plane,
+    _retract_planes,
     _room_plane,
     _skew,
     _Values,
-    _wrap,
 )
 from .geometry import PlaneClass, PlaneMinimal, Pose3
 from .graph import SGraph
@@ -179,12 +179,12 @@ class BatchedFactors:
 
     def retract(self, v: _Values, delta: np.ndarray) -> _Values:
         """New values moved by `delta`, a step in the local coordinates of
-        the columns of H: poses by `Pose3.retract`, the plane azimuth
-        wrapped, everything else additive. The gauge keyframe stays put."""
+        the columns of H: poses by `Pose3.retract`, plane normals along
+        great circles of the sphere, everything else additive. The gauge
+        keyframe stays put."""
         cols = self.columns["kf"]
         fixed = cols[:, :1] < 0
         step = np.where(cols >= 0, delta[cols], 0.0)
-        planes = v.planes + delta[self.columns["plane"]]
         room = delta[self.columns["room"]]
         corridor = delta[self.columns["corridor"]]
         return _Values(
@@ -194,7 +194,7 @@ class BatchedFactors:
             translations=np.where(
                 fixed, v.translations, v.translations + _mv(v.rotations, step[:, 0:3])
             ),
-            planes=np.column_stack([_wrap(planes[:, 0]), planes[:, 1:]]),
+            planes=_retract_planes(v.planes, delta[self.columns["plane"]]),
             room_centers=v.room_centers + room[:, 0:2],
             room_widths=v.room_widths + room[:, 2:4],
             corridor_centers=v.corridor_centers + corridor[:, 0],

@@ -24,7 +24,9 @@ class SlamConfig:
     ransac: RansacConfig = RansacConfig(threshold=0.03, min_inliers=100, max_iters=300)
     room: RoomCriterionConfig = RoomCriterionConfig()
     loop: LoopConfig = LoopConfig()
-    solver: SolverConfig = SolverConfig(max_iters=25, check_rank=False)
+    # LM converges linearly here, so from the third iteration on a step
+    # gains 1e-6..1e-13 of the cost; below 1e-6 it only costs time
+    solver: SolverConfig = SolverConfig(max_iters=25, rel_tol=1e-6, check_rank=False)
     odom_sigma_t: float = 0.01  # m, per keyframe step
     odom_sigma_r: float = 0.01  # rad, per keyframe step
     plane_sigma_angle: float = 0.02  # rad

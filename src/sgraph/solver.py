@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .factors import LOCAL_DIM, VariableKey
 from .graph import SGraph
@@ -33,10 +34,21 @@ class SolverConfig:
 
 @dataclass
 class SolverReport:
+    """How one `optimize` call ended: `status` is "converged" (the gradient
+    or the relative cost decrease fell below its tolerance), "stalled"
+    (every damped try of an iteration raised the cost) or "max_iters";
+    `accepted` and `rejected` count the damped tries."""
+
     initial_cost: float
     final_cost: float
     iterations: int
-    converged: bool
+    status: str
+    accepted: int
+    rejected: int
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "converged"
 
 
 def _variable_order(graph: SGraph) -> tuple[dict[VariableKey, int], int]:
@@ -76,15 +88,16 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
     The estimates are gathered into arrays once; each damped try retracts
     its step onto them, and the result is written back once at the end.
     Accepted steps never increase the cost; termination on relative cost
-    change, gradient norm, or the iteration cap. After convergence the
-    map-to-odometry offset is re-derived from the newest keyframe.
+    change, gradient norm, the iteration cap, or an iteration whose damped
+    tries all fail. After it the map-to-odometry offset is re-derived from
+    the newest keyframe.
     """
     if not graph.keyframes:
         raise ValueError("graph has no keyframes")
     offsets, dim = _variable_order(graph)
     if dim == 0:
         c = total_cost(graph, cfg.huber_delta)
-        return SolverReport(c, c, 0, True)
+        return SolverReport(c, c, 0, "converged", 0, 0)
 
     factors = BatchedFactors(graph, offsets, dim)
     values = factors.values(graph)
@@ -98,19 +111,19 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
 
     initial_cost = cost
     lam = cfg.init_lambda
-    iters = 0
-    converged = False
+    iters = accepted = rejected = 0
+    status = "max_iters"
     for _ in range(cfg.max_iters):
         iters += 1
         if float(np.max(np.abs(g))) < cfg.grad_tol:
-            converged = True
+            status = "converged"
             break
-        accepted = False
         for _try in range(20):
             A = H + lam * np.diag(np.maximum(np.diag(H), 1e-12))
             try:
-                delta = np.linalg.solve(A, -g)
+                delta = cho_solve(cho_factor(A, check_finite=False), -g, check_finite=False)
             except np.linalg.LinAlgError:
+                rejected += 1
                 lam *= 10.0
                 continue
             # a damped try needs the cost only; H and g follow an accepted
@@ -118,21 +131,20 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
             tried = factors.retract(values, delta)
             cost_new = factors.cost(tried, cfg.huber_delta)
             if cost_new <= cost:
-                accepted = True
+                accepted += 1
                 lam = max(lam / 10.0, 1e-12)
-                converged = (cost - cost_new) / max(cost, 1e-300) < cfg.rel_tol
+                if (cost - cost_new) / max(cost, 1e-300) < cfg.rel_tol:
+                    status = "converged"
                 cost = cost_new
                 values = tried
-                if not converged:
-                    H, g, _ = factors.normal_equations(values, cfg.huber_delta)
                 break
+            rejected += 1
             lam *= 10.0
-        if not accepted:
-            converged = cost <= initial_cost  # stalled at a (local) minimum
+        else:
+            status = "stalled"
+        if status != "max_iters":
             break
-        if converged:
-            break
+        H, g, _ = factors.normal_equations(values, cfg.huber_delta)
     factors.write(graph, values)
     graph.update_map_to_odom()
-    return SolverReport(initial_cost, cost, iters, converged)
-
+    return SolverReport(initial_cost, cost, iters, status, accepted, rejected)

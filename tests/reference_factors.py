@@ -1,6 +1,9 @@
 """The per-factor kernels as they stood before the batched kernels in
-`sgraph.factors` became the only copy, kept verbatim as a second,
-independent implementation for the cross-checks in the tests.
+`sgraph.factors` became the only copy, kept as a second, independent
+implementation for the cross-checks in the tests. The plane observation
+and the plane step follow the current manifold (the measured normal's own
+frame, a great-circle step on the sphere), written one factor at a time
+with rotation matrices where the batched code uses tangent bases.
 
 `so3_right_jacobian_inv` is the old scalar copy from `sgraph.geometry`,
 `evaluate_factor` the old per-kind ladder of `SGraph.evaluate_factor` and
@@ -21,11 +24,11 @@ from sgraph.geometry import (
     PlaneMinimal,
     classify_plane,
     from_minimal,
+    rot_exp,
     rot_log,
     skew,
     to_minimal,
     transform_plane,
-    wrap_angle,
 )
 from sgraph.graph import NEW_LANDMARK, SGraph
 from sgraph.planes import PlaneDetection
@@ -96,10 +99,6 @@ def _minimal_jacobian_wrt_normal(n: np.ndarray) -> np.ndarray:
     rho2 = nx * nx + ny * ny
     rho = math.sqrt(rho2)
     J = np.zeros((2, 3))
-    if rho < 1e-3:
-        # azimuth is pinned to zero near the pole and elevation sits at an
-        # extremum, so horizontal planes are steered through distance only
-        return J
     J[0, 0] = -ny / rho2
     J[0, 1] = nx / rho2
     J[1, 0] = -nx * nz / rho
@@ -108,39 +107,65 @@ def _minimal_jacobian_wrt_normal(n: np.ndarray) -> np.ndarray:
     return J
 
 
+def _rot_z(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _rot_y(a: float) -> np.ndarray:
+    c, s = math.cos(a), math.sin(a)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def measurement_frame(meas: PlaneMinimal) -> np.ndarray:
+    """The rotation that takes the measured normal to +x, its azimuth
+    tangent to +y and its elevation tangent to +z."""
+    return _rot_y(meas.elevation) @ _rot_z(-meas.azimuth)
+
+
+def tangents(plane: PlaneMinimal) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit normal of a plane and its unit tangents along azimuth and
+    elevation, well defined at the poles too."""
+    n = from_minimal(plane).normal
+    e_az = _rot_z(plane.azimuth) @ np.array([0.0, 1.0, 0.0])
+    return n, e_az, np.cross(n, e_az)
+
+
+def plane_retract(plane: PlaneMinimal, step: np.ndarray) -> PlaneMinimal:
+    """The plane with its normal rotated by the tangent step u = u_az e_az
+    + u_el e_el through the angle |u| about n x u, and its distance moved
+    by step[2]."""
+    n, e_az, e_el = tangents(plane)
+    u = step[0] * e_az + step[1] * e_el
+    n = rot_exp(np.cross(n, u)) @ n
+    return PlaneMinimal(
+        math.atan2(n[1], n[0]), math.atan2(n[2], math.hypot(n[0], n[1])), plane.distance + step[2]
+    )
+
+
 def pose_plane_residual(
     pose: Pose3, plane: PlaneMinimal, meas: PlaneMinimal
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Residual of a plane observation plus Jacobians (pose 3x6, plane 3x3).
 
-    The map plane is predicted into the sensor frame, converted to minimal
-    parameters, and compared against the measured minimal parameters with
-    azimuth wrapping.
+    The map plane is predicted into the sensor frame, rotated into the
+    measurement's frame, where the measured normal is +x, and compared by
+    the azimuth and elevation it has there and by distance.
     """
     R, t = pose.rotation, pose.translation
-    ca, sa = math.cos(plane.azimuth), math.sin(plane.azimuth)
-    ce, se = math.cos(plane.elevation), math.sin(plane.elevation)
-    n_m = np.array([ce * ca, ce * sa, se])
+    n_m, e_az, e_el = tangents(plane)
     d_m = plane.distance
 
     n_l = R.T @ n_m
     d_l = d_m - float(t @ n_m)
 
-    # derivatives of the map-frame normal w.r.t. (azimuth, elevation)
-    dn_daz = np.array([-ce * sa, ce * ca, 0.0])
-    dn_del = np.array([-se * ca, -se * sa, ce])
-
-    # chain into the sensor frame
-    dnl_daz = R.T @ dn_daz
-    dnl_del = R.T @ dn_del
-    ddl_daz = -float(t @ dn_daz)
-    ddl_del = -float(t @ dn_del)
+    # chain the plane's tangent steps into the sensor frame
+    dnl_du = R.T @ np.column_stack([e_az, e_el])  # 3x2
+    ddl_du = -np.array([t @ e_az, t @ e_el])
 
     # pose perturbation: R <- R exp(w^), t <- t + R u
     dnl_dw = skew(n_l)  # 3x3
-    ddl_du = -n_l  # 1x3
-    # d_l depends on t only through -t.n_m; rotation perturbation leaves d_l
-    # unchanged to first order only through n_m (map quantities fixed)
+    ddl_dt = -n_l  # 1x3
 
     sign = 1.0
     if d_l < 0.0:
@@ -149,30 +174,25 @@ def pose_plane_residual(
         n_l = -n_l
         d_l = -d_l
 
-    Jmin = _minimal_jacobian_wrt_normal(n_l)
-
-    rho_l = math.hypot(n_l[0], n_l[1])
-    # near the pole the predicted azimuth is pinned to zero, matching the
-    # minimal-parameter convention used for measurements
-    az_l = math.atan2(n_l[1], n_l[0]) if rho_l >= 1e-3 else 0.0
+    M = measurement_frame(meas)
+    n_f = M @ n_l
+    Jmin = _minimal_jacobian_wrt_normal(n_f) @ M
     r = np.array(
         [
-            wrap_angle(az_l - meas.azimuth),
-            math.atan2(n_l[2], rho_l) - meas.elevation,
+            math.atan2(n_f[1], n_f[0]),
+            math.atan2(n_f[2], math.hypot(n_f[0], n_f[1])),
             d_l - meas.distance,
         ]
     )
 
     Jplane = np.zeros((3, 3))
-    Jplane[0:2, 0] = Jmin @ (sign * dnl_daz)
-    Jplane[0:2, 1] = Jmin @ (sign * dnl_del)
-    Jplane[2, 0] = sign * ddl_daz
-    Jplane[2, 1] = sign * ddl_del
+    Jplane[0:2, 0:2] = Jmin @ (sign * dnl_du)
+    Jplane[2, 0:2] = sign * ddl_du
     Jplane[2, 2] = sign * 1.0
 
     Jpose = np.zeros((3, 6))
     Jpose[0:2, 3:6] = Jmin @ (sign * dnl_dw)
-    Jpose[2, 0:3] = sign * ddl_du
+    Jpose[2, 0:3] = sign * ddl_dt
     return r, Jpose, Jplane
 
 

@@ -38,6 +38,7 @@ from sgraph.simulator import (
 from sgraph.solver import SolverConfig, optimize, total_cost
 from sgraph.topology import detect_corridor, detect_room
 
+from reference_factors import plane_retract
 from test_io import sample_graph
 from test_topology import CFG as TOPO_CFG
 from test_topology import wall
@@ -102,8 +103,8 @@ def test_criterion_2_jacobian_correctness():
             rel_err(Jb, fd(lambda d: pose_between_residual(xa, xb.retract(d), m)[0], 6)),
         )
 
-        # plane observation residual; keep the sample clear of the minimal-
-        # parametrization pole and of the d >= 0 reflection point
+        # plane observation residual, the plane moved by its step on the
+        # sphere; keep the sample clear of the d >= 0 reflection point
         pose = Pose3(rot_exp(rng.normal(0, 0.3, 3)), rng.normal(0, 0.5, 3))
         plane = PlaneMinimal(
             rng.uniform(-math.pi, math.pi), rng.uniform(-0.9, 0.9), rng.uniform(2.0, 5.0)
@@ -112,8 +113,7 @@ def test_criterion_2_jacobian_correctness():
         r, Jpose, Jplane = pose_plane_residual(pose, plane, meas)
 
         def move_plane(d, plane=plane, pose=pose, meas=meas):
-            p = PlaneMinimal(plane.azimuth + d[0], plane.elevation + d[1], plane.distance + d[2])
-            return pose_plane_residual(pose, p, meas)[0]
+            return pose_plane_residual(pose, plane_retract(plane, d), meas)[0]
 
         worst["pose_plane"] = max(
             worst["pose_plane"],

@@ -131,3 +131,30 @@ def test_random_graphs_match_the_per_landmark_loop():
                 n_l, d_l = -n_l, -d_l
             chosen.add(associate(g, detection(n_l, d_l), gate=float(rng.uniform(1.0, 40.0))))
     assert NEW_LANDMARK in chosen and len(chosen) > 5
+
+
+def test_opposite_facing_planes_at_equal_distance_are_never_associated():
+    # walls either side of the sensor, and the floor and ceiling, at equal
+    # distance: the same unsigned normal, but a facing differing by pi
+    rng = np.random.default_rng(12)
+    pairs = [
+        ((0.0, 0.0), (math.pi, 0.0), PlaneClass.X_VERTICAL),
+        ((math.pi / 2, 0.0), (-math.pi / 2, 0.0), PlaneClass.Y_VERTICAL),
+        ((0.0, math.pi / 2), (0.0, -math.pi / 2), PlaneClass.HORIZONTAL),
+    ]
+    for _ in range(20):
+        yaw = rng.uniform(-0.3, 0.3)
+        pose = Pose3(rot_exp(np.array([*rng.normal(0, 1e-3, 2), yaw])), np.zeros(3))
+        for (az_a, el_a), (az_b, el_b), cls in pairs:
+            g = graph_with_keyframe(pose, odom_cov=np.eye(6) * 1e-3)
+            d = rng.uniform(0.5, 4.0)
+            add_landmark(g, 0, az_a, el_a, d, cls)
+            # the detection of the opposite plane, predicted into the sensor frame
+            az, el = az_b, el_b
+            n_m = np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)])
+            det = detection(pose.rotation.T @ n_m, d)
+            assert associate(g, det, gate=30.0) == NEW_LANDMARK
+            # while the plane itself, observed again, is associated
+            az, el = az_a, el_a
+            n_m = np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)])
+            assert associate(g, detection(pose.rotation.T @ n_m, d), gate=30.0) == 0

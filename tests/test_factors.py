@@ -11,7 +11,9 @@ from sgraph.factors import (
     pose_plane_residual,
     room_plane_residual,
 )
-from sgraph.geometry import PlaneMinimal, Pose3, rot_exp, to_minimal, transform_plane
+from sgraph.geometry import PlaneMinimal, Pose3, from_minimal, rot_exp, to_minimal, transform_plane
+
+from reference_factors import plane_retract
 
 
 def tx(x):
@@ -47,9 +49,7 @@ class TestPlaneResidual:
         rng = np.random.default_rng(1)
         pose = random_pose(rng)
         map_plane = PlaneMinimal(0.3, 0.2, 4.0)
-        meas = to_minimal(
-            transform_plane(pose, __import__("sgraph.geometry", fromlist=["x"]).from_minimal(map_plane), to_sensor=True)
-        )
+        meas = to_minimal(transform_plane(pose, from_minimal(map_plane), to_sensor=True))
         r, _, _ = pose_plane_residual(pose, map_plane, meas)
         assert np.allclose(r, 0.0, atol=1e-9)
 
@@ -144,15 +144,17 @@ class TestJacobiansAgainstFiniteDifferences:
             )
             meas = PlaneMinimal(rng.uniform(-2.5, 2.5), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 10.0))
             r, Jpose, Jplane = pose_plane_residual(pose, plane, meas)
-            # skip samples near the wrap/pole/flip discontinuities
-            if abs(abs(r[0]) - math.pi) < 1e-3:
-                continue
-            from sgraph.geometry import from_minimal
-
+            # skip samples near the residual's singularities: the predicted
+            # normal 90 degrees off the measured one (elevation +-pi/2 in the
+            # measurement's frame), the antipode (azimuth wraps at +-pi) and
+            # the closest-point flip at d = 0
             hess = from_minimal(plane)
-            n_l = pose.rotation.T @ hess.normal
             d_l = hess.distance - float(pose.translation @ hess.normal)
-            if abs(d_l) < 1e-3 or abs(abs(n_l[2]) - 1.0) < 1e-3:
+            if (
+                abs(abs(r[1]) - math.pi / 2) < 1e-3
+                or abs(abs(r[0]) - math.pi) < 1e-3
+                or abs(d_l) < 1e-3
+            ):
                 continue
             n_checked += 1
 
@@ -160,11 +162,29 @@ class TestJacobiansAgainstFiniteDifferences:
                 return pose_plane_residual(pose.retract(d), plane, meas)[0]
 
             def fplane(d):
-                return pose_plane_residual(
-                    pose,
-                    PlaneMinimal(plane.azimuth + d[0], plane.elevation + d[1], plane.distance + d[2]),
-                    meas,
-                )[0]
+                return pose_plane_residual(pose, plane_retract(plane, d), meas)[0]
+
+            check_jacobian(Jpose, fd_jacobian(fpose, None, 6))
+            check_jacobian(Jplane, fd_jacobian(fplane, None, 3))
+
+    def test_pose_plane_jacobians_at_the_pole(self):
+        # floor and ceiling landmarks and measurements at and next to the
+        # pole of (azimuth, elevation), where the residual is smooth
+        rng = np.random.default_rng(46)
+        for _ in range(100):
+            pose = random_pose(rng, 0.02, 1.0)
+            el = rng.choice([-1.0, 1.0]) * (math.pi / 2 - rng.choice([0.0, 1e-7, 1e-3]))
+            plane = PlaneMinimal(rng.uniform(-3.0, 3.0), el, rng.uniform(0.5, 3.0))
+            meas = to_minimal(transform_plane(pose, from_minimal(plane), to_sensor=True))
+            meas = PlaneMinimal(meas.azimuth, meas.elevation, meas.distance + 0.01)
+            r, Jpose, Jplane = pose_plane_residual(pose, plane, meas)
+            assert np.all(np.abs(r) < 0.1)
+
+            def fpose(d):
+                return pose_plane_residual(pose.retract(d), plane, meas)[0]
+
+            def fplane(d):
+                return pose_plane_residual(pose, plane_retract(plane, d), meas)[0]
 
             check_jacobian(Jpose, fd_jacobian(fpose, None, 6))
             check_jacobian(Jplane, fd_jacobian(fplane, None, 3))

@@ -19,7 +19,12 @@ from sgraph.graph import CorridorNode, Keyframe, PlaneLandmark, RoomNode, SGraph
 from sgraph.linearize import LAYER_OF_KIND, BatchedFactors
 from sgraph.solver import _variable_order
 
-from reference_factors import evaluate_factor, huber_cost_and_weight
+from reference_factors import (
+    evaluate_factor,
+    huber_cost_and_weight,
+    measurement_frame,
+    plane_retract,
+)
 from test_io import sample_graph
 from test_solver import variable_state
 
@@ -140,7 +145,8 @@ class TestResidualsAndJacobians:
                                 math.sin(el)])
                 rho.append(float(np.hypot(*(R.T @ n_m)[:2])))
                 observe(g, i, pid, (0.01 * i, el - 0.001 * pid, d + 0.02))
-        # azimuth pinned (rho < 1e-3) and live rows just beyond it
+        # predictions at the pole and on both sides of rho = 1e-3, where the
+        # residual in the map's (azimuth, elevation) used to pin the azimuth
         assert min(rho) < 1e-3 and any(1e-3 < x < 2e-3 for x in rho)
         assert_matches_reference(g)
         assert_normal_equations_match(g)
@@ -283,8 +289,9 @@ class TestNormalEquations:
 
 class TestRetractAndWrite:
     """`retract` moves the gathered values as the per-variable updates do:
-    `Pose3.retract`, the plane azimuth wrapped by `wrap_angle`, everything
-    else additive; `write` stores them back."""
+    `Pose3.retract`, the plane normal along a great circle as in the
+    reference's `plane_retract`, everything else additive; `write` stores
+    them back."""
 
     @staticmethod
     def solve_setup(g):
@@ -344,8 +351,32 @@ class TestRetractAndWrite:
         bf.write(g, moved)
         for pid, params in ((0, (math.pi - 0.01, 0.0, 3.0)), (1, (-math.pi + 0.005, 0.02, 2.0))):
             d = delta[offsets[("plane", pid)] :][:3]
-            expected = PlaneMinimal(wrap_angle(params[0] + d[0]), params[1] + d[1], params[2] + d[2])
-            assert g.planes[pid].params == expected
+            expected = plane_retract(PlaneMinimal(*params), d).as_array()
+            np.testing.assert_allclose(g.planes[pid].params.as_array(), expected, rtol=0, atol=1e-15)
+        # along the equator the step is the azimuth step
+        assert g.planes[0].params.azimuth == pytest.approx(wrap_angle(math.pi - 0.01 + 0.03))
+
+    def test_planes_step_over_the_pole(self):
+        g = SGraph()
+        add_kf(g, 0, Pose3.identity())
+        add_plane(g, 0, 0.0, math.pi / 2, 2.5, cls=PlaneClass.HORIZONTAL)
+        add_plane(g, 1, 2.0, -math.pi / 2 + 1e-3, 1.0, cls=PlaneClass.HORIZONTAL)
+        add_plane(g, 2, -0.4, 0.3, 4.0)
+        bf, offsets, v = self.solve_setup(g)
+        rng = np.random.default_rng(9)
+        for scale in (1e-12, 1e-6, 1e-3, 0.3):
+            delta = rng.normal(0.0, scale, bf.dim)
+            moved = bf.retract(v, delta)
+            for row, pid in enumerate(bf.ids["plane"]):
+                d = delta[offsets[("plane", pid)] :][:3]
+                expected = plane_retract(g.planes[pid].params, d)
+                n = from_minimal(PlaneMinimal(*moved.planes[row])).normal
+                np.testing.assert_allclose(n, from_minimal(expected).normal, rtol=0, atol=1e-14)
+                assert moved.planes[row, 2] == expected.distance
+                # the normal turns by the norm of the tangent step
+                before = from_minimal(g.planes[pid].params).normal
+                turned = math.acos(min(1.0, float(n @ before)))
+                assert turned == pytest.approx(math.hypot(d[0], d[1]), rel=1e-6, abs=1e-7)
 
     def test_corridor_cross_axis_center_untouched_on_both_axes(self):
         g = SGraph()
@@ -403,12 +434,42 @@ def test_random_poses_and_planes_match_reference(w1, t1, w2, t2, az, el, d, meas
     observe(g, 1, 0, meas, robust=robust)
     observe(g, 0, 0, (meas[0] + 0.1, meas[1], meas[2]), robust=robust)
     between(g, 0, 1, Pose3(rot_exp(np.array(w1) * 0.5), np.array(t2)), robust=robust)
-    # stay off the two switching surfaces, where a last-digit difference
-    # legitimately selects another branch: d = 0 (sign flip) and the
-    # rho = 1e-3 pole threshold
+    # stay off the residual's singular points, where a last-digit
+    # difference legitimately selects another branch or the Jacobian
+    # diverges: d = 0 (sign flip) and the predicted normal 90 degrees off
+    # the measured one (the poles of the measurement's frame)
     n_m = np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)])
-    for kf in g.keyframes.values():
-        n_l = kf.pose.rotation.T @ n_m
-        assume(abs(d - float(kf.pose.translation @ n_m)) > 1e-9)
-        assume(abs(math.hypot(n_l[0], n_l[1]) - 1e-3) > 1e-9)
+    for f in g.factors:
+        if f.kind is not FactorKind.POSE_PLANE:
+            continue
+        pose = g.keyframes[f.variables[0][1]].pose
+        d_l = d - float(pose.translation @ n_m)
+        assume(abs(d_l) > 1e-9)
+        n_f = measurement_frame(f.measurement) @ pose.rotation.T @ n_m
+        assume(math.hypot(n_f[0], n_f[1]) > 1e-4)
     assert_matches_reference(g)
+
+
+def test_a_tiny_step_at_the_pole_changes_the_cost_tinily():
+    """A floor landmark predicted with rho = |(n_x, n_y)| at 1e-3, where a
+    residual in the map's (azimuth, elevation) switched to a pinned
+    azimuth: steps of 1e-12 in any variable change the cost by 1e-6 at
+    most, instead of jumping by the Huber cost of a ~3 rad residual."""
+    g = SGraph()
+    add_kf(g, 0, Pose3.identity())
+    add_kf(g, 1, Pose3.from_xyz_yaw(0.5, 0.0, 0.0, 0.0))
+    between(g, 0, 1, Pose3.from_xyz_yaw(0.5, 0.0, 0.0, 0.0), kind=FactorKind.ODOMETRY,
+            robust=False)
+    el = math.acos(1e-3)
+    for pid, (az, sign) in enumerate(((3.0, 1.0), (-2.0, -1.0))):
+        add_plane(g, pid, az, sign * el, 1.5, cls=PlaneClass.HORIZONTAL)
+        for kf in (0, 1):
+            observe(g, kf, pid, (0.0, sign * math.pi / 2, 1.5))
+    bf = batched(g)
+    v = bf.values(g)
+    cost = bf.cost(v, 1.0)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        step = rng.normal(size=bf.dim)
+        moved = bf.cost(bf.retract(v, 1e-12 * step / np.linalg.norm(step)), 1.0)
+        assert abs(moved - cost) <= 1e-6

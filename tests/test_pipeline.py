@@ -226,6 +226,26 @@ class TestSlamConfigFile:
         with pytest.raises(ValueError, match=key):
             self.load(tmp_path, d)
 
+    @pytest.mark.parametrize(
+        "d, key",
+        [
+            ({"enable_topology": "false"}, "enable_topology"),
+            ({"ransac": {"min_inliers": 120.7}}, "min_inliers"),
+            ({"association_gate": True}, "association_gate"),
+            ({"plane_sigma_d": "0.02"}, "plane_sigma_d"),
+            ({"keyframe": {"min_translation": None}}, "min_translation"),
+        ],
+    )
+    def test_wrong_json_type_is_named(self, tmp_path, d, key):
+        with pytest.raises(ValueError, match=key):
+            self.load(tmp_path, d)
+
+    def test_json_integer_is_a_valid_float(self, tmp_path):
+        cfg = self.load(tmp_path, {"association_gate": 4, "ransac": {"threshold": 0}})
+        assert type(cfg.association_gate) is float and cfg.association_gate == 4.0
+        assert type(cfg.ransac.threshold) is float and cfg.ransac.threshold == 0.0
+        assert cfg.ransac.min_inliers == 100
+
     def test_unknown_key_fails_the_slam_command(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"enable_topolgy": False}))
         argv = ["slam", "--dataset", str(tmp_path), "--config", str(tmp_path / "cfg.json")]

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
+from sgraph import solver
 from sgraph.factors import Factor, FactorKind
 from sgraph.geometry import PlaneMinimal, Pose3
 from sgraph.graph import KeyframePolicy, SGraph
@@ -183,3 +185,53 @@ class TestDampedTries:
         assert len(tried) == 20 and all(state != start for state in tried)
         assert report.final_cost == report.initial_cost
         assert variable_state(g) == before
+        assert (report.status, report.accepted, report.rejected) == ("stalled", 0, 20)
+
+
+class TestReportStatus:
+    @staticmethod
+    def perturbed_chain(seed):
+        g = make_chain(6)
+        rng = np.random.default_rng(seed)
+        for k in list(g.keyframes)[1:]:
+            g.keyframes[k].pose = g.keyframes[k].pose.retract(rng.normal(0, 0.3, 6))
+        return g
+
+    def test_converged(self):
+        report = optimize(self.perturbed_chain(4), SolverConfig())
+        assert report.status == "converged" and report.converged
+        assert report.accepted >= 2 and report.iterations in (report.accepted, report.accepted + 1)
+        assert report.final_cost < 1e-16
+
+    def test_converged_without_a_step_at_the_minimum(self):
+        report = optimize(make_chain(4), SolverConfig())
+        assert report.status == "converged" and report.converged
+        assert (report.iterations, report.accepted, report.rejected) == (1, 0, 0)
+
+    def test_stalled_is_not_converged(self, monkeypatch):
+        g = self.perturbed_chain(5)
+        monkeypatch.setattr(BatchedFactors, "cost", lambda self, values, huber_delta: math.inf)
+        report = optimize(g, SolverConfig())
+        assert report.status == "stalled" and not report.converged
+        assert (report.iterations, report.accepted, report.rejected) == (1, 0, 20)
+        assert report.final_cost == report.initial_cost
+
+    def test_max_iters(self):
+        report = optimize(self.perturbed_chain(6), SolverConfig(max_iters=2))
+        assert report.status == "max_iters" and not report.converged
+        assert (report.iterations, report.accepted) == (2, 2)
+        assert report.final_cost < report.initial_cost
+
+    def test_failed_factorizations_raise_the_damping(self, monkeypatch):
+        calls = []
+
+        def fail_twice(A, **kwargs):
+            calls.append(A[0, 0])
+            if len(calls) <= 2:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cho_factor(A, **kwargs)
+
+        monkeypatch.setattr(solver, "cho_factor", fail_twice)
+        report = optimize(self.perturbed_chain(7), SolverConfig(max_iters=1))
+        assert report.rejected == 2 and report.accepted == 1
+        assert calls[1] > calls[0] and calls[2] > calls[1]
