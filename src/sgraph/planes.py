@@ -88,10 +88,15 @@ def voxel_downsample(points: np.ndarray, voxel_size: float) -> np.ndarray:
 
 
 def preprocess(cloud: PointCloud, cfg: FilterConfig) -> PointCloud:
-    """Voxel downsample, then reject range outliers beyond k_sigma stddevs."""
+    """Drop non-finite returns, voxel downsample, then reject range outliers
+    beyond k_sigma stddevs."""
     if len(cloud) == 0:
         raise EmptyCloud("input cloud is empty")
-    pts = voxel_downsample(cloud.points, cfg.voxel_size)
+    # one NaN or inf return would make the range mean NaN and empty the cloud
+    pts = cloud.points[np.isfinite(cloud.points).all(axis=1)]
+    if pts.shape[0] == 0:
+        raise EmptyCloud("no finite points in the cloud")
+    pts = voxel_downsample(pts, cfg.voxel_size)
     if pts.shape[0] == 0:
         raise EmptyCloud("no points left after voxel filter")
     ranges = np.linalg.norm(pts, axis=1)
@@ -126,10 +131,11 @@ def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     axis = np.array([1.0, 0.0, 0.0])
     u = axis - (axis @ normal) * normal
-    if np.linalg.norm(u) < 1e-6:
+    # math.sqrt(u @ u) is the 1-D np.linalg.norm, bit for bit, without its overhead
+    if math.sqrt(u @ u) < 1e-6:
         axis = np.array([0.0, 1.0, 0.0])
         u = axis - (axis @ normal) * normal
-    u = u / np.linalg.norm(u)
+    u = u / math.sqrt(u @ u)
     v = _cross3(normal, u)
     return u, v
 
@@ -163,13 +169,22 @@ def _dominant_patch(points: np.ndarray, mask: np.ndarray, normal: np.ndarray,
     Nearly-collinear walls of different rooms (and wall stripes seen through
     door openings) can satisfy the plane distance test while lying metres
     apart along the plane; a largest-gap split along each in-plane axis
-    separates them without fragmenting sparse ring-sampled surfaces.
+    separates them without fragmenting sparse ring-sampled surfaces. A mask
+    that splits along neither axis comes back as given.
     """
     idx = np.nonzero(mask)[0]
     if idx.size == 0:
         return mask
+    split = False
     for axis in _plane_basis(normal):
-        idx = idx[_largest_segment(points[idx] @ axis, gap)]
+        coords = points[idx] @ axis
+        # a plain sort finds whether there is a gap at all; only a split
+        # needs the argsort that picks the segment
+        if np.any(np.diff(np.sort(coords)) > gap):
+            idx = idx[_largest_segment(coords, gap)]
+            split = True
+    if not split:
+        return mask
     out = np.zeros_like(mask)
     out[idx] = True
     return out
@@ -240,7 +255,12 @@ def _score_hypotheses(
     valid = nn >= 1e-12
     normals /= np.where(valid, nn, 1.0)[:, None]
     d = (normals[:, None, :] @ p[:, 0, :, None])[:, 0, 0]
-    inliers = np.abs(normals @ points.T - d[:, None]) <= threshold
+    # distances in place in one (B, N) buffer: a fresh buffer per step costs
+    # more than the arithmetic
+    dist = normals @ points.T
+    dist -= d[:, None]
+    np.abs(dist, out=dist)
+    inliers = dist <= threshold
     return inliers, np.where(valid, np.count_nonzero(inliers, axis=1), 0)
 
 
@@ -304,7 +324,8 @@ def extract_planes(cloud: PointCloud, cfg: RansacConfig) -> list[PlaneDetection]
     rng = np.random.default_rng((cfg.seed, np.uint64(abs(hash(cloud.timestamp)))))
     pts = cloud.points
     remaining_idx = np.arange(len(cloud))
-    fits: list[tuple[np.ndarray, float, np.ndarray]] = []  # (normal, d, index array)
+    # (normal, d, index array, the owned points it came back unchanged from)
+    fits: list[tuple[np.ndarray, float, np.ndarray, np.ndarray | None]] = []
     while remaining_idx.size >= max(cfg.min_inliers, 3):
         remaining = pts[remaining_idx]
         best_mask, best_count = _ransac_round(rng, remaining, cfg)
@@ -316,21 +337,28 @@ def extract_planes(cloud: PointCloud, cfg: RansacConfig) -> list[PlaneDetection]
         if int(mask.sum()) < cfg.min_inliers:
             mask = best_mask
         mask, normal, d = _trim_fit(remaining, mask, cfg)
-        fits.append((normal, d, remaining_idx[mask]))
+        fits.append((normal, d, remaining_idx[mask], None))
         remaining_idx = remaining_idx[~mask]
 
     # joint reassignment: near junctions a point can sit inside one plane's
     # band while lying exactly on another detected plane; give every point
-    # to the detection that fits it best and refit until stable
+    # to the detection that fits it best and refit until stable. Every fit's
+    # (normal, d) is `_fit_plane_lsq(pts[idx])` bit for bit, so a pass's
+    # refinement of a fit depends only on its points and the ones it owns: a
+    # fit that came back unchanged and owns the same points again is reused.
     for _ in range(3):
         if not fits:
             break
-        dists = np.stack([np.abs(pts @ n - d) for n, d, _ in fits])
+        dists = np.stack([np.abs(pts @ n - d) for n, d, *_ in fits])
         owner = np.argmin(dists, axis=0)
         new_fits = []
         changed = False
-        for k, (normal, d, idx) in enumerate(fits):
+        for k, fit in enumerate(fits):
+            normal, d, idx, settled = fit
             owned_idx = np.nonzero((owner == k) & (dists[k] <= cfg.threshold))[0]
+            if settled is not None and np.array_equal(owned_idx, settled):
+                new_fits.append(fit)
+                continue
             owned = pts[owned_idx]
             mask = _dominant_patch(owned, np.ones(owned_idx.size, dtype=bool), normal)
             if int(mask.sum()) < cfg.min_inliers:
@@ -338,16 +366,16 @@ def extract_planes(cloud: PointCloud, cfg: RansacConfig) -> list[PlaneDetection]
                 continue
             mask, normal, d = _trim_fit(owned, mask, cfg)
             new_idx = owned_idx[mask]
-            changed = changed or not np.array_equal(new_idx, idx)
-            new_fits.append((normal, d, new_idx))
+            same = np.array_equal(new_idx, idx)
+            changed = changed or not same
+            new_fits.append((normal, d, new_idx, owned_idx if same else None))
         fits = new_fits
         if not changed or not fits:
             break
 
     detections: list[PlaneDetection] = []
-    for normal, d, idx in fits:
+    for normal, d, idx, _ in fits:
         inliers = pts[idx]
-        normal, d, _ = _fit_plane_lsq(inliers)
         plane = PlaneHessian(normal, d)
         residuals = inliers @ normal - d
         rms = float(np.sqrt(np.mean(residuals**2)))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,16 @@ from sgraph.planes import (
     voxel_downsample,
 )
 from sgraph.geometry import PlaneHessian
+from sgraph.pipeline import SlamConfig
+from sgraph.simulator import (
+    NoiseSpec,
+    ScanPattern,
+    TrajectorySpec,
+    default_multi_room_layout,
+    generate_world,
+    perimeter_waypoints,
+    simulate_run,
+)
 
 
 def box_cloud(rng=None, sigma=0.0, n_per_face=400, half=2.0):
@@ -79,6 +90,28 @@ class TestPreprocess:
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyCloud):
             preprocess(PointCloud(np.empty((0, 3))), FilterConfig())
+
+    @staticmethod
+    def planar_cloud():
+        rng = np.random.default_rng(11)
+        return np.column_stack([rng.uniform(-3, 3, size=(500, 2)), np.full(500, 1.5)])
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0], [0.0, np.nan, np.nan], [np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf]])
+    def test_non_finite_return_is_dropped(self, bad):
+        pts = self.planar_cloud()
+        want = preprocess(PointCloud(np.delete(pts, 7, axis=0), 3.0), FilterConfig())
+        pts[7] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no invalid-value cast in the voxel filter
+            got = preprocess(PointCloud(pts, 3.0), FilterConfig())
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.timestamp == 3.0
+
+    def test_all_non_finite_raises(self):
+        pts = np.full((50, 3), np.nan)
+        pts[::2] = [np.inf, 0.0, 1.0]
+        with pytest.raises(EmptyCloud):
+            preprocess(PointCloud(pts), FilterConfig())
 
     def test_voxel_downsample_merges_cells(self):
         pts = np.array([[0.01, 0.01, 0.01], [0.02, 0.02, 0.02], [1.0, 1.0, 1.0]])
@@ -229,6 +262,106 @@ def reference_trim_fit(points, mask, cfg, allowed):
         mask = new_mask
     normal, d, _ = planes._fit_plane_lsq(points[mask])
     return mask, normal, d
+
+
+def reference_plane_basis(normal):
+    """`_plane_basis` with `np.linalg.norm`."""
+    axis = np.array([1.0, 0.0, 0.0])
+    u = axis - (axis @ normal) * normal
+    if np.linalg.norm(u) < 1e-6:
+        axis = np.array([0.0, 1.0, 0.0])
+        u = axis - (axis @ normal) * normal
+    u = u / np.linalg.norm(u)
+    return u, planes._cross3(normal, u)
+
+
+def reference_dominant_patch(points, mask, normal, gap=2.5, stats=None):
+    """`_dominant_patch` that always reorders and rebuilds the mask; counts
+    the masks that split in `stats["splits"]`."""
+    idx = np.nonzero(mask)[0]
+    if idx.size == 0:
+        return mask
+    for axis in reference_plane_basis(normal):
+        idx = idx[planes._largest_segment(points[idx] @ axis, gap)]
+    out = np.zeros_like(mask)
+    out[idx] = True
+    if stats is not None:
+        stats["splits"] += int(out.sum() < mask.sum())
+    return out
+
+
+def reference_score(points, samples, threshold):
+    """`_score_hypotheses` with a fresh array for every step of the distances."""
+    p = points[samples]
+    a = p[:, 1] - p[:, 0]
+    b = p[:, 2] - p[:, 0]
+    normals = np.ascontiguousarray(planes._cross3(a, b))
+    nn = np.sqrt((normals[:, None, :] @ normals[:, :, None])[:, 0, 0])
+    valid = nn >= 1e-12
+    normals /= np.where(valid, nn, 1.0)[:, None]
+    d = (normals[:, None, :] @ p[:, 0, :, None])[:, 0, 0]
+    inliers = np.abs(normals @ points.T - d[:, None]) <= threshold
+    return inliers, np.where(valid, np.count_nonzero(inliers, axis=1), 0)
+
+
+def reference_extract_planes(cloud, cfg, stats):
+    """`extract_planes` refining every fit in every reassignment pass and
+    refitting every detection at the end. Run with `reference_dominant_patch`,
+    `reference_plane_basis` and `reference_score` patched into `planes`.
+
+    Counts in `stats` the fits the reassignment drops below `min_inliers`
+    ("dropped") and the clouds still changing after its third pass ("capped").
+    """
+    rng = np.random.default_rng((cfg.seed, np.uint64(abs(hash(cloud.timestamp)))))
+    pts = cloud.points
+    remaining_idx = np.arange(len(cloud))
+    fits = []
+    while remaining_idx.size >= max(cfg.min_inliers, 3):
+        remaining = pts[remaining_idx]
+        best_mask, best_count = planes._ransac_round(rng, remaining, cfg)
+        if best_mask is None or best_count < cfg.min_inliers:
+            break
+        normal, d, _ = planes._fit_plane_lsq(remaining[best_mask])
+        mask = np.abs(remaining @ normal - d) <= cfg.threshold
+        if int(mask.sum()) < cfg.min_inliers:
+            mask = best_mask
+        mask, normal, d = planes._trim_fit(remaining, mask, cfg)
+        fits.append((normal, d, remaining_idx[mask]))
+        remaining_idx = remaining_idx[~mask]
+
+    for n_pass in range(3):
+        if not fits:
+            break
+        dists = np.stack([np.abs(pts @ n - d) for n, d, _ in fits])
+        owner = np.argmin(dists, axis=0)
+        new_fits = []
+        changed = False
+        for k, (normal, d, idx) in enumerate(fits):
+            owned_idx = np.nonzero((owner == k) & (dists[k] <= cfg.threshold))[0]
+            owned = pts[owned_idx]
+            mask = planes._dominant_patch(owned, np.ones(owned_idx.size, dtype=bool), normal)
+            if int(mask.sum()) < cfg.min_inliers:
+                changed = True
+                stats["dropped"] += 1
+                continue
+            mask, normal, d = planes._trim_fit(owned, mask, cfg)
+            new_idx = owned_idx[mask]
+            changed = changed or not np.array_equal(new_idx, idx)
+            new_fits.append((normal, d, new_idx))
+        fits = new_fits
+        if not changed or not fits:
+            break
+        stats["capped"] += n_pass == 2
+
+    detections = []
+    for normal, d, idx in fits:
+        inliers = pts[idx]
+        normal, d, _ = planes._fit_plane_lsq(inliers)
+        plane = PlaneHessian(normal, d)
+        rms = float(np.sqrt(np.mean((inliers @ normal - d) ** 2)))
+        extent, centroid = planes.plane_extent(inliers, plane)
+        detections.append(planes.PlaneDetection(plane, int(idx.size), rms, extent, centroid, idx))
+    return detections
 
 
 def plane_with_outliers(n_in, n_out, seed=0, sigma=0.0):
@@ -385,6 +518,90 @@ class TestBatchedRansac:
             assert np.array_equal(inliers[row], np.abs(points @ n - d) <= thr)
 
 
+def ring_clouds(seeds=(0, 1, 2), every=4):
+    """Preprocessed keyframe-like ring scans of a two-room world with a
+    corridor: doorways split walls into collinear patches, and junctions put
+    points in the bands of two planes."""
+    layout = default_multi_room_layout(2)
+    world = generate_world(layout)
+    traj = TrajectorySpec(waypoints=perimeter_waypoints(list(layout.rects)))
+    cfg = SlamConfig()
+    clouds = {}
+    for seed in seeds:
+        noise = NoiseSpec(trans_drift=0.02, rot_drift=0.005, range_sigma=0.01, seed=seed)
+        for i, step in enumerate(simulate_run(world, traj, noise, ScanPattern(max_range=9.0))[::every]):
+            clouds[f"rooms2-seed{seed}-step{every * i}"] = planes.preprocess(step.scan, cfg.filter)
+    return clouds
+
+
+@pytest.fixture(scope="module")
+def settled_runs():
+    """name -> run over box, planted and ring clouds: the cloud, its points
+    before extraction, the detections and `_trim_fit` calls of
+    `extract_planes` and of the reference, and the reference's stats."""
+    clouds = {
+        "box": (box_cloud(sigma=0.0)[0], 300),
+        "noisy-box": (box_cloud(sigma=0.01)[0], 300),
+        "noisier-box": (box_cloud(rng=np.random.default_rng(7), sigma=0.02, n_per_face=250)[0], 500),
+        "box-with-degenerate": (PointCloud(np.vstack([box_cloud(sigma=0.0)[0].points, degenerate_cloud()]), 2.0), 300),
+        "noisy-plane-with-outliers": (PointCloud(plane_with_outliers(700, 300, seed=5, sigma=0.01), 6.0), 300),
+    }
+    clouds.update((name, (cloud, 300)) for name, cloud in ring_clouds().items())
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = []
+        trim_fit = planes._trim_fit
+        mp.setattr(planes, "_trim_fit", lambda *a: calls.append(None) or trim_fit(*a))
+        for name, (cloud, max_iters) in clouds.items():
+            cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters, seed=3)
+            points = cloud.points.tobytes()
+            calls.clear()
+            dets = planes.extract_planes(cloud, cfg)
+            runs[name] = {"cloud": cloud, "cfg": cfg, "points_before": points, "dets": dets, "calls": len(calls)}
+        mp.setattr(planes, "_dominant_patch", lambda p, m, n: reference_dominant_patch(p, m, n, stats=stats))
+        mp.setattr(planes, "_plane_basis", reference_plane_basis)
+        mp.setattr(planes, "_score_hypotheses", reference_score)
+        for run in runs.values():
+            stats = {"splits": 0, "dropped": 0, "capped": 0}
+            calls.clear()
+            run["want"] = reference_extract_planes(run["cloud"], run["cfg"], stats)
+            run["ref_calls"] = len(calls)
+            run["stats"] = stats
+    return runs
+
+
+class TestSettledWork:
+    """`extract_planes` reuses the refinement of a fit that came back
+    unchanged and owns the same points again, skips the final refit, sorts
+    only where a patch splits and scores in place; its detections equal, byte
+    for byte, those of the code that redoes all of it."""
+
+    def test_detections_equal_the_reference(self, settled_runs):
+        for name, run in settled_runs.items():
+            assert detection_bytes(run["dets"]) == detection_bytes(run["want"]), name
+
+    def test_every_plane_is_the_fit_of_its_inliers(self, settled_runs):
+        # what lets the final refit go
+        for name, run in settled_runs.items():
+            for det in run["dets"]:
+                normal, d, _ = planes._fit_plane_lsq(run["cloud"].points[det.inlier_indices])
+                assert det.plane.normal.tobytes() == normal.tobytes(), name
+                assert det.plane.distance.hex() == float(d).hex(), name
+
+    def test_cloud_is_left_unchanged(self, settled_runs):
+        for name, run in settled_runs.items():
+            assert run["cloud"].points.tobytes() == run["points_before"], name
+
+    def test_clouds_cover_reuse_drops_splits_and_the_pass_cap(self, settled_runs):
+        runs = settled_runs.values()
+        assert all(run["calls"] <= run["ref_calls"] for run in runs)
+        # each reused fit is one `_trim_fit` call fewer than the reference makes
+        assert sum(run["calls"] < run["ref_calls"] for run in runs) >= 3
+        for key in ("splits", "dropped", "capped"):
+            assert sum(run["stats"][key] for run in runs) > 0, key
+        assert sum(len(run["dets"]) for run in runs) >= 100
+
+
 class TestDrawTriples:
     @pytest.mark.parametrize("n", [3, 4, 5, 100])
     def test_indices_in_range_and_distinct(self, n):
@@ -427,6 +644,24 @@ class TestDrawTriples:
         rng = CountingRng(0)
         planes._ransac_round(rng, plane_with_outliers(469, 531, seed=1), cfg)
         assert rng.sizes == [32, 32]
+
+
+class TestPlaneBasis:
+    def test_equals_the_norm_form(self):
+        rng = np.random.default_rng(17)
+        normals = rng.normal(size=(500, 3))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        # within 1e-6 of +-x: these take the +y fallback
+        near_x = np.column_stack([np.ones(40), rng.uniform(-7e-7, 7e-7, size=(40, 2))])
+        near_x /= np.linalg.norm(near_x, axis=1)[:, None]
+        near_x[::2] *= -1.0
+        fallback = 0
+        for normal in np.vstack([normals, near_x, [[1.0, 0, 0], [-1.0, 0, 0]]]):
+            u, v = planes._plane_basis(normal)
+            want_u, want_v = reference_plane_basis(normal)
+            assert u.tobytes() == want_u.tobytes() and v.tobytes() == want_v.tobytes()
+            fallback += np.linalg.norm([1.0, 0, 0] - normal[0] * normal) < 1e-6
+        assert fallback == 42
 
 
 class TestTrim:
@@ -524,6 +759,40 @@ class TestSegments:
         pts = np.vstack([small, big])
         mask = planes._dominant_patch(pts, np.ones(90, dtype=bool), np.array([-1.0, 0.0, 0.0]))
         assert np.array_equal(mask, np.arange(90) >= 30)
+
+
+    @staticmethod
+    def floor_patches(rng, boxes):
+        """Points on the plane z = 1: 80 in the first (x0, x1, y0, y1) box,
+        40 in each other box."""
+        return np.vstack([
+            np.column_stack([rng.uniform(x0, x1, n), rng.uniform(y0, y1, n), np.ones(n)])
+            for n, (x0, x1, y0, y1) in zip([80] + [40] * len(boxes), boxes)
+        ])
+
+    @pytest.mark.parametrize(
+        "boxes, splits",
+        [
+            ([(0, 3, 0, 3)], False),
+            ([(0, 3, 0, 3), (4, 5, 0, 3), (0, 3, 4, 5)], False),  # gaps below the limit
+            ([(0, 3, 0, 3), (6, 7, 0, 3)], True),  # along x
+            ([(0, 3, 0, 3), (0, 3, 6, 7)], True),  # along y
+            ([(0, 3, 0, 3), (6, 7, 0, 3), (0, 3, 6, 7)], True),  # along x, then y
+            ([(0, 3, 0, 3), (6, 7, 6, 7), (0, 1, 10, 11)], True),  # y gap only after the x split
+        ],
+        ids=["one-patch", "small-gaps", "x-split", "y-split", "x-then-y", "hidden-y-gap"],
+    )
+    @pytest.mark.parametrize("normal", [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])
+    def test_patch_equals_reference(self, boxes, splits, normal):
+        rng = np.random.default_rng(len(boxes))
+        pts = self.floor_patches(rng, boxes)
+        for mask in (np.ones(len(pts), dtype=bool), rng.uniform(size=len(pts)) < 0.7):
+            got = planes._dominant_patch(pts, mask, np.array(normal))
+            assert np.array_equal(got, reference_dominant_patch(pts, mask, np.array(normal)))
+            if splits:
+                assert np.array_equal(got, mask & (np.arange(len(pts)) < 80))
+            else:  # no gap: the mask comes back as given
+                assert got is mask
 
 
 class TestPlaneExtent:
