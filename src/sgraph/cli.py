@@ -59,9 +59,7 @@ def cmd_slam(args) -> int:
     world, steps = load_dataset(args.dataset)
     if args.no_topology:
         cfg = replace(cfg, enable_topology=False)
-    if args.no_loop_closure:
-        cfg = replace(cfg, enable_loop_closure=False)
-    elif args.loop_closure:
+    if args.loop_closure:
         cfg = replace(cfg, enable_loop_closure=True)
     result = run_slam(steps, cfg)
     out = Path(args.out)
@@ -172,7 +170,6 @@ def main(argv=None) -> int:
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--no-topology", action="store_true")
-    p.add_argument("--no-loop-closure", action="store_true")
     p.add_argument("--loop-closure", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_slam)

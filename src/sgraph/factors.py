@@ -2,12 +2,13 @@
 Jacobians.
 
 Each kernel evaluates every factor of one kind at once, on the estimates
-gathered into arrays (`_Values`): between (odometry and loop closure),
-pose-plane, room-plane and corridor-plane. `sgraph.linearize` whitens,
-Huber-weights and scatters them into the normal equations,
-`SGraph.associate_plane` scores its candidate landmarks with the
-pose-plane kernel, and the per-factor functions at the end of this module
-are one-row calls of the kernels.
+gathered into arrays (`_Values`). `KINDS` is the one table of what a factor
+kind is: its graph layer, its kernel, the type of its measurement and how
+a block's measurements stack into the kernel's arrays. `sgraph.linearize`
+whitens, Huber-weights and scatters the kernels' output into the normal
+equations, `SGraph.associate_plane` scores its candidate landmarks with
+the pose-plane kernel, and the per-factor functions at the end of this
+module are one-row calls of the kernels.
 
 Local coordinates per variable type:
   keyframe pose : 6  [dt (body frame), dw (rotation vector, right perturbation)]
@@ -50,8 +51,7 @@ LOCAL_DIM = {"kf": 6, "plane": 3, "room": 4, "corridor": 2}
 class Factor:
     kind: FactorKind
     variables: tuple[VariableKey, ...]
-    measurement: object  # Pose3 for odometry/loop, PlaneMinimal for pose-plane,
-    # slot index (0..3 room / 0..1 corridor) for topology factors
+    measurement: object  # of the type `KINDS[kind].measurement`
     information: np.ndarray
     robust: bool = False
     _sqrt_info: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -75,6 +75,7 @@ class _Values:
     room_widths: np.ndarray  # (R, 2)
     corridor_centers: np.ndarray  # (C,) center component along the corridor axis
     corridor_widths: np.ndarray  # (C,)
+    corridor_axes: np.ndarray  # (C,) that axis, 0 is x and 1 is y; never retracted
 
 
 Kernel = Callable[[_Values, np.ndarray, tuple, bool], tuple[np.ndarray, np.ndarray | None]]
@@ -162,9 +163,8 @@ def _axis_sign(planes: np.ndarray, axis: np.ndarray) -> np.ndarray:
 def _edge_slots(slots: list, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(axis, half) of each slot of a `count`-slot node: slot s bounds axis
     s // 2, on its low edge (half -0.5) when s is even, else its high edge
-    (half +0.5). Rooms have slots 0 low-x, 1 high-x, 2 low-y, 3 high-y. A
-    corridor's slots 0 (low) and 1 (high) lie on the corridor's own axis,
-    which the caller puts in place of the 0 returned here."""
+    (half +0.5). Rooms have slots 0 low-x, 1 high-x, 2 low-y, 3 high-y, and
+    a corridor has slots 0 (low) and 1 (high) along its own axis."""
     for slot in slots:
         if not (isinstance(slot, (int, np.integer)) and 0 <= slot < count):
             raise ValueError(f"invalid slot {slot!r} for a {count}-slot node")
@@ -285,11 +285,11 @@ def _room_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool, sign
 def _corridor_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool, sign=None):
     """Corridor-plane edge residual, as `_room_plane` along the corridor's
     axis; columns [corridor (2) | plane (3)]."""
-    axis, half = meas
+    (half,) = meas
     corr = rows[:, 0]
     planes = v.planes[rows[:, 1]]
     if sign is None:
-        sign = _axis_sign(planes, axis)
+        sign = _axis_sign(planes, v.corridor_axes[corr])
     edge = v.corridor_centers[corr] + half * v.corridor_widths[corr]
     r = (edge - sign * planes[:, 2])[:, None]
     if not jacobians:
@@ -301,10 +301,49 @@ def _corridor_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool, 
     return r, J
 
 
+# -- the factor kinds --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """What a factor kind is: the layer of the graph it belongs to, the
+    kernel that evaluates it, the type its measurement has, and `stack`,
+    which turns a list of its measurements into the kernel's `meas`."""
+
+    layer: str
+    kernel: Kernel
+    measurement: type
+    stack: Callable[[list], tuple]
+
+
+_TRACKING = KindSpec(
+    "tracking",
+    _between,
+    Pose3,
+    lambda meas: (np.array([m.rotation for m in meas]), np.array([m.translation for m in meas])),
+)
+
+# The kinds of one layer share one spec, so each layer is one block of the
+# solve. The layers' order here is the order of the blocks, which fixes
+# the summation order of the normal equations.
+KINDS: dict[FactorKind, KindSpec] = {
+    FactorKind.ODOMETRY: _TRACKING,
+    FactorKind.LOOP_CLOSURE: _TRACKING,
+    FactorKind.POSE_PLANE: KindSpec(
+        "plane", _pose_plane, PlaneMinimal, lambda meas: (np.array([m.as_array() for m in meas]),)
+    ),
+    # topology factors measure the slot of their plane
+    FactorKind.ROOM_PLANE: KindSpec("room", _room_plane, int, lambda slots: _edge_slots(slots, 4)),
+    FactorKind.CORRIDOR_PLANE: KindSpec(
+        "corridor", _corridor_plane, int, lambda slots: _edge_slots(slots, 2)[1:]
+    ),
+}
+
+
 # -- one factor at a time: one-row calls of the kernels ----------------------
 
 # values of no variable, for `replace` to fill in the arrays a kernel reads
-_NO_VALUES = _Values(*[np.zeros(0)] * 7)
+_NO_VALUES = _Values(*[np.zeros(0)] * 8)
 _ONE_ROW = np.zeros((1, 2), dtype=int)
 
 
@@ -365,5 +404,5 @@ def corridor_plane_residual(
         corridor_centers=np.array([center_axis], dtype=float),
         corridor_widths=np.array([width], dtype=float),
     )
-    r, J = _corridor_plane(v, _ONE_ROW, _edge_slots([slot], 2), True, np.array([sign]))
+    r, J = _corridor_plane(v, _ONE_ROW, _edge_slots([slot], 2)[1:], True, np.array([sign]))
     return float(r[0, 0]), J[0, 0, :2], J[0, 0, 2:]

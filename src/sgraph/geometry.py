@@ -113,12 +113,6 @@ class Pose3:
         R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
         return Pose3(R, np.array([x, y, z]))
 
-    @staticmethod
-    def exp(xi: np.ndarray) -> "Pose3":
-        """Pose from a 6-vector [translation, rotation-vector] local update."""
-        xi = np.asarray(xi, dtype=float)
-        return Pose3(rot_exp(xi[3:6]), xi[0:3])
-
     def log(self) -> np.ndarray:
         """6-vector [translation, rotation-vector] of this pose."""
         return np.concatenate([self.translation, rot_log(self.rotation)])

@@ -118,7 +118,6 @@ class SGraph:
         odom_pose: Pose3,
         policy: KeyframePolicy,
         timestamp: float = 0.0,
-        scan=None,
         odom_information: np.ndarray | None = None,
     ) -> int | None:
         """Add a keyframe when motion since the last one exceeds the policy.
@@ -138,7 +137,6 @@ class SGraph:
                 pose=Pose3.identity(),
                 odom_pose=odom_pose,
                 odom_cov=np.zeros((6, 6)),
-                scan=scan,
             )
             self.keyframes[0] = kf
             return 0
@@ -155,7 +153,6 @@ class SGraph:
             pose=last.pose.compose(rel),
             odom_pose=odom_pose,
             odom_cov=np.linalg.inv(info),
-            scan=scan,
         )
         self.keyframes[kf_id] = kf
         self.factors.append(

@@ -14,23 +14,13 @@ from typing import Union, get_args, get_origin, get_type_hints
 import numpy as np
 from scipy.spatial.transform import Rotation
 
-from .factors import Factor, FactorKind
-from .geometry import PlaneMinimal, Pose3
+from .factors import KINDS, Factor, FactorKind
+from .geometry import Pose3
 from .graph import SGraph
 from .planes import PointCloud
 from .simulator import SimStep, WorldModel
 
 SNAPSHOT_VERSION = 2
-
-# what a factor's measurement decodes to, by kind (room and corridor
-# factors measure the slot of their plane)
-_MEASUREMENT_TYPE = {
-    FactorKind.ODOMETRY: Pose3,
-    FactorKind.LOOP_CLOSURE: Pose3,
-    FactorKind.POSE_PLANE: PlaneMinimal,
-    FactorKind.ROOM_PLANE: int,
-    FactorKind.CORRIDOR_PLANE: int,
-}
 
 
 # -- JSON codec -------------------------------------------------------------
@@ -72,7 +62,7 @@ def from_json(tp, data, base=None):
     if is_dataclass(tp):
         hints = get_type_hints(tp)
         if tp is Factor:
-            hints["measurement"] = _MEASUREMENT_TYPE[FactorKind(data["kind"])]
+            hints["measurement"] = KINDS[FactorKind(data["kind"])].measurement
         unknown = sorted(set(data) - {f.name for f in fields(tp) if f.compare})
         if unknown:
             raise ValueError(f"unknown {tp.__name__} field(s): {', '.join(unknown)}")

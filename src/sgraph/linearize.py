@@ -1,9 +1,11 @@
-"""The normal equations of the whole graph, one factor kind at a time.
+"""The normal equations of the whole graph, one layer at a time.
 
-The kernels in `factors` compute the residuals and Jacobians of every
-factor of a kind at once. Here they are whitened, Huber-weighted and
-scattered into the dense normal equations; the same pass without
-Jacobians gives the cost alone, per layer.
+`BatchedFactors` owns the layout of the solve: the rows of each variable
+in the gathered arrays and its columns in H. The kernels that
+`factors.KINDS` names compute the residuals and Jacobians of every factor
+of a layer at once. Here they are whitened, Huber-weighted and scattered
+into the dense normal equations; the same pass without Jacobians gives the
+cost alone, per layer.
 
 The solver works on the estimates gathered into arrays (`_Values`): it
 gathers them once, retracts a damped step onto them in batch, and writes
@@ -12,41 +14,21 @@ the accepted result back into the graph once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .factors import (
-    LOCAL_DIM,
-    FactorKind,
-    Kernel,
-    VariableKey,
-    _between,
-    _corridor_plane,
-    _edge_slots,
-    _mv,
-    _pose_plane,
-    _retract_planes,
-    _room_plane,
-    _skew,
-    _Values,
-)
+from .factors import KINDS, LOCAL_DIM, Kernel, VariableKey, _mv, _retract_planes, _skew, _Values
 from .geometry import PlaneClass, PlaneMinimal, Pose3
 from .graph import SGraph
 
-LAYER_OF_KIND = {
-    FactorKind.ODOMETRY: "tracking",
-    FactorKind.LOOP_CLOSURE: "tracking",
-    FactorKind.POSE_PLANE: "plane",
-    FactorKind.ROOM_PLANE: "room",
-    FactorKind.CORRIDOR_PLANE: "corridor",
-}
-LAYERS = ("tracking", "plane", "room", "corridor")
+# in block order
+LAYERS = tuple(dict.fromkeys(spec.layer for spec in KINDS.values()))
 
 
 @dataclass(frozen=True)
 class FactorBlock:
-    """All factors of one kind: index arrays, measurements and scatter maps."""
+    """All factors of one layer: index arrays, measurements and scatter maps."""
 
     layer: str
     factor_index: np.ndarray  # (N,) position of each row's factor in graph.factors
@@ -76,40 +58,40 @@ def _rot_exp(w: np.ndarray) -> np.ndarray:
 
 
 class BatchedFactors:
-    """Per-kind index arrays over a fixed factor set and variable order.
+    """Per-layer index arrays over a graph's factors, and the layout of its
+    variables.
 
-    `offsets` maps each optimized variable to its first column in H;
-    variables without an offset (the gauge keyframe) are held fixed. Build
-    once per factor set; `values` gathers the graph's estimates, and the
-    other methods work on gathered values until `write` stores them back.
+    The gathered arrays (`_Values`) hold one row per variable, each kind
+    in id order. The columns of H are the local coordinates of the
+    keyframes, then of the planes, rooms and corridors, in the same order.
+    The first keyframe, row 0, is the gauge: it has no columns (-1) and is
+    held fixed. Build once per factor set; `values` gathers the graph's
+    estimates, and the other methods work on gathered values until `write`
+    stores them back.
     """
 
-    def __init__(self, graph: SGraph, offsets: dict[VariableKey, int], dim: int):
-        self.dim = dim
+    def __init__(self, graph: SGraph):
         self.ids = {
             "kf": sorted(graph.keyframes),
             "plane": sorted(graph.planes),
             "room": sorted(graph.rooms),
             "corridor": sorted(graph.corridors),
         }
-        self.corridor_axis = np.array(
-            [0 if graph.corridors[c].axis is PlaneClass.X_VERTICAL else 1 for c in self.ids["corridor"]],
-            dtype=int,
-        )
         row: dict[VariableKey, int] = {}
-        # columns in H of each variable's local coordinates, by kind and
-        # value row; -1 for the fixed gauge keyframe
+        # columns in H of each variable's local coordinates, by kind and row
         self.columns: dict[str, np.ndarray] = {}
+        self.dim = 0
         for kind, ids in self.ids.items():
             row.update(((kind, vid), i) for i, vid in enumerate(ids))
-            first = np.array([offsets.get((kind, vid), -1) for vid in ids], dtype=int)[:, None]
-            self.columns[kind] = np.where(first >= 0, first + np.arange(LOCAL_DIM[kind]), -1)
+            n = LOCAL_DIM[kind]
+            free = np.arange(len(ids)) - (kind == "kf")  # -1 for the gauge
+            first = self.dim + n * free[:, None]
+            self.columns[kind] = np.where(free[:, None] >= 0, first + np.arange(n), -1)
+            self.dim += n * int(np.sum(free >= 0))
 
         by_layer: dict[str, list[int]] = {layer: [] for layer in LAYERS}
         for i, f in enumerate(graph.factors):
-            if f.kind not in LAYER_OF_KIND:
-                raise ValueError(f"unknown factor kind {f.kind}")
-            by_layer[LAYER_OF_KIND[f.kind]].append(i)
+            by_layer[KINDS[f.kind].layer].append(i)
 
         self.blocks: list[FactorBlock] = []
         # where each kept entry of the per-factor g and H blocks lands, for
@@ -119,36 +101,21 @@ class BatchedFactors:
             if not index:
                 continue
             factors = [graph.factors[i] for i in index]
+            spec = KINDS[factors[0].kind]
             rows = np.array([[row[k] for k in f.variables] for f in factors], dtype=int)
-            if layer == "tracking":
-                kernel = _between
-                meas = (
-                    np.array([f.measurement.rotation for f in factors]),
-                    np.array([f.measurement.translation for f in factors]),
-                )
-            elif layer == "plane":
-                kernel = _pose_plane
-                meas = (np.array([f.measurement.as_array() for f in factors]),)
-            elif layer == "room":
-                kernel = _room_plane
-                meas = _edge_slots([f.measurement for f in factors], 4)
-            else:
-                kernel = _corridor_plane
-                _, half = _edge_slots([f.measurement for f in factors], 2)
-                meas = (self.corridor_axis[rows[:, 0]], half)
             kinds = [kind for kind, _ in factors[0].variables]
             cols = np.hstack([self.columns[kind][rows[:, j]] for j, kind in enumerate(kinds)])
             g_keep = cols >= 0
             h_keep = g_keep[:, :, None] & g_keep[:, None, :]
             g_index.append(cols[g_keep])
-            h_index.append((cols[:, :, None] * dim + cols[:, None, :])[h_keep])
+            h_index.append((cols[:, :, None] * self.dim + cols[:, None, :])[h_keep])
             self.blocks.append(
                 FactorBlock(
                     layer=layer,
                     factor_index=np.array(index, dtype=int),
-                    kernel=kernel,
+                    kernel=spec.kernel,
                     rows=rows,
-                    meas=meas,
+                    meas=spec.stack([f.measurement for f in factors]),
                     sqrt_info=np.array([f.sqrt_information() for f in factors]),
                     robust=np.array([f.robust for f in factors], dtype=bool),
                     g_keep=g_keep,
@@ -163,6 +130,7 @@ class BatchedFactors:
         poses = [graph.keyframes[k].pose for k in self.ids["kf"]]
         rooms = [graph.rooms[r] for r in self.ids["room"]]
         corridors = [graph.corridors[c] for c in self.ids["corridor"]]
+        axes = np.array([0 if c.axis is PlaneClass.X_VERTICAL else 1 for c in corridors], dtype=int)
         return _Values(
             rotations=np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
             translations=np.array([p.translation for p in poses]).reshape(-1, 3),
@@ -171,10 +139,9 @@ class BatchedFactors:
             ).reshape(-1, 3),
             room_centers=np.array([r.center for r in rooms], dtype=float).reshape(-1, 2),
             room_widths=np.array([r.widths for r in rooms], dtype=float).reshape(-1, 2),
-            corridor_centers=np.array(
-                [c.center[a] for c, a in zip(corridors, self.corridor_axis)], dtype=float
-            ),
+            corridor_centers=np.array([c.center[a] for c, a in zip(corridors, axes)], dtype=float),
             corridor_widths=np.array([c.width for c in corridors], dtype=float),
+            corridor_axes=axes,
         )
 
     def retract(self, v: _Values, delta: np.ndarray) -> _Values:
@@ -187,7 +154,8 @@ class BatchedFactors:
         step = np.where(cols >= 0, delta[cols], 0.0)
         room = delta[self.columns["room"]]
         corridor = delta[self.columns["corridor"]]
-        return _Values(
+        return replace(
+            v,
             rotations=np.where(
                 fixed[:, :, None], v.rotations, v.rotations @ _rot_exp(step[:, 3:6])
             ),
@@ -210,15 +178,15 @@ class BatchedFactors:
         for i, r in enumerate(self.ids["room"]):
             room = graph.rooms[r]
             room.center, room.widths = v.room_centers[i].copy(), v.room_widths[i].copy()
-        for i, (c, axis) in enumerate(zip(self.ids["corridor"], self.corridor_axis)):
+        for i, c in enumerate(self.ids["corridor"]):
             corr = graph.corridors[c]
             # the cross-axis component of the center is not optimized
             center = np.array(corr.center, dtype=float)
-            center[axis] = v.corridor_centers[i]
+            center[v.corridor_axes[i]] = v.corridor_centers[i]
             corr.center, corr.width = center, float(v.corridor_widths[i])
 
     def evaluate(self, v: _Values, jacobians: bool = True):
-        """Yield (block, r, J) per kind at the values `v`: raw residuals
+        """Yield (block, r, J) per layer at the values `v`: raw residuals
         (N, m) and, with `jacobians`, Jacobians (N, m, D) whose columns are
         the local coordinates of the factor's two variables."""
         for b in self.blocks:

@@ -61,24 +61,19 @@ class SlamResult:
     graph: SGraph
     trajectory: list[tuple[float, Pose3]] = field(default_factory=list)
     reports: list[SolverReport] = field(default_factory=list)
-    keyframe_steps: list[int] = field(default_factory=list)  # step index per keyframe
     loop_constraints: int = 0
 
 
-def process_step(
-    graph: SGraph, step: SimStep, step_index: int, cfg: SlamConfig, result: SlamResult
-) -> int | None:
+def process_step(graph: SGraph, step: SimStep, cfg: SlamConfig, result: SlamResult) -> int | None:
     """Feed one sensor step into the graph; returns the new keyframe id."""
     kf_id = graph.maybe_add_keyframe(
         step.odom_pose,
         cfg.keyframe,
         timestamp=step.timestamp,
-        scan=None,
         odom_information=cfg.odom_information(),
     )
     if kf_id is None:
         return None
-    result.keyframe_steps.append(step_index)
     try:
         cloud = preprocess(step.scan, cfg.filter)
     except EmptyCloud:
@@ -113,8 +108,8 @@ def run_slam(steps: list[SimStep], cfg: SlamConfig = SlamConfig()) -> SlamResult
     """Run the full pipeline over a sensor stream."""
     graph = SGraph()
     result = SlamResult(graph=graph)
-    for i, step in enumerate(steps):
-        process_step(graph, step, i, cfg, result)
+    for step in steps:
+        process_step(graph, step, cfg, result)
     if not cfg.optimize_every_keyframe and graph.keyframes:
         result.reports.append(optimize(graph, cfg.solver))
     result.trajectory = [

@@ -108,10 +108,10 @@ def preprocess(cloud: PointCloud, cfg: FilterConfig) -> PointCloud:
     return PointCloud(pts, cloud.timestamp)
 
 
-def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares plane through points: centroid + smallest scatter eigvec.
 
-    Returns (unit normal, distance) with d >= 0, plus the centroid.
+    Returns (unit normal, distance) with d >= 0.
     """
     centroid = points.mean(axis=0)
     centered = points - centroid
@@ -119,8 +119,7 @@ def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
     _, vecs = np.linalg.eigh(cov)
     normal = vecs[:, 0]
     d = float(normal @ centroid)
-    normal, d = flip_to_positive(normal, d)
-    return normal, d, centroid
+    return flip_to_positive(normal, d)
 
 
 def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +212,7 @@ def _trim_fit(
     """
     seen = []  # (mask, normal, d) of every mask fitted
     for _ in range(25):
-        normal, d, _ = _fit_plane_lsq(points[mask])
+        normal, d = _fit_plane_lsq(points[mask])
         seen.append((mask, normal, d))
         signed = points @ normal - d
         r_in = signed[mask]
@@ -229,7 +228,7 @@ def _trim_fit(
         if k is not None:  # a settled mask is a cycle of one; max keeps the first of equals
             return max(seen[k:], key=lambda fit: np.count_nonzero(fit[0]))
         mask = new_mask
-    normal, d, _ = _fit_plane_lsq(points[mask])
+    normal, d = _fit_plane_lsq(points[mask])
     return mask, normal, d
 
 
@@ -331,7 +330,7 @@ def extract_planes(cloud: PointCloud, cfg: RansacConfig) -> list[PlaneDetection]
         best_mask, best_count = _ransac_round(rng, remaining, cfg)
         if best_mask is None or best_count < cfg.min_inliers:
             break
-        normal, d, _ = _fit_plane_lsq(remaining[best_mask])
+        normal, d = _fit_plane_lsq(remaining[best_mask])
         dist = np.abs(remaining @ normal - d)
         mask = dist <= cfg.threshold
         if int(mask.sum()) < cfg.min_inliers:

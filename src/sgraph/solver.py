@@ -1,7 +1,8 @@
 """Damped Gauss-Newton (Levenberg-Marquardt) solver over the full graph.
 
 The first keyframe is hard-fixed to pin the 6-DoF gauge freedom; all other
-variables are updated in their local coordinates.
+variables are updated in their local coordinates, laid out in the columns
+of H by `BatchedFactors`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .factors import LOCAL_DIM, VariableKey
 from .graph import SGraph
 from .linearize import BatchedFactors
 
@@ -51,35 +51,10 @@ class SolverReport:
         return self.status == "converged"
 
 
-def _variable_order(graph: SGraph) -> tuple[dict[VariableKey, int], int]:
-    """Deterministic variable ordering: the first column in H of each
-    variable, and the dimension. The first keyframe is the gauge and is
-    excluded."""
-    gauge = min(graph.keyframes, default=None)
-    keys: list[VariableKey] = [("kf", k) for k in sorted(graph.keyframes) if k != gauge]
-    for pid in sorted(graph.planes):
-        keys.append(("plane", pid))
-    for rid in sorted(graph.rooms):
-        keys.append(("room", rid))
-    for cid in sorted(graph.corridors):
-        keys.append(("corridor", cid))
-    offsets: dict[VariableKey, int] = {}
-    dim = 0
-    for k in keys:
-        offsets[k] = dim
-        dim += LOCAL_DIM[k[0]]
-    return offsets, dim
-
-
 def layer_costs(graph: SGraph, huber_delta: float = 1.0) -> dict[str, float]:
     """Per-layer cost decomposition (odometry+loop, plane, room, corridor)."""
-    offsets, dim = _variable_order(graph)
-    factors = BatchedFactors(graph, offsets, dim)
+    factors = BatchedFactors(graph)
     return factors.layer_costs(factors.values(graph), huber_delta)
-
-
-def total_cost(graph: SGraph, huber_delta: float = 1.0) -> float:
-    return sum(layer_costs(graph, huber_delta).values())
 
 
 def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
@@ -94,13 +69,12 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
     """
     if not graph.keyframes:
         raise ValueError("graph has no keyframes")
-    offsets, dim = _variable_order(graph)
-    if dim == 0:
-        c = total_cost(graph, cfg.huber_delta)
-        return SolverReport(c, c, 0, "converged", 0, 0)
-
-    factors = BatchedFactors(graph, offsets, dim)
+    factors = BatchedFactors(graph)
     values = factors.values(graph)
+    if factors.dim == 0:
+        cost = factors.cost(values, cfg.huber_delta)
+        return SolverReport(cost, cost, 0, "converged", 0, 0)
+
     H, g, cost = factors.normal_equations(values, cfg.huber_delta)
     if cfg.check_rank:
         eigs = np.linalg.eigvalsh(H)

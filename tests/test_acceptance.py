@@ -35,7 +35,7 @@ from sgraph.simulator import (
     perimeter_waypoints,
     simulate_run,
 )
-from sgraph.solver import SolverConfig, optimize, total_cost
+from sgraph.solver import SolverConfig, layer_costs, optimize
 from sgraph.topology import detect_corridor, detect_room
 
 from reference_factors import plane_retract
@@ -254,7 +254,7 @@ def test_criterion_5_soft_loop_closure():
     cfg = SlamConfig()
     result = run_slam(steps, cfg)
     graph = result.graph
-    assert len(graph.rooms) >= 1 and total_cost(graph) < 1e-10
+    assert len(graph.rooms) >= 1 and sum(layer_costs(graph).values()) < 1e-10
 
     room = next(iter(graph.rooms.values()))
     pid = room.plane_links[0]

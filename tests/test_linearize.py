@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from sgraph.factors import LOCAL_DIM, Factor, FactorKind
+from sgraph.factors import KINDS, LOCAL_DIM, Factor, FactorKind
 from sgraph.geometry import PlaneClass, PlaneMinimal, Pose3, from_minimal, rot_exp, wrap_angle
 from sgraph.graph import CorridorNode, Keyframe, PlaneLandmark, RoomNode, SGraph
-from sgraph.linearize import LAYER_OF_KIND, BatchedFactors
-from sgraph.solver import _variable_order
+from sgraph.linearize import BatchedFactors
 
 from reference_factors import (
     evaluate_factor,
@@ -52,9 +51,15 @@ def between(g, a, b, meas, kind=FactorKind.LOOP_CLOSURE, robust=True):
                             robust=robust))
 
 
-def batched(graph):
-    offsets, dim = _variable_order(graph)
-    return BatchedFactors(graph, offsets, dim)
+def first_columns(bf):
+    """The first column in H of each variable that has columns: every
+    variable but the gauge keyframe."""
+    return {
+        (kind, vid): int(bf.columns[kind][row, 0])
+        for kind, ids in bf.ids.items()
+        for row, vid in enumerate(ids)
+        if bf.columns[kind][row, 0] >= 0
+    }
 
 
 def assert_matches_reference(graph):
@@ -62,7 +67,7 @@ def assert_matches_reference(graph):
     reference's; returns the kinds seen. Azimuth residuals are angles and are
     compared on the circle, where +pi and -pi meet."""
     seen = set()
-    bf = batched(graph)
+    bf = BatchedFactors(graph)
     for block, r, J in bf.evaluate(bf.values(graph)):
         for row, fi in enumerate(block.factor_index):
             f = graph.factors[fi]
@@ -81,7 +86,8 @@ def assert_matches_reference(graph):
 
 def dense_reference(graph, huber_delta=1.0):
     """H, g, cost and per-layer cost from the reference, one factor at a time."""
-    offsets, dim = _variable_order(graph)
+    bf = BatchedFactors(graph)
+    offsets, dim = first_columns(bf), bf.dim
     H, g, cost = np.zeros((dim, dim)), np.zeros(dim), 0.0
     layers = dict.fromkeys(("tracking", "plane", "room", "corridor"), 0.0)
     for f in graph.factors:
@@ -93,7 +99,7 @@ def dense_reference(graph, huber_delta=1.0):
         if f.robust:
             s, weight = huber_cost_and_weight(s, huber_delta)
         cost += s
-        layers[LAYER_OF_KIND[f.kind]] += s
+        layers[KINDS[f.kind].layer] += s
         scale = math.sqrt(weight)
         blocks = [(offsets[k], scale * (L @ J)) for k, J in jacs.items() if k in offsets]
         for oi, Ji in blocks:
@@ -105,7 +111,7 @@ def dense_reference(graph, huber_delta=1.0):
 
 def assert_normal_equations_match(graph, huber_delta=1.0):
     H_ref, g_ref, cost_ref, layers_ref = dense_reference(graph, huber_delta)
-    bf = batched(graph)
+    bf = BatchedFactors(graph)
     v = bf.values(graph)
     H, g, cost = bf.normal_equations(v, huber_delta)
     assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
@@ -119,6 +125,15 @@ def assert_normal_equations_match(graph, huber_delta=1.0):
 
 def tilted(roll, pitch, t=(0.3, -0.4, 1.1)):
     return Pose3(rot_exp(np.array([roll, pitch, 0.0])), np.array(t))
+
+
+def test_every_factor_kind_is_in_kinds():
+    assert set(KINDS) == set(FactorKind)
+    # the kinds of one layer are one block: they share kernel and stacking
+    for a in FactorKind:
+        for b in FactorKind:
+            if KINDS[a].layer == KINDS[b].layer:
+                assert KINDS[a] is KINDS[b]
 
 
 class TestResidualsAndJacobians:
@@ -180,7 +195,7 @@ class TestResidualsAndJacobians:
         for i in (1, 2):
             observe(g, i, 0, (-math.pi + 0.01, 0.0, 3.0))
             observe(g, i, 1, (math.pi - 0.005, 0.0, 2.0))
-        bf = batched(g)
+        bf = BatchedFactors(g)
         for block, r, _ in bf.evaluate(bf.values(g)):
             assert np.all(np.abs(r[:, 0]) < 0.1)  # wrapped, not ~2*pi
         assert_matches_reference(g)
@@ -232,7 +247,7 @@ class TestResidualsAndJacobians:
         g.factors.append(Factor(FactorKind.ROOM_PLANE, (("room", 0), ("plane", 0)), 4,
                                 np.array([[100.0]])))
         with pytest.raises(ValueError):
-            batched(g)
+            BatchedFactors(g)
 
 
 class TestNormalEquations:
@@ -267,7 +282,7 @@ class TestNormalEquations:
         add_kf(g, 0, Pose3.from_xyz_yaw(0.1, 0.2, 0.0, 0.3))
         add_kf(g, 1, Pose3.from_xyz_yaw(1.0, 0.0, 0.0, 0.1))
         between(g, 0, 1, Pose3.from_xyz_yaw(1.1, 0.1, 0.0, -0.2), robust=False)
-        bf = batched(g)
+        bf = BatchedFactors(g)
         H, grad, _ = bf.normal_equations(bf.values(g), 1.0)
         f = g.factors[0]
         r, jacs = evaluate_factor(g, f)
@@ -279,12 +294,28 @@ class TestNormalEquations:
 
     def test_sample_graph_gauge_columns(self):
         g = sample_graph()
-        offsets, dim = _variable_order(g)
+        bf = BatchedFactors(g)
+        offsets, dim = first_columns(bf), bf.dim
         assert ("kf", 0) not in offsets
         assert dim == 6 * 2 + 3 * 2 + 4 + 2
-        bf = batched(g)
+        np.testing.assert_array_equal(bf.columns["kf"][0], [-1] * 6)
+        # keyframes by id, then planes, rooms and corridors, packed
+        assert offsets == {("kf", 1): 0, ("kf", 2): 6, ("plane", 0): 12, ("plane", 1): 15,
+                           ("room", 0): 18, ("corridor", 0): 22}
+        for kind, cols in bf.columns.items():
+            free = cols[cols[:, 0] >= 0]
+            np.testing.assert_array_equal(free, free[:, :1] + np.arange(LOCAL_DIM[kind]))
         H, _, _ = bf.normal_equations(bf.values(g), 1.0)
         assert H.shape == (dim, dim)
+
+    def test_gauge_is_the_smallest_keyframe_id(self):
+        g = SGraph()
+        for i in (4, 2, 7):
+            add_kf(g, i, Pose3.from_xyz_yaw(0.1 * i, 0.0, 0.0, 0.0))
+        bf = BatchedFactors(g)
+        assert bf.ids["kf"] == [2, 4, 7]
+        assert first_columns(bf) == {("kf", 4): 0, ("kf", 7): 6}
+        assert bf.dim == 12
 
 
 class TestRetractAndWrite:
@@ -295,9 +326,8 @@ class TestRetractAndWrite:
 
     @staticmethod
     def solve_setup(g):
-        offsets, dim = _variable_order(g)
-        bf = BatchedFactors(g, offsets, dim)
-        return bf, offsets, bf.values(g)
+        bf = BatchedFactors(g)
+        return bf, first_columns(bf), bf.values(g)
 
     def test_poses_match_pose_retract_bit_for_bit(self):
         g = sample_graph()
@@ -465,7 +495,7 @@ def test_a_tiny_step_at_the_pole_changes_the_cost_tinily():
         add_plane(g, pid, az, sign * el, 1.5, cls=PlaneClass.HORIZONTAL)
         for kf in (0, 1):
             observe(g, kf, pid, (0.0, sign * math.pi / 2, 1.5))
-    bf = batched(g)
+    bf = BatchedFactors(g)
     v = bf.values(g)
     cost = bf.cost(v, 1.0)
     rng = np.random.default_rng(3)

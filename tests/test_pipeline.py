@@ -107,11 +107,27 @@ class TestCli:
         assert main(["slam", "--dataset", str(data), "--out", str(run)]) == 0
         meta = json.loads((run / "run_meta.json").read_text())
         assert meta["n_rooms"] == 1
+        assert (meta["enable_topology"], meta["enable_loop_closure"]) == (True, False)
         assert main(["eval", "--run", str(run), "--report", str(report)]) == 0
         rep = json.loads(report.read_text())
         assert rep["ate"] < 1e-6
         assert rep["map_rmse"] < 1e-6
         assert report.with_suffix(".csv").exists()
+
+    def test_slam_flags_reach_run_meta(self, tmp_path):
+        self.write_configs(tmp_path)
+        data = tmp_path / "data"
+        run = tmp_path / "run"
+        assert main([
+            "simulate", "--layout", str(tmp_path / "layout.json"),
+            "--noise", str(tmp_path / "noise.json"), "--out", str(data),
+        ]) == 0
+        assert main([
+            "slam", "--dataset", str(data), "--out", str(run), "--no-topology", "--loop-closure",
+        ]) == 0
+        meta = json.loads((run / "run_meta.json").read_text())
+        assert (meta["enable_topology"], meta["enable_loop_closure"]) == (False, True)
+        assert meta["n_rooms"] == meta["n_corridors"] == 0
 
     def test_integer_coordinates_are_read_as_floats(self, tmp_path):
         # the README's example layout, written with integers

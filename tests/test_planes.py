@@ -249,7 +249,7 @@ def reference_round(rng, points, cfg):
 def reference_trim_fit(points, mask, cfg, allowed):
     """`_trim_fit` as it was on the whole cloud, restricted by an `allowed` mask."""
     for _ in range(25):
-        normal, d, _ = planes._fit_plane_lsq(points[mask])
+        normal, d = planes._fit_plane_lsq(points[mask])
         signed = points @ normal - d
         r_in = signed[mask]
         med = float(np.median(r_in))
@@ -260,7 +260,7 @@ def reference_trim_fit(points, mask, cfg, allowed):
         if int(new_mask.sum()) < cfg.min_inliers or np.array_equal(new_mask, mask):
             break
         mask = new_mask
-    normal, d, _ = planes._fit_plane_lsq(points[mask])
+    normal, d = planes._fit_plane_lsq(points[mask])
     return mask, normal, d
 
 
@@ -321,7 +321,7 @@ def reference_extract_planes(cloud, cfg, stats):
         best_mask, best_count = planes._ransac_round(rng, remaining, cfg)
         if best_mask is None or best_count < cfg.min_inliers:
             break
-        normal, d, _ = planes._fit_plane_lsq(remaining[best_mask])
+        normal, d = planes._fit_plane_lsq(remaining[best_mask])
         mask = np.abs(remaining @ normal - d) <= cfg.threshold
         if int(mask.sum()) < cfg.min_inliers:
             mask = best_mask
@@ -356,7 +356,7 @@ def reference_extract_planes(cloud, cfg, stats):
     detections = []
     for normal, d, idx in fits:
         inliers = pts[idx]
-        normal, d, _ = planes._fit_plane_lsq(inliers)
+        normal, d = planes._fit_plane_lsq(inliers)
         plane = PlaneHessian(normal, d)
         rms = float(np.sqrt(np.mean((inliers @ normal - d) ** 2)))
         extent, centroid = planes.plane_extent(inliers, plane)
@@ -584,7 +584,7 @@ class TestSettledWork:
         # what lets the final refit go
         for name, run in settled_runs.items():
             for det in run["dets"]:
-                normal, d, _ = planes._fit_plane_lsq(run["cloud"].points[det.inlier_indices])
+                normal, d = planes._fit_plane_lsq(run["cloud"].points[det.inlier_indices])
                 assert det.plane.normal.tobytes() == normal.tobytes(), name
                 assert det.plane.distance.hex() == float(d).hex(), name
 
@@ -701,7 +701,7 @@ class TestTrim:
 
         monkeypatch.setattr(planes, "_dominant_patch", patch)
         mask, normal, d = planes._trim_fit(pts, start, cfg)
-        want_n, want_d, _ = planes._fit_plane_lsq(pts[mask])
+        want_n, want_d = planes._fit_plane_lsq(pts[mask])
         # the plane returned is the fit of the mask returned
         assert normal.tobytes() == want_n.tobytes() and d == want_d
         return mask, len(calls)

@@ -13,10 +13,8 @@ from sgraph.linearize import BatchedFactors
 from sgraph.solver import (
     SingularSystem,
     SolverConfig,
-    _variable_order,
     layer_costs,
     optimize,
-    total_cost,
 )
 
 from test_io import sample_graph
@@ -123,7 +121,11 @@ class TestOptimize:
         for k in list(g.keyframes)[1:]:
             g.keyframes[k].pose = g.keyframes[k].pose.retract(rng.normal(0, 0.1, 6))
         costs = layer_costs(g)
-        assert sum(costs.values()) == pytest.approx(total_cost(g), abs=1e-12)
+        factors = BatchedFactors(g)
+        _, _, cost = factors.normal_equations(factors.values(g), 1.0)
+        assert sum(costs.values()) == pytest.approx(cost, abs=1e-12)
+        assert costs["tracking"] > 0.0
+        assert costs["plane"] == costs["room"] == costs["corridor"] == 0.0
 
     def test_singular_system_detected(self):
         # a free-floating plane variable with no factor makes H singular
@@ -162,18 +164,16 @@ def values_state(values):
 class TestDampedTries:
     def test_cost_only_equals_full_linearization_cost(self):
         g = sample_graph()
-        offsets, dim = _variable_order(g)
-        factors = BatchedFactors(g, offsets, dim)
+        factors = BatchedFactors(g)
         values = factors.values(g)
         _, _, cost = factors.normal_equations(values, 1.0)
         assert factors.cost(values, 1.0) == pytest.approx(cost, rel=1e-12)
-        assert total_cost(g) == pytest.approx(cost, rel=1e-12)
+        assert sum(layer_costs(g).values()) == pytest.approx(cost, rel=1e-12)
 
     def test_rejected_try_restores_every_variable(self, monkeypatch):
         g = sample_graph()
         before = variable_state(g)
-        offsets, dim = _variable_order(g)
-        start = values_state(BatchedFactors(g, offsets, dim).values(g))
+        start = values_state(BatchedFactors(g).values(g))
         tried = []
 
         def reject(self, values, huber_delta):
