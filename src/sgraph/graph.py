@@ -111,6 +111,19 @@ class SGraph:
             out.update(corr.plane_links)
         return out
 
+    def predict_planes(self, kf_id: int) -> np.ndarray:
+        """Every mapped plane in keyframe kf_id's sensor frame, from its
+        current pose: (P, 4) rows of unit normal and distance >= 0, in
+        `planes` order. Row i is `transform_plane(kf.pose,
+        from_minimal(lm.params), to_sensor=True)` of the i-th landmark."""
+        kf = self.keyframes[kf_id]
+        az, el, d = np.array([lm.params.as_array() for lm in self.planes.values()]).reshape(-1, 3).T
+        ce = np.cos(el)
+        normals = np.column_stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)])
+        d = d - normals @ kf.pose.translation
+        sign = np.where(d < 0.0, -1.0, 1.0)  # `flip_to_positive`, row by row
+        return np.column_stack([(normals @ kf.pose.rotation) * sign[:, None], d * sign])
+
     # -- keyframe creation -------------------------------------------------
 
     def maybe_add_keyframe(

@@ -65,7 +65,15 @@ class SlamResult:
 
 
 def process_step(graph: SGraph, step: SimStep, cfg: SlamConfig, result: SlamResult) -> int | None:
-    """Feed one sensor step into the graph; returns the new keyframe id."""
+    """Feed one sensor step into the graph; returns the new keyframe id.
+
+    On a new keyframe the mapped planes, predicted into its sensor frame
+    from its odometry-predicted pose, claim their points in the
+    preprocessed scan before sequential RANSAC searches the rest
+    (`extract_planes`). Each detection, refit from its own points, is then
+    associated through the Mahalanobis gate like any other, so a claim
+    cannot bypass association; an empty map gives plain sequential RANSAC.
+    """
     kf_id = graph.maybe_add_keyframe(
         step.odom_pose,
         cfg.keyframe,
@@ -81,7 +89,7 @@ def process_step(graph: SGraph, step: SimStep, cfg: SlamConfig, result: SlamResu
     if cloud is not None:
         graph.keyframes[kf_id].scan = cloud  # downsampled copy for loop closure
         try:
-            detections = extract_planes(cloud, cfg.ransac)
+            detections = extract_planes(cloud, cfg.ransac, graph.predict_planes(kf_id))
         except TooFewPoints:
             detections = []
         seen_ids = []

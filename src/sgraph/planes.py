@@ -1,4 +1,5 @@
-"""Point-cloud pre-filtering and sequential-RANSAC plane detection."""
+"""Point-cloud pre-filtering and plane detection: mapped planes claim their
+points first, sequential RANSAC searches the rest."""
 
 from __future__ import annotations
 
@@ -312,24 +313,59 @@ def _ransac_round(
     return best_mask, best_count
 
 
-def extract_planes(cloud: PointCloud, cfg: RansacConfig) -> list[PlaneDetection]:
-    """Sequential RANSAC: fit, refine, peel inliers, repeat.
+# a mapped plane claims the points within this many `threshold`s of its
+# prediction. The odometry-predicted pose puts the far end of a wall a few
+# centimetres off: on rooms4-online noise seeds 0-9, 99 % of the
+# observations of mapped walls have every inlier within 0.089 m of the
+# prediction. The refit of the claimed points tightens the band again.
+_CLAIM_BANDS = 3.0
 
-    Deterministic for a fixed (cloud, cfg) pair; the RNG is seeded
-    per call from cfg.seed and the cloud timestamp.
+
+def extract_planes(
+    cloud: PointCloud, cfg: RansacConfig, predicted: np.ndarray | None = None
+) -> list[PlaneDetection]:
+    """Sequential plane extraction: claim or search, refine, peel, repeat.
+
+    `predicted` holds planes expected in the cloud, as (P, 4) rows of unit
+    normal and distance in the sensor frame (the mapped planes, from
+    `SGraph.predict_planes`). Before any RANSAC round, the prediction with
+    the most remaining points within `_CLAIM_BANDS * cfg.threshold` of it
+    takes those points, restricted to their dominant patch, as the round's
+    winning mask; each prediction claims once, and claims stop when no
+    prediction left holds `min_inliers` points. Sequential RANSAC then
+    searches what is left. A claimed mask, like a RANSAC winner, is refit,
+    re-masked at `threshold`, trimmed and peeled, so every detection is the
+    fit of its own points, never a prediction. With `predicted` left out
+    or empty this is plain sequential RANSAC.
+
+    Deterministic for a fixed (cloud, cfg, predicted); the RNG is seeded
+    per call from cfg.seed and the cloud timestamp, and claims draw nothing
+    from it.
     """
     if len(cloud) < cfg.min_inliers:
         raise TooFewPoints(f"{len(cloud)} points < min_inliers {cfg.min_inliers}")
     rng = np.random.default_rng((cfg.seed, np.uint64(abs(hash(cloud.timestamp)))))
     pts = cloud.points
+    predicted = np.empty((0, 4)) if predicted is None else np.asarray(predicted, dtype=float)
+    # (N, P): which points lie in which prediction's claim band
+    near = np.abs(pts @ predicted[:, :3].T - predicted[:, 3]) <= _CLAIM_BANDS * cfg.threshold
     remaining_idx = np.arange(len(cloud))
     # (normal, d, index array, the owned points it came back unchanged from)
     fits: list[tuple[np.ndarray, float, np.ndarray, np.ndarray | None]] = []
     while remaining_idx.size >= max(cfg.min_inliers, 3):
         remaining = pts[remaining_idx]
-        best_mask, best_count = _ransac_round(rng, remaining, cfg)
-        if best_mask is None or best_count < cfg.min_inliers:
-            break
+        claims = near[remaining_idx]
+        counts = np.count_nonzero(claims, axis=0)
+        if counts.size and counts.max() >= cfg.min_inliers:
+            k = int(np.argmax(counts))
+            near[:, k] = False
+            best_mask = _dominant_patch(remaining, claims[:, k], predicted[k, :3])
+            if int(best_mask.sum()) < cfg.min_inliers:
+                continue
+        else:
+            best_mask, best_count = _ransac_round(rng, remaining, cfg)
+            if best_mask is None or best_count < cfg.min_inliers:
+                break
         normal, d = _fit_plane_lsq(remaining[best_mask])
         dist = np.abs(remaining @ normal - d)
         mask = dist <= cfg.threshold

@@ -1,11 +1,23 @@
 """`SGraph.associate_plane`, which scores every same-class landmark in one
-kernel call, against the per-landmark loop kept in `reference_factors`."""
+kernel call, against the per-landmark loop kept in `reference_factors`; and
+`SGraph.predict_planes`, which moves every landmark into a keyframe's
+sensor frame at once."""
 
 import math
 
 import numpy as np
+import pytest
 
-from sgraph.geometry import PlaneClass, PlaneHessian, PlaneMinimal, Pose3, rot_exp, to_minimal
+from sgraph.geometry import (
+    PlaneClass,
+    PlaneHessian,
+    PlaneMinimal,
+    Pose3,
+    from_minimal,
+    rot_exp,
+    to_minimal,
+    transform_plane,
+)
 from sgraph.graph import NEW_LANDMARK, Keyframe, PlaneLandmark, SGraph
 from sgraph.planes import PlaneDetection
 
@@ -158,3 +170,23 @@ def test_opposite_facing_planes_at_equal_distance_are_never_associated():
             az, el = az_a, el_a
             n_m = np.array([math.cos(el) * math.cos(az), math.cos(el) * math.sin(az), math.sin(el)])
             assert associate(g, detection(pose.rotation.T @ n_m, d), gate=30.0) == 0
+
+
+def test_predicted_planes_equal_transform_plane():
+    pose = Pose3(rot_exp(np.array([0.02, -0.01, 0.9])), np.array([5.0, 2.0, 0.1]))
+    g = graph_with_keyframe(pose)
+    assert g.predict_planes(0).shape == (0, 4)
+    add_landmark(g, 4, 0.0, math.pi / 2, 2.9, PlaneClass.HORIZONTAL)  # ceiling, at the pole
+    add_landmark(g, 2, 0.0, -math.pi / 2, 0.1, PlaneClass.HORIZONTAL)  # floor, at the pole
+    add_landmark(g, 7, 0.0, 0.0, 4.0, PlaneClass.X_VERTICAL)  # x = 4, behind the sensor at x = 5
+    add_landmark(g, 1, 1.2, 0.01, 3.0, PlaneClass.Y_VERTICAL)
+    rows = g.predict_planes(0)
+    assert rows.shape == (4, 4)
+    for row, lm in zip(rows, g.planes.values()):  # `planes` order
+        want = transform_plane(pose, from_minimal(lm.params), to_sensor=True)
+        assert row == pytest.approx([*want.normal, want.distance], abs=1e-12)
+    # the x = 4 wall is behind the sensor: d - t . n is -1, so both signs flip
+    n_m = from_minimal(g.planes[7].params).normal
+    assert 4.0 - pose.translation @ n_m == pytest.approx(-1.0)
+    assert rows[2, 3] == pytest.approx(1.0)
+    assert rows[2, :3] == pytest.approx(-(pose.rotation.T @ n_m))

@@ -19,11 +19,15 @@ from sgraph.planes import (
     preprocess,
     voxel_downsample,
 )
-from sgraph.geometry import PlaneHessian
-from sgraph.pipeline import SlamConfig
+from sgraph import pipeline
+from sgraph.factors import FactorKind
+from sgraph.geometry import PlaneClass, PlaneHessian, PlaneMinimal, Pose3
+from sgraph.graph import PlaneLandmark, SGraph
+from sgraph.pipeline import SlamConfig, SlamResult, process_step, run_slam
 from sgraph.simulator import (
     NoiseSpec,
     ScanPattern,
+    SimStep,
     TrajectorySpec,
     default_multi_room_layout,
     generate_world,
@@ -558,6 +562,7 @@ def settled_runs():
             calls.clear()
             dets = planes.extract_planes(cloud, cfg)
             runs[name] = {"cloud": cloud, "cfg": cfg, "points_before": points, "dets": dets, "calls": len(calls)}
+            runs[name]["dets_empty_map"] = planes.extract_planes(cloud, cfg, np.empty((0, 4)))
         mp.setattr(planes, "_dominant_patch", lambda p, m, n: reference_dominant_patch(p, m, n, stats=stats))
         mp.setattr(planes, "_plane_basis", reference_plane_basis)
         mp.setattr(planes, "_score_hypotheses", reference_score)
@@ -580,6 +585,11 @@ class TestSettledWork:
         for name, run in settled_runs.items():
             assert detection_bytes(run["dets"]) == detection_bytes(run["want"]), name
 
+    def test_an_empty_map_equals_the_reference(self, settled_runs):
+        # no prediction claims anything, and the RANSAC stream is untouched
+        for name, run in settled_runs.items():
+            assert detection_bytes(run["dets_empty_map"]) == detection_bytes(run["want"]), name
+
     def test_every_plane_is_the_fit_of_its_inliers(self, settled_runs):
         # what lets the final refit go
         for name, run in settled_runs.items():
@@ -600,6 +610,107 @@ class TestSettledWork:
         for key in ("splits", "dropped", "capped"):
             assert sum(run["stats"][key] for run in runs) > 0, key
         assert sum(len(run["dets"]) for run in runs) >= 100
+
+
+def count_rounds(monkeypatch):
+    """Patch `_ransac_round` to count its calls; returns the one-item counter."""
+    calls = [0]
+    ransac_round = planes._ransac_round
+
+    def counted(*args):
+        calls[0] += 1
+        return ransac_round(*args)
+
+    monkeypatch.setattr(planes, "_ransac_round", counted)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def rooms2_keyframes():
+    """(cloud, mapped-plane predictions) of every keyframe of a noisy
+    two-room run, as `process_step` hands them to `extract_planes`."""
+    layout = default_multi_room_layout(2)
+    traj = TrajectorySpec(waypoints=perimeter_waypoints(list(layout.rects)))
+    noise = NoiseSpec(trans_drift=0.02, rot_drift=0.005, range_sigma=0.01, seed=0)
+    steps = simulate_run(generate_world(layout), traj, noise, ScanPattern(max_range=9.0))
+    recorded = []
+    extract = pipeline.extract_planes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "extract_planes", lambda c, cfg, pred: recorded.append((c, pred)) or extract(c, cfg, pred))
+        run_slam(steps, SlamConfig())
+    return recorded
+
+
+class TestMapGuidedExtraction:
+    """Mapped planes, predicted into the sensor frame, claim their points
+    before RANSAC searches; the detections are still the cloud's own fits."""
+
+    CFG = SlamConfig().ransac
+
+    def test_claims_replace_most_ransac_rounds(self, monkeypatch, rooms2_keyframes):
+        assert rooms2_keyframes[0][1].shape == (0, 4)  # the first keyframe sees an empty map
+        assert all(len(pred) for _, pred in rooms2_keyframes[1:])
+        rounds = count_rounds(monkeypatch)
+        for cloud, pred in rooms2_keyframes[1:]:
+            planes.extract_planes(cloud, self.CFG, pred)
+        with_map = rounds[0]
+        rounds[0] = 0
+        for cloud, _ in rooms2_keyframes[1:]:
+            planes.extract_planes(cloud, self.CFG)
+        # 27 against 96 when this was written
+        assert with_map <= rounds[0] // 2
+
+    def test_every_plane_is_the_fit_of_its_inliers(self, rooms2_keyframes):
+        for cloud, pred in rooms2_keyframes:
+            for det in planes.extract_planes(cloud, self.CFG, pred):
+                normal, d = planes._fit_plane_lsq(cloud.points[det.inlier_indices])
+                assert det.plane.normal.tobytes() == normal.tobytes()
+                assert det.plane.distance.hex() == float(d).hex()
+
+    def test_prediction_without_support_claims_nothing(self, monkeypatch):
+        cloud, planted = box_cloud(sigma=0.01)
+        # a wall 5 m beyond the box, and a floor below it
+        pred = np.array([[1.0, 0.0, 0.0, 7.0], [0.0, 0.0, -1.0, 6.0]])
+        rounds = count_rounds(monkeypatch)
+        got = planes.extract_planes(cloud, self.CFG, pred)
+        assert rounds[0] == 6  # one per face, as without the predictions
+        assert detection_bytes(got) == detection_bytes(planes.extract_planes(cloud, self.CFG))
+        assert len(got) == 6
+        assert all(ang < 0.01 and derr < 0.01 for ang, derr in match_detections(got, planted))
+
+    def test_claimed_face_is_refit_from_its_points(self, monkeypatch):
+        cloud, _ = box_cloud(sigma=0.0)
+        # the x = +2 face, predicted 6 cm out and tilted by 0.01 rad
+        tilt = 0.01
+        pred = np.array([[math.cos(tilt), math.sin(tilt), 0.0, 2.06]])
+        rounds = count_rounds(monkeypatch)
+        dets = planes.extract_planes(cloud, self.CFG, pred)
+        assert rounds[0] == 5  # the other five faces; nothing is left after them
+        assert len(dets) == 6
+        face = dets[0]
+        assert face.plane.normal.tolist() == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
+        assert face.plane.distance == pytest.approx(2.0, abs=1e-12)
+        assert np.all(cloud.points[face.inlier_indices, 0] == 2.0)
+
+    @pytest.mark.parametrize("offset, observed", [(0.03, True), (0.08, False)])
+    def test_association_still_gates_a_claimed_plane(self, monkeypatch, offset, observed):
+        """A mapped wall `offset` outside the box face x = +2 claims that
+        face either way; the refit detection is an observation of it only
+        inside the Mahalanobis gate (3 sigma = 0.06 m in distance at the
+        first keyframe, which has no odometry uncertainty)."""
+        wall = PlaneLandmark(id=0, params=PlaneMinimal(0.0, 0.0, 2.0 + offset),
+                             plane_class=PlaneClass.X_VERTICAL, extent=np.ones(2), centroid=np.zeros(3))
+        graph = SGraph(planes={0: wall}, _next_plane_id=1)
+        cfg = SlamConfig(enable_topology=False, optimize_every_keyframe=False)
+        cloud, _ = box_cloud(sigma=0.0)
+        rounds = count_rounds(monkeypatch)
+        process_step(graph, SimStep(1.0, Pose3.identity(), Pose3.identity(), cloud), cfg, SlamResult(graph))
+        assert rounds[0] == 5  # the face was claimed, not searched for
+        seen = [f.variables[1][1] for f in graph.factors if f.kind is FactorKind.POSE_PLANE]
+        assert len(seen) == 6
+        assert (0 in seen) is observed
+        assert wall.observation_count == 1 + observed
+        assert len(graph.planes) == 7 - observed
 
 
 class TestDrawTriples:
