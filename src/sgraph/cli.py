@@ -6,14 +6,14 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .ablation import run_ablation, stream_digest
+from .ablation import RunMetrics, run_ablation, stream_digest
 from .io import export_dataset, from_json, load_dataset, load_graph, read_tum, save_graph, write_tum
-from .metrics import TrajectoryPair, align_rigid, associate, ate, map_rmse, start_end_error
+from .metrics import TrajectoryPair, ate_alignment, map_rmse, start_end_error
 from .pipeline import SlamConfig, SlamResult, aggregate_map_points, run_slam
 from .simulator import (
     LayoutSpec,
@@ -88,8 +88,7 @@ def cmd_eval(args) -> int:
     world, steps = load_dataset(meta["dataset"])
     estimate = read_tum(run_dir / "estimate.tum")
     reference = [(s.timestamp, s.gt_pose) for s in steps]
-    pair = TrajectoryPair(estimated=estimate, reference=reference)
-    ate_val = ate(pair)
+    T, ate_val = ate_alignment(TrajectoryPair(estimated=estimate, reference=reference))
 
     # rebuild the optimized map from the estimate and the dataset scans
     graph = load_graph(run_dir / "graph.json")
@@ -103,11 +102,6 @@ def cmd_eval(args) -> int:
     if points.shape[0]:
         # map points live in the estimate's frame; bring them into the
         # world frame with the same rigid alignment the ATE uses
-        pairs = associate(estimate, reference, 0.25)
-        T = align_rigid(
-            np.array([p.translation for p, _ in pairs]),
-            np.array([r.translation for _, r in pairs]),
-        )
         points = points @ T.rotation.T + T.translation
         rmse = map_rmse(points, world)
     else:
@@ -147,10 +141,11 @@ def cmd_ablate(args) -> int:
     csv_path = Path(args.report).with_suffix(".csv")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["seed", "config", "ate", "n_planes", "n_duplicates"])
+        columns = [f.name for f in fields(RunMetrics)]
+        writer.writerow(["seed", "config", *columns])
         for which, runs in (("full", report.full), ("without_topology", report.without_topology)):
             for seed, m in runs.items():
-                writer.writerow([seed, which, m.ate, m.n_planes, m.n_duplicates])
+                writer.writerow([seed, which, *(getattr(m, c) for c in columns)])
     print(json.dumps({k: d[k] for k in d if k.startswith(("mean", "improvement"))}, indent=1))
     return 0
 

@@ -228,10 +228,9 @@ class SGraph:
         kf_id: int,
         plane_information: np.ndarray,
         gate: float = 3.0,
-        robust: bool = True,
     ) -> int:
         """Associate a detection, creating a landmark when needed, and add
-        the pose-plane factor. Returns the landmark id."""
+        the Huber-robust pose-plane factor. Returns the landmark id."""
         kf = self.keyframes[kf_id]
         lm_id = self.associate_plane(det, kf_id, gate, plane_information)
         meas_minimal = to_minimal(det.plane)
@@ -260,7 +259,7 @@ class SGraph:
                 variables=(("kf", kf_id), ("plane", lm_id)),
                 measurement=meas_minimal,
                 information=np.asarray(plane_information, dtype=float),
-                robust=robust,
+                robust=True,
             )
         )
         return lm_id

@@ -41,8 +41,9 @@ def associate(
     return pairs
 
 
-def ate(pair: TrajectoryPair, max_dt: float = 0.25) -> float:
-    """Root-mean-square translational error after optimal rigid alignment."""
+def ate_alignment(pair: TrajectoryPair, max_dt: float = 0.25) -> tuple[Pose3, float]:
+    """The optimal rigid alignment of the estimate onto the reference, and
+    the root-mean-square translational error after it."""
     pairs = associate(pair.estimated, pair.reference, max_dt)
     if len(pairs) < 2:
         raise TooFewPoses(f"only {len(pairs)} associated poses")
@@ -50,7 +51,12 @@ def ate(pair: TrajectoryPair, max_dt: float = 0.25) -> float:
     ref = np.array([r.translation for _, r in pairs])
     T = align_rigid(est, ref)
     aligned = est @ T.rotation.T + T.translation
-    return float(np.sqrt(np.mean(np.sum((aligned - ref) ** 2, axis=1))))
+    return T, float(np.sqrt(np.mean(np.sum((aligned - ref) ** 2, axis=1))))
+
+
+def ate(pair: TrajectoryPair, max_dt: float = 0.25) -> float:
+    """Root-mean-square translational error after optimal rigid alignment."""
+    return ate_alignment(pair, max_dt)[1]
 
 
 def point_to_world_distance(points: np.ndarray, world: WorldModel) -> np.ndarray:

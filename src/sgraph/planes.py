@@ -1,5 +1,6 @@
 """Point-cloud pre-filtering and plane detection: mapped planes claim their
-points first, sequential RANSAC searches the rest."""
+points first, sequential RANSAC searches the rest, and one joint pass hands
+each point to its nearest plane."""
 
 from __future__ import annotations
 
@@ -324,7 +325,8 @@ _CLAIM_BANDS = 3.0
 def extract_planes(
     cloud: PointCloud, cfg: RansacConfig, predicted: np.ndarray | None = None
 ) -> list[PlaneDetection]:
-    """Sequential plane extraction: claim or search, refine, peel, repeat.
+    """Sequential plane extraction (claim or search, refine, peel, repeat),
+    then one joint reassignment of the points to the fits.
 
     `predicted` holds planes expected in the cloud, as (P, 4) rows of unit
     normal and distance in the sensor frame (the mapped planes, from
@@ -336,7 +338,10 @@ def extract_planes(
     searches what is left. A claimed mask, like a RANSAC winner, is refit,
     re-masked at `threshold`, trimmed and peeled, so every detection is the
     fit of its own points, never a prediction. With `predicted` left out
-    or empty this is plain sequential RANSAC.
+    or empty this is plain sequential RANSAC. Once no round finds a plane,
+    every point goes to the nearest fit within `threshold`, and each fit is
+    refined once more on the points it owns; a fit left with fewer than
+    `min_inliers` is dropped.
 
     Deterministic for a fixed (cloud, cfg, predicted); the RNG is seeded
     per call from cfg.seed and the cloud timestamp, and claims draw nothing
@@ -350,8 +355,7 @@ def extract_planes(
     # (N, P): which points lie in which prediction's claim band
     near = np.abs(pts @ predicted[:, :3].T - predicted[:, 3]) <= _CLAIM_BANDS * cfg.threshold
     remaining_idx = np.arange(len(cloud))
-    # (normal, d, index array, the owned points it came back unchanged from)
-    fits: list[tuple[np.ndarray, float, np.ndarray, np.ndarray | None]] = []
+    fits: list[tuple[np.ndarray, float, np.ndarray]] = []  # (normal, d, index array)
     while remaining_idx.size >= max(cfg.min_inliers, 3):
         remaining = pts[remaining_idx]
         claims = near[remaining_idx]
@@ -372,44 +376,26 @@ def extract_planes(
         if int(mask.sum()) < cfg.min_inliers:
             mask = best_mask
         mask, normal, d = _trim_fit(remaining, mask, cfg)
-        fits.append((normal, d, remaining_idx[mask], None))
+        fits.append((normal, d, remaining_idx[mask]))
         remaining_idx = remaining_idx[~mask]
 
-    # joint reassignment: near junctions a point can sit inside one plane's
-    # band while lying exactly on another detected plane; give every point
-    # to the detection that fits it best and refit until stable. Every fit's
-    # (normal, d) is `_fit_plane_lsq(pts[idx])` bit for bit, so a pass's
-    # refinement of a fit depends only on its points and the ones it owns: a
-    # fit that came back unchanged and owns the same points again is reused.
-    for _ in range(3):
-        if not fits:
-            break
-        dists = np.stack([np.abs(pts @ n - d) for n, d, *_ in fits])
-        owner = np.argmin(dists, axis=0)
-        new_fits = []
-        changed = False
-        for k, fit in enumerate(fits):
-            normal, d, idx, settled = fit
-            owned_idx = np.nonzero((owner == k) & (dists[k] <= cfg.threshold))[0]
-            if settled is not None and np.array_equal(owned_idx, settled):
-                new_fits.append(fit)
-                continue
-            owned = pts[owned_idx]
-            mask = _dominant_patch(owned, np.ones(owned_idx.size, dtype=bool), normal)
-            if int(mask.sum()) < cfg.min_inliers:
-                changed = True
-                continue
-            mask, normal, d = _trim_fit(owned, mask, cfg)
-            new_idx = owned_idx[mask]
-            same = np.array_equal(new_idx, idx)
-            changed = changed or not same
-            new_fits.append((normal, d, new_idx, owned_idx if same else None))
-        fits = new_fits
-        if not changed or not fits:
-            break
-
+    # one joint reassignment: near junctions a point can sit inside one
+    # plane's band while lying exactly on a later-found plane, which the
+    # sequential peel never offered it to; give every point to the nearest
+    # fit within the band, then refine each fit on the points it owns
+    if not fits:
+        return []
+    dists = np.stack([np.abs(pts @ n - d) for n, d, _ in fits])
+    owner = np.argmin(dists, axis=0)
     detections: list[PlaneDetection] = []
-    for normal, d, idx, _ in fits:
+    for k, (normal, _, _) in enumerate(fits):
+        owned_idx = np.nonzero((owner == k) & (dists[k] <= cfg.threshold))[0]
+        owned = pts[owned_idx]
+        mask = _dominant_patch(owned, np.ones(owned_idx.size, dtype=bool), normal)
+        if int(mask.sum()) < cfg.min_inliers:
+            continue
+        mask, normal, d = _trim_fit(owned, mask, cfg)
+        idx = owned_idx[mask]
         inliers = pts[idx]
         plane = PlaneHessian(normal, d)
         residuals = inliers @ normal - d

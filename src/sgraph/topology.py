@@ -127,9 +127,7 @@ def detect_corridor(
     return CorridorNode(id=-1, axis=axis, center=center, width=w, plane_links=(p1.id, p2.id))
 
 
-def associate_room(
-    graph: SGraph, candidate: RoomNode, width_match_tol: float = 0.5
-) -> int:
+def associate_room(graph: SGraph, candidate: RoomNode, cfg: RoomCriterionConfig) -> int:
     """Match a candidate against mapped rooms by center distance.
 
     The gate scales with the room size: half the smaller width. Matching
@@ -143,7 +141,7 @@ def associate_room(
         dist = float(np.linalg.norm(room.center - candidate.center))
         if dist >= gate or dist >= best_dist:
             continue
-        if np.any(np.abs(room.widths - candidate.widths) > width_match_tol):
+        if np.any(np.abs(room.widths - candidate.widths) > cfg.width_match_tol):
             continue
         best_dist = dist
         best_id = room.id
@@ -199,14 +197,10 @@ def update_topology(
             ids = {xp[0].id, xp[1].id, yp[0].id, yp[1].id}
             if not ids <= set(graph.planes):
                 continue
-            candidate = detect_room(
-                (graph.planes[xp[0].id], graph.planes[xp[1].id]),
-                (graph.planes[yp[0].id], graph.planes[yp[1].id]),
-                cfg,
-            )
+            candidate = detect_room(xp, yp, cfg)
             if candidate is None:
                 continue
-            match = associate_room(graph, candidate, cfg.width_match_tol)
+            match = associate_room(graph, candidate, cfg)
             if match != NEW_ROOM:
                 stats["merges"] += merge_candidate_into_room(graph, match, candidate)
                 continue
@@ -228,9 +222,7 @@ def update_topology(
                 continue
             if pair[0].id not in graph.planes or pair[1].id not in graph.planes:
                 continue
-            candidate = detect_corridor(
-                (graph.planes[pair[0].id], graph.planes[pair[1].id]), cfg
-            )
+            candidate = detect_corridor(pair, cfg)
             if candidate is None:
                 continue
             graph.add_corridor(candidate, information)

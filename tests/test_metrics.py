@@ -13,6 +13,7 @@ from sgraph.metrics import (
     TrajectoryPair,
     align_rigid,
     ate,
+    ate_alignment,
     map_rmse,
     start_end_error,
 )
@@ -41,6 +42,17 @@ class TestAte:
         T = Pose3(rot_exp(np.array([0.3, -0.2, 0.9])), np.array([5.0, -2.0, 1.0]))
         moved = [(t, T.compose(p)) for t, p in traj]
         assert ate(TrajectoryPair(moved, traj)) == pytest.approx(0.0, abs=1e-9)
+
+    def test_alignment_undoes_a_rigid_transform(self):
+        # `sgraph eval` moves the map into the world frame with this alignment
+        rng = np.random.default_rng(1)
+        traj = random_trajectory(rng)
+        T = Pose3(rot_exp(np.array([0.3, -0.2, 0.9])), np.array([5.0, -2.0, 1.0]))
+        pair = TrajectoryPair([(t, T.compose(p)) for t, p in traj], traj)
+        aligned, error = ate_alignment(pair)
+        assert error == ate(pair)
+        assert np.allclose(aligned.rotation, T.inverse().rotation, atol=1e-9)
+        assert np.allclose(aligned.translation, T.inverse().translation, atol=1e-9)
 
     def test_known_offset_single_axis(self):
         # half the poses shifted +0.2 in x: optimal alignment centers the

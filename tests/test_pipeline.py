@@ -1,5 +1,6 @@
 """End-to-end pipeline behavior and the command-line interface."""
 
+import csv
 import json
 from dataclasses import fields, is_dataclass, replace
 
@@ -168,7 +169,14 @@ class TestCli:
         ]) == 0
         d = json.loads(report.read_text())
         assert "mean_ate_full" in d or "mean_ate" in str(d)
-        assert report.with_suffix(".csv").exists()
+        with open(report.with_suffix(".csv"), newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == [
+            "seed", "config", "ate", "n_planes", "n_duplicates", "n_rooms", "n_corridors", "final_cost",
+        ]
+        assert [row[:2] for row in rows[1:]] == [["0", "full"], ["0", "without_topology"]]
+        full = d["full"]["0"]
+        assert rows[1][2:] == [str(full[name]) for name in rows[0][2:]]
 
 
 def every_leaf_changed(cfg):

@@ -309,12 +309,12 @@ def reference_score(points, samples, threshold):
 
 
 def reference_extract_planes(cloud, cfg, stats):
-    """`extract_planes` refining every fit in every reassignment pass and
-    refitting every detection at the end. Run with `reference_dominant_patch`,
-    `reference_plane_basis` and `reference_score` patched into `planes`.
+    """`extract_planes` without predictions, refitting every detection at the
+    end. Run with `reference_dominant_patch`, `reference_plane_basis` and
+    `reference_score` patched into `planes`.
 
     Counts in `stats` the fits the reassignment drops below `min_inliers`
-    ("dropped") and the clouds still changing after its third pass ("capped").
+    ("dropped").
     """
     rng = np.random.default_rng((cfg.seed, np.uint64(abs(hash(cloud.timestamp)))))
     pts = cloud.points
@@ -333,32 +333,20 @@ def reference_extract_planes(cloud, cfg, stats):
         fits.append((normal, d, remaining_idx[mask]))
         remaining_idx = remaining_idx[~mask]
 
-    for n_pass in range(3):
-        if not fits:
-            break
-        dists = np.stack([np.abs(pts @ n - d) for n, d, _ in fits])
-        owner = np.argmin(dists, axis=0)
-        new_fits = []
-        changed = False
-        for k, (normal, d, idx) in enumerate(fits):
-            owned_idx = np.nonzero((owner == k) & (dists[k] <= cfg.threshold))[0]
-            owned = pts[owned_idx]
-            mask = planes._dominant_patch(owned, np.ones(owned_idx.size, dtype=bool), normal)
-            if int(mask.sum()) < cfg.min_inliers:
-                changed = True
-                stats["dropped"] += 1
-                continue
-            mask, normal, d = planes._trim_fit(owned, mask, cfg)
-            new_idx = owned_idx[mask]
-            changed = changed or not np.array_equal(new_idx, idx)
-            new_fits.append((normal, d, new_idx))
-        fits = new_fits
-        if not changed or not fits:
-            break
-        stats["capped"] += n_pass == 2
+    kept = []
+    for k, (normal, d, _) in enumerate(fits):
+        dists = np.stack([np.abs(pts @ n - e) for n, e, _ in fits])
+        owned_idx = np.nonzero((np.argmin(dists, axis=0) == k) & (dists[k] <= cfg.threshold))[0]
+        owned = pts[owned_idx]
+        mask = planes._dominant_patch(owned, np.ones(owned_idx.size, dtype=bool), normal)
+        if int(mask.sum()) < cfg.min_inliers:
+            stats["dropped"] += 1
+            continue
+        mask, normal, d = planes._trim_fit(owned, mask, cfg)
+        kept.append(owned_idx[mask])
 
     detections = []
-    for normal, d, idx in fits:
+    for idx in kept:
         inliers = pts[idx]
         normal, d = planes._fit_plane_lsq(inliers)
         plane = PlaneHessian(normal, d)
@@ -541,8 +529,8 @@ def ring_clouds(seeds=(0, 1, 2), every=4):
 @pytest.fixture(scope="module")
 def settled_runs():
     """name -> run over box, planted and ring clouds: the cloud, its points
-    before extraction, the detections and `_trim_fit` calls of
-    `extract_planes` and of the reference, and the reference's stats."""
+    before extraction, the detections of `extract_planes` and of the
+    reference, and the reference's stats."""
     clouds = {
         "box": (box_cloud(sigma=0.0)[0], 300),
         "noisy-box": (box_cloud(sigma=0.01)[0], 300),
@@ -552,34 +540,27 @@ def settled_runs():
     }
     clouds.update((name, (cloud, 300)) for name, cloud in ring_clouds().items())
     runs = {}
+    for name, (cloud, max_iters) in clouds.items():
+        cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters, seed=3)
+        points = cloud.points.tobytes()
+        dets = planes.extract_planes(cloud, cfg)
+        runs[name] = {"cloud": cloud, "cfg": cfg, "points_before": points, "dets": dets}
+        runs[name]["dets_empty_map"] = planes.extract_planes(cloud, cfg, np.empty((0, 4)))
     with pytest.MonkeyPatch.context() as mp:
-        calls = []
-        trim_fit = planes._trim_fit
-        mp.setattr(planes, "_trim_fit", lambda *a: calls.append(None) or trim_fit(*a))
-        for name, (cloud, max_iters) in clouds.items():
-            cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=max_iters, seed=3)
-            points = cloud.points.tobytes()
-            calls.clear()
-            dets = planes.extract_planes(cloud, cfg)
-            runs[name] = {"cloud": cloud, "cfg": cfg, "points_before": points, "dets": dets, "calls": len(calls)}
-            runs[name]["dets_empty_map"] = planes.extract_planes(cloud, cfg, np.empty((0, 4)))
         mp.setattr(planes, "_dominant_patch", lambda p, m, n: reference_dominant_patch(p, m, n, stats=stats))
         mp.setattr(planes, "_plane_basis", reference_plane_basis)
         mp.setattr(planes, "_score_hypotheses", reference_score)
         for run in runs.values():
-            stats = {"splits": 0, "dropped": 0, "capped": 0}
-            calls.clear()
+            stats = {"splits": 0, "dropped": 0}
             run["want"] = reference_extract_planes(run["cloud"], run["cfg"], stats)
-            run["ref_calls"] = len(calls)
             run["stats"] = stats
     return runs
 
 
 class TestSettledWork:
-    """`extract_planes` reuses the refinement of a fit that came back
-    unchanged and owns the same points again, skips the final refit, sorts
-    only where a patch splits and scores in place; its detections equal, byte
-    for byte, those of the code that redoes all of it."""
+    """`extract_planes` skips the final refit, sorts only where a patch
+    splits and scores in place; its detections equal, byte for byte, those
+    of the code that redoes all of it."""
 
     def test_detections_equal_the_reference(self, settled_runs):
         for name, run in settled_runs.items():
@@ -602,12 +583,9 @@ class TestSettledWork:
         for name, run in settled_runs.items():
             assert run["cloud"].points.tobytes() == run["points_before"], name
 
-    def test_clouds_cover_reuse_drops_splits_and_the_pass_cap(self, settled_runs):
+    def test_clouds_cover_drops_and_splits(self, settled_runs):
         runs = settled_runs.values()
-        assert all(run["calls"] <= run["ref_calls"] for run in runs)
-        # each reused fit is one `_trim_fit` call fewer than the reference makes
-        assert sum(run["calls"] < run["ref_calls"] for run in runs) >= 3
-        for key in ("splits", "dropped", "capped"):
+        for key in ("splits", "dropped"):
             assert sum(run["stats"][key] for run in runs) > 0, key
         assert sum(len(run["dets"]) for run in runs) >= 100
 

@@ -214,7 +214,7 @@ class TestAssociateRoomAndMerge:
     def test_identical_redetection_matches(self):
         g = graph_with_room()
         cand = detect_room((g.planes[0], g.planes[1]), (g.planes[2], g.planes[3]), CFG)
-        assert associate_room(g, cand) == 0
+        assert associate_room(g, cand, CFG) == 0
 
     def test_far_candidate_is_new(self):
         g = graph_with_room()
@@ -223,7 +223,7 @@ class TestAssociateRoomAndMerge:
             (wall(2, "y", 2.0, observer=(9.0, 3.0)), wall(3, "y", 4.0, observer=(9.0, 3.0))),
             CFG,
         )
-        assert associate_room(g, shifted) == NEW_ROOM
+        assert associate_room(g, shifted, CFG) == NEW_ROOM
 
     def test_different_shape_near_center_is_new(self):
         g = graph_with_room()
@@ -232,7 +232,7 @@ class TestAssociateRoomAndMerge:
             (wall(2, "y", 2.0), wall(3, "y", 4.0)),
             CFG,
         )
-        assert associate_room(g, cand, width_match_tol=0.5) == NEW_ROOM
+        assert associate_room(g, cand, CFG) == NEW_ROOM
 
     def test_duplicate_wall_merged_on_redetection(self):
         g = graph_with_room()
