@@ -7,10 +7,8 @@ from .geometry import (
     PlaneMinimal,
     Pose3,
     classify_plane,
-    compose,
     from_minimal,
     inverse_compose,
-    normalize_plane,
     to_minimal,
     transform_plane,
 )
@@ -24,10 +22,8 @@ __all__ = [
     "PlaneMinimal",
     "Pose3",
     "classify_plane",
-    "compose",
     "from_minimal",
     "inverse_compose",
-    "normalize_plane",
     "to_minimal",
     "transform_plane",
     "KeyframePolicy",

@@ -57,10 +57,6 @@ def cmd_simulate(args) -> int:
 def cmd_slam(args) -> int:
     cfg = load_slam_config(args.config)
     world, steps = load_dataset(args.dataset)
-    if args.no_topology:
-        cfg = replace(cfg, enable_topology=False)
-    if args.loop_closure:
-        cfg = replace(cfg, enable_loop_closure=True)
     result = run_slam(steps, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -164,8 +160,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("slam", help="run the mapping pipeline on a dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--no-topology", action="store_true")
-    p.add_argument("--loop-closure", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_slam)
 

@@ -2,7 +2,8 @@
 Jacobians.
 
 Each kernel evaluates every factor of one kind at once, on the estimates
-gathered into arrays (`_Values`). `KINDS` is the one table of what a factor
+gathered into arrays (`_Values`), with the stacked rotation and plane
+helpers of `sgraph.geometry`. `KINDS` is the one table of what a factor
 kind is: its graph layer, its kernel, the type of its measurement and how
 a block's measurements stack into the kernel's arrays. `sgraph.linearize`
 whitens, Huber-weights and scatters the kernels' output into the normal
@@ -12,12 +13,10 @@ module are one-row calls of the kernels.
 
 Local coordinates per variable type:
   keyframe pose : 6  [dt (body frame), dw (rotation vector, right perturbation)]
-  plane         : 3  [u_az, u_el, d_distance]: the normal moves on the unit
-                     sphere by the exponential map of u_az e_az + u_el e_el,
-                     (e_az, e_el) the unit tangents of the stored normal
-                     along azimuth and elevation; the distance is additive.
-                     (azimuth, elevation, distance) is only how a plane is
-                     stored, so its pole is not a singularity of the step.
+  plane         : 3  [u_az, u_el, d_distance], the step on the unit sphere
+                     that `sgraph.geometry` defines. (azimuth, elevation,
+                     distance) is only how a plane is stored, so its pole
+                     is not a singularity of the step.
   room          : 4  [d_cx, d_cy, d_wx, d_wy]
   corridor      : 2  [d_center_along_axis, d_width]   (the cross-axis center
                      component is deliberately not optimized)
@@ -25,14 +24,23 @@ Local coordinates per variable type:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .geometry import Pose3, PlaneClass, PlaneMinimal, rot_log
+from .geometry import (
+    Pose3,
+    PlaneMinimal,
+    _axis_sign,
+    _mv,
+    _right_jacobian_inv,
+    _rot_log,
+    _sphere_frame,
+    rot_log,
+    skew,
+)
 
 
 class FactorKind(Enum):
@@ -81,85 +89,6 @@ class _Values:
 Kernel = Callable[[_Values, np.ndarray, tuple, bool], tuple[np.ndarray, np.ndarray | None]]
 
 
-# -- batched geometry --------------------------------------------------------
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    S = np.zeros(v.shape[:-1] + (3, 3))
-    S[..., 0, 1] = -v[..., 2]
-    S[..., 0, 2] = v[..., 1]
-    S[..., 1, 0] = v[..., 2]
-    S[..., 1, 2] = -v[..., 0]
-    S[..., 2, 0] = -v[..., 1]
-    S[..., 2, 1] = v[..., 0]
-    return S
-
-
-def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Stacked matrix-vector products."""
-    return (M @ v[..., None])[..., 0]
-
-
-def _sphere_frame(az: np.ndarray, el: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit normals at stacked (azimuth, elevation), and their unit tangents
-    e_az and e_el along azimuth and elevation: an orthonormal frame, the
-    pole included, each (N, 3)."""
-    ca, sa, ce, se = np.cos(az), np.sin(az), np.cos(el), np.sin(el)
-    n = np.stack([ce * ca, ce * sa, se], axis=1)
-    e_az = np.stack([-sa, ca, np.zeros_like(az)], axis=1)
-    e_el = np.stack([-se * ca, -se * sa, ce], axis=1)
-    return n, e_az, e_el
-
-
-def _retract_planes(planes: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Stacked (azimuth, elevation, distance) moved by local steps
-    (u_az, u_el, d_distance): the normal along the great circle of the
-    tangent u_az e_az + u_el e_el, by its norm."""
-    n, e_az, e_el = _sphere_frame(planes[:, 0], planes[:, 1])
-    u = step[:, 0:1] * e_az + step[:, 1:2] * e_el
-    theta = np.hypot(step[:, 0], step[:, 1])
-    n = np.cos(theta)[:, None] * n + np.sinc(theta / math.pi)[:, None] * u
-    return np.column_stack(
-        [
-            np.arctan2(n[:, 1], n[:, 0]),
-            np.arctan2(n[:, 2], np.hypot(n[:, 0], n[:, 1])),
-            planes[:, 2] + step[:, 2],
-        ]
-    )
-
-
-def _rot_log(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`geometry.rot_log` on stacked rotations, and the mask of rows in its
-    near-pi branch, which this leaves for the caller to evaluate."""
-    w = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], 1)
-    cos_theta = np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
-    theta = np.arccos(cos_theta)
-    small = theta < 1e-10
-    safe = np.where(small, 1.0, theta)
-    out = np.where(small[:, None], w / 2.0, w * (safe / (2.0 * np.sin(safe)))[:, None])
-    return out, theta > math.pi - 1e-6
-
-
-def _right_jacobian_inv(w: np.ndarray) -> np.ndarray:
-    """Inverse right Jacobian of SO(3) at stacked rotation vectors."""
-    theta = np.linalg.norm(w, axis=1)
-    W = _skew(w)
-    WW = W @ W
-    small = theta < 1e-8
-    safe = np.where(small, 1.0, theta)
-    cot_term = 1.0 / (safe * safe) - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe))
-    second = np.where(small[:, None, None], WW / 12.0, cot_term[:, None, None] * WW)
-    return np.eye(3) + 0.5 * W + second
-
-
-def _axis_sign(planes: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """Sign of each plane normal's component along its axis (0 is x, 1 is
-    y): the sign of the wall's signed distance along that axis."""
-    ce = np.cos(planes[:, 1])
-    component = np.where(axis == 0, ce * np.cos(planes[:, 0]), ce * np.sin(planes[:, 0]))
-    return np.where(component >= 0.0, 1.0, -1.0)
-
-
 def _edge_slots(slots: list, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(axis, half) of each slot of a `count`-slot node: slot s bounds axis
     s // 2, on its low edge (half -0.5) when s is even, else its high edge
@@ -201,7 +130,7 @@ def _between(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
     Jinv = _right_jacobian_inv(r_w)
     J = np.zeros((len(rows), 6, 12))
     J[:, 0:3, 0:3] = -RmT
-    J[:, 0:3, 3:6] = RmT @ _skew(tp)
+    J[:, 0:3, 3:6] = RmT @ skew(tp)
     J[:, 3:6, 3:6] = -Jinv @ Rp.transpose(0, 2, 1)
     J[:, 0:3, 6:9] = E
     J[:, 3:6, 9:12] = Jinv
@@ -251,7 +180,7 @@ def _pose_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
     J = np.zeros((len(rows), 3, 9))
     # pose perturbation R <- R exp(w^), t <- t + R u, and
     # sign * skew(n_l before the flip) == skew(n_l after it)
-    J[:, 0:2, 3:6] = Jn @ _skew(n_l)
+    J[:, 0:2, 3:6] = Jn @ skew(n_l)
     J[:, 2, 0:3] = -n_l
     J[:, 0:2, 6:8] = Jn @ (sign[:, None, None] * (RT @ tangent))
     J[:, 2, 6:8] = -sign[:, None] * (t[:, None, :] @ tangent)[:, 0]
@@ -372,12 +301,6 @@ def pose_plane_residual(
     )
     r, J = _pose_plane(v, _ONE_ROW, (meas.as_array()[None],), True)
     return r[0], J[0, :, :6], J[0, :, 6:]
-
-
-def plane_axis_sign(plane: PlaneMinimal, cls: PlaneClass) -> float:
-    """Sign of the normal component along the class axis (signed distance)."""
-    axis = 0 if cls is PlaneClass.X_VERTICAL else 1
-    return float(_axis_sign(plane.as_array()[None], np.array([axis]))[0])
 
 
 def room_plane_residual(

@@ -1,4 +1,5 @@
-"""Rigid-body poses, plane representations and frame transforms.
+"""Rigid-body poses, plane representations and frame transforms: the one
+copy of each rotation and plane formula in the package.
 
 Conventions used throughout the package:
   - A pose (R, t) maps points from its local frame to the parent frame:
@@ -8,6 +9,17 @@ Conventions used throughout the package:
     ambiguity.
   - The minimal plane parametrization is (azimuth, elevation, distance)
     with azimuth = atan2(n_y, n_x) and elevation = atan2(n_z, hypot(n_x, n_y)).
+    A plane steps by (u_az, u_el, d_distance): the normal moves on the unit
+    sphere along u_az e_az + u_el e_el, (e_az, e_el) its unit tangents along
+    azimuth and elevation (`_sphere_frame`), and the distance is additive.
+
+`skew` and `rot_exp` take one vector or a stack (..., 3). The helpers whose
+names start with an underscore work on stacks of rows, for the factor
+kernels and the solve. `rot_log` and `to_minimal` keep scalar bodies beside
+their stacked forms `_rot_log` and `_retract_planes`: np.arccos and np.hypot
+differ from math.acos and math.hypot in the last bit on some inputs, and
+`rot_log` feeds `Pose3.log`, which keyframe selection and the simulator's
+odometry noise read.
 """
 
 from __future__ import annotations
@@ -17,10 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-
-class DegeneratePlane(ValueError):
-    """Raised when a plane parameter vector is too close to zero."""
 
 
 _POLE_EPS = 5e-7  # |n_z| above 1 - eps (tilt < ~0.06 deg): azimuth fixed to 0
@@ -37,26 +45,30 @@ def wrap_angle(a: float) -> float:
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: skew(v) @ u == v x u."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """Cross-product matrices of stacked vectors (..., 3): skew(v) @ u == v x u."""
+    S = np.zeros(v.shape[:-1] + (3, 3))
+    S[..., 0, 1] = -v[..., 2]
+    S[..., 0, 2] = v[..., 1]
+    S[..., 1, 0] = v[..., 2]
+    S[..., 1, 2] = -v[..., 0]
+    S[..., 2, 0] = -v[..., 1]
+    S[..., 2, 1] = v[..., 0]
+    return S
 
 
 def rot_exp(w: np.ndarray) -> np.ndarray:
-    """Rotation matrix from a rotation vector (Rodrigues)."""
-    theta = float(np.linalg.norm(w))
+    """Rotation matrices of stacked rotation vectors (..., 3) (Rodrigues)."""
+    # a dot product per vector, as the 1-D `np.linalg.norm` takes, so a
+    # stack's theta matches its rows' bit for bit; a sum of squares along
+    # an axis does not
+    theta = np.sqrt((w[..., None, :] @ w[..., :, None])[..., 0, 0])
     W = skew(w)
-    if theta < 1e-10:
-        # 2nd-order series; accurate to ~1e-20 for theta < 1e-10
-        return np.eye(3) + W + 0.5 * (W @ W)
-    a = math.sin(theta) / theta
-    b = (1.0 - math.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * W + b * (W @ W)
+    # below 1e-10 the 2nd-order series, accurate to ~1e-20
+    small = theta < 1e-10
+    safe = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(safe) / safe)
+    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))
+    return np.eye(3) + a[..., None, None] * W + b[..., None, None] * (W @ W)
 
 
 def rot_log(R: np.ndarray) -> np.ndarray:
@@ -88,6 +100,35 @@ def rot_log(R: np.ndarray) -> np.ndarray:
         return theta * axis
     w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
     return w * (theta / (2.0 * math.sin(theta)))
+
+
+def _rot_log(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`rot_log` on stacked rotations, and the mask of rows in its near-pi
+    branch, which this leaves for the caller to evaluate."""
+    w = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], 1)
+    cos_theta = np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) / 2.0, -1.0, 1.0)
+    theta = np.arccos(cos_theta)
+    small = theta < 1e-10
+    safe = np.where(small, 1.0, theta)
+    out = np.where(small[:, None], w / 2.0, w * (safe / (2.0 * np.sin(safe)))[:, None])
+    return out, theta > math.pi - 1e-6
+
+
+def _right_jacobian_inv(w: np.ndarray) -> np.ndarray:
+    """Inverse right Jacobian of SO(3) at stacked rotation vectors."""
+    theta = np.linalg.norm(w, axis=1)
+    W = skew(w)
+    WW = W @ W
+    small = theta < 1e-8
+    safe = np.where(small, 1.0, theta)
+    cot_term = 1.0 / (safe * safe) - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe))
+    second = np.where(small[:, None, None], WW / 12.0, cot_term[:, None, None] * WW)
+    return np.eye(3) + 0.5 * W + second
+
+
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products."""
+    return (M @ v[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -145,11 +186,6 @@ class Pose3:
         )
 
 
-def compose(a: Pose3, b: Pose3) -> Pose3:
-    """Group composition a (+) b."""
-    return a.compose(b)
-
-
 def inverse_compose(a: Pose3, b: Pose3) -> Pose3:
     """Relative pose of b expressed in frame a: (-) a (+) b."""
     return a.inverse().compose(b)
@@ -169,9 +205,16 @@ def align_rigid(src: np.ndarray, dst: np.ndarray) -> Pose3:
 
 
 class PlaneClass(Enum):
+    """The axis a plane's normal points along; members in coordinate order."""
+
     X_VERTICAL = "x"
     Y_VERTICAL = "y"
     HORIZONTAL = "h"
+
+    @property
+    def index(self) -> int:
+        """The coordinate of that axis: 0 is x, 1 is y and 2 is z."""
+        return list(PlaneClass).index(self)
 
 
 @dataclass(frozen=True)
@@ -199,19 +242,6 @@ class PlaneMinimal:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.azimuth, self.elevation, self.distance])
-
-
-def normalize_plane(pi: np.ndarray, eps: float = 1e-6) -> PlaneHessian:
-    """Recover (n, d) from the scaled normal pi = n' * d'.
-
-    The norm of pi is the (positive) plane distance and its direction the
-    normal, which removes the double-sided sign ambiguity.
-    """
-    pi = np.asarray(pi, dtype=float).reshape(3)
-    norm = float(np.linalg.norm(pi))
-    if norm <= eps:
-        raise DegeneratePlane(f"plane vector norm {norm:.3e} <= {eps:.3e}")
-    return PlaneHessian(pi / norm, norm)
 
 
 def flip_to_positive(normal: np.ndarray, distance: float) -> tuple[np.ndarray, float]:
@@ -263,3 +293,44 @@ def classify_plane(p: PlaneHessian) -> PlaneClass:
     if ax > ay:
         return PlaneClass.X_VERTICAL
     return PlaneClass.Y_VERTICAL
+
+
+def _sphere_frame(az: np.ndarray, el: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit normals at stacked (azimuth, elevation), and their unit tangents
+    e_az and e_el along azimuth and elevation: an orthonormal frame, the
+    pole included, each (N, 3)."""
+    ca, sa, ce, se = np.cos(az), np.sin(az), np.cos(el), np.sin(el)
+    n = np.stack([ce * ca, ce * sa, se], axis=1)
+    e_az = np.stack([-sa, ca, np.zeros_like(az)], axis=1)
+    e_el = np.stack([-se * ca, -se * sa, ce], axis=1)
+    return n, e_az, e_el
+
+
+def _retract_planes(planes: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Stacked (azimuth, elevation, distance) moved by local steps
+    (u_az, u_el, d_distance): the normal along the great circle of the
+    tangent u_az e_az + u_el e_el, by its norm."""
+    n, e_az, e_el = _sphere_frame(planes[:, 0], planes[:, 1])
+    u = step[:, 0:1] * e_az + step[:, 1:2] * e_el
+    theta = np.hypot(step[:, 0], step[:, 1])
+    n = np.cos(theta)[:, None] * n + np.sinc(theta / math.pi)[:, None] * u
+    return np.column_stack(
+        [
+            np.arctan2(n[:, 1], n[:, 0]),
+            np.arctan2(n[:, 2], np.hypot(n[:, 0], n[:, 1])),
+            planes[:, 2] + step[:, 2],
+        ]
+    )
+
+
+def _axis_sign(planes: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Sign of each stacked plane's normal component along its axis (0 is
+    x, 1 is y): the sign of the wall's signed distance along that axis."""
+    ce = np.cos(planes[:, 1])
+    component = np.where(axis == 0, ce * np.cos(planes[:, 0]), ce * np.sin(planes[:, 0]))
+    return np.where(component >= 0.0, 1.0, -1.0)
+
+
+def plane_axis_sign(plane: PlaneMinimal, cls: PlaneClass) -> float:
+    """`_axis_sign` of one plane along the axis of a vertical class."""
+    return float(_axis_sign(plane.as_array()[None], np.array([cls.index]))[0])

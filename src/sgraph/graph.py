@@ -14,7 +14,6 @@ from .factors import (
     VariableKey,
     _pose_plane,
     corridor_plane_residual,
-    plane_axis_sign,
     pose_between_residual,
     pose_plane_residual,
     room_plane_residual,
@@ -23,8 +22,10 @@ from .geometry import (
     Pose3,
     PlaneClass,
     PlaneMinimal,
+    _sphere_frame,
     classify_plane,
     inverse_compose,
+    plane_axis_sign,
     to_minimal,
     transform_plane,
 )
@@ -90,7 +91,6 @@ class SGraph:
     rooms: dict[int, RoomNode] = field(default_factory=dict)
     corridors: dict[int, CorridorNode] = field(default_factory=dict)
     factors: list[Factor] = field(default_factory=list)
-    map_to_odom: Pose3 = field(default_factory=Pose3.identity)
     _next_plane_id: int = 0
     _next_room_id: int = 0
     _next_corridor_id: int = 0
@@ -118,8 +118,7 @@ class SGraph:
         from_minimal(lm.params), to_sensor=True)` of the i-th landmark."""
         kf = self.keyframes[kf_id]
         az, el, d = np.array([lm.params.as_array() for lm in self.planes.values()]).reshape(-1, 3).T
-        ce = np.cos(el)
-        normals = np.column_stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)])
+        normals = _sphere_frame(az, el)[0]
         d = d - normals @ kf.pose.translation
         sign = np.where(d < 0.0, -1.0, 1.0)  # `flip_to_positive`, row by row
         return np.column_stack([(normals @ kf.pose.rotation) * sign[:, None], d * sign])
@@ -143,7 +142,6 @@ class SGraph:
             odom_information = np.eye(6) * 1e4
         last = self.last_keyframe()
         if last is None:
-            self.map_to_odom = odom_pose.inverse()
             kf = Keyframe(
                 id=0,
                 timestamp=timestamp,
@@ -371,16 +369,8 @@ class SGraph:
             plane = self.planes[kp[1]]
             slot = factor.measurement
             sign = plane_axis_sign(plane.params, corr.axis)
-            axis_idx = 0 if corr.axis is PlaneClass.X_VERTICAL else 1
             r, Jc, Jp = corridor_plane_residual(
-                float(corr.center[axis_idx]), corr.width, plane.params, slot, sign
+                float(corr.center[corr.axis.index]), corr.width, plane.params, slot, sign
             )
             return np.array([r]), {kc: Jc.reshape(1, 2), kp: Jp.reshape(1, 3)}
         raise ValueError(f"unknown factor kind {kind}")
-
-    def update_map_to_odom(self) -> None:
-        """Re-derive the map-to-odometry offset from the newest keyframe."""
-        last = self.last_keyframe()
-        if last is not None:
-            self.map_to_odom = last.pose.compose(last.odom_pose.inverse())
-

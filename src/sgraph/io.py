@@ -20,7 +20,7 @@ from .graph import SGraph
 from .planes import PointCloud
 from .simulator import SimStep, WorldModel
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 # -- JSON codec -------------------------------------------------------------

@@ -8,8 +8,9 @@ into the dense normal equations; the same pass without Jacobians gives the
 cost alone, per layer.
 
 The solver works on the estimates gathered into arrays (`_Values`): it
-gathers them once, retracts a damped step onto them in batch, and writes
-the accepted result back into the graph once.
+gathers them once, retracts a damped step onto them in batch with the
+stacked rotation and plane steps of `sgraph.geometry`, and writes the
+accepted result back into the graph once.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .factors import KINDS, LOCAL_DIM, Kernel, VariableKey, _mv, _retract_planes, _skew, _Values
-from .geometry import PlaneClass, PlaneMinimal, Pose3
+from .factors import KINDS, LOCAL_DIM, Kernel, VariableKey, _Values
+from .geometry import PlaneMinimal, Pose3, _mv, _retract_planes, rot_exp
 from .graph import SGraph
 
 # in block order
@@ -39,19 +40,6 @@ class FactorBlock:
     robust: np.ndarray  # (N,) bool
     g_keep: np.ndarray  # (N, D) Jacobian columns of non-gauge variables
     h_keep: np.ndarray  # (N, D, D) their pairs
-
-
-def _rot_exp(w: np.ndarray) -> np.ndarray:
-    """`geometry.rot_exp` on stacked rotation vectors, term by term."""
-    # a dot product per row, as the 1-D `np.linalg.norm` takes, so theta
-    # matches it bit for bit; a sum of squares along an axis does not
-    theta = np.sqrt((w[:, None, :] @ w[:, :, None])[:, 0, 0])
-    W = _skew(w)
-    small = theta < 1e-10
-    safe = np.where(small, 1.0, theta)
-    a = np.where(small, 1.0, np.sin(safe) / safe)
-    b = np.where(small, 0.5, (1.0 - np.cos(safe)) / (safe * safe))
-    return np.eye(3) + a[:, None, None] * W + b[:, None, None] * (W @ W)
 
 
 # -- the batched graph -----------------------------------------------------
@@ -130,7 +118,7 @@ class BatchedFactors:
         poses = [graph.keyframes[k].pose for k in self.ids["kf"]]
         rooms = [graph.rooms[r] for r in self.ids["room"]]
         corridors = [graph.corridors[c] for c in self.ids["corridor"]]
-        axes = np.array([0 if c.axis is PlaneClass.X_VERTICAL else 1 for c in corridors], dtype=int)
+        axes = np.array([c.axis.index for c in corridors], dtype=int)
         return _Values(
             rotations=np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
             translations=np.array([p.translation for p in poses]).reshape(-1, 3),
@@ -157,7 +145,7 @@ class BatchedFactors:
         return replace(
             v,
             rotations=np.where(
-                fixed[:, :, None], v.rotations, v.rotations @ _rot_exp(step[:, 3:6])
+                fixed[:, :, None], v.rotations, v.rotations @ rot_exp(step[:, 3:6])
             ),
             translations=np.where(
                 fixed, v.translations, v.translations + _mv(v.rotations, step[:, 0:3])

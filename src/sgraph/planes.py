@@ -318,7 +318,7 @@ def _ransac_round(
 # prediction. The odometry-predicted pose puts the far end of a wall a few
 # centimetres off: on rooms4-online noise seeds 0-9, 99 % of the
 # observations of mapped walls have every inlier within 0.089 m of the
-# prediction. The refit of the claimed points tightens the band again.
+# prediction. The trim of the claimed points tightens the band again.
 _CLAIM_BANDS = 3.0
 
 
@@ -335,13 +335,14 @@ def extract_planes(
     takes those points, restricted to their dominant patch, as the round's
     winning mask; each prediction claims once, and claims stop when no
     prediction left holds `min_inliers` points. Sequential RANSAC then
-    searches what is left. A claimed mask, like a RANSAC winner, is refit,
-    re-masked at `threshold`, trimmed and peeled, so every detection is the
-    fit of its own points, never a prediction. With `predicted` left out
-    or empty this is plain sequential RANSAC. Once no round finds a plane,
-    every point goes to the nearest fit within `threshold`, and each fit is
-    refined once more on the points it owns; a fit left with fewer than
-    `min_inliers` is dropped.
+    searches what is left. A claimed mask, like a RANSAC winner, is trimmed
+    by `_trim_fit`, whose first refit re-masks it within `threshold`, and
+    peeled, so every detection is the fit of its own points, never a
+    prediction. With `predicted` left out or empty this is plain
+    sequential RANSAC. Once no round finds a plane, every point goes to
+    the nearest fit within `threshold`, and each fit is refined once more
+    on the points it owns; a fit left with fewer than `min_inliers` is
+    dropped.
 
     Deterministic for a fixed (cloud, cfg, predicted); the RNG is seeded
     per call from cfg.seed and the cloud timestamp, and claims draw nothing
@@ -370,12 +371,7 @@ def extract_planes(
             best_mask, best_count = _ransac_round(rng, remaining, cfg)
             if best_mask is None or best_count < cfg.min_inliers:
                 break
-        normal, d = _fit_plane_lsq(remaining[best_mask])
-        dist = np.abs(remaining @ normal - d)
-        mask = dist <= cfg.threshold
-        if int(mask.sum()) < cfg.min_inliers:
-            mask = best_mask
-        mask, normal, d = _trim_fit(remaining, mask, cfg)
+        mask, normal, d = _trim_fit(remaining, best_mask, cfg)
         fits.append((normal, d, remaining_idx[mask]))
         remaining_idx = remaining_idx[~mask]
 

@@ -64,8 +64,7 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
     its step onto them, and the result is written back once at the end.
     Accepted steps never increase the cost; termination on relative cost
     change, gradient norm, the iteration cap, or an iteration whose damped
-    tries all fail. After it the map-to-odometry offset is re-derived from
-    the newest keyframe.
+    tries all fail.
     """
     if not graph.keyframes:
         raise ValueError("graph has no keyframes")
@@ -120,5 +119,4 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
             break
         H, g, _ = factors.normal_equations(values, cfg.huber_delta)
     factors.write(graph, values)
-    graph.update_map_to_odom()
     return SolverReport(initial_cost, cost, iters, status, accepted, rejected)

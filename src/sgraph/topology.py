@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factors import plane_axis_sign
-from .geometry import PlaneClass, from_minimal
+from .geometry import PlaneClass, from_minimal, plane_axis_sign
 from .graph import CorridorNode, PlaneLandmark, RoomNode, SGraph
 
 NEW_ROOM = -1
@@ -119,10 +118,10 @@ def detect_corridor(
     if not _extents_similar(p1, p2, cfg.extent_ratio_max):
         return None
     center_axis = w / 2.0 + d1
-    perp_idx = 1 if axis is PlaneClass.X_VERTICAL else 0
+    perp_idx = 1 - axis.index
     perp = float((p1.centroid[perp_idx] + p2.centroid[perp_idx]) / 2.0)
     center = np.zeros(2)
-    center[0 if axis is PlaneClass.X_VERTICAL else 1] = center_axis
+    center[axis.index] = center_axis
     center[perp_idx] = perp
     return CorridorNode(id=-1, axis=axis, center=center, width=w, plane_links=(p1.id, p2.id))
 

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sgraph.geometry import (
-    DegeneratePlane,
     PlaneClass,
     PlaneHessian,
     PlaneMinimal,
     Pose3,
     classify_plane,
-    compose,
     from_minimal,
     inverse_compose,
-    normalize_plane,
     rot_exp,
     rot_log,
+    skew,
     to_minimal,
     transform_plane,
     wrap_angle,
@@ -37,11 +35,11 @@ class TestPose:
     def test_compose_identity(self):
         rng = np.random.default_rng(0)
         p = random_pose(rng)
-        assert compose(Pose3.identity(), p).almost_equal(p)
-        assert compose(p, Pose3.identity()).almost_equal(p)
+        assert Pose3.identity().compose(p).almost_equal(p)
+        assert p.compose(Pose3.identity()).almost_equal(p)
 
     def test_collinear_translations_add(self):
-        assert compose(tx(1.0), tx(2.0)).almost_equal(tx(3.0))
+        assert tx(1.0).compose(tx(2.0)).almost_equal(tx(3.0))
 
     def test_inverse_compose_self(self):
         rng = np.random.default_rng(1)
@@ -52,13 +50,13 @@ class TestPose:
         rng = np.random.default_rng(2)
         for _ in range(20):
             p = random_pose(rng)
-            assert compose(p, p.inverse()).almost_equal(Pose3.identity())
+            assert p.compose(p.inverse()).almost_equal(Pose3.identity())
 
     def test_inverse_compose_roundtrip(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             p, q = random_pose(rng), random_pose(rng)
-            assert inverse_compose(p, compose(p, q)).almost_equal(q)
+            assert inverse_compose(p, p.compose(q)).almost_equal(q)
 
     def test_rotation_orthonormality(self):
         rng = np.random.default_rng(4)
@@ -78,21 +76,31 @@ class TestPose:
         assert np.allclose(rot_log(rot_exp(w)), w, atol=1e-6)
 
 
-class TestNormalizePlane:
-    def test_axis_aligned(self):
-        p = normalize_plane(np.array([0.0, 0.0, 2.0]))
-        assert np.allclose(p.normal, [0, 0, 1])
-        assert p.distance == pytest.approx(2.0)
+class TestStacked:
+    """`skew` and `rot_exp` on an (N, 3) stack equal their one-vector calls
+    bit for bit, the rows below the small-angle threshold included."""
 
-    def test_hand_computed(self):
-        # |(3, 4, 0)| = 5 by hand
-        p = normalize_plane(np.array([3.0, 4.0, 0.0]))
-        assert np.allclose(p.normal, [0.6, 0.8, 0.0])
-        assert p.distance == pytest.approx(5.0)
+    @staticmethod
+    def vectors():
+        rng = np.random.default_rng(12)
+        w = rng.normal(0, 1, (300, 3)) * 10.0 ** rng.uniform(-14, 0.5, (300, 1))
+        w[0] = 0.0
+        return w
 
-    def test_zero_vector_degenerate(self):
-        with pytest.raises(DegeneratePlane):
-            normalize_plane(np.zeros(3))
+    def test_skew(self):
+        w = self.vectors()
+        S = skew(w)
+        u = np.random.default_rng(13).normal(0, 1, 3)
+        for i, v in enumerate(w):
+            assert S[i].tobytes() == skew(v).tobytes()
+            assert np.allclose(skew(v) @ u, np.cross(v, u), rtol=0, atol=1e-15)
+
+    def test_rot_exp(self):
+        w = self.vectors()
+        assert np.count_nonzero(np.linalg.norm(w, axis=1) < 1e-10) >= 20
+        R = rot_exp(w)
+        for i, v in enumerate(w):
+            assert R[i].tobytes() == rot_exp(v).tobytes()
 
 
 class TestTransformPlane:
@@ -195,6 +203,10 @@ class TestClassify:
         n = np.array(n, dtype=float)
         n /= np.linalg.norm(n)
         assert classify_plane(PlaneHessian(n, 1.0)) is expected
+
+    def test_index_is_the_normal_axis(self):
+        classes = (PlaneClass.X_VERTICAL, PlaneClass.Y_VERTICAL, PlaneClass.HORIZONTAL)
+        assert [c.index for c in classes] == [0, 1, 2]
 
     def test_sign_flip_invariance(self):
         rng = np.random.default_rng(9)

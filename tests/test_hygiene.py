@@ -13,6 +13,17 @@ FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 USERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 
+def exported(tree) -> set[str]:
+    """The names a module lists in `__all__`."""
+    return {
+        ast.literal_eval(e)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for e in node.value.elts
+    }
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by an import and never referenced; names in `__all__`
     and `from __future__` imports count as used."""
@@ -24,12 +35,7 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used |= {ast.literal_eval(e) for e in node.value.elts}
-    return sorted(set(imported) - used)
+    return sorted(set(imported) - used - exported(tree))
 
 
 def test_no_unused_imports():
@@ -83,16 +89,19 @@ def test_scan_catches_a_function_local_import():
 
 
 def references(trees) -> set[str]:
-    """Every name the trees read, use as an attribute or import by name."""
+    """Every name the trees read, use as an attribute or import by name. A
+    name a module imports only to list in `__all__` is a re-export, not a
+    use."""
     used = set()
     for tree in trees:
+        reexported = exported(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
-                used |= {a.name for a in node.names}
+                used |= {a.name for a in node.names if (a.asname or a.name) not in reexported}
     return used
 
 
@@ -172,9 +181,12 @@ def test_scan_catches_public_code_for_the_tests_alone():
             "class Unused:\n    pass\n"
             "def _private():\n    pass\n"
             "def recursive(x):\n    return recursive(x - 1) if x else 0\n"
+            "def reexported(x):\n    return x\n"
         ),
         "b": "from a import Box\nimport a\nprint(a.caller)\n",
+        # a package `__init__` re-exports names: that alone is no use
+        "__init__": "from a import Box, reexported\n__all__ = ['Box', 'reexported']\n",
     }
     bench = "import a\nprint(a.recursive)\n"
     users = dict(package, bench=bench)
-    assert public_without_users(package, users) == ["a:Unused", "a:tested_only"]
+    assert public_without_users(package, users) == ["a:Unused", "a:reexported", "a:tested_only"]

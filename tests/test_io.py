@@ -88,7 +88,6 @@ def sample_graph():
         width=2.0,
         plane_links=(0, 1),
     )
-    g.map_to_odom = Pose3(rot_exp(np.array([0.0, 0.0, 0.2])), np.array([0.1, -0.2, 0.0]))
     g.factors = [
         Factor(
             kind=FactorKind.ODOMETRY,
@@ -162,7 +161,6 @@ class TestGraphRoundTrip:
             assert h.corridors[k].width == g.corridors[k].width
             assert h.corridors[k].axis is g.corridors[k].axis
             assert np.array_equal(h.corridors[k].center, g.corridors[k].center)
-        assert_pose_close(h.map_to_odom, g.map_to_odom)
 
     def test_factor_topology_identical(self, tmp_path):
         g = sample_graph()
@@ -184,7 +182,6 @@ class TestGraphRoundTrip:
         hh = graph_from_dict(graph_to_dict(h))
         for k in g.keyframes:
             assert_pose_close(hh.keyframes[k].pose, h.keyframes[k].pose, tol=1e-14)
-        assert_pose_close(hh.map_to_odom, h.map_to_odom, tol=1e-14)
 
     def test_unsupported_version_rejected(self):
         d = graph_to_dict(sample_graph())
@@ -215,8 +212,8 @@ def slam_graph():
 
 
 def pose_bytes(graph):
-    """Every pose of the graph as raw bytes: keyframes, odometry and map frame."""
-    poses = [graph.map_to_odom]
+    """Every pose of the graph as raw bytes: keyframe and odometry poses."""
+    poses = []
     for k in sorted(graph.keyframes):
         poses += [graph.keyframes[k].pose, graph.keyframes[k].odom_pose]
     return [p.rotation.tobytes() + p.translation.tobytes() for p in poses]
@@ -250,8 +247,8 @@ class TestExactSnapshot:
 
     def test_only_the_current_version_is_read(self):
         d = graph_to_dict(sample_graph())
-        assert d["version"] == SNAPSHOT_VERSION == 2
-        for version in (1, None):
+        assert d["version"] == SNAPSHOT_VERSION == 3
+        for version in (1, 2, None):
             with pytest.raises(ValueError, match="unsupported snapshot version"):
                 graph_from_dict(dict(d, version=version))
 

@@ -123,8 +123,10 @@ class TestCli:
             "simulate", "--layout", str(tmp_path / "layout.json"),
             "--noise", str(tmp_path / "noise.json"), "--out", str(data),
         ]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"enable_topology": False, "enable_loop_closure": True}))
         assert main([
-            "slam", "--dataset", str(data), "--out", str(run), "--no-topology", "--loop-closure",
+            "slam", "--dataset", str(data), "--out", str(run), "--config", str(cfg),
         ]) == 0
         meta = json.loads((run / "run_meta.json").read_text())
         assert (meta["enable_topology"], meta["enable_loop_closure"]) == (False, True)

@@ -325,11 +325,7 @@ def reference_extract_planes(cloud, cfg, stats):
         best_mask, best_count = planes._ransac_round(rng, remaining, cfg)
         if best_mask is None or best_count < cfg.min_inliers:
             break
-        normal, d = planes._fit_plane_lsq(remaining[best_mask])
-        mask = np.abs(remaining @ normal - d) <= cfg.threshold
-        if int(mask.sum()) < cfg.min_inliers:
-            mask = best_mask
-        mask, normal, d = planes._trim_fit(remaining, mask, cfg)
+        mask, normal, d = planes._trim_fit(remaining, best_mask, cfg)
         fits.append((normal, d, remaining_idx[mask]))
         remaining_idx = remaining_idx[~mask]
 

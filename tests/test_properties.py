@@ -13,7 +13,6 @@ from sgraph.factors import (
 from sgraph.geometry import (
     PlaneHessian,
     Pose3,
-    compose,
     inverse_compose,
     rot_exp,
     transform_plane,
@@ -42,7 +41,7 @@ def pose_strategy(draw):
 
 @given(pose_strategy(), pose_strategy())
 def test_inverse_compose_cancels_compose(p, q):
-    back = inverse_compose(p, compose(p, q))
+    back = inverse_compose(p, p.compose(q))
     assert np.max(np.abs(back.rotation - q.rotation)) < 1e-9
     assert np.max(np.abs(back.translation - q.translation)) < 1e-9
 
