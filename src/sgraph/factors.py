@@ -7,9 +7,9 @@ helpers of `sgraph.geometry`. `KINDS` is the one table of what a factor
 kind is: its graph layer, its kernel, the type of its measurement and how
 a block's measurements stack into the kernel's arrays. `sgraph.linearize`
 whitens, Huber-weights and scatters the kernels' output into the normal
-equations, `SGraph.associate_plane` scores its candidate landmarks with
-the pose-plane kernel, and the per-factor functions at the end of this
-module are one-row calls of the kernels.
+equations, `SGraph.evaluate_factor` reads one factor's row of that solve,
+and `SGraph.associate_plane` scores its candidate landmarks with the
+pose-plane kernel.
 
 Local coordinates per variable type:
   keyframe pose : 6  [dt (body frame), dw (rotation vector, right perturbation)]
@@ -24,7 +24,7 @@ Local coordinates per variable type:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -188,17 +188,16 @@ def _pose_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
     return r, J
 
 
-def _room_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool, sign=None):
+def _room_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
     """Room-plane edge residual; columns [room (4) | plane (3)].
 
     The plane enters through its signed distance along the slot's axis,
-    the sign taken from its normal unless given.
+    the sign taken from its normal.
     """
     axis, half = meas
     room = rows[:, 0]
     planes = v.planes[rows[:, 1]]
-    if sign is None:
-        sign = _axis_sign(planes, axis)
+    sign = _axis_sign(planes, axis)
     edge = v.room_centers[room, axis] + half * v.room_widths[room, axis]
     r = (edge - sign * planes[:, 2])[:, None]
     if not jacobians:
@@ -211,14 +210,13 @@ def _room_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool, sign
     return r, J
 
 
-def _corridor_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool, sign=None):
+def _corridor_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
     """Corridor-plane edge residual, as `_room_plane` along the corridor's
     axis; columns [corridor (2) | plane (3)]."""
     (half,) = meas
     corr = rows[:, 0]
     planes = v.planes[rows[:, 1]]
-    if sign is None:
-        sign = _axis_sign(planes, v.corridor_axes[corr])
+    sign = _axis_sign(planes, v.corridor_axes[corr])
     edge = v.corridor_centers[corr] + half * v.corridor_widths[corr]
     r = (edge - sign * planes[:, 2])[:, None]
     if not jacobians:
@@ -269,63 +267,5 @@ KINDS: dict[FactorKind, KindSpec] = {
 }
 
 
-# -- one factor at a time: one-row calls of the kernels ----------------------
-
 # values of no variable, for `replace` to fill in the arrays a kernel reads
 _NO_VALUES = _Values(*[np.zeros(0)] * 8)
-_ONE_ROW = np.zeros((1, 2), dtype=int)
-
-
-def pose_between_residual(
-    x_prev: Pose3, x_curr: Pose3, meas: Pose3
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual of a relative-pose factor plus Jacobians w.r.t. both poses."""
-    v = replace(
-        _NO_VALUES,
-        rotations=np.array([x_prev.rotation, x_curr.rotation]),
-        translations=np.array([x_prev.translation, x_curr.translation]),
-    )
-    r, J = _between(v, np.array([[0, 1]]), (meas.rotation[None], meas.translation[None]), True)
-    return r[0], J[0, :, :6], J[0, :, 6:]
-
-
-def pose_plane_residual(
-    pose: Pose3, plane: PlaneMinimal, meas: PlaneMinimal
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Residual of a plane observation plus Jacobians (pose 3x6, plane 3x3)."""
-    v = replace(
-        _NO_VALUES,
-        rotations=pose.rotation[None],
-        translations=pose.translation[None],
-        planes=plane.as_array()[None],
-    )
-    r, J = _pose_plane(v, _ONE_ROW, (meas.as_array()[None],), True)
-    return r[0], J[0, :, :6], J[0, :, 6:]
-
-
-def room_plane_residual(
-    center: np.ndarray, widths: np.ndarray, plane: PlaneMinimal, slot: int, sign: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Room-plane edge residual plus Jacobians (room 1x4, plane 1x3)."""
-    v = replace(
-        _NO_VALUES,
-        planes=plane.as_array()[None],
-        room_centers=np.asarray(center, dtype=float)[None],
-        room_widths=np.asarray(widths, dtype=float)[None],
-    )
-    r, J = _room_plane(v, _ONE_ROW, _edge_slots([slot], 4), True, np.array([sign]))
-    return float(r[0, 0]), J[0, 0, :4], J[0, 0, 4:]
-
-
-def corridor_plane_residual(
-    center_axis: float, width: float, plane: PlaneMinimal, slot: int, sign: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Corridor-plane edge residual plus Jacobians (corridor 1x2, plane 1x3)."""
-    v = replace(
-        _NO_VALUES,
-        planes=plane.as_array()[None],
-        corridor_centers=np.array([center_axis], dtype=float),
-        corridor_widths=np.array([width], dtype=float),
-    )
-    r, J = _corridor_plane(v, _ONE_ROW, _edge_slots([slot], 2)[1:], True, np.array([sign]))
-    return float(r[0, 0]), J[0, 0, :2], J[0, 0, 2:]

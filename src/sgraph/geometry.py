@@ -171,20 +171,6 @@ class Pose3:
     def transform_point(self, p: np.ndarray) -> np.ndarray:
         return self.rotation @ np.asarray(p, dtype=float) + self.translation
 
-    def retract(self, delta: np.ndarray) -> "Pose3":
-        """Right-perturbation update: R <- R exp(dw), t <- t + R dt."""
-        delta = np.asarray(delta, dtype=float)
-        return Pose3(
-            self.rotation @ rot_exp(delta[3:6]),
-            self.translation + self.rotation @ delta[0:3],
-        )
-
-    def almost_equal(self, other: "Pose3", tol: float = 1e-9) -> bool:
-        return (
-            np.allclose(self.rotation, other.rotation, atol=tol)
-            and np.allclose(self.translation, other.translation, atol=tol)
-        )
-
 
 def inverse_compose(a: Pose3, b: Pose3) -> Pose3:
     """Relative pose of b expressed in frame a: (-) a (+) b."""
@@ -227,9 +213,6 @@ class PlaneHessian:
     def __post_init__(self):
         object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float).reshape(3))
         object.__setattr__(self, "distance", float(self.distance))
-
-    def point_distance(self, p: np.ndarray) -> float:
-        return float(self.normal @ np.asarray(p, dtype=float) - self.distance)
 
 
 @dataclass(frozen=True)

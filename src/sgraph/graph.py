@@ -7,17 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .factors import (
-    _NO_VALUES,
-    Factor,
-    FactorKind,
-    VariableKey,
-    _pose_plane,
-    corridor_plane_residual,
-    pose_between_residual,
-    pose_plane_residual,
-    room_plane_residual,
-)
+from .factors import _NO_VALUES, LOCAL_DIM, Factor, FactorKind, VariableKey, _pose_plane
 from .geometry import (
     Pose3,
     PlaneClass,
@@ -25,10 +15,10 @@ from .geometry import (
     _sphere_frame,
     classify_plane,
     inverse_compose,
-    plane_axis_sign,
     to_minimal,
     transform_plane,
 )
+from .linearize import BatchedFactors
 from .planes import PlaneDetection
 
 
@@ -333,44 +323,10 @@ class SGraph:
         self, factor: Factor
     ) -> tuple[np.ndarray, dict[VariableKey, np.ndarray]]:
         """Raw residual and per-variable Jacobian blocks at the current
-        estimates (no whitening, no robust weighting), from the one-row
-        calls of the kernels in `factors`."""
-        kind = factor.kind
-        if kind in (FactorKind.ODOMETRY, FactorKind.LOOP_CLOSURE):
-            ka, kb = factor.variables
-            r, Ja, Jb = pose_between_residual(
-                self.keyframes[ka[1]].pose,
-                self.keyframes[kb[1]].pose,
-                factor.measurement,
-            )
-            return r, {ka: Ja, kb: Jb}
-        if kind is FactorKind.POSE_PLANE:
-            kk, kp = factor.variables
-            r, Jpose, Jplane = pose_plane_residual(
-                self.keyframes[kk[1]].pose,
-                self.planes[kp[1]].params,
-                factor.measurement,
-            )
-            return r, {kk: Jpose, kp: Jplane}
-        if kind is FactorKind.ROOM_PLANE:
-            kr, kp = factor.variables
-            room = self.rooms[kr[1]]
-            plane = self.planes[kp[1]]
-            slot = factor.measurement
-            axis = PlaneClass.X_VERTICAL if slot < 2 else PlaneClass.Y_VERTICAL
-            sign = plane_axis_sign(plane.params, axis)
-            r, Jr, Jp = room_plane_residual(
-                room.center, room.widths, plane.params, slot, sign
-            )
-            return np.array([r]), {kr: Jr.reshape(1, 4), kp: Jp.reshape(1, 3)}
-        if kind is FactorKind.CORRIDOR_PLANE:
-            kc, kp = factor.variables
-            corr = self.corridors[kc[1]]
-            plane = self.planes[kp[1]]
-            slot = factor.measurement
-            sign = plane_axis_sign(plane.params, corr.axis)
-            r, Jc, Jp = corridor_plane_residual(
-                float(corr.center[corr.axis.index]), corr.width, plane.params, slot, sign
-            )
-            return np.array([r]), {kc: Jc.reshape(1, 2), kp: Jp.reshape(1, 3)}
-        raise ValueError(f"unknown factor kind {kind}")
+        estimates (no whitening, no robust weighting): the factor's row of
+        the batched solve, its Jacobian split between its two variables."""
+        first, second = factor.variables
+        alone = BatchedFactors(replace(self, factors=[factor]))
+        ((_, r, J),) = alone.evaluate(alone.values(self))
+        split = LOCAL_DIM[first[0]]
+        return r[0], {first: J[0, :, :split], second: J[0, :, split:]}

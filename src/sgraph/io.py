@@ -62,6 +62,8 @@ def from_json(tp, data, base=None):
     if is_dataclass(tp):
         hints = get_type_hints(tp)
         if tp is Factor:
+            if "kind" not in data:
+                raise ValueError("Factor without a kind")
             hints["measurement"] = KINDS[FactorKind(data["kind"])].measurement
         unknown = sorted(set(data) - {f.name for f in fields(tp) if f.compare})
         if unknown:
@@ -222,11 +224,25 @@ def graph_to_dict(graph: SGraph) -> dict:
 
 
 def graph_from_dict(d: dict) -> SGraph:
+    """The graph a snapshot holds. A snapshot of another version, and a
+    factor without a kind or on a variable the snapshot lacks, raise
+    ValueError."""
     d = dict(d)
     version = d.pop("version", None)
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
-    return from_json(SGraph, d)
+    graph = from_json(SGraph, d)
+    held = {
+        "kf": graph.keyframes,
+        "plane": graph.planes,
+        "room": graph.rooms,
+        "corridor": graph.corridors,
+    }
+    for f in graph.factors:
+        for kind, vid in f.variables:
+            if vid not in held.get(kind, ()):
+                raise ValueError(f"{f.kind.value} factor on {kind} {vid}, not in the snapshot")
+    return graph
 
 
 def save_graph(path, graph: SGraph) -> None:

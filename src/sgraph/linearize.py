@@ -16,12 +16,15 @@ accepted result back into the graph once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .factors import KINDS, LOCAL_DIM, Kernel, VariableKey, _Values
 from .geometry import PlaneMinimal, Pose3, _mv, _retract_planes, rot_exp
-from .graph import SGraph
+
+if TYPE_CHECKING:
+    from .graph import SGraph
 
 # in block order
 LAYERS = tuple(dict.fromkeys(spec.layer for spec in KINDS.values()))
@@ -134,9 +137,9 @@ class BatchedFactors:
 
     def retract(self, v: _Values, delta: np.ndarray) -> _Values:
         """New values moved by `delta`, a step in the local coordinates of
-        the columns of H: poses by `Pose3.retract`, plane normals along
-        great circles of the sphere, everything else additive. The gauge
-        keyframe stays put."""
+        the columns of H: poses by the right perturbation R <- R exp(dw),
+        t <- t + R dt, plane normals along great circles of the sphere,
+        everything else additive. The gauge keyframe stays put."""
         cols = self.columns["kf"]
         fixed = cols[:, :1] < 0
         step = np.where(cols >= 0, delta[cols], 0.0)

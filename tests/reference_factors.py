@@ -6,8 +6,9 @@ frame, a great-circle step on the sphere), written one factor at a time
 with rotation matrices where the batched code uses tangent bases.
 
 `so3_right_jacobian_inv` is the old scalar copy from `sgraph.geometry`,
-`evaluate_factor` the old per-kind ladder of `SGraph.evaluate_factor` and
-`associate_plane` the old per-landmark loop of `SGraph.associate_plane`,
+`pose_retract` the one-pose step that `BatchedFactors.retract` takes in
+batch, `evaluate_factor` the old per-kind ladder of `SGraph.evaluate_factor`
+and `associate_plane` the old per-landmark loop of `SGraph.associate_plane`,
 the last two taking the graph as their first argument.
 """
 
@@ -45,6 +46,12 @@ def so3_right_jacobian_inv(w: np.ndarray) -> np.ndarray:
         2.0 * theta * math.sin(theta)
     )
     return np.eye(3) + 0.5 * W + cot_term * (W @ W)
+
+
+def pose_retract(pose: Pose3, delta: np.ndarray) -> Pose3:
+    """Right-perturbation update: R <- R exp(dw), t <- t + R dt."""
+    delta = np.asarray(delta, dtype=float)
+    return Pose3(pose.rotation @ rot_exp(delta[3:6]), pose.translation + pose.rotation @ delta[0:3])
 
 
 def huber_cost_and_weight(s: float, delta: float) -> tuple[float, float]:

@@ -13,12 +13,6 @@ from dataclasses import replace
 import numpy as np
 
 from sgraph.ablation import run_ablation
-from sgraph.factors import (
-    corridor_plane_residual,
-    pose_between_residual,
-    pose_plane_residual,
-    room_plane_residual,
-)
 from sgraph.geometry import PlaneMinimal, Pose3, rot_exp
 from sgraph.io import graph_from_dict, graph_to_dict, read_tum, write_tum
 from sgraph.metrics import TrajectoryPair, ate, map_rmse
@@ -38,7 +32,8 @@ from sgraph.simulator import (
 from sgraph.solver import SolverConfig, layer_costs, optimize
 from sgraph.topology import detect_corridor, detect_room
 
-from reference_factors import plane_retract
+from reference_factors import plane_retract, pose_retract
+from test_factors import corridor_plane, pose_between, pose_plane, room_plane
 from test_io import sample_graph
 from test_topology import CFG as TOPO_CFG
 from test_topology import wall
@@ -96,11 +91,11 @@ def test_criterion_2_jacobian_correctness():
     for _ in range(100):
         # relative-pose residual (odometry and hard loop-closure factors)
         xa, xb, m = random_pose(), random_pose(), random_pose()
-        r, Ja, Jb = pose_between_residual(xa, xb, m)
+        r, Ja, Jb = pose_between(xa, xb, m)
         worst["relative_pose"] = max(
             worst["relative_pose"],
-            rel_err(Ja, fd(lambda d: pose_between_residual(xa.retract(d), xb, m)[0], 6)),
-            rel_err(Jb, fd(lambda d: pose_between_residual(xa, xb.retract(d), m)[0], 6)),
+            rel_err(Ja, fd(lambda d: pose_between(pose_retract(xa, d), xb, m)[0], 6)),
+            rel_err(Jb, fd(lambda d: pose_between(xa, pose_retract(xb, d), m)[0], 6)),
         )
 
         # plane observation residual, the plane moved by its step on the
@@ -110,59 +105,63 @@ def test_criterion_2_jacobian_correctness():
             rng.uniform(-math.pi, math.pi), rng.uniform(-0.9, 0.9), rng.uniform(2.0, 5.0)
         )
         meas = PlaneMinimal(plane.azimuth + 0.01, plane.elevation - 0.02, plane.distance + 0.05)
-        r, Jpose, Jplane = pose_plane_residual(pose, plane, meas)
+        r, Jpose, Jplane = pose_plane(pose, plane, meas)
 
         def move_plane(d, plane=plane, pose=pose, meas=meas):
-            return pose_plane_residual(pose, plane_retract(plane, d), meas)[0]
+            return pose_plane(pose, plane_retract(plane, d), meas)[0]
 
         worst["pose_plane"] = max(
             worst["pose_plane"],
             rel_err(
                 Jpose,
-                fd(lambda d, p=pose, pl=plane, m_=meas: pose_plane_residual(p.retract(d), pl, m_)[0], 6),
+                fd(lambda d, p=pose, pl=plane, m_=meas: pose_plane(pose_retract(p, d), pl, m_)[0], 6),
             ),
             rel_err(Jplane, fd(move_plane, 3)),
         )
 
-        # room-plane and corridor-plane edge residuals
+        # room-plane and corridor-plane edge residuals, on a wall facing
+        # along +axis or -axis of the slot (azimuth 0 or pi about it)
         center = rng.normal(0, 3.0, 2)
         widths = rng.uniform(2.0, 7.0, 2)
-        wall_plane = PlaneMinimal(0.0, 0.0, rng.uniform(1.0, 6.0))
+        distance = rng.uniform(1.0, 6.0)
         slot = int(rng.integers(0, 4))
-        sign = float(rng.choice([-1.0, 1.0]))
-        _, Jr, Jp = room_plane_residual(center, widths, wall_plane, slot, sign)
+        facing = float(rng.choice([0.0, math.pi]))
+        room_wall = PlaneMinimal(facing + math.pi / 2 * (slot // 2), 0.0, distance)
+        _, Jr, Jp = room_plane(center, widths, room_wall, slot)
 
-        def move_room(d, slot=slot, sign=sign, wall_plane=wall_plane):
-            return room_plane_residual(center + d[:2], widths + d[2:], wall_plane, slot, sign)[0]
+        def move_room(d, slot=slot, room_wall=room_wall):
+            return room_plane(center + d[:2], widths + d[2:], room_wall, slot)[0]
 
-        def move_room_plane(d, slot=slot, sign=sign, wall_plane=wall_plane):
+        def move_room_plane(d, slot=slot, room_wall=room_wall):
             p = PlaneMinimal(
-                wall_plane.azimuth + d[0], wall_plane.elevation + d[1], wall_plane.distance + d[2]
+                room_wall.azimuth + d[0], room_wall.elevation + d[1], room_wall.distance + d[2]
             )
-            return room_plane_residual(center, widths, p, slot, sign)[0]
+            return room_plane(center, widths, p, slot)[0]
 
         worst["room_plane"] = max(
             worst["room_plane"],
-            rel_err(Jr.reshape(1, 4), fd(move_room, 4)),
-            rel_err(Jp.reshape(1, 3), fd(move_room_plane, 3)),
+            rel_err(Jr, fd(move_room, 4)),
+            rel_err(Jp, fd(move_room_plane, 3)),
         )
 
+        # the corridor runs along x
         cslot = int(rng.integers(0, 2))
-        _, Jc, Jcp = corridor_plane_residual(center[0], widths[0], wall_plane, cslot, sign)
+        wall_plane = PlaneMinimal(facing, 0.0, distance)
+        _, Jc, Jcp = corridor_plane(center[0], widths[0], wall_plane, cslot)
 
-        def move_corr(d, cslot=cslot, sign=sign, wall_plane=wall_plane):
-            return corridor_plane_residual(center[0] + d[0], widths[0] + d[1], wall_plane, cslot, sign)[0]
+        def move_corr(d, cslot=cslot, wall_plane=wall_plane):
+            return corridor_plane(center[0] + d[0], widths[0] + d[1], wall_plane, cslot)[0]
 
-        def move_corr_plane(d, cslot=cslot, sign=sign, wall_plane=wall_plane):
+        def move_corr_plane(d, cslot=cslot, wall_plane=wall_plane):
             p = PlaneMinimal(
                 wall_plane.azimuth + d[0], wall_plane.elevation + d[1], wall_plane.distance + d[2]
             )
-            return corridor_plane_residual(center[0], widths[0], p, cslot, sign)[0]
+            return corridor_plane(center[0], widths[0], p, cslot)[0]
 
         worst["corridor_plane"] = max(
             worst["corridor_plane"],
-            rel_err(Jc.reshape(1, 2), fd(move_corr, 2)),
-            rel_err(Jcp.reshape(1, 3), fd(move_corr_plane, 3)),
+            rel_err(Jc, fd(move_corr, 2)),
+            rel_err(Jcp, fd(move_corr_plane, 3)),
         )
 
     ok = all(v < 1e-5 for v in worst.values())
@@ -185,11 +184,11 @@ def test_criterion_3_topological_exactness():
         and abs((room.center[1] - room.widths[1] / 2.0) - 2.0) < 1e-12
     )
     # residuals exactly zero at creation
-    r_lo, _, _ = room_plane_residual(room.center, room.widths, PlaneMinimal(0.0, 0.0, 1.0), 0, 1.0)
-    r_hi, _, _ = room_plane_residual(room.center, room.widths, PlaneMinimal(0.0, 0.0, 5.0), 1, 1.0)
+    (r_lo,), _, _ = room_plane(room.center, room.widths, PlaneMinimal(0.0, 0.0, 1.0), 0)
+    (r_hi,), _, _ = room_plane(room.center, room.widths, PlaneMinimal(0.0, 0.0, 5.0), 1)
     zero_ok = r_lo == 0.0 and r_hi == 0.0
     # perturbed high-x wall 5 -> 5.2 gives residual (3 + 2) - 5.2 = -0.2
-    r_pert, _, _ = room_plane_residual(room.center, room.widths, PlaneMinimal(0.0, 0.0, 5.2), 1, 1.0)
+    (r_pert,), _, _ = room_plane(room.center, room.widths, PlaneMinimal(0.0, 0.0, 5.2), 1)
     pert_ok = abs(r_pert - (-0.2)) < 1e-12
 
     # corridor worked example: x-walls at 0 and 2 -> center 1, width 2
@@ -202,8 +201,8 @@ def test_criterion_3_topological_exactness():
         and abs(corr.center[0] - 1.0) < 1e-12
         and abs(corr.width - 2.0) < 1e-12
     )
-    rc0, _, _ = corridor_plane_residual(corr.center[0], corr.width, PlaneMinimal(0.0, 0.0, 0.0), 0, 1.0)
-    rc1, _, _ = corridor_plane_residual(corr.center[0], corr.width, PlaneMinimal(0.0, 0.0, 2.0), 1, 1.0)
+    (rc0,), _, _ = corridor_plane(corr.center[0], corr.width, PlaneMinimal(0.0, 0.0, 0.0), 0)
+    (rc1,), _, _ = corridor_plane(corr.center[0], corr.width, PlaneMinimal(0.0, 0.0, 2.0), 1)
     corr_zero_ok = rc0 == 0.0 and rc1 == 0.0
 
     ok = center_ok and widths_ok and ident_ok and zero_ok and pert_ok and corr_ok and corr_zero_ok

@@ -1,19 +1,27 @@
-"""Residual conventions and analytic-vs-finite-difference Jacobian checks."""
+"""Residual conventions and analytic-vs-finite-difference Jacobian checks,
+each on a graph of one factor and its two variables through
+`SGraph.evaluate_factor`."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sgraph.factors import (
-    corridor_plane_residual,
-    pose_between_residual,
-    pose_plane_residual,
-    room_plane_residual,
+from sgraph.factors import Factor, FactorKind
+from sgraph.geometry import (
+    PlaneClass,
+    PlaneMinimal,
+    Pose3,
+    classify_plane,
+    from_minimal,
+    rot_exp,
+    to_minimal,
+    transform_plane,
 )
-from sgraph.geometry import PlaneMinimal, Pose3, from_minimal, rot_exp, to_minimal, transform_plane
+from sgraph.graph import CorridorNode, Keyframe, PlaneLandmark, RoomNode, SGraph
 
-from reference_factors import plane_retract
+from reference_factors import evaluate_factor, plane_retract, pose_retract
+from test_io import sample_graph
 
 
 def tx(x):
@@ -24,22 +32,68 @@ def random_pose(rng, rot_scale=1.0, trans_scale=5.0):
     return Pose3(rot_exp(rng.normal(0, rot_scale, 3)), rng.normal(0, trans_scale, 3))
 
 
+# -- one factor on a graph of its two variables ------------------------------
+
+
+def _keyframe(kf_id: int, pose: Pose3) -> Keyframe:
+    return Keyframe(kf_id, 0.0, pose, pose, np.zeros((6, 6)))
+
+
+def _landmark(params: PlaneMinimal) -> PlaneLandmark:
+    return PlaneLandmark(0, params, classify_plane(from_minimal(params)), np.zeros(2), np.zeros(3))
+
+
+def _evaluate(graph: SGraph, kind: FactorKind, variables: tuple, measurement, dim: int):
+    """`graph.evaluate_factor` of one factor: the residual and the Jacobian
+    blocks of its two variables, in order."""
+    r, J = graph.evaluate_factor(Factor(kind, variables, measurement, np.eye(dim)))
+    return r, J[variables[0]], J[variables[1]]
+
+
+def pose_between(a: Pose3, b: Pose3, meas: Pose3):
+    """Relative-pose factor from keyframe pose a to b."""
+    g = SGraph(keyframes={0: _keyframe(0, a), 1: _keyframe(1, b)})
+    return _evaluate(g, FactorKind.ODOMETRY, (("kf", 0), ("kf", 1)), meas, 6)
+
+
+def pose_plane(pose: Pose3, plane: PlaneMinimal, meas: PlaneMinimal):
+    """Observation of a mapped plane from a keyframe pose."""
+    g = SGraph(keyframes={0: _keyframe(0, pose)}, planes={0: _landmark(plane)})
+    return _evaluate(g, FactorKind.POSE_PLANE, (("kf", 0), ("plane", 0)), meas, 3)
+
+
+def room_plane(center, widths, plane: PlaneMinimal, slot: int):
+    """Room-plane edge of a room's slot; the plane's normal gives its sign."""
+    center, widths = np.asarray(center, dtype=float), np.asarray(widths, dtype=float)
+    room = RoomNode(0, center, widths, (0, 0, 0, 0))
+    g = SGraph(planes={0: _landmark(plane)}, rooms={0: room})
+    return _evaluate(g, FactorKind.ROOM_PLANE, (("room", 0), ("plane", 0)), slot, 1)
+
+
+def corridor_plane(center_axis: float, width: float, plane: PlaneMinimal, slot: int):
+    """Corridor-plane edge of an x-axis corridor's slot; the plane's normal
+    gives its sign."""
+    corr = CorridorNode(0, PlaneClass.X_VERTICAL, np.array([center_axis, 0.0]), width, (0, 0))
+    g = SGraph(planes={0: _landmark(plane)}, corridors={0: corr})
+    return _evaluate(g, FactorKind.CORRIDOR_PLANE, (("corridor", 0), ("plane", 0)), slot, 1)
+
+
 class TestOdometryResidual:
     def test_zero_when_consistent(self):
         rng = np.random.default_rng(0)
         a, b = random_pose(rng), random_pose(rng)
         meas = a.inverse().compose(b)
-        r, _, _ = pose_between_residual(a, b, meas)
+        r, _, _ = pose_between(a, b, meas)
         assert np.allclose(r, 0.0, atol=1e-12)
 
     def test_translation_mismatch(self):
         # prediction Tx(2) vs measurement Tx(1): residual [1,0,0, 0,0,0]
-        r, _, _ = pose_between_residual(Pose3.identity(), tx(2.0), tx(1.0))
+        r, _, _ = pose_between(Pose3.identity(), tx(2.0), tx(1.0))
         assert np.allclose(r, [1, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_pure_yaw_mismatch(self):
         pred = Pose3.from_xyz_yaw(0, 0, 0, 0.1)
-        r, _, _ = pose_between_residual(Pose3.identity(), pred, Pose3.identity())
+        r, _, _ = pose_between(Pose3.identity(), pred, Pose3.identity())
         assert np.linalg.norm(r[3:6]) == pytest.approx(0.1, abs=1e-12)
         assert np.allclose(r[0:3], 0.0)
 
@@ -50,7 +104,7 @@ class TestPlaneResidual:
         pose = random_pose(rng)
         map_plane = PlaneMinimal(0.3, 0.2, 4.0)
         meas = to_minimal(transform_plane(pose, from_minimal(map_plane), to_sensor=True))
-        r, _, _ = pose_plane_residual(pose, map_plane, meas)
+        r, _, _ = pose_plane(pose, map_plane, meas)
         assert np.allclose(r, 0.0, atol=1e-9)
 
     def test_translation_shift_shows_in_distance(self):
@@ -58,40 +112,55 @@ class TestPlaneResidual:
         pose = tx(0.5)
         map_plane = PlaneMinimal(0.0, 0.0, 5.0)
         meas = PlaneMinimal(0.0, 0.0, 5.0)
-        r, _, _ = pose_plane_residual(pose, map_plane, meas)
+        r, _, _ = pose_plane(pose, map_plane, meas)
         assert r[2] == pytest.approx(-0.5, abs=1e-12)
         assert np.allclose(r[0:2], 0.0)
 
     def test_azimuth_wraps(self):
         map_plane = PlaneMinimal(math.pi - 0.01, 0.0, 2.0)
         meas = PlaneMinimal(-math.pi + 0.01, 0.0, 2.0)
-        r, _, _ = pose_plane_residual(Pose3.identity(), map_plane, meas)
+        r, _, _ = pose_plane(Pose3.identity(), map_plane, meas)
         assert r[0] == pytest.approx(-0.02, abs=1e-12)
 
 
 class TestRoomCorridorResidual:
     def test_room_consistent(self):
-        r, _, _ = room_plane_residual(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0, 0, 1.0), 0, 1.0)
+        r, _, _ = room_plane(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0, 0, 1.0), 0)
         assert r == pytest.approx(0.0)
 
     def test_room_perturbed(self):
-        r, _, _ = room_plane_residual(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0, 0, 5.2), 1, 1.0)
+        r, _, _ = room_plane(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0, 0, 5.2), 1)
         assert r == pytest.approx(-0.2)
 
     def test_corridor_consistent(self):
-        r, _, _ = corridor_plane_residual(1.0, 2.0, PlaneMinimal(0, 0, 0.0), 0, 1.0)
+        r, _, _ = corridor_plane(1.0, 2.0, PlaneMinimal(0, 0, 0.0), 0)
         assert r == pytest.approx(0.0)
 
     def test_corridor_perturbed(self):
-        r, _, _ = corridor_plane_residual(1.0, 2.0, PlaneMinimal(0, 0, 2.3), 1, 1.0)
+        r, _, _ = corridor_plane(1.0, 2.0, PlaneMinimal(0, 0, 2.3), 1)
         assert r == pytest.approx(-0.3)
 
     def test_room_jacobian_pattern(self):
-        _, Jr, Jp = room_plane_residual(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0, 0, 1.0), 0, 1.0)
+        _, Jr, Jp = room_plane(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0, 0, 1.0), 0)
         assert np.allclose(Jr, [1, 0, -0.5, 0])
         assert np.allclose(Jp, [0, 0, -1])
-        _, Jr, Jp = room_plane_residual(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0, 0, 5.0), 1, 1.0)
+        _, Jr, Jp = room_plane(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0, 0, 5.0), 1)
         assert np.allclose(Jr, [1, 0, 0.5, 0])
+
+
+class TestEvaluateFactor:
+    def test_matches_the_reference_on_every_kind(self):
+        g = sample_graph()
+        assert {f.kind for f in g.factors} == set(FactorKind)
+        for f in g.factors:
+            r, J = g.evaluate_factor(f)
+            r_ref, J_ref = evaluate_factor(g, f)
+            assert r.shape == r_ref.shape
+            assert np.allclose(r, r_ref, rtol=0.0, atol=1e-12)
+            assert list(J) == list(J_ref) == list(f.variables)
+            for key, block in J.items():
+                assert block.shape == J_ref[key].shape
+                assert np.allclose(block, J_ref[key], rtol=0.0, atol=1e-12)
 
 
 def fd_jacobian(fn, x0, dim, step=1e-6):
@@ -118,19 +187,19 @@ class TestJacobiansAgainstFiniteDifferences:
         for _ in range(100):
             a, b = random_pose(rng), random_pose(rng)
             meas = a.inverse().compose(b).compose(random_pose(rng, 0.1, 0.1))
-            r, Ja, Jb = pose_between_residual(a, b, meas)
+            r, Ja, Jb = pose_between(a, b, meas)
 
             def fa(d):
-                return pose_between_residual(a.retract(d), b, meas)[0]
+                return pose_between(pose_retract(a, d), b, meas)[0]
 
             def fb(d):
-                return pose_between_residual(a, b.retract(d), meas)[0]
+                return pose_between(a, pose_retract(b, d), meas)[0]
 
             check_jacobian(Ja, fd_jacobian(fa, None, 6))
             check_jacobian(Jb, fd_jacobian(fb, None, 6))
 
     def test_odometry_jacobian_identity_structure(self):
-        r, Ja, Jb = pose_between_residual(Pose3.identity(), Pose3.identity(), Pose3.identity())
+        r, Ja, Jb = pose_between(Pose3.identity(), Pose3.identity(), Pose3.identity())
         assert np.allclose(Jb[0:3, 0:3], np.eye(3))
         assert np.allclose(Ja[0:3, 0:3], -np.eye(3))
 
@@ -143,7 +212,7 @@ class TestJacobiansAgainstFiniteDifferences:
                 rng.uniform(-2.5, 2.5), rng.uniform(-1.2, 1.2), rng.uniform(0.5, 10.0)
             )
             meas = PlaneMinimal(rng.uniform(-2.5, 2.5), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 10.0))
-            r, Jpose, Jplane = pose_plane_residual(pose, plane, meas)
+            r, Jpose, Jplane = pose_plane(pose, plane, meas)
             # skip samples near the residual's singularities: the predicted
             # normal 90 degrees off the measured one (elevation +-pi/2 in the
             # measurement's frame), the antipode (azimuth wraps at +-pi) and
@@ -159,10 +228,10 @@ class TestJacobiansAgainstFiniteDifferences:
             n_checked += 1
 
             def fpose(d):
-                return pose_plane_residual(pose.retract(d), plane, meas)[0]
+                return pose_plane(pose_retract(pose, d), plane, meas)[0]
 
             def fplane(d):
-                return pose_plane_residual(pose, plane_retract(plane, d), meas)[0]
+                return pose_plane(pose, plane_retract(plane, d), meas)[0]
 
             check_jacobian(Jpose, fd_jacobian(fpose, None, 6))
             check_jacobian(Jplane, fd_jacobian(fplane, None, 3))
@@ -177,14 +246,14 @@ class TestJacobiansAgainstFiniteDifferences:
             plane = PlaneMinimal(rng.uniform(-3.0, 3.0), el, rng.uniform(0.5, 3.0))
             meas = to_minimal(transform_plane(pose, from_minimal(plane), to_sensor=True))
             meas = PlaneMinimal(meas.azimuth, meas.elevation, meas.distance + 0.01)
-            r, Jpose, Jplane = pose_plane_residual(pose, plane, meas)
+            r, Jpose, Jplane = pose_plane(pose, plane, meas)
             assert np.all(np.abs(r) < 0.1)
 
             def fpose(d):
-                return pose_plane_residual(pose.retract(d), plane, meas)[0]
+                return pose_plane(pose_retract(pose, d), plane, meas)[0]
 
             def fplane(d):
-                return pose_plane_residual(pose, plane_retract(plane, d), meas)[0]
+                return pose_plane(pose, plane_retract(plane, d), meas)[0]
 
             check_jacobian(Jpose, fd_jacobian(fpose, None, 6))
             check_jacobian(Jplane, fd_jacobian(fplane, None, 3))
@@ -195,21 +264,18 @@ class TestJacobiansAgainstFiniteDifferences:
             center = rng.normal(0, 5, 2)
             widths = rng.uniform(1, 8, 2)
             plane = PlaneMinimal(rng.uniform(-3, 3), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 10))
-            slot = rng.integers(0, 4)
-            sign = rng.choice([-1.0, 1.0])
-            _, Jr, Jp = room_plane_residual(center, widths, plane, slot, sign)
+            slot = int(rng.integers(0, 4))
+            _, Jr, Jp = room_plane(center, widths, plane, slot)
 
             def fr(d):
-                return np.array(
-                    [room_plane_residual(center + d[0:2], widths + d[2:4], plane, slot, sign)[0]]
-                )
+                return room_plane(center + d[0:2], widths + d[2:4], plane, slot)[0]
 
             def fp(d):
                 p = PlaneMinimal(plane.azimuth + d[0], plane.elevation + d[1], plane.distance + d[2])
-                return np.array([room_plane_residual(center, widths, p, slot, sign)[0]])
+                return room_plane(center, widths, p, slot)[0]
 
-            check_jacobian(Jr.reshape(1, 4), fd_jacobian(fr, None, 4))
-            check_jacobian(Jp.reshape(1, 3), fd_jacobian(fp, None, 3))
+            check_jacobian(Jr, fd_jacobian(fr, None, 4))
+            check_jacobian(Jp, fd_jacobian(fp, None, 3))
 
     def test_corridor_plane_jacobians(self):
         rng = np.random.default_rng(45)
@@ -218,17 +284,14 @@ class TestJacobiansAgainstFiniteDifferences:
             width = float(rng.uniform(1, 4))
             plane = PlaneMinimal(rng.uniform(-3, 3), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 10))
             slot = int(rng.integers(0, 2))
-            sign = float(rng.choice([-1.0, 1.0]))
-            _, Jc, Jp = corridor_plane_residual(center, width, plane, slot, sign)
+            _, Jc, Jp = corridor_plane(center, width, plane, slot)
 
             def fc(d):
-                return np.array(
-                    [corridor_plane_residual(center + d[0], width + d[1], plane, slot, sign)[0]]
-                )
+                return corridor_plane(center + d[0], width + d[1], plane, slot)[0]
 
             def fp(d):
                 p = PlaneMinimal(plane.azimuth + d[0], plane.elevation + d[1], plane.distance + d[2])
-                return np.array([corridor_plane_residual(center, width, p, slot, sign)[0]])
+                return corridor_plane(center, width, p, slot)[0]
 
-            check_jacobian(Jc.reshape(1, 2), fd_jacobian(fc, None, 2))
-            check_jacobian(Jp.reshape(1, 3), fd_jacobian(fp, None, 3))
+            check_jacobian(Jc, fd_jacobian(fc, None, 2))
+            check_jacobian(Jp, fd_jacobian(fp, None, 3))

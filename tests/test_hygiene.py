@@ -1,7 +1,7 @@
 """Source hygiene: no module in the package or the tests imports a name it
 never uses, the package imports only at module level, defines no private
-name it never uses, and has no public function or class that is there for
-the tests alone."""
+name it never uses, and has no public function, class or method that is
+there for the tests alone."""
 
 import ast
 from pathlib import Path
@@ -134,15 +134,25 @@ def unused_privates(sources: dict[str, str]) -> list[str]:
 
 def public_without_users(package: dict[str, str], users: dict[str, str]) -> list[str]:
     """`module:name` of each public module-level function or class of
-    `package` that no source in `users` (the package itself among them)
-    references: code kept for the tests alone, or for nobody."""
+    `package`, and `module:Class.method` of each public method of its
+    classes, that no source in `users` (the package itself among them)
+    references: code kept for the tests alone, or for nobody.
+
+    Names are matched by name alone, so any attribute of a method's name
+    keeps it: a `Pose3.retract` beside `BatchedFactors.retract` would pass."""
     used = references(ast.parse(source) for source in users.values())
-    return sorted(
-        f"{module}:{name}"
-        for module, source in package.items()
-        for name in module_level_names(ast.parse(source), constants=False)
-        if not name.startswith("_") and name not in used
-    )
+    found = []
+    for module, source in package.items():
+        tree = ast.parse(source)
+        found += [(f"{module}:{name}", name) for name in module_level_names(tree, constants=False)]
+        found += [
+            (f"{module}:{cls.name}.{node.name}", node.name)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+    return sorted(label for label, name in found if not name.startswith("_") and name not in used)
 
 
 def test_no_unused_private_names():
@@ -177,16 +187,24 @@ def test_scan_catches_public_code_for_the_tests_alone():
             "def used_here(x):\n    return x * LIMIT\n"
             "def caller():\n    return used_here(1)\n"
             "def tested_only(x):\n    return x\n"
-            "class Box:\n    pass\n"
+            "class Box:\n"
+            "    def used(self):\n        return 1\n"
+            "    def tested_only_method(self):\n        return 2\n"
+            "    def _private(self):\n        pass\n"
             "class Unused:\n    pass\n"
             "def _private():\n    pass\n"
             "def recursive(x):\n    return recursive(x - 1) if x else 0\n"
             "def reexported(x):\n    return x\n"
         ),
-        "b": "from a import Box\nimport a\nprint(a.caller)\n",
+        "b": "from a import Box\nimport a\nprint(a.caller, Box().used())\n",
         # a package `__init__` re-exports names: that alone is no use
         "__init__": "from a import Box, reexported\n__all__ = ['Box', 'reexported']\n",
     }
     bench = "import a\nprint(a.recursive)\n"
     users = dict(package, bench=bench)
-    assert public_without_users(package, users) == ["a:Unused", "a:reexported", "a:tested_only"]
+    assert public_without_users(package, users) == [
+        "a:Box.tested_only_method",
+        "a:Unused",
+        "a:reexported",
+        "a:tested_only",
+    ]

@@ -258,6 +258,21 @@ class TestExactSnapshot:
         with pytest.raises(ValueError, match="stamp"):
             graph_from_dict(d)
 
+    def test_factor_without_kind_rejected(self):
+        d = graph_to_dict(sample_graph())
+        del d["factors"][2]["kind"]
+        with pytest.raises(ValueError, match="without a kind"):
+            graph_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "slot, key", [(0, ["kf", 99]), (1, ["plnae", 1]), (1, ["plane", 7])], ids=["kf", "kind", "plane"]
+    )
+    def test_factor_on_a_variable_the_snapshot_lacks_rejected(self, slot, key):
+        d = graph_to_dict(sample_graph())
+        d["factors"][2]["variables"][slot] = key
+        with pytest.raises(ValueError, match="not in the snapshot"):
+            graph_from_dict(d)
+
 
 class TestTumRoundTrip:
     def test_lossless(self, tmp_path):

@@ -23,6 +23,7 @@ from reference_factors import (
     huber_cost_and_weight,
     measurement_frame,
     plane_retract,
+    pose_retract,
 )
 from test_io import sample_graph
 from test_solver import variable_state
@@ -320,9 +321,9 @@ class TestNormalEquations:
 
 class TestRetractAndWrite:
     """`retract` moves the gathered values as the per-variable updates do:
-    `Pose3.retract`, the plane normal along a great circle as in the
-    reference's `plane_retract`, everything else additive; `write` stores
-    them back."""
+    poses as the reference's `pose_retract`, the plane normal along a great
+    circle as its `plane_retract`, everything else additive; `write`
+    stores them back."""
 
     @staticmethod
     def solve_setup(g):
@@ -348,7 +349,7 @@ class TestRetractAndWrite:
             if ("kf", k) not in offsets:
                 continue
             off = offsets[("kf", k)]
-            ref = g.keyframes[k].pose.retract(delta[off : off + 6])
+            ref = pose_retract(g.keyframes[k].pose, delta[off : off + 6])
             assert moved.rotations[row].tobytes() == ref.rotation.tobytes()
             assert moved.translations[row].tobytes() == ref.translation.tobytes()
 

@@ -19,13 +19,15 @@ from sgraph.metrics import (
 )
 from sgraph.simulator import LayoutSpec, RectSpec, generate_world
 
+from reference_factors import pose_retract
+
 
 def random_trajectory(rng, n=60):
     traj = []
     pose = Pose3.identity()
     for i in range(n):
         delta = np.concatenate([rng.normal(0, 0.3, 3), rng.normal(0, 0.1, 3)])
-        pose = pose.retract(delta)
+        pose = pose_retract(pose, delta)
         traj.append((float(i), pose))
     return traj
 

@@ -5,11 +5,6 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from sgraph.factors import (
-    corridor_plane_residual,
-    pose_between_residual,
-    room_plane_residual,
-)
 from sgraph.geometry import (
     PlaneHessian,
     Pose3,
@@ -20,6 +15,7 @@ from sgraph.geometry import (
 from sgraph.metrics import TrajectoryPair, ate
 from sgraph.topology import detect_corridor, detect_room
 
+from test_factors import corridor_plane, pose_between, room_plane
 from test_topology import CFG as TOPO_CFG
 from test_topology import wall
 
@@ -60,7 +56,7 @@ def test_transform_plane_preserves_incidence(pose, d, az, el):
 @given(pose_strategy(), pose_strategy())
 def test_relative_pose_residual_zero_on_exact_measurement(a, b):
     meas = inverse_compose(a, b)
-    r, _, _ = pose_between_residual(a, b, meas)
+    r, _, _ = pose_between(a, b, meas)
     assert np.max(np.abs(r)) < 1e-9
 
 
@@ -90,12 +86,10 @@ def test_room_center_identities_and_zero_residuals(data):
     assert abs((room.center[0] + room.widths[0] / 2.0) - dx2) < 1e-12
     assert abs((room.center[1] + room.widths[1] / 2.0) - dy2) < 1e-12
     # residuals exactly zero for the creating observation
-    axis_links = {0: (dx1, 0), 1: (dx2, 1), 2: (dy1, 2), 3: (dy2, 3)}
-    for slot, (d_signed, _) in axis_links.items():
-        sign = 1.0 if d_signed >= 0 else -1.0
+    for slot in range(4):
         plane = x_pair[slot] if slot < 2 else y_pair[slot - 2]
-        r, _, _ = room_plane_residual(room.center, room.widths, plane.params, slot, sign)
-        assert abs(r) < 1e-12
+        r, _, _ = room_plane(room.center, room.widths, plane.params, slot)
+        assert abs(r[0]) < 1e-12
 
 
 @given(st.floats(-8.0, 8.0), st.floats(0.6, 2.4))
@@ -106,10 +100,9 @@ def test_corridor_center_identity_and_zero_residuals(d1, width):
     corr = detect_corridor((a, b), TOPO_CFG)
     assert corr is not None
     assert abs((corr.center[0] - corr.width / 2.0) - d1) < 1e-12
-    for slot, (plane, d_signed) in enumerate(((a, d1), (b, d2))):
-        sign = 1.0 if d_signed >= 0 else -1.0
-        r, _, _ = corridor_plane_residual(corr.center[0], corr.width, plane.params, slot, sign)
-        assert abs(r) < 1e-12
+    for slot, plane in enumerate((a, b)):
+        r, _, _ = corridor_plane(corr.center[0], corr.width, plane.params, slot)
+        assert abs(r[0]) < 1e-12
 
 
 @given(pose_strategy())

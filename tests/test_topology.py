@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sgraph.factors import FactorKind, corridor_plane_residual, room_plane_residual
+from sgraph.factors import FactorKind
 from sgraph.geometry import PlaneClass, PlaneMinimal
 from sgraph.graph import PlaneLandmark, SGraph
 from sgraph.topology import (
@@ -17,6 +17,8 @@ from sgraph.topology import (
     detect_room,
     update_topology,
 )
+
+from test_factors import corridor_plane, room_plane
 
 CFG = RoomCriterionConfig(
     min_width=0.5, extent_ratio_max=3.0, coverage_min=0.0, coverage_max=100.0
@@ -158,40 +160,35 @@ class TestResidualsAtCreation:
             CFG,
         )
         planes = {
-            0: (PlaneMinimal(0.0, 0.0, 1.0), 1.0),
-            1: (PlaneMinimal(0.0, 0.0, 5.0), 1.0),
-            2: (PlaneMinimal(math.pi / 2, 0.0, 2.0), 1.0),
-            3: (PlaneMinimal(math.pi / 2, 0.0, 4.0), 1.0),
+            0: PlaneMinimal(0.0, 0.0, 1.0),
+            1: PlaneMinimal(0.0, 0.0, 5.0),
+            2: PlaneMinimal(math.pi / 2, 0.0, 2.0),
+            3: PlaneMinimal(math.pi / 2, 0.0, 4.0),
         }
         for slot, pid in enumerate(room.plane_links):
-            params, sign = planes[pid]
-            r, _, _ = room_plane_residual(room.center, room.widths, params, slot, sign)
-            assert abs(r) < 1e-12
+            r, _, _ = room_plane(room.center, room.widths, planes[pid], slot)
+            assert abs(r[0]) < 1e-12
 
     def test_room_residual_worked_example(self):
         # room (3,3) widths (4,2): high-x wall moved to 5.2 -> (3+2) - 5.2
-        r, _, _ = room_plane_residual(
-            np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0.0, 0.0, 5.2), 1, 1.0
-        )
-        assert r == pytest.approx(-0.2, abs=1e-12)
+        r, _, _ = room_plane(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0.0, 0.0, 5.2), 1)
+        assert r[0] == pytest.approx(-0.2, abs=1e-12)
 
     def test_corridor_residuals_zero_at_creation(self):
         corr = detect_corridor((wall(0, "x", 1.0, observer=(2.0, 0.0)), wall(1, "x", 3.0, observer=(2.0, 0.0))), CFG)
         for slot, d in enumerate((1.0, 3.0)):
-            r, _, _ = corridor_plane_residual(
-                corr.center[0], corr.width, PlaneMinimal(0.0, 0.0, d), slot, 1.0
-            )
-            assert abs(r) < 1e-12
+            r, _, _ = corridor_plane(corr.center[0], corr.width, PlaneMinimal(0.0, 0.0, d), slot)
+            assert abs(r[0]) < 1e-12
 
     def test_corridor_residual_worked_example(self):
         # corridor center 1, width 2: high wall at 2.3 -> (1+1) - 2.3
-        r, _, _ = corridor_plane_residual(1.0, 2.0, PlaneMinimal(0.0, 0.0, 2.3), 1, 1.0)
-        assert r == pytest.approx(-0.3, abs=1e-12)
+        r, _, _ = corridor_plane(1.0, 2.0, PlaneMinimal(0.0, 0.0, 2.3), 1)
+        assert r[0] == pytest.approx(-0.3, abs=1e-12)
 
     def test_corridor_free_axis_not_in_jacobian(self):
         # only the along-axis center and width enter the residual
-        _, Jc, _ = corridor_plane_residual(1.0, 2.0, PlaneMinimal(0.0, 0.0, 0.0), 0, 1.0)
-        assert Jc.shape == (2,)
+        _, Jc, _ = corridor_plane(1.0, 2.0, PlaneMinimal(0.0, 0.0, 0.0), 0)
+        assert Jc.shape == (1, 2)
 
 
 def graph_with_room():
