@@ -234,10 +234,12 @@ def _corridor_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
 @dataclass(frozen=True)
 class KindSpec:
     """What a factor kind is: the layer of the graph it belongs to, the
-    kernel that evaluates it, the type its measurement has, and `stack`,
-    which turns a list of its measurements into the kernel's `meas`."""
+    kinds of the two variables it joins, the kernel that evaluates it, the
+    type its measurement has, and `stack`, which turns a list of its
+    measurements into the kernel's `meas`."""
 
     layer: str
+    variables: tuple[str, str]
     kernel: Kernel
     measurement: type
     stack: Callable[[list], tuple]
@@ -245,6 +247,7 @@ class KindSpec:
 
 _TRACKING = KindSpec(
     "tracking",
+    ("kf", "kf"),
     _between,
     Pose3,
     lambda meas: (np.array([m.rotation for m in meas]), np.array([m.translation for m in meas])),
@@ -257,12 +260,15 @@ KINDS: dict[FactorKind, KindSpec] = {
     FactorKind.ODOMETRY: _TRACKING,
     FactorKind.LOOP_CLOSURE: _TRACKING,
     FactorKind.POSE_PLANE: KindSpec(
-        "plane", _pose_plane, PlaneMinimal, lambda meas: (np.array([m.as_array() for m in meas]),)
+        "plane", ("kf", "plane"), _pose_plane, PlaneMinimal,
+        lambda meas: (np.array([m.as_array() for m in meas]),),
     ),
     # topology factors measure the slot of their plane
-    FactorKind.ROOM_PLANE: KindSpec("room", _room_plane, int, lambda slots: _edge_slots(slots, 4)),
+    FactorKind.ROOM_PLANE: KindSpec(
+        "room", ("room", "plane"), _room_plane, int, lambda slots: _edge_slots(slots, 4)
+    ),
     FactorKind.CORRIDOR_PLANE: KindSpec(
-        "corridor", _corridor_plane, int, lambda slots: _edge_slots(slots, 2)[1:]
+        "corridor", ("corridor", "plane"), _corridor_plane, int, lambda slots: _edge_slots(slots, 2)[1:]
     ),
 }
 

@@ -225,8 +225,8 @@ def graph_to_dict(graph: SGraph) -> dict:
 
 def graph_from_dict(d: dict) -> SGraph:
     """The graph a snapshot holds. A snapshot of another version, and a
-    factor without a kind or on a variable the snapshot lacks, raise
-    ValueError."""
+    factor without a kind, on variables of the wrong kinds for its kind or
+    on a variable the snapshot lacks, raise ValueError."""
     d = dict(d)
     version = d.pop("version", None)
     if version != SNAPSHOT_VERSION:
@@ -242,6 +242,8 @@ def graph_from_dict(d: dict) -> SGraph:
         for kind, vid in f.variables:
             if vid not in held.get(kind, ()):
                 raise ValueError(f"{f.kind.value} factor on {kind} {vid}, not in the snapshot")
+        if tuple(kind for kind, _ in f.variables) != KINDS[f.kind].variables:
+            raise ValueError(f"{f.kind.value} factor on {f.variables}, not on a {KINDS[f.kind].variables} pair")
     return graph
 
 

@@ -94,8 +94,7 @@ class BatchedFactors:
             factors = [graph.factors[i] for i in index]
             spec = KINDS[factors[0].kind]
             rows = np.array([[row[k] for k in f.variables] for f in factors], dtype=int)
-            kinds = [kind for kind, _ in factors[0].variables]
-            cols = np.hstack([self.columns[kind][rows[:, j]] for j, kind in enumerate(kinds)])
+            cols = np.hstack([self.columns[kind][rows[:, j]] for j, kind in enumerate(spec.variables)])
             g_keep = cols >= 0
             h_keep = g_keep[:, :, None] & g_keep[:, None, :]
             g_index.append(cols[g_keep])

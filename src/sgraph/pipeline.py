@@ -4,7 +4,7 @@ re-optimization after every new keyframe."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class SlamConfig:
     plane_sigma_d: float = 0.02  # m
     topology_sigma: float = 0.1  # m
     association_gate: float = 3.0
-    min_plane_inlier_count: int = 100
+    min_plane_inlier_count: int = 100  # inliers a kept plane needs; RANSAC searches for no fewer
     enable_topology: bool = True
     enable_loop_closure: bool = False
     optimize_every_keyframe: bool = True
@@ -73,6 +73,8 @@ def process_step(graph: SGraph, step: SimStep, cfg: SlamConfig, result: SlamResu
     (`extract_planes`). Each detection, refit from its own points, is then
     associated through the Mahalanobis gate like any other, so a claim
     cannot bypass association; an empty map gives plain sequential RANSAC.
+    RANSAC's floor is raised to `cfg.min_plane_inlier_count`, so every
+    detection is kept, and a cloud smaller than that is not searched.
     """
     kf_id = graph.maybe_add_keyframe(
         step.odom_pose,
@@ -88,21 +90,15 @@ def process_step(graph: SGraph, step: SimStep, cfg: SlamConfig, result: SlamResu
         cloud = None
     if cloud is not None:
         graph.keyframes[kf_id].scan = cloud  # downsampled copy for loop closure
+        ransac = replace(cfg.ransac, min_inliers=max(cfg.ransac.min_inliers, cfg.min_plane_inlier_count))
         try:
-            detections = extract_planes(cloud, cfg.ransac, graph.predict_planes(kf_id))
+            detections = extract_planes(cloud, ransac, graph.predict_planes(kf_id))
         except TooFewPoints:
             detections = []
-        seen_ids = []
-        for det in detections:
-            if det.inlier_count < cfg.min_plane_inlier_count:
-                continue
-            lm_id = graph.add_plane_observation(
-                det,
-                kf_id,
-                cfg.plane_information(),
-                gate=cfg.association_gate,
-            )
-            seen_ids.append(lm_id)
+        seen_ids = [
+            graph.add_plane_observation(det, kf_id, cfg.plane_information(), gate=cfg.association_gate)
+            for det in detections
+        ]
         if cfg.enable_topology and seen_ids:
             update_topology(graph, seen_ids, cfg.room, cfg.topology_information())
     if cfg.enable_loop_closure and kf_id > 0:

@@ -360,7 +360,7 @@ def perimeter_waypoints(rects: list[RectSpec]) -> tuple[tuple[float, float, floa
     return tuple(wps)
 
 
-def default_multi_room_layout(n_rooms: int = 4, with_corridor: bool = True) -> LayoutSpec:
+def default_multi_room_layout(n_rooms: int = 4) -> LayoutSpec:
     """A row of rooms of staggered sizes joined by narrow corridors.
 
     Staggered depths keep walls of different rooms non-coplanar so each
@@ -381,12 +381,9 @@ def default_multi_room_layout(n_rooms: int = 4, with_corridor: bool = True) -> L
         rects.append(
             RectSpec(x, x + w, y0, y0 + depth, kind="room", name=f"room{i}")
         )
-        if i < n_rooms - 1 and with_corridor:
+        x += w
+        if i < n_rooms - 1:
             cy0 = max(y0, _y0(i + 1)) + 1.5
-            rects.append(
-                RectSpec(x + w, x + w + 2.2, cy0, cy0 + 1.8, kind="corridor", name=f"corr{i}")
-            )
-            x = x + w + 2.2
-        else:
-            x = x + w
+            rects.append(RectSpec(x, x + 2.2, cy0, cy0 + 1.8, kind="corridor", name=f"corr{i}"))
+            x += 2.2
     return LayoutSpec(rects=tuple(rects))

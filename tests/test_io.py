@@ -273,6 +273,17 @@ class TestExactSnapshot:
         with pytest.raises(ValueError, match="not in the snapshot"):
             graph_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "index, variables",
+        [(2, [["room", 0], ["plane", 0]]), (3, [["plane", 0], ["room", 0]]), (0, [["kf", 0], ["plane", 0]])],
+        ids=["pose_plane-on-a-room", "room_plane-reversed", "odometry-on-a-plane"],
+    )
+    def test_factor_on_variables_of_the_wrong_kinds_rejected(self, index, variables):
+        d = graph_to_dict(sample_graph())
+        d["factors"][index]["variables"] = variables
+        with pytest.raises(ValueError, match="not on"):
+            graph_from_dict(d)
+
 
 class TestTumRoundTrip:
     def test_lossless(self, tmp_path):

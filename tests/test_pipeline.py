@@ -7,8 +7,10 @@ from dataclasses import fields, is_dataclass, replace
 import numpy as np
 import pytest
 
+from sgraph import pipeline, planes
 from sgraph.ablation import AblationReport, RunMetrics
 from sgraph.cli import load_layout, load_slam_config, main, parse_seeds
+from sgraph.factors import FactorKind
 from sgraph.io import graph_to_dict, save_world, to_json
 from sgraph.metrics import TrajectoryPair, ate
 from sgraph.pipeline import SlamConfig, run_slam
@@ -79,6 +81,64 @@ class TestRunSlam:
                 - result.graph.keyframes[a].odom_pose.translation
             )
             assert d > 0.5  # policy min_translation=1.0 along straight segments
+
+
+class TestPlaneFloor:
+    """RANSAC searches only for planes the map keeps: a cloud smaller than
+    `min_plane_inlier_count` is stored for loop closure but not searched."""
+
+    # a closed walk round the room, twice, so loop closure has candidates
+    LOOP = TrajectorySpec(
+        waypoints=((-2.0, -1.5, 0.0), (2.0, -1.5, 0.0), (2.0, 1.5, 0.0), (-2.0, 1.5, 0.0)), loops=2
+    )
+
+    def test_cloud_below_the_floor_is_not_searched(self, monkeypatch):
+        steps = simulate_run(generate_world(LAYOUT), self.LOOP, NoiseSpec(trans_drift=0.02, seed=1), PATTERN)
+        base = SlamConfig(enable_loop_closure=True)
+        clouds = {s.timestamp: planes.preprocess(s.scan, base.filter) for s in steps}
+        cfg = replace(base, min_plane_inlier_count=1 + max(len(c) for c in clouds.values()))
+
+        # before the floor reached RANSAC: search at RANSAC's own floor,
+        # then keep none of the planes found
+        found = []
+        with monkeypatch.context() as mp:
+            extract = pipeline.extract_planes
+
+            def discard(cloud, _ransac, predicted):
+                found.extend(extract(cloud, cfg.ransac, predicted))
+                return []
+
+            mp.setattr(pipeline, "extract_planes", discard)
+            want = run_slam(steps, cfg)
+        assert found
+
+        def search(*_args):
+            raise AssertionError("searched a cloud that cannot hold a kept plane")
+
+        monkeypatch.setattr(planes, "_ransac_round", search)
+        monkeypatch.setattr(planes, "_trim_fit", search)
+        got = run_slam(steps, cfg)
+        assert got.graph.keyframes and not got.graph.planes
+        assert all(f.kind is not FactorKind.POSE_PLANE for f in got.graph.factors)
+        for kf in got.graph.keyframes.values():
+            assert kf.scan.points.tobytes() == clouds[kf.timestamp].points.tobytes()
+        assert got.loop_constraints == want.loop_constraints > 0
+        assert graph_to_dict(got.graph) == graph_to_dict(want.graph)
+        assert [to_json(r) for r in got.reports] == [to_json(r) for r in want.reports]
+
+    def test_default_floor_searches_and_maps_planes(self, monkeypatch):
+        _, steps = run_steps()
+        rounds = [0]
+        ransac_round = planes._ransac_round
+
+        def counted(*args):
+            rounds[0] += 1
+            return ransac_round(*args)
+
+        monkeypatch.setattr(planes, "_ransac_round", counted)
+        result = run_slam(steps, SlamConfig())
+        assert rounds[0] > 0
+        assert len(result.graph.planes) >= 4
 
 
 class TestCli:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -640,6 +641,16 @@ class TestMapGuidedExtraction:
                 normal, d = planes._fit_plane_lsq(cloud.points[det.inlier_indices])
                 assert det.plane.normal.tobytes() == normal.tobytes()
                 assert det.plane.distance.hex() == float(d).hex()
+
+    @pytest.mark.parametrize("min_inliers", [100, 250])
+    def test_every_detection_holds_min_inliers(self, rooms2_keyframes, min_inliers):
+        # what lets `process_step` pass its keep threshold as RANSAC's floor
+        # and keep every detection
+        cfg = replace(self.CFG, min_inliers=min_inliers)
+        dets = [det for cloud, pred in rooms2_keyframes for det in planes.extract_planes(cloud, cfg, pred)]
+        assert len(dets) >= 50
+        for det in dets:
+            assert det.inlier_count == det.inlier_indices.size >= min_inliers
 
     def test_prediction_without_support_claims_nothing(self, monkeypatch):
         cloud, planted = box_cloud(sigma=0.01)
