@@ -64,10 +64,9 @@ def point_to_world_distance(points: np.ndarray, world: WorldModel) -> np.ndarray
     counted only where the in-plane projection falls inside the rectangle."""
     n = points.shape[0]
     best = np.full(n, np.inf)
-    other_axes = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
     for wall in world.walls:
         a = wall.axis
-        u_ax, v_ax = other_axes[a]
+        u_ax, v_ax = wall.in_plane_axes
         inside = (
             (points[:, u_ax] >= wall.u_min - 1e-9)
             & (points[:, u_ax] <= wall.u_max + 1e-9)

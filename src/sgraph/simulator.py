@@ -62,6 +62,12 @@ class WallRect:
     v_min: float
     v_max: float
 
+    @property
+    def in_plane_axes(self) -> tuple[int, int]:
+        """The (u, v) axes: the two that are not the normal axis, ascending."""
+        u, v = (i for i in range(3) if i != self.axis)
+        return u, v
+
     def plane(self) -> PlaneHessian:
         n = np.zeros(3)
         n[self.axis] = 1.0 if self.offset >= 0.0 else -1.0
@@ -248,21 +254,24 @@ def ray_directions(pattern: ScanPattern) -> np.ndarray:
     return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=-1).reshape(-1, 3)
 
 
-def raycast(world: WorldModel, pose: Pose3, pattern: ScanPattern) -> np.ndarray:
+def raycast(
+    world: WorldModel, pose: Pose3, pattern: ScanPattern, dirs_sensor: np.ndarray | None = None
+) -> np.ndarray:
     """Cast the scan pattern against all wall rectangles.
 
     Returns hit points in the sensor frame (pre-noise, exactly on the hit
-    planes). Misses are dropped.
+    planes). Misses are dropped. `dirs_sensor` is `ray_directions(pattern)`
+    for a caller that casts the same pattern many times.
     """
-    dirs_sensor = ray_directions(pattern)
+    if dirs_sensor is None:
+        dirs_sensor = ray_directions(pattern)
     dirs = dirs_sensor @ pose.rotation.T
     origin = pose.translation
     n_rays = dirs.shape[0]
     best_t = np.full(n_rays, np.inf)
-    other_axes = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
     for wall in world.walls:
         a = wall.axis
-        u_ax, v_ax = other_axes[a]
+        u_ax, v_ax = wall.in_plane_axes
         da = dirs[:, a]
         valid = np.abs(da) > 1e-12
         t = np.full(n_rays, np.inf)
@@ -319,6 +328,7 @@ def simulate_run(
     trajectory. Fully deterministic given the noise seed."""
     rng = np.random.default_rng(noise.seed)
     times, gt_poses = _interp_poses(traj)
+    dirs_sensor = ray_directions(pattern)
     steps: list[SimStep] = []
     odom = gt_poses[0]
     prev_gt = gt_poses[0]
@@ -335,7 +345,7 @@ def simulate_run(
             noisy_rel = rel.compose(Pose3(rot_exp(eps[3:6]), eps[0:3]))
             odom = odom.compose(noisy_rel)
             prev_gt = gt
-        pts = raycast(world, gt, pattern)
+        pts = raycast(world, gt, pattern, dirs_sensor)
         if noise.range_sigma > 0.0 and pts.shape[0] > 0:
             ranges = np.linalg.norm(pts, axis=1, keepdims=True)
             noisy_ranges = ranges + rng.normal(0.0, noise.range_sigma, ranges.shape)
