@@ -156,6 +156,8 @@ def write_ply(path, cloud: PointCloud) -> None:
 
 
 def read_ply(path) -> PointCloud:
+    """The cloud an ASCII PLY file holds; raises ValueError when its body
+    holds fewer rows than `element vertex` declares."""
     lines = Path(path).read_text().splitlines()
     n = 0
     timestamp = 0.0
@@ -167,9 +169,10 @@ def read_ply(path) -> PointCloud:
             timestamp = float(line.split()[-1])
         elif line.strip() == "end_header":
             break
-    pts = np.array(
-        [[float(v) for v in line.split()[:3]] for line in lines[i + 1 : i + 1 + n]]
-    ).reshape(-1, 3)
+    rows = lines[i + 1 : i + 1 + n]
+    if len(rows) < n:
+        raise ValueError(f"{path}: {len(rows)} vertex rows, the header declares {n}")
+    pts = np.array([[float(v) for v in line.split()[:3]] for line in rows]).reshape(-1, 3)
     return PointCloud(pts, timestamp)
 
 
@@ -198,13 +201,22 @@ def export_dataset(out_dir, world: WorldModel, steps: list[SimStep]) -> None:
 
 
 def load_dataset(data_dir) -> tuple[WorldModel, list[SimStep]]:
+    """The world and steps `export_dataset` wrote. Raises ValueError when
+    the ground truth, the odometry and the scans differ in count, or the
+    ground truth and the odometry in a timestamp."""
     data = Path(data_dir)
     world = load_world(data / "world.json")
     gt = read_tum(data / "ground_truth.tum")
     odom = read_tum(data / "odometry.tum")
     scans = sorted((data / "scans").glob("*.ply"))
+    if not len(gt) == len(odom) == len(scans):
+        raise ValueError(
+            f"{data}: {len(gt)} ground-truth poses, {len(odom)} odometry poses, {len(scans)} scans"
+        )
     steps = []
-    for (t, gt_pose), (_, odom_pose), scan_path in zip(gt, odom, scans):
+    for (t, gt_pose), (t_odom, odom_pose), scan_path in zip(gt, odom, scans):
+        if t_odom != t:
+            raise ValueError(f"{data}: ground truth at t={t!r}, odometry at t={t_odom!r}")
         steps.append(
             SimStep(
                 timestamp=t,

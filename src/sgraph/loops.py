@@ -3,9 +3,6 @@ scan registration producing relative-pose constraints."""
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -82,23 +79,17 @@ def register_scans(
     match: PointCloud,
     initial_guess: Pose3,
     cfg: LoopConfig,
-    *,
-    stop: threading.Event | None = None,
 ) -> LoopConstraint:
     """Iterative point-to-point registration of the match scan onto the
     query scan.
 
     The returned relative pose maps match-frame points into the query
     frame. Raises NoConvergence when the final fitness exceeds the
-    acceptance threshold or the correspondences collapse, and also when
-    `stop` is set, which is checked before the kd-tree is built and at the
-    top of every ICP iteration. It reads only its arguments and writes
-    nothing, which is why close_loops may run it in threads.
+    acceptance threshold or the correspondences collapse. It reads only its
+    arguments and writes nothing.
     """
     if len(query) < cfg.min_points or len(match) < cfg.min_points:
         raise NoConvergence("too few points for registration")
-    if stop is not None and stop.is_set():
-        raise NoConvergence("registration stopped")
     target = query.points
     tree = cKDTree(target)
     pose = initial_guess
@@ -106,8 +97,6 @@ def register_scans(
     fitness = np.inf
     corr_dist = max(cfg.coarse_corr_dist, cfg.max_corr_dist)
     for _ in range(cfg.max_icp_iters):
-        if stop is not None and stop.is_set():
-            raise NoConvergence("registration stopped")
         moved = match.points @ pose.rotation.T + pose.translation
         # the margin keeps a pair at exactly corr_dist, which the bounded
         # query's strict < would drop; mask stays the deciding test
@@ -154,51 +143,30 @@ def add_loop_factor(graph: SGraph, constraint: LoopConstraint) -> None:
 def close_loops(graph: SGraph, query_id: int, cfg: LoopConfig) -> int:
     """Find, register and insert loop constraints for one keyframe.
 
-    Acceptance falls off with prior distance, so the search keeps the
-    longest nearest-first run of candidates that register: the first
-    candidate whose registration does not converge ends it, and no farther
-    candidate is inserted, even one that would converge. Candidates without
-    a scan or with fewer than `cfg.min_points` points are left out first;
-    they say nothing about the registration's reach.
+    Acceptance falls off with prior distance, so the candidates are
+    registered one after another, nearest first, and the first whose
+    registration does not converge ends the search: no farther candidate is
+    registered, even one that would converge. Candidates without a scan or
+    with fewer than `cfg.min_points` points are skipped; they say nothing
+    about the registration's reach.
 
-    The candidates are registered concurrently, on up to one thread per
-    CPU, and the results are read in candidate order. Reading the first
-    failure sets an event that stops the registrations still running or
-    queued. The graph is not touched until the loop has ended, so the
-    accepted set depends only on candidate order, not on worker count or
-    thread timing. Any other error up to the first failure propagates with
-    nothing inserted; one beyond it is not read, as that registration may
-    have been stopped before it ran. Returns the number of accepted
-    constraints.
+    The accepted constraints are inserted in candidate order once the
+    search has ended, so any other error propagates with nothing inserted.
+    Returns the number of accepted constraints.
     """
     query = graph.keyframes[query_id]
     if query.scan is None:
         return 0
-    cands = []
-    for c in find_candidates(graph, query_id, cfg):
-        scan = graph.keyframes[c.match_id].scan
-        if scan is not None and len(scan) >= cfg.min_points:
-            cands.append(c)
-    if not cands:
-        return 0
-    stop = threading.Event()
-
-    def register(cand: LoopCandidate) -> LoopConstraint | None:
-        match = graph.keyframes[cand.match_id]
-        try:
-            return register_scans(query.scan, match.scan, cand.prior_relative, cfg, stop=stop)
-        except NoConvergence:
-            return None
-
     accepted: list[LoopConstraint] = []
-    with ThreadPoolExecutor(min(len(cands), os.cpu_count() or 1)) as pool:
+    for cand in find_candidates(graph, query_id, cfg):
+        scan = graph.keyframes[cand.match_id].scan
+        if scan is None or len(scan) < cfg.min_points:
+            continue
         try:
-            for cand, constraint in zip(cands, pool.map(register, cands)):
-                if constraint is None:
-                    break
-                accepted.append(replace(constraint, query_id=query_id, match_id=cand.match_id))
-        finally:
-            stop.set()
+            constraint = register_scans(query.scan, scan, cand.prior_relative, cfg)
+        except NoConvergence:
+            break
+        accepted.append(replace(constraint, query_id=query_id, match_id=cand.match_id))
     for constraint in accepted:
         add_loop_factor(graph, constraint)
     return len(accepted)

@@ -320,6 +320,15 @@ class TestPlyRoundTrip:
         assert back.timestamp == cloud.timestamp
         assert np.array_equal(back.points, cloud.points)
 
+    def test_truncated_body_rejected(self, tmp_path):
+        rng = np.random.default_rng(8)
+        path = tmp_path / "scan.ply"
+        write_ply(path, PointCloud(rng.normal(0, 3, size=(100, 3)), timestamp=4.5))
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match="99 vertex rows, the header declares 100"):
+            read_ply(path)
+
 
 class TestWorldAndDataset:
     LAYOUT = LayoutSpec(rects=(RectSpec(-3.0, 3.0, -2.0, 2.0, kind="room"),))
@@ -368,13 +377,18 @@ class TestWorldAndDataset:
         assert corr.axis is PlaneClass.Y_VERTICAL
         assert np.array_equal(corr.center, [0.0, 5.0]) and corr.width == 2.0
 
-    def test_dataset_round_trip(self, tmp_path):
+    def exported(self, tmp_path):
+        """Export a short run to tmp_path; returns its world and steps."""
         world = generate_world(self.LAYOUT)
         traj = TrajectorySpec(waypoints=((-1.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
         steps = simulate_run(
             world, traj, NoiseSpec(seed=1), ScanPattern(n_rings=4, n_azimuth=60)
         )
         export_dataset(tmp_path, world, steps)
+        return world, steps
+
+    def test_dataset_round_trip(self, tmp_path):
+        world, steps = self.exported(tmp_path)
         world2, steps2 = load_dataset(tmp_path)
         assert len(steps2) == len(steps)
         for sa, sb in zip(steps, steps2):
@@ -382,3 +396,26 @@ class TestWorldAndDataset:
             assert np.max(np.abs(sa.gt_pose.translation - sb.gt_pose.translation)) < 1e-15
             assert np.array_equal(sa.scan.points, sb.scan.points)
         assert len(world2.walls) == len(world.walls)
+
+    def test_missing_scan_rejected(self, tmp_path):
+        n = len(self.exported(tmp_path)[1])
+        # a middle scan: every later pose would pair with the wrong scan
+        (tmp_path / "scans" / f"{n // 2:06d}.ply").unlink()
+        with pytest.raises(ValueError, match=f"{n} odometry poses, {n - 1} scans"):
+            load_dataset(tmp_path)
+
+    def test_extra_tum_line_rejected(self, tmp_path):
+        n = len(self.exported(tmp_path)[1])
+        odom = tmp_path / "odometry.tum"
+        odom.write_text(odom.read_text() + "99.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n")
+        with pytest.raises(ValueError, match=f"{n} ground-truth poses, {n + 1} odometry poses"):
+            load_dataset(tmp_path)
+
+    def test_timestamp_mismatch_rejected(self, tmp_path):
+        self.exported(tmp_path)
+        odom = tmp_path / "odometry.tum"
+        lines = odom.read_text().splitlines()
+        lines[1] = "77.5 " + lines[1].split(" ", 1)[1]
+        odom.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="odometry at t=77.5"):
+            load_dataset(tmp_path)
