@@ -121,10 +121,18 @@ def cmd_eval(args) -> int:
 
 
 def parse_seeds(text: str) -> list[int]:
+    """Seeds from "lo..hi" (inclusive) or "a,b,c". An empty range or a
+    repeated seed raises ValueError."""
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(x) for x in text.split(",")]
+    if not seeds:
+        raise ValueError(f"empty seed range {text!r}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"repeated seed in {text!r}")
+    return seeds
 
 
 def cmd_ablate(args) -> int:

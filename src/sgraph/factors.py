@@ -20,6 +20,11 @@ Local coordinates per variable type:
   room          : 4  [d_cx, d_cy, d_wx, d_wy]
   corridor      : 2  [d_center_along_axis, d_width]   (the cross-axis center
                      component is deliberately not optimized)
+
+`_Values` holds each room and corridor as one row in this order, a block
+of centers then a block of widths, so a step is added to it as it stands
+and one edge kernel, `_edge_plane`, serves the room-plane and the
+corridor-plane factors.
 """
 
 from __future__ import annotations
@@ -79,10 +84,8 @@ class _Values:
     rotations: np.ndarray  # (K, 3, 3)
     translations: np.ndarray  # (K, 3)
     planes: np.ndarray  # (P, 3) azimuth, elevation, distance
-    room_centers: np.ndarray  # (R, 2)
-    room_widths: np.ndarray  # (R, 2)
-    corridor_centers: np.ndarray  # (C,) center component along the corridor axis
-    corridor_widths: np.ndarray  # (C,)
+    rooms: np.ndarray  # (R, 4) cx, cy, wx, wy: the room's local coordinates
+    corridors: np.ndarray  # (C, 2) center along the corridor axis, width
     corridor_axes: np.ndarray  # (C,) that axis, 0 is x and 1 is y; never retracted
 
 
@@ -188,44 +191,38 @@ def _pose_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
     return r, J
 
 
-def _room_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
-    """Room-plane edge residual; columns [room (4) | plane (3)].
-
-    The plane enters through its signed distance along the slot's axis,
-    the sign taken from its normal.
-    """
-    axis, half = meas
-    room = rows[:, 0]
-    planes = v.planes[rows[:, 1]]
+def _edge_plane(x: np.ndarray, col, axis, half: np.ndarray, planes: np.ndarray, jacobians: bool):
+    """Edge residual of a node's wall, r = center + half * width minus the
+    plane's signed distance along `axis`, the sign taken from its normal;
+    columns [node (D) | plane (3)]. `x` holds the nodes' values (N, D),
+    each a center block then a width block of D/2 entries, and `col` is
+    the column of the center along `axis`."""
+    n = np.arange(len(x))
+    width = col + x.shape[1] // 2
     sign = _axis_sign(planes, axis)
-    edge = v.room_centers[room, axis] + half * v.room_widths[room, axis]
-    r = (edge - sign * planes[:, 2])[:, None]
+    r = (x[n, col] + half * x[n, width] - sign * planes[:, 2])[:, None]
     if not jacobians:
         return r, None
-    n = np.arange(len(rows))
-    J = np.zeros((len(rows), 1, 7))
-    J[n, 0, axis] = 1.0
-    J[n, 0, 2 + axis] = half
-    J[:, 0, 6] = -sign
+    J = np.zeros((len(x), 1, x.shape[1] + 3))
+    J[n, 0, col] = 1.0
+    J[n, 0, width] = half
+    J[:, 0, -1] = -sign
     return r, J
+
+
+def _room_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
+    """Room-plane edge residual; columns [room (4) | plane (3)]."""
+    axis, half = meas
+    return _edge_plane(v.rooms[rows[:, 0]], axis, axis, half, v.planes[rows[:, 1]], jacobians)
 
 
 def _corridor_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
-    """Corridor-plane edge residual, as `_room_plane` along the corridor's
-    axis; columns [corridor (2) | plane (3)]."""
+    """Corridor-plane edge residual along the corridor's axis; columns
+    [corridor (2) | plane (3)]."""
     (half,) = meas
     corr = rows[:, 0]
     planes = v.planes[rows[:, 1]]
-    sign = _axis_sign(planes, v.corridor_axes[corr])
-    edge = v.corridor_centers[corr] + half * v.corridor_widths[corr]
-    r = (edge - sign * planes[:, 2])[:, None]
-    if not jacobians:
-        return r, None
-    J = np.zeros((len(rows), 1, 5))
-    J[:, 0, 0] = 1.0
-    J[:, 0, 1] = half
-    J[:, 0, 4] = -sign
-    return r, J
+    return _edge_plane(v.corridors[corr], 0, v.corridor_axes[corr], half, planes, jacobians)
 
 
 # -- the factor kinds --------------------------------------------------------
@@ -274,4 +271,4 @@ KINDS: dict[FactorKind, KindSpec] = {
 
 
 # values of no variable, for `replace` to fill in the arrays a kernel reads
-_NO_VALUES = _Values(*[np.zeros(0)] * 8)
+_NO_VALUES = _Values(*[np.zeros(0)] * 6)

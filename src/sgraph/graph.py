@@ -92,15 +92,6 @@ class SGraph:
             return None
         return self.keyframes[max(self.keyframes)]
 
-    def linked_plane_ids(self) -> set[int]:
-        """Plane ids already claimed by a room or corridor."""
-        out: set[int] = set()
-        for room in self.rooms.values():
-            out.update(room.plane_links)
-        for corr in self.corridors.values():
-            out.update(corr.plane_links)
-        return out
-
     def predict_planes(self, kf_id: int) -> np.ndarray:
         """Every mapped plane in keyframe kf_id's sensor frame, from its
         current pose: (P, 4) rows of unit normal and distance >= 0, in
@@ -265,41 +256,26 @@ class SGraph:
         keep.extent = np.maximum(keep.extent, drop.extent)
         keep.observation_count += drop.observation_count
         del self.planes[drop_id]
-        for room in self.rooms.values():
-            room.plane_links = tuple(
-                keep_id if p == drop_id else p for p in room.plane_links
-            )
-        for corr in self.corridors.values():
-            corr.plane_links = tuple(
-                keep_id if p == drop_id else p for p in corr.plane_links
-            )
+        for node in (*self.rooms.values(), *self.corridors.values()):
+            node.plane_links = tuple(keep_id if p == drop_id else p for p in node.plane_links)
 
     # -- topology nodes ----------------------------------------------------
 
-    def add_room(self, node: RoomNode, information: float) -> int:
-        node.id = self._next_room_id
-        self._next_room_id += 1
-        self.rooms[node.id] = node
+    def add_node(self, node: RoomNode | CorridorNode, information: float) -> int:
+        """Give a room or corridor node the next id of its kind and add one
+        edge factor per wall slot, which measures the slot. Returns the id."""
+        if isinstance(node, RoomNode):
+            kind, nodes, edge = "room", self.rooms, FactorKind.ROOM_PLANE
+            node.id, self._next_room_id = self._next_room_id, self._next_room_id + 1
+        else:
+            kind, nodes, edge = "corridor", self.corridors, FactorKind.CORRIDOR_PLANE
+            node.id, self._next_corridor_id = self._next_corridor_id, self._next_corridor_id + 1
+        nodes[node.id] = node
         for slot, plane_id in enumerate(node.plane_links):
             self.factors.append(
                 Factor(
-                    kind=FactorKind.ROOM_PLANE,
-                    variables=(("room", node.id), ("plane", plane_id)),
-                    measurement=slot,
-                    information=np.array([[information]]),
-                )
-            )
-        return node.id
-
-    def add_corridor(self, node: CorridorNode, information: float) -> int:
-        node.id = self._next_corridor_id
-        self._next_corridor_id += 1
-        self.corridors[node.id] = node
-        for slot, plane_id in enumerate(node.plane_links):
-            self.factors.append(
-                Factor(
-                    kind=FactorKind.CORRIDOR_PLANE,
-                    variables=(("corridor", node.id), ("plane", plane_id)),
+                    kind=edge,
+                    variables=((kind, node.id), ("plane", plane_id)),
                     measurement=slot,
                     information=np.array([[information]]),
                 )

@@ -127,10 +127,10 @@ class BatchedFactors:
             planes=np.array(
                 [graph.planes[p].params.as_array() for p in self.ids["plane"]]
             ).reshape(-1, 3),
-            room_centers=np.array([r.center for r in rooms], dtype=float).reshape(-1, 2),
-            room_widths=np.array([r.widths for r in rooms], dtype=float).reshape(-1, 2),
-            corridor_centers=np.array([c.center[a] for c, a in zip(corridors, axes)], dtype=float),
-            corridor_widths=np.array([c.width for c in corridors], dtype=float),
+            rooms=np.array([[*r.center, *r.widths] for r in rooms], dtype=float).reshape(-1, 4),
+            corridors=np.array(
+                [[c.center[a], c.width] for c, a in zip(corridors, axes)], dtype=float
+            ).reshape(-1, 2),
             corridor_axes=axes,
         )
 
@@ -142,8 +142,6 @@ class BatchedFactors:
         cols = self.columns["kf"]
         fixed = cols[:, :1] < 0
         step = np.where(cols >= 0, delta[cols], 0.0)
-        room = delta[self.columns["room"]]
-        corridor = delta[self.columns["corridor"]]
         return replace(
             v,
             rotations=np.where(
@@ -153,10 +151,8 @@ class BatchedFactors:
                 fixed, v.translations, v.translations + _mv(v.rotations, step[:, 0:3])
             ),
             planes=_retract_planes(v.planes, delta[self.columns["plane"]]),
-            room_centers=v.room_centers + room[:, 0:2],
-            room_widths=v.room_widths + room[:, 2:4],
-            corridor_centers=v.corridor_centers + corridor[:, 0],
-            corridor_widths=v.corridor_widths + corridor[:, 1],
+            rooms=v.rooms + delta[self.columns["room"]],
+            corridors=v.corridors + delta[self.columns["corridor"]],
         )
 
     def write(self, graph: SGraph, v: _Values) -> None:
@@ -167,13 +163,13 @@ class BatchedFactors:
             graph.planes[p].params = PlaneMinimal(*v.planes[i].tolist())
         for i, r in enumerate(self.ids["room"]):
             room = graph.rooms[r]
-            room.center, room.widths = v.room_centers[i].copy(), v.room_widths[i].copy()
+            room.center, room.widths = v.rooms[i, :2].copy(), v.rooms[i, 2:].copy()
         for i, c in enumerate(self.ids["corridor"]):
             corr = graph.corridors[c]
             # the cross-axis component of the center is not optimized
             center = np.array(corr.center, dtype=float)
-            center[v.corridor_axes[i]] = v.corridor_centers[i]
-            corr.center, corr.width = center, float(v.corridor_widths[i])
+            center[v.corridor_axes[i]] = v.corridors[i, 0]
+            corr.center, corr.width = center, float(v.corridors[i, 1])
 
     def evaluate(self, v: _Values, jacobians: bool = True):
         """Yield (block, r, J) per layer at the values `v`: raw residuals

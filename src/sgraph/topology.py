@@ -52,13 +52,20 @@ def _extents_similar(a: PlaneLandmark, b: PlaneLandmark, ratio_max: float) -> bo
     return max(la, lb) / min(la, lb) <= ratio_max
 
 
-def _ordered_pair(
-    a: PlaneLandmark, b: PlaneLandmark, axis: PlaneClass
-) -> tuple[PlaneLandmark, PlaneLandmark, float, float]:
+def _wall_pair(
+    a: PlaneLandmark, b: PlaneLandmark, axis: PlaneClass, cfg: RoomCriterionConfig
+) -> tuple[PlaneLandmark, PlaneLandmark, float, float] | None:
+    """The two walls in order of signed distance along `axis`, with those
+    distances, or None unless they face each other, lie more than
+    `min_width` apart and have similar extents."""
     da, db = signed_distance(a, axis), signed_distance(b, axis)
-    if da <= db:
-        return a, b, da, db
-    return b, a, db, da
+    if da > db:
+        a, b, da, db = b, a, db, da
+    if not _opposed(a, b) or db - da <= cfg.min_width:
+        return None
+    if not _extents_similar(a, b, cfg.extent_ratio_max):
+        return None
+    return a, b, da, db
 
 
 def detect_room(
@@ -68,24 +75,18 @@ def detect_room(
 ) -> RoomNode | None:
     """Room test on a 2+2 wall candidate.
 
-    Requires opposed normals within each pair, widths above the minimum,
-    and similar wall extents. The center is placed midway between the
+    Both pairs must pass `_wall_pair`, and each wall must span roughly the
+    perpendicular room width. The center is placed midway between the
     signed wall distances.
     """
-    x1, x2, dx1, dx2 = _ordered_pair(*x_planes, PlaneClass.X_VERTICAL)
-    y1, y2, dy1, dy2 = _ordered_pair(*y_planes, PlaneClass.Y_VERTICAL)
-    if not (_opposed(x1, x2) and _opposed(y1, y2)):
+    x_pair = _wall_pair(*x_planes, PlaneClass.X_VERTICAL, cfg)
+    y_pair = _wall_pair(*y_planes, PlaneClass.Y_VERTICAL, cfg)
+    if x_pair is None or y_pair is None:
         return None
+    x1, x2, dx1, dx2 = x_pair
+    y1, y2, dy1, dy2 = y_pair
     wx = dx2 - dx1
     wy = dy2 - dy1
-    if wx <= cfg.min_width or wy <= cfg.min_width:
-        return None
-    if not (
-        _extents_similar(x1, x2, cfg.extent_ratio_max)
-        and _extents_similar(y1, y2, cfg.extent_ratio_max)
-    ):
-        return None
-    # each wall must span (roughly) the perpendicular room width
     for wall, span in ((x1, wy), (x2, wy), (y1, wx), (y2, wx)):
         length = float(np.max(wall.extent))
         if not (cfg.coverage_min * span <= length <= cfg.coverage_max * span):
@@ -102,20 +103,20 @@ def detect_room(
 def detect_corridor(
     pair: tuple[PlaneLandmark, PlaneLandmark], cfg: RoomCriterionConfig
 ) -> CorridorNode | None:
-    """Corridor test on a parallel wall pair of equal vertical class."""
+    """Corridor test on a parallel wall pair of equal vertical class: the
+    pair must pass `_wall_pair` and be at most `corridor_max_width` wide."""
     a, b = pair
     if a.plane_class is not b.plane_class:
         return None
     if a.plane_class is PlaneClass.HORIZONTAL:
         return None
     axis = a.plane_class
-    p1, p2, d1, d2 = _ordered_pair(a, b, axis)
-    if not _opposed(p1, p2):
+    walls = _wall_pair(a, b, axis, cfg)
+    if walls is None:
         return None
+    p1, p2, d1, d2 = walls
     w = d2 - d1
-    if w <= cfg.min_width or w > cfg.corridor_max_width:
-        return None
-    if not _extents_similar(p1, p2, cfg.extent_ratio_max):
+    if w > cfg.corridor_max_width:
         return None
     center_axis = w / 2.0 + d1
     perp_idx = 1 - axis.index
@@ -173,22 +174,14 @@ def update_topology(
 
     Only vertical planes are considered. Candidate rooms are first checked
     against mapped rooms (merging duplicated walls); unmatched candidates
-    become new room nodes. Remaining unlinked pairs may become corridors.
-    A corridor is upgraded (removed) when a room claims both of its walls.
+    that share no wall with a mapped room become new room nodes. A new room
+    upgrades (removes) every corridor it claims any one wall of. Remaining
+    unlinked pairs may become corridors.
     """
     stats = {"rooms_added": 0, "corridors_added": 0, "merges": 0, "upgrades": 0}
     visible = [graph.planes[p] for p in visible_plane_ids if p in graph.planes]
     x_planes = [p for p in visible if p.plane_class is PlaneClass.X_VERTICAL]
     y_planes = [p for p in visible if p.plane_class is PlaneClass.Y_VERTICAL]
-
-    def corridor_of(plane_id: int) -> int | None:
-        for cid, corr in graph.corridors.items():
-            if plane_id in corr.plane_links:
-                return cid
-        return None
-
-    def in_room(plane_id: int) -> bool:
-        return any(plane_id in r.plane_links for r in graph.rooms.values())
 
     # rooms first: they take precedence over corridors
     for xp in itertools.combinations(x_planes, 2):
@@ -203,18 +196,19 @@ def update_topology(
             if match != NEW_ROOM:
                 stats["merges"] += merge_candidate_into_room(graph, match, candidate)
                 continue
-            if any(in_room(p) for p in candidate.plane_links):
+            walls = set(candidate.plane_links)
+            if any(walls.intersection(r.plane_links) for r in graph.rooms.values()):
                 continue
             # upgrade corridors whose walls are claimed by this room
-            for p in candidate.plane_links:
-                cid = corridor_of(p)
-                if cid is not None:
-                    graph.remove_corridor(cid)
-                    stats["upgrades"] += 1
-            graph.add_room(candidate, information)
+            claimed = [c for c, k in graph.corridors.items() if walls.intersection(k.plane_links)]
+            for cid in claimed:
+                graph.remove_corridor(cid)
+            stats["upgrades"] += len(claimed)
+            graph.add_node(candidate, information)
             stats["rooms_added"] += 1
 
-    linked = graph.linked_plane_ids()
+    nodes = (*graph.rooms.values(), *graph.corridors.values())
+    linked = {p for node in nodes for p in node.plane_links}
     for group in (x_planes, y_planes):
         for pair in itertools.combinations(group, 2):
             if pair[0].id in linked or pair[1].id in linked:
@@ -224,7 +218,7 @@ def update_topology(
             candidate = detect_corridor(pair, cfg)
             if candidate is None:
                 continue
-            graph.add_corridor(candidate, information)
-            linked = graph.linked_plane_ids()
+            graph.add_node(candidate, information)
+            linked.update(candidate.plane_links)
             stats["corridors_added"] += 1
     return stats

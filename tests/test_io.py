@@ -243,7 +243,7 @@ class TestExactSnapshot:
         save_graph(path, g)
         h = load_graph(path)
         node = CorridorNode(-1, PlaneClass.X_VERTICAL, np.array([1.0, 5.0]), 2.0, (0, 1))
-        assert h.add_corridor(node, 100.0) == g.add_corridor(replace(node), 100.0) == 1
+        assert h.add_node(node, 100.0) == g.add_node(replace(node), 100.0) == 1
 
     def test_only_the_current_version_is_read(self):
         d = graph_to_dict(sample_graph())

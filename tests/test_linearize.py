@@ -229,10 +229,10 @@ class TestResidualsAndJacobians:
         add_plane(g, 5, 0.0, 0.01, 8.1)
         add_plane(g, 6, math.pi / 2 - 0.01, 0.0, 5.0, cls=PlaneClass.Y_VERTICAL)
         add_plane(g, 7, -math.pi / 2, 0.0, 0.1, cls=PlaneClass.Y_VERTICAL)
-        g.add_room(RoomNode(0, np.array([0.95, 0.05]), np.array([4.1, 2.9]), (0, 1, 2, 3)), 100.0)
-        g.add_corridor(CorridorNode(0, PlaneClass.X_VERTICAL, np.array([7.0, 0.3]), 2.2, (4, 5)),
+        g.add_node(RoomNode(0, np.array([0.95, 0.05]), np.array([4.1, 2.9]), (0, 1, 2, 3)), 100.0)
+        g.add_node(CorridorNode(0, PlaneClass.X_VERTICAL, np.array([7.0, 0.3]), 2.2, (4, 5)),
                        100.0)
-        g.add_corridor(CorridorNode(0, PlaneClass.Y_VERTICAL, np.array([-3.0, 2.5]), 4.8, (7, 6)),
+        g.add_node(CorridorNode(0, PlaneClass.Y_VERTICAL, np.array([-3.0, 2.5]), 4.8, (7, 6)),
                        100.0)
         slots = {(f.kind, f.measurement) for f in g.factors}
         assert {s for k, s in slots if k is FactorKind.ROOM_PLANE} == {0, 1, 2, 3}
@@ -412,10 +412,10 @@ class TestRetractAndWrite:
     def test_corridor_cross_axis_center_untouched_on_both_axes(self):
         g = SGraph()
         add_kf(g, 0, Pose3.identity())
-        g.add_room(RoomNode(0, np.array([0.95, 0.05]), np.array([4.1, 2.9]), (0, 1, 2, 3)), 100.0)
-        g.add_corridor(CorridorNode(0, PlaneClass.X_VERTICAL, np.array([7.0, 0.3]), 2.2, (4, 5)),
+        g.add_node(RoomNode(0, np.array([0.95, 0.05]), np.array([4.1, 2.9]), (0, 1, 2, 3)), 100.0)
+        g.add_node(CorridorNode(0, PlaneClass.X_VERTICAL, np.array([7.0, 0.3]), 2.2, (4, 5)),
                        100.0)
-        g.add_corridor(CorridorNode(0, PlaneClass.Y_VERTICAL, np.array([-3.0, 2.5]), 4.8, (7, 6)),
+        g.add_node(CorridorNode(0, PlaneClass.Y_VERTICAL, np.array([-3.0, 2.5]), 4.8, (7, 6)),
                        100.0)
         for pid in range(8):
             add_plane(g, pid, 0.0, 0.0, 1.0 + pid)

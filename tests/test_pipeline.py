@@ -221,6 +221,19 @@ class TestCli:
         assert parse_seeds("1..4") == [1, 2, 3, 4]
         assert parse_seeds("0,5,9") == [0, 5, 9]
 
+    @pytest.mark.parametrize(("seeds", "message"), [("3..1", "empty"), ("1,1,2", "repeated")])
+    def test_bad_seeds_are_an_error(self, tmp_path, capsys, seeds, message):
+        with pytest.raises(ValueError, match=message):
+            parse_seeds(seeds)
+        self.write_configs(tmp_path)
+        assert main([
+            "ablate", "--layout", str(tmp_path / "layout.json"),
+            "--noise", str(tmp_path / "noise.json"),
+            "--seeds", seeds, "--report", str(tmp_path / "ablation.json"),
+        ]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "ablation.json").exists()
+
     def test_ablate_writes_report(self, tmp_path):
         self.write_configs(tmp_path)
         report = tmp_path / "ablation.json"

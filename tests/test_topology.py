@@ -143,6 +143,21 @@ class TestDetectCorridor:
     def test_mixed_classes_rejected(self):
         assert detect_corridor((wall(0, "x", 0.0), wall(1, "y", 2.0)), CFG) is None
 
+    def test_width_below_minimum_rejected(self):
+        pair = (wall(0, "x", 1.0, observer=(1.15, 0.0)), wall(1, "x", 1.3, observer=(1.15, 0.0)))
+        assert detect_corridor(pair, CFG) is None
+
+    def test_dissimilar_extents_rejected(self):
+        pair = (
+            wall(0, "x", 0.0, length=10.0, observer=(1.0, 0.0)),
+            wall(1, "x", 2.0, length=1.0, observer=(1.0, 0.0)),
+        )
+        assert detect_corridor(pair, CFG) is None
+
+    def test_exactly_max_width_accepted(self):
+        corr = detect_corridor((wall(0, "x", 0.0, observer=(1.25, 0.0)), wall(1, "x", 2.5, observer=(1.25, 0.0))), CFG)
+        assert corr is not None and corr.width == CFG.corridor_max_width == 2.5
+
     def test_free_axis_center_from_centroids(self):
         a = wall(0, "x", 0.0, observer=(1.0, 4.0))
         b = wall(1, "x", 2.0, observer=(1.0, 4.0))
@@ -150,6 +165,21 @@ class TestDetectCorridor:
         b.centroid = np.array([2.0, 5.0, 1.0])
         corr = detect_corridor((a, b), CFG)
         assert corr.center[1] == pytest.approx(4.0, abs=1e-12)
+
+
+class TestMinimumWidthBoundary:
+    """Walls exactly `min_width` apart are too close for a room or a corridor."""
+
+    def x_pair(self):
+        return wall(0, "x", 1.0, observer=(1.25, 3.0)), wall(1, "x", 1.5, observer=(1.25, 3.0))
+
+    def test_room_rejected(self):
+        y_pair = (wall(2, "y", 2.0, observer=(1.25, 3.0)), wall(3, "y", 4.0, observer=(1.25, 3.0)))
+        assert 1.5 - 1.0 == CFG.min_width
+        assert detect_room(self.x_pair(), y_pair, CFG) is None
+
+    def test_corridor_rejected(self):
+        assert detect_corridor(self.x_pair(), CFG) is None
 
 
 class TestResidualsAtCreation:
@@ -203,7 +233,7 @@ def graph_with_room():
         g.planes[lm.id] = lm
     g._next_plane_id = 4
     room = detect_room((g.planes[0], g.planes[1]), (g.planes[2], g.planes[3]), CFG)
-    g.add_room(room, information=100.0)
+    g.add_node(room, information=100.0)
     return g
 
 
@@ -327,4 +357,24 @@ class TestUpdateTopology:
         assert len(g.corridors) == 0
         assert len(g.rooms) == 1
         # the corridor's factors went with it
+        assert not any(f.kind is FactorKind.CORRIDOR_PLANE for f in g.factors)
+
+    def test_corridor_upgraded_when_room_claims_one_wall(self):
+        # corridor between x = 0 and x = 2; a room on x in [0, 4] later
+        # claims its x = 0 wall but not its x = 2 one
+        g = SGraph()
+        for lm in (wall(0, "x", 0.0, observer=(1.0, 2.0)), wall(1, "x", 2.0, observer=(1.0, 2.0))):
+            g.planes[lm.id] = lm
+        update_topology(g, [0, 1], CFG, information=100.0)
+        assert sum(f.kind is FactorKind.CORRIDOR_PLANE for f in g.factors) == 2
+        for lm in (
+            wall(2, "y", 0.0, observer=(1.0, 2.0)),
+            wall(3, "y", 4.0, observer=(1.0, 2.0)),
+            wall(4, "x", 4.0, observer=(1.0, 2.0)),
+        ):
+            g.planes[lm.id] = lm
+        stats = update_topology(g, [0, 4, 2, 3], CFG, information=100.0)
+        assert g.rooms[0].plane_links == (0, 4, 2, 3)
+        assert stats["upgrades"] == 1
+        assert g.corridors == {}
         assert not any(f.kind is FactorKind.CORRIDOR_PLANE for f in g.factors)
