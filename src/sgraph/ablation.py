@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .geometry import from_minimal
+from .geometry import PlaneHessian, from_minimal
 from .metrics import TrajectoryPair, ate
 from .pipeline import SlamConfig, SlamResult, run_slam
 from .simulator import (
@@ -36,41 +36,36 @@ def stream_digest(steps: list[SimStep]) -> str:
     return h.hexdigest()
 
 
-def world_infinite_planes(world: WorldModel) -> list[tuple[int, float]]:
-    """Distinct (axis, offset) infinite planes among the world rectangles."""
-    seen = set()
-    out = []
+def world_infinite_planes(world: WorldModel) -> list[PlaneHessian]:
+    """The distinct infinite planes of the world rectangles, in wall order."""
+    planes: dict[tuple[int, float], PlaneHessian] = {}
     for w in world.walls:
-        key = (w.axis, round(w.offset, 9))
-        if key not in seen:
-            seen.add(key)
-            out.append((w.axis, w.offset))
-    return out
+        planes.setdefault((w.axis, round(w.offset, 9)), w.plane())
+    return list(planes.values())
 
 
 def duplicate_plane_count(
     result: SlamResult, world: WorldModel, dist_tol: float = 0.5, angle_tol: float = 0.17
 ) -> int:
-    """Landmarks in excess of one per matched ground-truth plane."""
+    """Landmarks in excess of one per matched ground-truth plane: a landmark
+    matches the plane nearest in distance among those within `angle_tol`
+    of its normal (either facing) and closer than `dist_tol`."""
     gt = world_infinite_planes(world)
-    matches = {i: 0 for i in range(len(gt))}
+    matches = [0] * len(gt)
     for lm in result.graph.planes.values():
         hess = from_minimal(lm.params)
         best = None
         best_err = dist_tol
-        for i, (axis, offset) in enumerate(gt):
-            n_gt = np.zeros(3)
-            n_gt[axis] = 1.0 if offset >= 0 else -1.0
-            cos = abs(float(hess.normal @ n_gt))
-            if cos < np.cos(angle_tol):
+        for i, plane in enumerate(gt):
+            if abs(float(hess.normal @ plane.normal)) < np.cos(angle_tol):
                 continue
-            err = abs(hess.distance - abs(offset))
+            err = abs(hess.distance - plane.distance)
             if err < best_err:
                 best_err = err
                 best = i
         if best is not None:
             matches[best] += 1
-    return sum(max(0, c - 1) for c in matches.values())
+    return sum(max(0, c - 1) for c in matches)
 
 
 @dataclass

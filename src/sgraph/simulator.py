@@ -28,12 +28,9 @@ class RectSpec:
     name: str = ""
 
     @property
-    def width_x(self) -> float:
-        return self.x_max - self.x_min
-
-    @property
-    def width_y(self) -> float:
-        return self.y_max - self.y_min
+    def bounds(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(min, max) along x, then along y."""
+        return (self.x_min, self.x_max), (self.y_min, self.y_max)
 
     @property
     def center(self) -> tuple[float, float]:
@@ -129,120 +126,79 @@ class SimStep:
     scan: PointCloud
 
 
-def _edge_openings(rect: RectSpec, others: list[RectSpec], side: str) -> list[tuple[float, float]]:
-    """Intervals along one edge shared with a neighbouring rectangle."""
-    eps = 1e-9
-    openings = []
-    for o in others:
-        if side == "x_min" and abs(o.x_max - rect.x_min) < eps:
-            lo, hi = max(rect.y_min, o.y_min), min(rect.y_max, o.y_max)
-        elif side == "x_max" and abs(o.x_min - rect.x_max) < eps:
-            lo, hi = max(rect.y_min, o.y_min), min(rect.y_max, o.y_max)
-        elif side == "y_min" and abs(o.y_max - rect.y_min) < eps:
-            lo, hi = max(rect.x_min, o.x_min), min(rect.x_max, o.x_max)
-        elif side == "y_max" and abs(o.y_min - rect.y_max) < eps:
-            lo, hi = max(rect.x_min, o.x_min), min(rect.x_max, o.x_max)
-        else:
-            continue
-        if hi - lo > eps:
-            openings.append((lo, hi))
-    return sorted(openings)
+_EPS = 1e-9
 
 
-def _subtract_intervals(
-    lo: float, hi: float, openings: list[tuple[float, float]]
-) -> list[tuple[float, float]]:
-    segments = []
+def _wall_spans(bounds, others, axis: int, side: int) -> list[tuple[float, float]]:
+    """Spans, along the other axis, of a rectangle's wall at
+    `bounds[axis][side]`: its whole edge less the door openings, the spans
+    it shares with a neighbour's opposite edge. `bounds` and `others` are
+    `RectSpec.bounds` of the rectangle and of its neighbours."""
+    edge = bounds[axis][side]
+    lo, hi = bounds[1 - axis]
+    openings = sorted(
+        (max(lo, o[1 - axis][0]), min(hi, o[1 - axis][1]))
+        for o in others
+        if abs(o[axis][1 - side] - edge) < _EPS
+    )
+    spans = []
     cur = lo
     for a, b in openings:
-        if a > cur + 1e-9:
-            segments.append((cur, a))
+        if b - a <= _EPS:  # the edges meet at a corner or not at all
+            continue
+        if a > cur + _EPS:
+            spans.append((cur, a))
         cur = max(cur, b)
-    if hi > cur + 1e-9:
-        segments.append((cur, hi))
-    return segments
+    if hi > cur + _EPS:
+        spans.append((cur, hi))
+    return spans
 
 
 def generate_world(layout: LayoutSpec) -> WorldModel:
     """Build walls, floor/ceiling and ground-truth annotations from a
-    rectangle floorplan. Shared boundaries become door openings."""
+    rectangle floorplan. Shared boundaries become door openings.
+
+    Each rectangle has a wall at both ends of both axes, in the order x low,
+    x high, y low, y high. A corridor's walls face across its shorter side
+    (x on a tie) and its width is that side."""
     rects = list(layout.rects)
     if not rects:
         raise InvalidLayout("layout needs at least one rectangle")
+    bounds = [r.bounds for r in rects]
     for i, a in enumerate(rects):
-        if a.x_max <= a.x_min or a.y_max <= a.y_min:
+        if a.kind not in ("room", "corridor"):
+            raise InvalidLayout(f"rectangle {a} has kind {a.kind!r}, not 'room' or 'corridor'")
+        if any(hi <= lo for lo, hi in bounds[i]):
             raise InvalidLayout(f"degenerate rectangle {a}")
         for b in rects[i + 1 :]:
-            if (
-                a.x_min < b.x_max - 1e-9
-                and b.x_min < a.x_max - 1e-9
-                and a.y_min < b.y_max - 1e-9
-                and b.y_min < a.y_max - 1e-9
-            ):
+            pairs = zip(bounds[i], b.bounds)
+            if all(lo < b_hi - _EPS and b_lo < hi - _EPS for (lo, hi), (b_lo, b_hi) in pairs):
                 raise InvalidLayout(f"overlapping rectangles {a} and {b}")
 
     h = layout.wall_height
-    walls: list[WallRect] = []
-    for rect in rects:
-        others = [o for o in rects if o is not rect]
-        for side in ("x_min", "x_max"):
-            openings = _edge_openings(rect, others, side)
-            x = rect.x_min if side == "x_min" else rect.x_max
-            for lo, hi in _subtract_intervals(rect.y_min, rect.y_max, openings):
-                walls.append(WallRect(axis=0, offset=x, u_min=lo, u_max=hi, v_min=0.0, v_max=h))
-        for side in ("y_min", "y_max"):
-            openings = _edge_openings(rect, others, side)
-            y = rect.y_min if side == "y_min" else rect.y_max
-            for lo, hi in _subtract_intervals(rect.x_min, rect.x_max, openings):
-                walls.append(WallRect(axis=1, offset=y, u_min=lo, u_max=hi, v_min=0.0, v_max=h))
-
-    # floor and ceiling rectangles per floorplan rectangle
-    for rect in rects:
-        for z in (0.0, h):
-            walls.append(
-                WallRect(
-                    axis=2,
-                    offset=z,
-                    u_min=rect.x_min,
-                    u_max=rect.x_max,
-                    v_min=rect.y_min,
-                    v_max=rect.y_max,
-                )
-            )
+    walls = []
+    for i, rb in enumerate(bounds):
+        others = bounds[:i] + bounds[i + 1 :]
+        walls += [
+            WallRect(axis, rb[axis][side], lo, hi, 0.0, h)
+            for axis in (0, 1)
+            for side in (0, 1)
+            for lo, hi in _wall_spans(rb, others, axis, side)
+        ]
+    walls += [WallRect(2, z, *rb[0], *rb[1]) for rb in bounds for z in (0.0, h)]
 
     rooms = []
     corridors = []
-    for rect in rects:
+    for rect, rb in zip(rects, bounds):
+        widths = [hi - lo for lo, hi in rb]
         if rect.kind == "room":
-            rooms.append(
-                RoomAnnotation(
-                    center=np.array(rect.center),
-                    widths=np.array([rect.width_x, rect.width_y]),
-                )
-            )
+            rooms.append(RoomAnnotation(center=np.array(rect.center), widths=np.array(widths)))
         else:
-            if rect.width_x <= rect.width_y:
-                corridors.append(
-                    CorridorAnnotation(
-                        axis=PlaneClass.X_VERTICAL,
-                        center=np.array(rect.center),
-                        width=rect.width_x,
-                    )
-                )
-            else:
-                corridors.append(
-                    CorridorAnnotation(
-                        axis=PlaneClass.Y_VERTICAL,
-                        center=np.array(rect.center),
-                        width=rect.width_y,
-                    )
-                )
-    return WorldModel(
-        walls=tuple(walls),
-        rooms=tuple(rooms),
-        corridors=tuple(corridors),
-        wall_height=h,
-    )
+            axis = int(widths[1] < widths[0])  # across the shorter side, x on a tie
+            corridors.append(
+                CorridorAnnotation(list(PlaneClass)[axis], np.array(rect.center), widths[axis])
+            )
+    return WorldModel(tuple(walls), tuple(rooms), tuple(corridors), h)
 
 
 def ray_directions(pattern: ScanPattern) -> np.ndarray:

@@ -214,6 +214,18 @@ class TestCli:
         with pytest.raises(ValueError, match="n_ring"):
             load_layout(tmp_path / "layout.json")
 
+    def test_unknown_rectangle_kind_is_an_error(self, tmp_path, capsys):
+        self.write_configs(tmp_path)
+        layout = json.loads((tmp_path / "layout.json").read_text())
+        layout["rects"][0]["kind"] = "Room"
+        (tmp_path / "layout.json").write_text(json.dumps(layout))
+        assert main([
+            "simulate", "--layout", str(tmp_path / "layout.json"),
+            "--noise", str(tmp_path / "noise.json"), "--out", str(tmp_path / "data"),
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error: rectangle RectSpec(")
+        assert not (tmp_path / "data").exists()
+
     def test_error_gives_nonzero_exit(self, tmp_path):
         assert main(["slam", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path)]) == 1
 

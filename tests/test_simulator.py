@@ -45,28 +45,38 @@ class TestGenerateWorld:
         assert np.allclose(world.rooms[0].widths, [6.0, 4.0])
 
     def test_corridor_annotation_axis(self):
-        layout = LayoutSpec(
-            rects=(RectSpec(0.0, 2.0, 0.0, 8.0, kind="corridor"),), wall_height=2.5
-        )
-        world = generate_world(layout)
-        assert len(world.corridors) == 1
-        assert world.corridors[0].axis is PlaneClass.X_VERTICAL
-        assert world.corridors[0].width == pytest.approx(2.0)
+        # the walls face across the shorter side, x on a tie, and the
+        # width is that side
+        cases = [
+            (RectSpec(0.0, 2.0, 0.0, 8.0, kind="corridor"), PlaneClass.X_VERTICAL, 2.0),
+            (RectSpec(-1.0, 7.0, 2.0, 3.5, kind="corridor"), PlaneClass.Y_VERTICAL, 1.5),
+            (RectSpec(1.0, 3.0, -1.0, 1.0, kind="corridor"), PlaneClass.X_VERTICAL, 2.0),
+        ]
+        for rect, axis, width in cases:
+            world = generate_world(LayoutSpec(rects=(rect,), wall_height=2.5))
+            assert world.rooms == () and len(world.corridors) == 1, rect
+            assert world.corridors[0].axis is axis, rect
+            assert world.corridors[0].width == pytest.approx(width), rect
+            assert np.array_equal(world.corridors[0].center, rect.center), rect
 
     def test_shared_boundary_becomes_opening(self):
-        layout = LayoutSpec(
-            rects=(
-                RectSpec(0.0, 4.0, 0.0, 4.0, kind="room"),
-                RectSpec(4.0, 8.0, 1.0, 3.0, kind="room"),
-            )
-        )
-        world = generate_world(layout)
-        # the x=4 boundary wall of the left room is split around y in [1, 3]
-        segs = [w for w in world.walls if w.axis == 0 and abs(w.offset - 4.0) < 1e-9]
-        spans = sorted((w.u_min, w.u_max) for w in segs)
-        assert (0.0, 1.0) in spans
-        assert (3.0, 4.0) in spans
-        assert not any(lo < 2.0 < hi for lo, hi in spans)
+        room = RectSpec(0.0, 4.0, 0.0, 4.0, kind="room")
+        cases = [
+            # the x = 4 wall of the left room is split around y in [1, 3];
+            # the right room's whole edge is the door
+            (RectSpec(4.0, 8.0, 1.0, 3.0, kind="room"), 0, [(0.0, 1.0), (3.0, 4.0)]),
+            # the same door seen from a right room that reaches past it
+            (RectSpec(4.0, 8.0, 1.0, 6.0, kind="room"), 0, [(0.0, 1.0), (4.0, 6.0)]),
+            # a door on a y edge, to a corridor that overhangs the room
+            (RectSpec(-1.0, 3.0, 4.0, 5.5, kind="corridor"), 1, [(-1.0, 0.0), (3.0, 4.0)]),
+            # a rectangle on the edge's line that does not touch it cuts nothing
+            (RectSpec(4.0, 8.0, 5.0, 7.0, kind="room"), 0, [(0.0, 4.0), (5.0, 7.0)]),
+        ]
+        for neighbour, axis, spans in cases:
+            world = generate_world(LayoutSpec(rects=(room, neighbour)))
+            segs = [w for w in world.walls if w.axis == axis and abs(w.offset - 4.0) < 1e-9]
+            # the walls of both rectangles on that plane; none in the doorway
+            assert sorted((w.u_min, w.u_max) for w in segs) == spans, neighbour
 
     def test_overlapping_rects_rejected(self):
         layout = LayoutSpec(
@@ -76,6 +86,11 @@ class TestGenerateWorld:
             )
         )
         with pytest.raises(InvalidLayout):
+            generate_world(layout)
+
+    def test_unknown_kind_rejected(self):
+        layout = LayoutSpec(rects=(RectSpec(0.0, 4.0, 0.0, 4.0, kind="Room", name="hall"),))
+        with pytest.raises(InvalidLayout, match="name='hall'.*'Room'"):
             generate_world(layout)
 
     def test_degenerate_rect_rejected(self):
