@@ -124,14 +124,16 @@ def write_tum(path, stamped_poses: list[tuple[float, Pose3]]) -> None:
 
 
 def read_tum(path) -> list[tuple[float, Pose3]]:
+    """The stamped poses of a TUM file; a line with other than eight
+    values, or with a non-finite one, raises ValueError naming it."""
     out = []
-    for line in Path(path).read_text().splitlines():
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         vals = [float(x) for x in line.split()]
-        if len(vals) != 8:
-            raise ValueError(f"bad TUM line: {line!r}")
+        if len(vals) != 8 or not np.isfinite(vals).all():
+            raise ValueError(f"{path}:{n}: bad TUM line: {line!r}")
         out.append((vals[0], pose_from_list(vals[1:8])))
     return out
 
@@ -236,9 +238,11 @@ def graph_to_dict(graph: SGraph) -> dict:
 
 
 def graph_from_dict(d: dict) -> SGraph:
-    """The graph a snapshot holds. A snapshot of another version, and a
-    factor without a kind, on variables of the wrong kinds for its kind or
-    on a variable the snapshot lacks, raise ValueError."""
+    """The graph a snapshot holds. A snapshot of another version, a factor
+    without a kind, on variables of the wrong kinds for its kind or on a
+    variable the snapshot lacks, and a room or corridor plane link without
+    an edge factor on that plane in that slot raise ValueError. A node may
+    have edge factors beyond its plane links."""
     d = dict(d)
     version = d.pop("version", None)
     if version != SNAPSHOT_VERSION:
@@ -256,6 +260,19 @@ def graph_from_dict(d: dict) -> SGraph:
                 raise ValueError(f"{f.kind.value} factor on {kind} {vid}, not in the snapshot")
         if tuple(kind for kind, _ in f.variables) != KINDS[f.kind].variables:
             raise ValueError(f"{f.kind.value} factor on {f.variables}, not on a {KINDS[f.kind].variables} pair")
+    edges = {
+        (*f.variables, f.measurement)
+        for f in graph.factors
+        if f.kind in (FactorKind.ROOM_PLANE, FactorKind.CORRIDOR_PLANE)
+    }
+    for kind in ("room", "corridor"):
+        for node_id, node in held[kind].items():
+            for slot, plane_id in enumerate(node.plane_links):
+                if ((kind, node_id), ("plane", plane_id), slot) not in edges:
+                    raise ValueError(
+                        f"{kind} {node_id} links plane {plane_id} in slot {slot}, "
+                        "but the snapshot has no edge factor on it in that slot"
+                    )
     return graph
 
 

@@ -3,7 +3,7 @@ scan registration producing relative-pose constraints."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -36,42 +36,24 @@ class LoopConfig:
 
 
 @dataclass(frozen=True)
-class LoopCandidate:
-    query_id: int
-    match_id: int
-    prior_relative: Pose3  # relative pose of the match frame seen from query
-    distance: float
-
-
-@dataclass(frozen=True)
 class LoopConstraint:
-    query_id: int
-    match_id: int
-    relative: Pose3
+    relative: Pose3  # maps match-frame points into the query frame
     fitness: float  # mean squared correspondence distance
     information: np.ndarray
 
 
-def find_candidates(graph: SGraph, query_id: int, cfg: LoopConfig) -> list[LoopCandidate]:
-    """All keyframes far enough in time and close enough in space, nearest
-    first."""
-    query = graph.keyframes[query_id]
-    out: list[LoopCandidate] = []
+def find_candidates(graph: SGraph, query_id: int, cfg: LoopConfig) -> list[int]:
+    """Ids of all keyframes far enough in time and close enough in space,
+    nearest first, the lower id first on a tie."""
+    query = graph.keyframes[query_id].pose.translation
+    out: list[tuple[float, int]] = []
     for kf_id, kf in graph.keyframes.items():
         if abs(query_id - kf_id) < cfg.min_keyframe_gap:
             continue
-        dist = float(np.linalg.norm(query.pose.translation - kf.pose.translation))
+        dist = float(np.linalg.norm(query - kf.pose.translation))
         if dist < cfg.gate:
-            out.append(
-                LoopCandidate(
-                    query_id=query_id,
-                    match_id=kf_id,
-                    prior_relative=inverse_compose(query.pose, kf.pose),
-                    distance=dist,
-                )
-            )
-    out.sort(key=lambda c: (c.distance, c.match_id))
-    return out
+            out.append((dist, kf_id))
+    return [kf_id for _, kf_id in sorted(out)]
 
 
 def register_scans(
@@ -117,56 +99,46 @@ def register_scans(
     if fitness > cfg.accept_threshold:
         raise NoConvergence(f"fitness {fitness:.4f} > {cfg.accept_threshold}")
     scale = min(1.0 / max(fitness, 1e-6), cfg.info_scale_cap)
-    information = np.eye(6) * scale
-    return LoopConstraint(
-        query_id=-1, match_id=-1, relative=pose, fitness=fitness, information=information
-    )
-
-
-def add_loop_factor(graph: SGraph, constraint: LoopConstraint) -> None:
-    """Append a loop-closure factor; rejects duplicate ordered pairs."""
-    key = (("kf", constraint.query_id), ("kf", constraint.match_id))
-    for f in graph.factors:
-        if f.kind is FactorKind.LOOP_CLOSURE and f.variables == key:
-            return
-    graph.factors.append(
-        Factor(
-            kind=FactorKind.LOOP_CLOSURE,
-            variables=key,
-            measurement=constraint.relative,
-            information=constraint.information,
-            robust=True,
-        )
-    )
+    return LoopConstraint(relative=pose, fitness=fitness, information=np.eye(6) * scale)
 
 
 def close_loops(graph: SGraph, query_id: int, cfg: LoopConfig) -> int:
-    """Find, register and insert loop constraints for one keyframe.
+    """Find, register and insert loop-closure factors for one keyframe.
 
     Acceptance falls off with prior distance, so the candidates are
-    registered one after another, nearest first, and the first whose
+    registered one after another, nearest first, each from the match pose
+    seen from the query as its initial guess, and the first whose
     registration does not converge ends the search: no farther candidate is
     registered, even one that would converge. Candidates without a scan or
     with fewer than `cfg.min_points` points are skipped; they say nothing
     about the registration's reach.
 
-    The accepted constraints are inserted in candidate order once the
-    search has ended, so any other error propagates with nothing inserted.
-    Returns the number of accepted constraints.
+    The accepted factors are appended in candidate order once the search
+    has ended, so any other error propagates with nothing inserted. Call it
+    once per keyframe: a second call for the same keyframe appends its
+    factors again. Returns the number of accepted factors.
     """
     query = graph.keyframes[query_id]
     if query.scan is None:
         return 0
-    accepted: list[LoopConstraint] = []
-    for cand in find_candidates(graph, query_id, cfg):
-        scan = graph.keyframes[cand.match_id].scan
-        if scan is None or len(scan) < cfg.min_points:
+    accepted: list[Factor] = []
+    for match_id in find_candidates(graph, query_id, cfg):
+        match = graph.keyframes[match_id]
+        if match.scan is None or len(match.scan) < cfg.min_points:
             continue
+        guess = inverse_compose(query.pose, match.pose)
         try:
-            constraint = register_scans(query.scan, scan, cand.prior_relative, cfg)
+            c = register_scans(query.scan, match.scan, guess, cfg)
         except NoConvergence:
             break
-        accepted.append(replace(constraint, query_id=query_id, match_id=cand.match_id))
-    for constraint in accepted:
-        add_loop_factor(graph, constraint)
+        accepted.append(
+            Factor(
+                kind=FactorKind.LOOP_CLOSURE,
+                variables=(("kf", query_id), ("kf", match_id)),
+                measurement=c.relative,
+                information=c.information,
+                robust=True,
+            )
+        )
+    graph.factors.extend(accepted)
     return len(accepted)

@@ -4,13 +4,39 @@ name it never uses, and has no public function, class or method that is
 there for the tests alone."""
 
 import ast
+import io
+import math
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "sgraph").glob("*.py"))
 FILES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 # the code whose use makes a public name of the package live
 USERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+# builtin and library objects whose attributes the package and perfbench read
+LIBRARY = (dict, list, tuple, set, str, bytes, int, float, io.TextIOWrapper, np.ndarray, np, math)
+# The public methods whose names collide (see `colliding_methods`), each with
+# the call site that uses it: a file of USERS and a text of that file. An
+# attribute read of the name alone could be of the other binding.
+CALL_SITES = {
+    "geometry:PlaneClass.index": ("sgraph/topology.py", "center[axis.index]"),
+    "geometry:Pose3.identity": ("sgraph/graph.py", "pose=Pose3.identity()"),
+    "geometry:Pose3.log": ("sgraph/graph.py", "rel.log()[3:6]"),
+    "graph:SGraph.evaluate_factor": ("perfbench/tracing.py", "evaluate = SGraph.evaluate_factor"),
+    "linearize:BatchedFactors.cost": ("sgraph/solver.py", "factors.cost(values, cfg.huber_delta)"),
+    "linearize:BatchedFactors.evaluate": ("sgraph/linearize.py", "self.evaluate(v, jacobians)"),
+    "linearize:BatchedFactors.layer_costs": ("sgraph/solver.py", "factors.layer_costs(factors.values(graph)"),
+    "linearize:BatchedFactors.values": ("sgraph/solver.py", "values = factors.values(graph)"),
+    "linearize:BatchedFactors.write": ("sgraph/solver.py", "factors.write(graph, values)"),
+    "pipeline:SlamConfig.odom_information": ("sgraph/pipeline.py", "cfg.odom_information()"),
+    "pipeline:SlamConfig.plane_information": ("sgraph/pipeline.py", "cfg.plane_information()"),
+    "simulator:RectSpec.bounds": ("sgraph/simulator.py", "[r.bounds for r in rects]"),
+    "simulator:RectSpec.center": ("sgraph/simulator.py", "np.array(rect.center)"),
+    "simulator:WallRect.plane": ("sgraph/ablation.py", "w.plane()"),
+}
 
 
 def exported(tree) -> set[str]:
@@ -132,27 +158,76 @@ def unused_privates(sources: dict[str, str]) -> list[str]:
     )
 
 
-def public_without_users(package: dict[str, str], users: dict[str, str]) -> list[str]:
+def public_methods(package: dict[str, str]) -> dict[str, str]:
+    """The name of each public method of a module-level class of `package`,
+    by `module:Class.method`."""
+    return {
+        f"{module}:{cls.name}.{node.name}": node.name
+        for module, source in package.items()
+        for cls in ast.parse(source).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+
+
+def colliding_methods(package: dict[str, str], users: dict[str, str]) -> set[str]:
+    """`module:Class.method` of each public method of `package` whose name
+    `users` (the package itself among them) also bind otherwise: as a
+    variable, argument, attribute, function, class or import, or as another
+    class's method. A name that is an attribute of a `LIBRARY` object
+    collides too. A read of such a name does not tell which it reads."""
+    bindings = Counter()
+    for source in users.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bindings[node.name] += 1
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bindings[node.id] += 1
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                bindings[node.attr] += 1
+            elif isinstance(node, ast.arg):
+                bindings[node.arg] += 1
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bindings.update(a.asname or a.name.split(".")[0] for a in node.names)
+    library = set().union(*(dir(obj) for obj in LIBRARY))
+    return {
+        label
+        for label, name in public_methods(package).items()
+        if bindings[name] > 1 or name in library
+    }
+
+
+def public_without_users(
+    package: dict[str, str], users: dict[str, str], call_sites: dict[str, tuple[str, str]]
+) -> list[str]:
     """`module:name` of each public module-level function or class of
     `package`, and `module:Class.method` of each public method of its
     classes, that no source in `users` (the package itself among them)
     references: code kept for the tests alone, or for nobody.
 
-    Names are matched by name alone, so any attribute of a method's name
-    keeps it: a `Pose3.retract` beside `BatchedFactors.retract` would pass."""
+    A name is matched by name, except the name of a colliding method
+    (`colliding_methods`): that method is used only when `call_sites`
+    gives it a file of `users` that holds the call's text."""
     used = references(ast.parse(source) for source in users.values())
-    found = []
-    for module, source in package.items():
-        tree = ast.parse(source)
-        found += [(f"{module}:{name}", name) for name in module_level_names(tree, constants=False)]
-        found += [
-            (f"{module}:{cls.name}.{node.name}", node.name)
-            for cls in tree.body
-            if isinstance(cls, ast.ClassDef)
-            for node in cls.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-    return sorted(label for label, name in found if not name.startswith("_") and name not in used)
+    colliding = colliding_methods(package, users)
+    found = {
+        f"{module}:{name}": name
+        for module, source in package.items()
+        for name in module_level_names(ast.parse(source), constants=False)
+        if not name.startswith("_")
+    }
+    found.update(public_methods(package))
+    dead = []
+    for label, name in found.items():
+        if label in colliding:
+            file, call = call_sites.get(label, (None, None))
+            live = call is not None and call in users.get(file, "")
+        else:
+            live = name in used
+        if not live:
+            dead.append(label)
+    return sorted(dead)
 
 
 def test_no_unused_private_names():
@@ -177,7 +252,10 @@ def test_scan_catches_an_unused_private_name():
 def test_no_public_code_for_the_tests_alone():
     package = {p.stem: p.read_text() for p in PACKAGE}
     users = {f"{p.parent.name}/{p.name}": p.read_text() for p in USERS}
-    assert public_without_users(package, users) == []
+    # a new collision needs its call site listed, and a listed name that no
+    # longer collides leaves the list
+    assert colliding_methods(package, users) == set(CALL_SITES)
+    assert public_without_users(package, users, CALL_SITES) == []
 
 
 def test_scan_catches_public_code_for_the_tests_alone():
@@ -191,19 +269,32 @@ def test_scan_catches_public_code_for_the_tests_alone():
             "    def used(self):\n        return 1\n"
             "    def tested_only_method(self):\n        return 2\n"
             "    def _private(self):\n        pass\n"
+            # each collides: dict.values, the variable `area`, list.count
+            "    def values(self):\n        return 3\n"
+            "    def area(self):\n        return 4\n"
+            "    def count(self):\n        return 5\n"
             "class Unused:\n    pass\n"
             "def _private():\n    pass\n"
             "def recursive(x):\n    return recursive(x - 1) if x else 0\n"
             "def reexported(x):\n    return x\n"
         ),
-        "b": "from a import Box\nimport a\nprint(a.caller, Box().used())\n",
+        # reads `values` and `count` of other objects only
+        "b": (
+            "from a import Box\nimport a\nprint(a.caller, Box().used())\n"
+            "area = Box().area()\nprint({}.values(), [area].count(4))\n"
+        ),
         # a package `__init__` re-exports names: that alone is no use
         "__init__": "from a import Box, reexported\n__all__ = ['Box', 'reexported']\n",
     }
     bench = "import a\nprint(a.recursive)\n"
     users = dict(package, bench=bench)
-    assert public_without_users(package, users) == [
+    # the call site listed for count is not in b
+    call_sites = {"a:Box.area": ("b", "Box().area()"), "a:Box.count": ("b", "Box().count()")}
+    assert colliding_methods(package, users) == {"a:Box.values", "a:Box.area", "a:Box.count"}
+    assert public_without_users(package, users, call_sites) == [
+        "a:Box.count",
         "a:Box.tested_only_method",
+        "a:Box.values",
         "a:Unused",
         "a:reexported",
         "a:tested_only",

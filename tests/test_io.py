@@ -122,6 +122,11 @@ def sample_graph():
             information=np.array([[100.0]]),
         ),
     ]
+    # the edge factors of the other wall slots: every plane link has its own
+    g.factors += [
+        Factor(FactorKind.ROOM_PLANE, (("room", 0), ("plane", p)), slot, np.array([[100.0]]))
+        for slot, p in ((1, 1), (2, 0), (3, 1))
+    ] + [Factor(FactorKind.CORRIDOR_PLANE, (("corridor", 0), ("plane", 0)), 0, np.array([[100.0]]))]
     g._next_plane_id = 2
     g._next_room_id = 1
     g._next_corridor_id = 1
@@ -285,6 +290,23 @@ class TestExactSnapshot:
             graph_from_dict(d)
 
 
+    @pytest.mark.parametrize(
+        "node, links",
+        [("rooms", [0, 1, 0, 999]), ("rooms", [1, 0, 0, 1]), ("corridors", [1, 0])],
+        ids=["room-link-to-a-missing-plane", "room-x-links-swapped", "corridor-links-swapped"],
+    )
+    def test_plane_link_without_its_edge_factor_rejected(self, node, links):
+        d = graph_to_dict(sample_graph())
+        d[node]["0"]["plane_links"] = links
+        with pytest.raises(ValueError, match=f"{node[:-1]} 0 links plane"):
+            graph_from_dict(d)
+
+    def test_edge_factor_beyond_the_plane_links_accepted(self):
+        g = sample_graph()
+        g.factors.append(Factor(FactorKind.ROOM_PLANE, (("room", 0), ("plane", 1)), 0, np.array([[1.0]])))
+        assert len(graph_from_dict(graph_to_dict(g)).factors) == len(g.factors)
+
+
 class TestTumRoundTrip:
     def test_lossless(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -308,6 +330,13 @@ class TestTumRoundTrip:
         back = read_tum(path)
         assert len(back) == 1
         assert np.allclose(back[0][1].translation, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "est.tum"
+        path.write_text(f"# header\n0.0 1.0 2.0 3.0 0.0 0.0 0.0 1.0\n1.0 1.0 {value} 3.0 0.0 0.0 0.0 1.0\n")
+        with pytest.raises(ValueError, match=f"est.tum:3: bad TUM line: '1.0 1.0 {value} 3.0"):
+            read_tum(path)
 
 
 class TestPlyRoundTrip:
@@ -409,6 +438,17 @@ class TestWorldAndDataset:
         odom = tmp_path / "odometry.tum"
         odom.write_text(odom.read_text() + "99.0 0.0 0.0 0.0 0.0 0.0 0.0 1.0\n")
         with pytest.raises(ValueError, match=f"{n} ground-truth poses, {n + 1} odometry poses"):
+            load_dataset(tmp_path)
+
+    def test_non_finite_odometry_rejected(self, tmp_path):
+        n = len(self.exported(tmp_path)[1])
+        odom = tmp_path / "odometry.tum"
+        lines = odom.read_text().splitlines()
+        fields = lines[n // 3].split()
+        fields[1] = "nan"
+        lines[n // 3] = " ".join(fields)
+        odom.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"odometry.tum:{n // 3 + 1}: bad TUM line"):
             load_dataset(tmp_path)
 
     def test_timestamp_mismatch_rejected(self, tmp_path):

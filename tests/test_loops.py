@@ -7,14 +7,13 @@ import pytest
 from scipy.spatial import cKDTree
 
 from sgraph import loops
-from sgraph.factors import FactorKind
-from sgraph.geometry import Pose3, align_rigid, rot_exp
+from sgraph.factors import Factor, FactorKind
+from sgraph.geometry import Pose3, align_rigid, inverse_compose, rot_exp
 from sgraph.graph import Keyframe, SGraph
 from sgraph.loops import (
     LoopConfig,
     LoopConstraint,
     NoConvergence,
-    add_loop_factor,
     close_loops,
     find_candidates,
     register_scans,
@@ -73,9 +72,7 @@ def reference_register(query, match, initial_guess, cfg):
     if fitness > cfg.accept_threshold:
         raise NoConvergence(f"fitness {fitness:.4f} > {cfg.accept_threshold}")
     scale = min(1.0 / max(fitness, 1e-6), cfg.info_scale_cap)
-    return LoopConstraint(
-        query_id=-1, match_id=-1, relative=pose, fitness=fitness, information=np.eye(6) * scale
-    )
+    return LoopConstraint(relative=pose, fitness=fitness, information=np.eye(6) * scale)
 
 
 def outcome(register, *args):
@@ -109,8 +106,7 @@ class TestFindCandidates:
         # 20 keyframes along x, last one returns near the start
         positions = [(0.5 * i, 0.0, 0.0) for i in range(20)] + [(0.4, 0.0, 0.0)]
         g = make_graph(positions)
-        cands = find_candidates(g, 20, LoopConfig(gate=2.0, min_keyframe_gap=10))
-        ids = [c.match_id for c in cands]
+        ids = find_candidates(g, 20, LoopConfig(gate=2.0, min_keyframe_gap=10))
         # only frames within 2m and at least 10 frames away
         assert all(abs(20 - i) >= 10 for i in ids)
         assert all(
@@ -122,17 +118,36 @@ class TestFindCandidates:
     def test_sorted_nearest_first(self):
         positions = [(0.5 * i, 0.0, 0.0) for i in range(20)] + [(0.4, 0.0, 0.0)]
         g = make_graph(positions)
-        cands = find_candidates(g, 20, LoopConfig(gate=2.0, min_keyframe_gap=10))
-        dists = [c.distance for c in cands]
+        ids = find_candidates(g, 20, LoopConfig(gate=2.0, min_keyframe_gap=10))
+        query = g.keyframes[20].pose.translation
+        dists = [float(np.linalg.norm(query - g.keyframes[i].pose.translation)) for i in ids]
         assert dists == sorted(dists)
-        assert cands[0].match_id == 1  # x=0.5 is nearest to x=0.4
+        assert ids[0] == 1  # x=0.5 is nearest to x=0.4
 
-    def test_prior_relative_is_match_seen_from_query(self):
+    def test_prior_relative_is_match_seen_from_query(self, monkeypatch):
+        # close_loops hands each registration the match pose seen from the
+        # query as its initial guess
         g = make_graph([(0.0, 0.0, 0.0)] + [(1.0 * i, 0, 0) for i in range(1, 15)])
-        cand = find_candidates(g, 12, LoopConfig(gate=100.0, min_keyframe_gap=10))[0]
-        rel = cand.prior_relative
-        expect = g.keyframes[12].pose.inverse().compose(g.keyframes[cand.match_id].pose)
-        assert np.allclose(rel.translation, expect.translation, atol=1e-12)
+        for kf in g.keyframes.values():
+            kf.pose = Pose3(rot_exp(np.array([0.01, -0.02, 0.03 * kf.id])), kf.pose.translation)
+            kf.scan = PointCloud(np.zeros((60, 3)), timestamp=kf.timestamp)
+        guesses = []
+
+        def spy(query, match, guess, cfg):
+            guesses.append(guess)
+            return LoopConstraint(relative=guess, fitness=0.0, information=np.eye(6))
+
+        monkeypatch.setattr(loops, "register_scans", spy)
+        assert close_loops(g, 12, LoopConfig(gate=100.0, min_keyframe_gap=10)) == 3
+        query = g.keyframes[12].pose
+        for match_id, guess in zip([2, 1, 0], guesses, strict=True):
+            expect = inverse_compose(query, g.keyframes[match_id].pose)
+            assert guess.rotation.tobytes() == expect.rotation.tobytes()
+            assert guess.translation.tobytes() == expect.translation.tobytes()
+
+    def test_ties_put_the_lower_id_first(self):
+        g = make_graph([(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)] + [(5.0, 0.0, 0.0)] * 10 + [(0, 0, 0)])
+        assert find_candidates(g, 12, LoopConfig(gate=2.0, min_keyframe_gap=10)) == [0, 1]
 
     def test_gap_excludes_recent(self):
         g = make_graph([(0.0, 0.0, 0.0)] * 8)
@@ -221,35 +236,26 @@ class TestRegisterScans:
 
 
 class TestAddLoopFactor:
-    def constraint(self, q, m):
-        return LoopConstraint(
-            query_id=q,
-            match_id=m,
+    """The factor close_loops appends for an accepted registration."""
+
+    def test_appends_robust_factor(self, monkeypatch):
+        g = make_graph([(0, 0, 0)] * 10 + [(1, 0, 0)])
+        for kf in g.keyframes.values():
+            kf.scan = PointCloud(np.zeros((60, 3)), timestamp=kf.timestamp)
+        constraint = LoopConstraint(
             relative=Pose3(np.eye(3), np.array([1.0, 0.0, 0.0])),
             fitness=0.01,
             information=np.eye(6) * 100.0,
         )
-
-    def test_appends_robust_factor(self):
-        g = make_graph([(0, 0, 0), (1, 0, 0)])
-        add_loop_factor(g, self.constraint(1, 0))
+        monkeypatch.setattr(loops, "register_scans", lambda *args: constraint)
+        assert close_loops(g, 10, LoopConfig()) == 1
         assert len(g.factors) == 1
         f = g.factors[0]
         assert f.kind is FactorKind.LOOP_CLOSURE
-        assert f.variables == (("kf", 1), ("kf", 0))
+        assert f.variables == (("kf", 10), ("kf", 0))
         assert f.robust
-
-    def test_duplicate_pair_rejected(self):
-        g = make_graph([(0, 0, 0), (1, 0, 0)])
-        add_loop_factor(g, self.constraint(1, 0))
-        add_loop_factor(g, self.constraint(1, 0))
-        assert len(g.factors) == 1
-
-    def test_different_pairs_kept(self):
-        g = make_graph([(0, 0, 0), (1, 0, 0), (2, 0, 0)])
-        add_loop_factor(g, self.constraint(1, 0))
-        add_loop_factor(g, self.constraint(2, 0))
-        assert len(g.factors) == 2
+        assert f.measurement is constraint.relative
+        assert f.information is constraint.information
 
 
 class TestCloseLoops:
@@ -266,9 +272,11 @@ class TestCloseLoops:
         g.keyframes[0].scan = scan
         g.keyframes[14].scan = PointCloud(scan.points.copy(), timestamp=14.0)
         n = close_loops(g, 14, LoopConfig(gate=1.0))
-        assert n == 1
-        f = g.factors[-1]
+        assert n == len(g.factors) == 1
+        f = g.factors[0]
         assert f.kind is FactorKind.LOOP_CLOSURE
+        assert f.variables == (("kf", 14), ("kf", 0))
+        assert f.robust
         # identical scans at identical poses: relative pose is identity
         assert np.max(np.abs(f.measurement.translation)) < 1e-6
         assert np.max(np.abs(f.measurement.rotation - np.eye(3))) < 1e-6
@@ -300,17 +308,23 @@ class TestCloseLoops:
         nearest first, and insert each until the first one that fails."""
         query = graph.keyframes[query_id]
         accepted = 0
-        for cand in find_candidates(graph, query_id, cfg):
-            match = graph.keyframes[cand.match_id]
+        for match_id in find_candidates(graph, query_id, cfg):
+            match = graph.keyframes[match_id]
             if match.scan is None or len(match.scan) < cfg.min_points:
                 continue
+            guess = inverse_compose(query.pose, match.pose)
             try:
-                c = register_scans(query.scan, match.scan, cand.prior_relative, cfg)
+                c = register_scans(query.scan, match.scan, guess, cfg)
             except NoConvergence:
                 break
-            add_loop_factor(
-                graph,
-                LoopConstraint(query_id, cand.match_id, c.relative, c.fitness, c.information),
+            graph.factors.append(
+                Factor(
+                    kind=FactorKind.LOOP_CLOSURE,
+                    variables=(("kf", query_id), ("kf", match_id)),
+                    measurement=c.relative,
+                    information=c.information,
+                    robust=True,
+                )
             )
             accepted += 1
         return accepted
@@ -344,7 +358,7 @@ class TestCloseLoops:
     def test_equals_serial_reference(self):
         cfg = LoopConfig(gate=1.0)
         g = self.loop_graph()
-        assert [c.match_id for c in find_candidates(g, 14, cfg)] == [0, 1, 2, 3, 4]
+        assert find_candidates(g, 14, cfg) == [0, 1, 2, 3, 4]
         ref = self.loop_graph()
         assert close_loops(g, 14, cfg) == self.serial_reference(ref, 14, cfg) == 1
         # 3 converges but lies beyond 2's failure; 0 is too small to register

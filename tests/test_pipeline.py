@@ -226,6 +226,24 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: rectangle RectSpec(")
         assert not (tmp_path / "data").exists()
 
+    def test_non_finite_odometry_fails_the_slam_command(self, tmp_path, capsys):
+        self.write_configs(tmp_path)
+        data = tmp_path / "data"
+        assert main([
+            "simulate", "--layout", str(tmp_path / "layout.json"),
+            "--noise", str(tmp_path / "noise.json"), "--out", str(data),
+        ]) == 0
+        odom = data / "odometry.tum"
+        lines = odom.read_text().splitlines()
+        fields = lines[len(lines) // 3].split()
+        fields[2] = "nan"
+        lines[len(lines) // 3] = " ".join(fields)
+        odom.write_text("\n".join(lines) + "\n")
+        assert main(["slam", "--dataset", str(data), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "odometry.tum" in err and "bad TUM line" in err
+        assert not (tmp_path / "run").exists()
+
     def test_error_gives_nonzero_exit(self, tmp_path):
         assert main(["slam", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path)]) == 1
 
