@@ -303,6 +303,7 @@ class SGraph:
         the batched solve, its Jacobian split between its two variables."""
         first, second = factor.variables
         alone = BatchedFactors(replace(self, factors=[factor]))
-        ((_, r, J),) = alone.evaluate(alone.values(self))
+        (b,) = alone.blocks
+        r, J = b.kernel(alone.values(self), b.rows, b.meas, True)
         split = LOCAL_DIM[first[0]]
         return r[0], {first: J[0, :, :split], second: J[0, :, split:]}

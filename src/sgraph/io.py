@@ -123,15 +123,24 @@ def write_tum(path, stamped_poses: list[tuple[float, Pose3]]) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _numbers(path, n: int, text: str, kind=float) -> list:
+    """The numbers in `text`, from line `n` of a file; a token that is not
+    one raises ValueError naming the file and the line."""
+    try:
+        return [kind(x) for x in text.split()]
+    except ValueError:
+        raise ValueError(f"{path}:{n}: not a number in {text!r}") from None
+
+
 def read_tum(path) -> list[tuple[float, Pose3]]:
     """The stamped poses of a TUM file; a line with other than eight
-    values, or with a non-finite one, raises ValueError naming it."""
+    finite numbers raises ValueError naming it."""
     out = []
     for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        vals = [float(x) for x in line.split()]
+        vals = _numbers(path, n, line)
         if len(vals) != 8 or not np.isfinite(vals).all():
             raise ValueError(f"{path}:{n}: bad TUM line: {line!r}")
         out.append((vals[0], pose_from_list(vals[1:8])))
@@ -158,24 +167,30 @@ def write_ply(path, cloud: PointCloud) -> None:
 
 
 def read_ply(path) -> PointCloud:
-    """The cloud an ASCII PLY file holds; raises ValueError when its body
-    holds fewer rows than `element vertex` declares."""
+    """The cloud an ASCII PLY file holds. A header without `element vertex`
+    or `end_header`, a body shorter than it declares, a vertex row of fewer
+    than three values or a token that is no number raises ValueError
+    naming the file and, where there is one, the line."""
     lines = Path(path).read_text().splitlines()
-    n = 0
-    timestamp = 0.0
-    i = 0
-    for i, line in enumerate(lines):
+    n, timestamp = None, 0.0
+    for i, line in enumerate(lines, start=1):
         if line.startswith("element vertex"):
-            n = int(line.split()[-1])
+            (n,) = _numbers(path, i, line.split()[-1], int)
         elif line.startswith("comment timestamp"):
-            timestamp = float(line.split()[-1])
+            (timestamp,) = _numbers(path, i, line.split()[-1])
         elif line.strip() == "end_header":
             break
-    rows = lines[i + 1 : i + 1 + n]
+    else:
+        raise ValueError(f"{path}: PLY header without end_header")
+    if n is None:
+        raise ValueError(f"{path}: PLY header without 'element vertex'")
+    rows = [_numbers(path, k, line) for k, line in enumerate(lines[i : i + n], start=i + 1)]
     if len(rows) < n:
         raise ValueError(f"{path}: {len(rows)} vertex rows, the header declares {n}")
-    pts = np.array([[float(v) for v in line.split()[:3]] for line in rows]).reshape(-1, 3)
-    return PointCloud(pts, timestamp)
+    for k, row in enumerate(rows, start=i + 1):
+        if len(row) < 3:
+            raise ValueError(f"{path}:{k}: vertex row of {len(row)} values, not 3")
+    return PointCloud(np.array([row[:3] for row in rows]).reshape(-1, 3), timestamp)
 
 
 # -- world model ------------------------------------------------------------

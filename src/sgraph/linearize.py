@@ -3,8 +3,9 @@
 `BatchedFactors` owns the layout of the solve: the rows of each variable
 in the gathered arrays and its columns in H. The kernels that
 `factors.KINDS` names compute the residuals and Jacobians of every factor
-of a layer at once. Here they are whitened, Huber-weighted and scattered
-into the dense normal equations; the same pass without Jacobians gives the
+of a layer at once. `BatchedFactors.linearize` is the one place they are
+called: it whitens and Huber-weights their rows and scatters them into the
+dense normal equations, and the same pass without Jacobians gives the
 cost alone, per layer.
 
 The solver works on the estimates gathered into arrays (`_Values`): it
@@ -171,18 +172,16 @@ class BatchedFactors:
             center[v.corridor_axes[i]] = v.corridors[i, 0]
             corr.center, corr.width = center, float(v.corridors[i, 1])
 
-    def evaluate(self, v: _Values, jacobians: bool = True):
-        """Yield (block, r, J) per layer at the values `v`: raw residuals
-        (N, m) and, with `jacobians`, Jacobians (N, m, D) whose columns are
-        the local coordinates of the factor's two variables."""
-        for b in self.blocks:
-            yield (b, *b.kernel(v, b.rows, b.meas, jacobians))
-
-    def _linearize(self, v: _Values, huber_delta: float, jacobians: bool):
-        """Per-layer costs and, with Jacobians, the normal equations H, g."""
+    def linearize(self, v: _Values, huber_delta: float, jacobians: bool = True):
+        """The robust cost per layer (tracking, plane, room, corridor) at the
+        values `v` and the normal equations H = J^T J, g = J^T r over the
+        whitened, Huber-weighted residuals: `(costs, H, g)`. Without
+        `jacobians` the kernels give residuals only, and H and g are None;
+        the costs are the same either way."""
         costs = dict.fromkeys(LAYERS, 0.0)
         g_parts, h_parts = [np.zeros(0)], [np.zeros(0)]
-        for b, r, J in self.evaluate(v, jacobians):
+        for b in self.blocks:
+            r, J = b.kernel(v, b.rows, b.meas, jacobians)
             wr = _mv(b.sqrt_info, r)
             s = np.einsum("ij,ij->i", wr, wr)
             cost = s.copy()
@@ -206,18 +205,3 @@ class BatchedFactors:
         g = np.bincount(self._g_index, np.concatenate(g_parts), minlength=dim)
         H = np.bincount(self._h_index, np.concatenate(h_parts), minlength=dim * dim)
         return costs, H.reshape(dim, dim), g
-
-    def layer_costs(self, v: _Values, huber_delta: float) -> dict[str, float]:
-        """Robust cost per layer (tracking, plane, room, corridor), residuals only."""
-        return self._linearize(v, huber_delta, jacobians=False)[0]
-
-    def cost(self, v: _Values, huber_delta: float) -> float:
-        return sum(self.layer_costs(v, huber_delta).values())
-
-    def normal_equations(
-        self, v: _Values, huber_delta: float
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """H = J^T J and g = J^T r over whitened, robust-weighted residuals,
-        and the cost; the cost equals `cost()` at the same values."""
-        costs, H, g = self._linearize(v, huber_delta, jacobians=True)
-        return H, g, sum(costs.values())

@@ -54,7 +54,7 @@ class SolverReport:
 def layer_costs(graph: SGraph, huber_delta: float = 1.0) -> dict[str, float]:
     """Per-layer cost decomposition (odometry+loop, plane, room, corridor)."""
     factors = BatchedFactors(graph)
-    return factors.layer_costs(factors.values(graph), huber_delta)
+    return factors.linearize(factors.values(graph), huber_delta, jacobians=False)[0]
 
 
 def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
@@ -70,11 +70,10 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
         raise ValueError("graph has no keyframes")
     factors = BatchedFactors(graph)
     values = factors.values(graph)
+    costs, H, g = factors.linearize(values, cfg.huber_delta)
+    cost = sum(costs.values())
     if factors.dim == 0:
-        cost = factors.cost(values, cfg.huber_delta)
         return SolverReport(cost, cost, 0, "converged", 0, 0)
-
-    H, g, cost = factors.normal_equations(values, cfg.huber_delta)
     if cfg.check_rank:
         eigs = np.linalg.eigvalsh(H)
         scale = max(float(eigs[-1]), 1.0)
@@ -102,7 +101,7 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
             # a damped try needs the cost only; H and g follow an accepted
             # step, and a rejected one is dropped
             tried = factors.retract(values, delta)
-            cost_new = factors.cost(tried, cfg.huber_delta)
+            cost_new = sum(factors.linearize(tried, cfg.huber_delta, jacobians=False)[0].values())
             if cost_new <= cost:
                 accepted += 1
                 lam = max(lam / 10.0, 1e-12)
@@ -117,6 +116,6 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
             status = "stalled"
         if status != "max_iters":
             break
-        H, g, _ = factors.normal_equations(values, cfg.huber_delta)
+        _, H, g = factors.linearize(values, cfg.huber_delta)
     factors.write(graph, values)
     return SolverReport(initial_cost, cost, iters, status, accepted, rejected)

@@ -1,12 +1,15 @@
 """Source hygiene: no module in the package or the tests imports a name it
 never uses, the package imports only at module level, defines no private
 name it never uses, and has no public function, class or method that is
-there for the tests alone."""
+there for the tests alone; the README names no code that does not exist."""
 
 import ast
+import importlib
 import io
 import math
+import re
 from collections import Counter
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +29,6 @@ CALL_SITES = {
     "geometry:Pose3.identity": ("sgraph/graph.py", "pose=Pose3.identity()"),
     "geometry:Pose3.log": ("sgraph/graph.py", "rel.log()[3:6]"),
     "graph:SGraph.evaluate_factor": ("perfbench/tracing.py", "evaluate = SGraph.evaluate_factor"),
-    "linearize:BatchedFactors.cost": ("sgraph/solver.py", "factors.cost(values, cfg.huber_delta)"),
-    "linearize:BatchedFactors.evaluate": ("sgraph/linearize.py", "self.evaluate(v, jacobians)"),
-    "linearize:BatchedFactors.layer_costs": ("sgraph/solver.py", "factors.layer_costs(factors.values(graph)"),
     "linearize:BatchedFactors.values": ("sgraph/solver.py", "values = factors.values(graph)"),
     "linearize:BatchedFactors.write": ("sgraph/solver.py", "factors.write(graph, values)"),
     "pipeline:SlamConfig.odom_information": ("sgraph/pipeline.py", "cfg.odom_information()"),
@@ -298,4 +298,65 @@ def test_scan_catches_public_code_for_the_tests_alone():
         "a:Unused",
         "a:reexported",
         "a:tested_only",
+    ]
+
+
+# the suffixes of the file names a document writes like dotted names
+FILE_SUFFIXES = {"json", "tum", "ply", "py", "csv", "md"}
+
+
+def package_roots() -> dict[str, object]:
+    """The package, each of its modules and each class defined in one, by
+    the name a document starts a dotted name with: `sgraph`, `solver`,
+    `SGraph`."""
+    roots = {"sgraph": importlib.import_module("sgraph")}
+    for p in PACKAGE:
+        if p.stem == "__init__":
+            continue
+        module = importlib.import_module(f"sgraph.{p.stem}")
+        roots[p.stem] = module
+        roots.update(
+            (name, obj)
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and obj.__module__ == module.__name__
+        )
+    return roots
+
+
+def unresolved_names(text: str, roots: dict[str, object]) -> list[str]:
+    """Each dotted name in backticks in `text` (a trailing `()` dropped)
+    that starts with one of `roots` and does not resolve from it: each
+    further part must be an attribute, or a dataclass field without a
+    default, which ends the name. File names such as `graph.json` are
+    skipped."""
+    missing = []
+    for name in re.findall(r"`(\w+(?:\.\w+)+)(?:\(\))?`", text):
+        first, *rest = name.split(".")
+        if first not in roots or rest[-1] in FILE_SUFFIXES:
+            continue
+        obj = roots[first]
+        for i, part in enumerate(rest, start=1):
+            if hasattr(obj, part):
+                obj = getattr(obj, part)
+            elif not (i == len(rest) and is_dataclass(obj) and part in {f.name for f in fields(obj)}):
+                missing.append(name)
+                break
+    return missing
+
+
+def test_readme_names_only_code_that_exists():
+    assert unresolved_names((ROOT / "README.md").read_text(), package_roots()) == []
+
+
+def test_scan_catches_a_readme_name_of_no_code():
+    text = (
+        "`SGraph.add_node` and `SGraph.no_such_method`, `WallRect.plane()`, "
+        "`topology._wall_pair`, `Keyframe.pose` (a field without a default), "
+        "`Keyframe.pose.nothing`, `sgraph.solver`, `sgraph.nowhere`, `graph.json`, "
+        "`numpy.linalg`, `120.7`"
+    )
+    assert unresolved_names(text, package_roots()) == [
+        "SGraph.no_such_method",
+        "Keyframe.pose.nothing",
+        "sgraph.nowhere",
     ]

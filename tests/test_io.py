@@ -338,6 +338,16 @@ class TestTumRoundTrip:
         with pytest.raises(ValueError, match=f"est.tum:3: bad TUM line: '1.0 1.0 {value} 3.0"):
             read_tum(path)
 
+    def test_non_numeric_value_rejected(self, tmp_path):
+        path = tmp_path / "est.tum"
+        path.write_text("0.0 1.0 2.0 3.0 0.0 0.0 0.0 1.0\n1.0 1.0 abc 3.0 0.0 0.0 0.0 1.0\n")
+        with pytest.raises(ValueError, match="est.tum:2: not a number in '1.0 1.0 abc 3.0"):
+            read_tum(path)
+
+
+PLY_HEADER = ["ply", "format ascii 1.0", "element vertex 3", "property double x",
+              "property double y", "property double z", "end_header"]
+
 
 class TestPlyRoundTrip:
     def test_lossless(self, tmp_path):
@@ -356,6 +366,33 @@ class TestPlyRoundTrip:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="99 vertex rows, the header declares 100"):
+            read_ply(path)
+
+    def test_short_vertex_row_rejected(self, tmp_path):
+        # reshaping the six numbers would make two points of them
+        path = tmp_path / "scan.ply"
+        path.write_text("\n".join(PLY_HEADER + ["1 2", "3 4", "5 6"]) + "\n")
+        with pytest.raises(ValueError, match="scan.ply:8: vertex row of 2 values, not 3"):
+            read_ply(path)
+
+    @pytest.mark.parametrize(("dropped", "message"), [
+        ("element vertex 3", "header without 'element vertex'"),
+        ("end_header", "header without end_header"),
+    ])
+    def test_incomplete_header_rejected(self, tmp_path, dropped, message):
+        path = tmp_path / "scan.ply"
+        lines = [line for line in PLY_HEADER if line != dropped]
+        path.write_text("\n".join(lines + ["1 2 3", "4 5 6", "7 8 9"]) + "\n")
+        with pytest.raises(ValueError, match=f"scan.ply: PLY {message}"):
+            read_ply(path)
+
+    @pytest.mark.parametrize(("line", "bad"), [(3, "element vertex x3"), (9, "4 5 abc")])
+    def test_non_numeric_value_rejected(self, tmp_path, line, bad):
+        path = tmp_path / "scan.ply"
+        lines = PLY_HEADER + ["1 2 3", "4 5 6", "7 8 9"]
+        lines[line - 1] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"scan.ply:{line}: not a number"):
             read_ply(path)
 
 

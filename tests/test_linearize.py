@@ -69,7 +69,9 @@ def assert_matches_reference(graph):
     compared on the circle, where +pi and -pi meet."""
     seen = set()
     bf = BatchedFactors(graph)
-    for block, r, J in bf.evaluate(bf.values(graph)):
+    v = bf.values(graph)
+    for block in bf.blocks:
+        r, J = block.kernel(v, block.rows, block.meas, True)
         for row, fi in enumerate(block.factor_index):
             f = graph.factors[fi]
             r_ref, jacs = evaluate_factor(graph, f)
@@ -114,12 +116,15 @@ def assert_normal_equations_match(graph, huber_delta=1.0):
     H_ref, g_ref, cost_ref, layers_ref = dense_reference(graph, huber_delta)
     bf = BatchedFactors(graph)
     v = bf.values(graph)
-    H, g, cost = bf.normal_equations(v, huber_delta)
+    layers, H, g = bf.linearize(v, huber_delta)
+    cost = sum(layers.values())
     assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
     assert np.max(np.abs(g - g_ref)) <= 1e-12 * max(np.max(np.abs(g_ref)), 1e-300)
     assert cost == pytest.approx(cost_ref, rel=1e-12)
-    assert bf.cost(v, huber_delta) == cost
-    layers = bf.layer_costs(v, huber_delta)
+    # the cost-only pass gives the same costs, per layer and in total
+    cost_only = bf.linearize(v, huber_delta, jacobians=False)
+    assert cost_only[1:] == (None, None)
+    assert cost_only[0] == layers and sum(cost_only[0].values()) == cost
     assert layers == pytest.approx(layers_ref, rel=1e-12, abs=1e-300)
     np.testing.assert_array_equal(H, H.T)
 
@@ -197,7 +202,9 @@ class TestResidualsAndJacobians:
             observe(g, i, 0, (-math.pi + 0.01, 0.0, 3.0))
             observe(g, i, 1, (math.pi - 0.005, 0.0, 2.0))
         bf = BatchedFactors(g)
-        for block, r, _ in bf.evaluate(bf.values(g)):
+        v = bf.values(g)
+        for block in bf.blocks:
+            r, _ = block.kernel(v, block.rows, block.meas, False)
             assert np.all(np.abs(r[:, 0]) < 0.1)  # wrapped, not ~2*pi
         assert_matches_reference(g)
 
@@ -284,7 +291,7 @@ class TestNormalEquations:
         add_kf(g, 1, Pose3.from_xyz_yaw(1.0, 0.0, 0.0, 0.1))
         between(g, 0, 1, Pose3.from_xyz_yaw(1.1, 0.1, 0.0, -0.2), robust=False)
         bf = BatchedFactors(g)
-        H, grad, _ = bf.normal_equations(bf.values(g), 1.0)
+        _, H, grad = bf.linearize(bf.values(g), 1.0)
         f = g.factors[0]
         r, jacs = evaluate_factor(g, f)
         L = f.sqrt_information()
@@ -306,7 +313,7 @@ class TestNormalEquations:
         for kind, cols in bf.columns.items():
             free = cols[cols[:, 0] >= 0]
             np.testing.assert_array_equal(free, free[:, :1] + np.arange(LOCAL_DIM[kind]))
-        H, _, _ = bf.normal_equations(bf.values(g), 1.0)
+        _, H, _ = bf.linearize(bf.values(g), 1.0)
         assert H.shape == (dim, dim)
 
     def test_gauge_is_the_smallest_keyframe_id(self):
@@ -498,9 +505,13 @@ def test_a_tiny_step_at_the_pole_changes_the_cost_tinily():
             observe(g, kf, pid, (0.0, sign * math.pi / 2, 1.5))
     bf = BatchedFactors(g)
     v = bf.values(g)
-    cost = bf.cost(v, 1.0)
+
+    def cost(values):
+        return sum(bf.linearize(values, 1.0, jacobians=False)[0].values())
+
+    before = cost(v)
     rng = np.random.default_rng(3)
     for _ in range(200):
         step = rng.normal(size=bf.dim)
-        moved = bf.cost(bf.retract(v, 1e-12 * step / np.linalg.norm(step)), 1.0)
-        assert abs(moved - cost) <= 1e-6
+        moved = cost(bf.retract(v, 1e-12 * step / np.linalg.norm(step)))
+        assert abs(moved - before) <= 1e-6

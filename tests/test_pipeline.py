@@ -244,6 +244,23 @@ class TestCli:
         assert err.startswith("error: ") and "odometry.tum" in err and "bad TUM line" in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("name", ["odometry.tum", "scans/000001.ply"])
+    def test_non_numeric_value_fails_the_slam_command(self, tmp_path, capsys, name):
+        self.write_configs(tmp_path)
+        data = tmp_path / "data"
+        assert main([
+            "simulate", "--layout", str(tmp_path / "layout.json"),
+            "--noise", str(tmp_path / "noise.json"), "--out", str(data),
+        ]) == 0
+        path = data / name
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].replace(lines[-1].split()[1], "abc", 1)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["slam", "--dataset", str(data), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{len(lines)}: not a number in ")
+        assert not (tmp_path / "run").exists()
+
     def test_error_gives_nonzero_exit(self, tmp_path):
         assert main(["slam", "--dataset", str(tmp_path / "missing"), "--out", str(tmp_path)]) == 1
 

@@ -9,7 +9,7 @@ from sgraph import solver
 from sgraph.factors import Factor, FactorKind
 from sgraph.geometry import PlaneMinimal, Pose3
 from sgraph.graph import KeyframePolicy, SGraph
-from sgraph.linearize import BatchedFactors
+from sgraph.linearize import LAYERS, BatchedFactors
 from sgraph.solver import (
     SingularSystem,
     SolverConfig,
@@ -124,8 +124,8 @@ class TestOptimize:
             g.keyframes[k].pose = pose_retract(g.keyframes[k].pose, rng.normal(0, 0.1, 6))
         costs = layer_costs(g)
         factors = BatchedFactors(g)
-        _, _, cost = factors.normal_equations(factors.values(g), 1.0)
-        assert sum(costs.values()) == pytest.approx(cost, abs=1e-12)
+        full, _, _ = factors.linearize(factors.values(g), 1.0)
+        assert sum(costs.values()) == pytest.approx(sum(full.values()), abs=1e-12)
         assert costs["tracking"] > 0.0
         assert costs["plane"] == costs["room"] == costs["corridor"] == 0.0
 
@@ -163,13 +163,30 @@ def values_state(values):
     return tuple(getattr(values, f.name).tobytes() for f in dataclasses.fields(values))
 
 
+def reject_damped_tries(monkeypatch, seen=lambda values: None):
+    """Patch `BatchedFactors.linearize` so that every cost-only call, the
+    cost of a damped try, shows its values to `seen` and reads infinite in
+    every layer; full linearizations pass through."""
+    linearize = BatchedFactors.linearize
+
+    def reject(self, values, huber_delta, jacobians=True):
+        if jacobians:
+            return linearize(self, values, huber_delta)
+        seen(values)
+        return dict.fromkeys(LAYERS, math.inf), None, None
+
+    monkeypatch.setattr(BatchedFactors, "linearize", reject)
+
+
 class TestDampedTries:
     def test_cost_only_equals_full_linearization_cost(self):
         g = sample_graph()
         factors = BatchedFactors(g)
         values = factors.values(g)
-        _, _, cost = factors.normal_equations(values, 1.0)
-        assert factors.cost(values, 1.0) == pytest.approx(cost, rel=1e-12)
+        full, _, _ = factors.linearize(values, 1.0)
+        cost = sum(full.values())
+        cost_only, _, _ = factors.linearize(values, 1.0, jacobians=False)
+        assert sum(cost_only.values()) == pytest.approx(cost, rel=1e-12)
         assert sum(layer_costs(g).values()) == pytest.approx(cost, rel=1e-12)
 
     def test_rejected_try_restores_every_variable(self, monkeypatch):
@@ -177,12 +194,7 @@ class TestDampedTries:
         before = variable_state(g)
         start = values_state(BatchedFactors(g).values(g))
         tried = []
-
-        def reject(self, values, huber_delta):
-            tried.append(values_state(values))
-            return math.inf
-
-        monkeypatch.setattr(BatchedFactors, "cost", reject)
+        reject_damped_tries(monkeypatch, lambda values: tried.append(values_state(values)))
         report = optimize(g, SolverConfig(check_rank=False))
         assert len(tried) == 20 and all(state != start for state in tried)
         assert report.final_cost == report.initial_cost
@@ -212,11 +224,25 @@ class TestReportStatus:
 
     def test_stalled_is_not_converged(self, monkeypatch):
         g = self.perturbed_chain(5)
-        monkeypatch.setattr(BatchedFactors, "cost", lambda self, values, huber_delta: math.inf)
+        reject_damped_tries(monkeypatch)
         report = optimize(g, SolverConfig())
         assert report.status == "stalled" and not report.converged
         assert (report.iterations, report.accepted, report.rejected) == (1, 0, 20)
         assert report.final_cost == report.initial_cost
+
+    @pytest.mark.parametrize("cfg", [SolverConfig(), SolverConfig(check_rank=False)])
+    def test_graph_without_columns_converged_without_an_iteration(self, cfg):
+        g = make_chain(1)
+        before = variable_state(g)
+        report = optimize(g, cfg)
+        assert (report.status, report.iterations, report.accepted, report.rejected) == (
+            "converged", 0, 0, 0)
+        assert report.initial_cost == report.final_cost == 0.0
+        assert variable_state(g) == before
+
+    def test_graph_without_keyframes_rejected(self):
+        with pytest.raises(ValueError, match="no keyframes"):
+            optimize(SGraph())
 
     def test_max_iters(self):
         report = optimize(self.perturbed_chain(6), SolverConfig(max_iters=2))
