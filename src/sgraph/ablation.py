@@ -4,11 +4,13 @@ identical sensor streams, plus duplicate-landmark accounting."""
 from __future__ import annotations
 
 import hashlib
+import math
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .geometry import PlaneHessian, from_minimal
+from .geometry import from_minimal, transform_plane
 from .metrics import TrajectoryPair, ate
 from .pipeline import SlamConfig, SlamResult, run_slam
 from .simulator import (
@@ -36,36 +38,30 @@ def stream_digest(steps: list[SimStep]) -> str:
     return h.hexdigest()
 
 
-def world_infinite_planes(world: WorldModel) -> list[PlaneHessian]:
-    """The distinct infinite planes of the world rectangles, in wall order."""
-    planes: dict[tuple[int, float], PlaneHessian] = {}
-    for w in world.walls:
-        planes.setdefault((w.axis, round(w.offset, 9)), w.plane())
-    return list(planes.values())
-
-
 def duplicate_plane_count(
     result: SlamResult, world: WorldModel, dist_tol: float = 0.5, angle_tol: float = 0.17
 ) -> int:
-    """Landmarks in excess of one per matched ground-truth plane: a landmark
-    matches the plane nearest in distance among those within `angle_tol`
-    of its normal (either facing) and closer than `dist_tol`."""
-    gt = world_infinite_planes(world)
-    matches = [0] * len(gt)
+    """Landmarks in excess of one per matched ground-truth wall plane.
+
+    Each landmark is moved into the world frame by keyframe 0's odometry
+    pose, where the map frame is anchored. A landmark whose normal lies
+    within `angle_tol` of an axis matches the wall plane of that axis
+    nearest in signed offset, if closer than `dist_tol`. A wall split by a
+    door, or shared by two rectangles, is one plane."""
+    origin = result.graph.keyframes[0].odom_pose
+    gt = {(w.axis, round(w.offset, 9)) for w in world.walls}
+    matches = Counter()
     for lm in result.graph.planes.values():
-        hess = from_minimal(lm.params)
-        best = None
-        best_err = dist_tol
-        for i, plane in enumerate(gt):
-            if abs(float(hess.normal @ plane.normal)) < np.cos(angle_tol):
-                continue
-            err = abs(hess.distance - plane.distance)
-            if err < best_err:
-                best_err = err
-                best = i
-        if best is not None:
-            matches[best] += 1
-    return sum(max(0, c - 1) for c in matches)
+        plane = transform_plane(origin, from_minimal(lm.params), to_sensor=False)
+        axis = int(np.argmax(np.abs(plane.normal)))
+        if abs(plane.normal[axis]) < np.cos(angle_tol):
+            continue
+        offset = math.copysign(plane.distance, plane.normal[axis])
+        near = [(abs(offset - o), (a, o)) for a, o in gt if a == axis]
+        err, key = min(near, default=(dist_tol, None))
+        if err < dist_tol:
+            matches[key] += 1
+    return sum(c - 1 for c in matches.values())
 
 
 @dataclass

@@ -87,11 +87,6 @@ class SGraph:
 
     # -- variable access ---------------------------------------------------
 
-    def last_keyframe(self) -> Keyframe | None:
-        if not self.keyframes:
-            return None
-        return self.keyframes[max(self.keyframes)]
-
     def predict_planes(self, kf_id: int) -> np.ndarray:
         """Every mapped plane in keyframe kf_id's sensor frame, from its
         current pose: (P, 4) rows of unit normal and distance >= 0, in
@@ -119,42 +114,28 @@ class SGraph:
         (keyframe 0 sits at the map origin). Consecutive keyframes are tied
         by an odometry factor carrying the relative odometry measurement.
         """
-        if odom_information is None:
-            odom_information = np.eye(6) * 1e4
-        last = self.last_keyframe()
-        if last is None:
-            kf = Keyframe(
-                id=0,
-                timestamp=timestamp,
-                pose=Pose3.identity(),
-                odom_pose=odom_pose,
-                odom_cov=np.zeros((6, 6)),
+        if not self.keyframes:
+            kf_id, pose, cov = 0, Pose3.identity(), np.zeros((6, 6))
+        else:
+            last = self.keyframes[max(self.keyframes)]
+            rel = inverse_compose(last.odom_pose, odom_pose)
+            trans = float(np.linalg.norm(rel.translation))
+            rot = float(np.linalg.norm(rel.log()[3:6]))
+            if trans < policy.min_translation and rot < policy.min_rotation:
+                return None
+            if odom_information is None:
+                odom_information = np.eye(6) * 1e4
+            info = np.asarray(odom_information, dtype=float)
+            kf_id, pose, cov = last.id + 1, last.pose.compose(rel), np.linalg.inv(info)
+            self.factors.append(
+                Factor(
+                    kind=FactorKind.ODOMETRY,
+                    variables=(("kf", last.id), ("kf", kf_id)),
+                    measurement=rel,
+                    information=info,
+                )
             )
-            self.keyframes[0] = kf
-            return 0
-        rel = inverse_compose(last.odom_pose, odom_pose)
-        trans = float(np.linalg.norm(rel.translation))
-        rot = float(np.linalg.norm(rel.log()[3:6]))
-        if trans < policy.min_translation and rot < policy.min_rotation:
-            return None
-        kf_id = last.id + 1
-        info = np.asarray(odom_information, dtype=float)
-        kf = Keyframe(
-            id=kf_id,
-            timestamp=timestamp,
-            pose=last.pose.compose(rel),
-            odom_pose=odom_pose,
-            odom_cov=np.linalg.inv(info),
-        )
-        self.keyframes[kf_id] = kf
-        self.factors.append(
-            Factor(
-                kind=FactorKind.ODOMETRY,
-                variables=(("kf", last.id), ("kf", kf_id)),
-                measurement=rel,
-                information=info,
-            )
-        )
+        self.keyframes[kf_id] = Keyframe(kf_id, timestamp, pose, odom_pose, cov)
         return kf_id
 
     # -- plane landmarks ---------------------------------------------------
@@ -244,7 +225,9 @@ class SGraph:
         return lm_id
 
     def merge_planes(self, keep_id: int, drop_id: int) -> None:
-        """Re-point every factor from drop_id to keep_id and delete it."""
+        """Re-point every factor from drop_id to keep_id and delete it. The
+        kept centroid becomes the observation-weighted mean of both, so the
+        running mean goes on over every observation counted."""
         if keep_id == drop_id or drop_id not in self.planes:
             return
         for f in self.factors:
@@ -254,7 +237,9 @@ class SGraph:
         keep = self.planes[keep_id]
         drop = self.planes[drop_id]
         keep.extent = np.maximum(keep.extent, drop.extent)
-        keep.observation_count += drop.observation_count
+        n_keep, n_drop = keep.observation_count, drop.observation_count
+        keep.centroid = (n_keep * keep.centroid + n_drop * drop.centroid) / (n_keep + n_drop)
+        keep.observation_count = n_keep + n_drop
         del self.planes[drop_id]
         for node in (*self.rooms.values(), *self.corridors.values()):
             node.plane_links = tuple(keep_id if p == drop_id else p for p in node.plane_links)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PlaneClass, PlaneHessian, Pose3, rot_exp, wrap_angle
+from .geometry import PlaneClass, Pose3, rot_exp, wrap_angle
 from .planes import PointCloud
 
 
@@ -64,11 +64,6 @@ class WallRect:
         """The (u, v) axes: the two that are not the normal axis, ascending."""
         u, v = (i for i in range(3) if i != self.axis)
         return u, v
-
-    def plane(self) -> PlaneHessian:
-        n = np.zeros(3)
-        n[self.axis] = 1.0 if self.offset >= 0.0 else -1.0
-        return PlaneHessian(n, abs(self.offset))
 
 
 @dataclass(frozen=True)

@@ -119,6 +119,17 @@ def test_candidates_after_a_merge_deleted_a_landmark():
     assert associate(g, det) == 2
 
 
+def test_merge_averages_the_centroids_by_observation_count():
+    g = SGraph()
+    add_landmark(g, 0, 0.0, 0.0, 0.0, PlaneClass.X_VERTICAL)
+    add_landmark(g, 1, 0.0, 0.0, 0.0, PlaneClass.X_VERTICAL)
+    g.planes[0].observation_count, g.planes[1].observation_count = 3, 1
+    g.planes[1].centroid = np.array([4.0, 0.0, 0.0])
+    g.merge_planes(0, 1)
+    assert np.array_equal(g.planes[0].centroid, [1.0, 0.0, 0.0])
+    assert g.planes[0].observation_count == 4
+
+
 def test_random_graphs_match_the_per_landmark_loop():
     rng = np.random.default_rng(11)
     chosen = set()

@@ -26,7 +26,7 @@ LIBRARY = (dict, list, tuple, set, str, bytes, int, float, io.TextIOWrapper, np.
 # attribute read of the name alone could be of the other binding.
 CALL_SITES = {
     "geometry:PlaneClass.index": ("sgraph/topology.py", "center[axis.index]"),
-    "geometry:Pose3.identity": ("sgraph/graph.py", "pose=Pose3.identity()"),
+    "geometry:Pose3.identity": ("sgraph/graph.py", "0, Pose3.identity(), np.zeros((6, 6))"),
     "geometry:Pose3.log": ("sgraph/graph.py", "rel.log()[3:6]"),
     "graph:SGraph.evaluate_factor": ("perfbench/tracing.py", "evaluate = SGraph.evaluate_factor"),
     "linearize:BatchedFactors.values": ("sgraph/solver.py", "values = factors.values(graph)"),
@@ -35,7 +35,6 @@ CALL_SITES = {
     "pipeline:SlamConfig.plane_information": ("sgraph/pipeline.py", "cfg.plane_information()"),
     "simulator:RectSpec.bounds": ("sgraph/simulator.py", "[r.bounds for r in rects]"),
     "simulator:RectSpec.center": ("sgraph/simulator.py", "np.array(rect.center)"),
-    "simulator:WallRect.plane": ("sgraph/ablation.py", "w.plane()"),
 }
 
 
@@ -350,7 +349,7 @@ def test_readme_names_only_code_that_exists():
 
 def test_scan_catches_a_readme_name_of_no_code():
     text = (
-        "`SGraph.add_node` and `SGraph.no_such_method`, `WallRect.plane()`, "
+        "`SGraph.add_node` and `SGraph.no_such_method`, `Pose3.compose()`, "
         "`topology._wall_pair`, `Keyframe.pose` (a field without a default), "
         "`Keyframe.pose.nothing`, `sgraph.solver`, `sgraph.nowhere`, `graph.json`, "
         "`numpy.linalg`, `120.7`"

@@ -57,6 +57,43 @@ class TestKeyframePolicy:
         meas = g.factors[0].measurement
         assert almost_equal(meas, tx(1.5))
 
+    def test_first_keyframe_keeps_its_stamp_and_odometry_and_adds_no_factor(self):
+        g = SGraph()
+        odom = Pose3.from_xyz_yaw(5.0, -2.0, 1.0, 0.3)
+        g.maybe_add_keyframe(odom, KeyframePolicy(), timestamp=7.5, odom_information=np.eye(6))
+        kf = g.keyframes[0]
+        assert kf.timestamp == 7.5
+        assert kf.odom_pose is odom
+        assert np.array_equal(kf.odom_cov, np.zeros((6, 6)))
+        assert g.factors == []
+
+    def test_later_keyframe_covariance_inverts_the_given_information(self):
+        g = SGraph()
+        info = np.diag([100.0, 200.0, 400.0, 1e4, 2e4, 4e4])
+        g.maybe_add_keyframe(tx(0.0), KeyframePolicy(), odom_information=info)
+        g.maybe_add_keyframe(tx(1.5), KeyframePolicy(), timestamp=2.0, odom_information=info)
+        assert g.keyframes[1].timestamp == 2.0
+        assert np.array_equal(g.keyframes[1].odom_cov, np.linalg.inv(info))
+        (f,) = g.factors
+        assert f.kind is FactorKind.ODOMETRY
+        assert f.variables == (("kf", 0), ("kf", 1))
+        assert np.array_equal(f.information, info)
+
+    def test_odometry_information_defaults(self):
+        g = SGraph()
+        g.maybe_add_keyframe(tx(0.0), KeyframePolicy())
+        g.maybe_add_keyframe(tx(1.5), KeyframePolicy())
+        assert np.array_equal(g.factors[0].information, np.eye(6) * 1e4)
+        assert np.array_equal(g.keyframes[1].odom_cov, np.linalg.inv(np.eye(6) * 1e4))
+
+    def test_rotation_alone_makes_a_keyframe(self):
+        g = SGraph()
+        policy = KeyframePolicy(min_translation=1.0, min_rotation=0.5)
+        g.maybe_add_keyframe(tx(0.0), policy)
+        assert g.maybe_add_keyframe(Pose3.from_xyz_yaw(0.0, 0.0, 0.0, 0.4), policy) is None
+        assert g.maybe_add_keyframe(Pose3.from_xyz_yaw(0.0, 0.0, 0.0, 0.6), policy) == 1
+        assert almost_equal(g.keyframes[1].pose, Pose3.from_xyz_yaw(0.0, 0.0, 0.0, 0.6))
+
 
 class TestOptimize:
     def test_consistent_chain_zero_cost(self):
