@@ -1,5 +1,11 @@
-"""Hard loop closure: translational candidate gating and point-to-point
-scan registration producing relative-pose constraints."""
+"""Hard loop closure: translational candidate gating and point-to-plane
+scan registration producing relative-pose constraints.
+
+Registration minimizes each match point's distance to the plane through
+its nearest query point, along that point's normal (Chen & Medioni 1992),
+so a point may slide along its wall and only surfaces of independent
+normals fix the pose. The normals come from a PCA of each query point's
+neighbours, computed once per query keyframe."""
 
 from __future__ import annotations
 
@@ -9,9 +15,12 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .factors import Factor, FactorKind
-from .geometry import Pose3, align_rigid, inverse_compose
+from .geometry import Pose3, inverse_compose, rot_exp
 from .graph import SGraph
 from .planes import PointCloud
+
+# neighbours whose PCA gives a query point's normal
+NORMAL_NEIGHBOURS = 20
 
 
 class NoConvergence(RuntimeError):
@@ -22,7 +31,10 @@ class NoConvergence(RuntimeError):
 class LoopConfig:
     gate: float = 3.0  # meters between keyframe estimates
     min_keyframe_gap: int = 10
-    max_icp_iters: int = 60
+    # most accepted registrations end in 5-8 iterations; a run to the cap
+    # oscillates between correspondence sets, and on square-loop seeds 0-23
+    # a cap of 60 accepted as many loops per seed
+    max_icp_iters: int = 20
     icp_tol: float = 1e-8  # relative fitness change
     max_corr_dist: float = 1.0
     # coarse-to-fine: the correspondence radius starts wide enough to cover
@@ -30,7 +42,11 @@ class LoopConfig:
     # max_corr_dist, widening the convergence basin
     coarse_corr_dist: float = 3.0
     corr_decay: float = 0.7
-    accept_threshold: float = 0.05  # mean squared correspondence distance, m^2
+    # mean squared point-to-plane residual, m^2. On square-loop noise seeds
+    # 0-23 (range noise 0.01 m) a registration at or below it lies within
+    # 0.05 m and 0.01 rad of the true relative pose; the closest miss
+    # scored 5.2e-3
+    accept_threshold: float = 5e-3
     min_points: int = 50
     info_scale_cap: float = 1e4
 
@@ -38,7 +54,7 @@ class LoopConfig:
 @dataclass(frozen=True)
 class LoopConstraint:
     relative: Pose3  # maps match-frame points into the query frame
-    fitness: float  # mean squared correspondence distance
+    fitness: float  # mean squared point-to-plane residual, m^2
     information: np.ndarray
 
 
@@ -56,24 +72,40 @@ def find_candidates(graph: SGraph, query_id: int, cfg: LoopConfig) -> list[int]:
     return [kf_id for _, kf_id in sorted(out)]
 
 
+def point_normals(points: np.ndarray, tree: cKDTree) -> np.ndarray:
+    """Unit normal of each point: the least-variance direction (PCA) of its
+    NORMAL_NEIGHBOURS nearest points, itself included. The sign is
+    arbitrary; the point-to-plane step does not depend on it."""
+    _, idx = tree.query(points, k=min(NORMAL_NEIGHBOURS, len(points)))
+    nbrs = points[idx.reshape(len(points), -1)]
+    centred = nbrs - nbrs.mean(axis=1, keepdims=True)
+    _, vecs = np.linalg.eigh(centred.transpose(0, 2, 1) @ centred)
+    return vecs[:, :, 0]
+
+
 def register_scans(
     query: PointCloud,
+    tree: cKDTree,
+    normals: np.ndarray,
     match: PointCloud,
     initial_guess: Pose3,
     cfg: LoopConfig,
 ) -> LoopConstraint:
-    """Iterative point-to-point registration of the match scan onto the
-    query scan.
+    """Iterative point-to-plane registration of the match scan onto the
+    query scan, whose kd-tree and `point_normals` the caller passes in.
 
-    The returned relative pose maps match-frame points into the query
-    frame. Raises NoConvergence when the final fitness exceeds the
-    acceptance threshold or the correspondences collapse. It reads only its
-    arguments and writes nothing.
+    Each iteration pairs every moved match point p with its nearest query
+    point q within the correspondence radius and takes one Gauss-Newton
+    step on the residuals n·(p − q) along q's normal n. The returned
+    relative pose maps match-frame points into the query frame. Raises
+    NoConvergence when the correspondences collapse, when they do not fix
+    all six degrees of freedom (a single plane, say), or when the final
+    fitness exceeds the acceptance threshold. It reads only its arguments
+    and writes nothing.
     """
     if len(query) < cfg.min_points or len(match) < cfg.min_points:
         raise NoConvergence("too few points for registration")
     target = query.points
-    tree = cKDTree(target)
     pose = initial_guess
     prev_fitness = np.inf
     fitness = np.inf
@@ -86,9 +118,17 @@ def register_scans(
         mask = dists <= corr_dist
         if int(mask.sum()) < cfg.min_points:
             raise NoConvergence("correspondence set collapsed")
-        fitness = float(np.mean(dists[mask] ** 2))
-        step = align_rigid(moved[mask], target[idx[mask]])
-        pose = step.compose(pose)
+        p = moved[mask]
+        n = normals[idx[mask]]
+        r = np.einsum("ij,ij->i", n, p - target[idx[mask]])
+        fitness = float(np.mean(r**2))
+        # d r / d(w, t) for the left perturbation p -> exp(w) p + t
+        J = np.hstack([np.cross(p, n), n])
+        H = J.T @ J
+        if np.linalg.matrix_rank(H) < 6:
+            raise NoConvergence("correspondences leave the pose underdetermined")
+        x = np.linalg.solve(H, -(J.T @ r))
+        pose = Pose3(rot_exp(x[:3]), x[3:]).compose(pose)
         at_final_radius = corr_dist <= cfg.max_corr_dist
         if at_final_radius and abs(prev_fitness - fitness) <= cfg.icp_tol * max(
             prev_fitness, 1e-12
@@ -111,24 +151,32 @@ def close_loops(graph: SGraph, query_id: int, cfg: LoopConfig) -> int:
     registration does not converge ends the search: no farther candidate is
     registered, even one that would converge. Candidates without a scan or
     with fewer than `cfg.min_points` points are skipped; they say nothing
-    about the registration's reach.
+    about the registration's reach. A query keyframe without a scan of at
+    least `cfg.min_points` points registers nothing.
 
-    The accepted factors are appended in candidate order once the search
-    has ended, so any other error propagates with nothing inserted. Call it
-    once per keyframe: a second call for the same keyframe appends its
-    factors again. Returns the number of accepted factors.
+    The query scan's kd-tree and `point_normals` are built once, before
+    the first registration, and serve every candidate; a keyframe with no
+    registrable candidate builds neither. The accepted factors are
+    appended in candidate order once the search has ended, so any other
+    error propagates with nothing inserted. Call it once per keyframe: a
+    second call for the same keyframe appends its factors again. Returns
+    the number of accepted factors.
     """
     query = graph.keyframes[query_id]
-    if query.scan is None:
+    if query.scan is None or len(query.scan) < cfg.min_points:
         return 0
     accepted: list[Factor] = []
+    tree = normals = None
     for match_id in find_candidates(graph, query_id, cfg):
         match = graph.keyframes[match_id]
         if match.scan is None or len(match.scan) < cfg.min_points:
             continue
+        if tree is None:
+            tree = cKDTree(query.scan.points)
+            normals = point_normals(query.scan.points, tree)
         guess = inverse_compose(query.pose, match.pose)
         try:
-            c = register_scans(query.scan, match.scan, guess, cfg)
+            c = register_scans(query.scan, tree, normals, match.scan, guess, cfg)
         except NoConvergence:
             break
         accepted.append(

@@ -1,6 +1,8 @@
 """Loop closure: candidate gating, scan registration, factor insertion."""
 
-import os
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from scipy.spatial import cKDTree
 
 from sgraph import loops
 from sgraph.factors import Factor, FactorKind
-from sgraph.geometry import Pose3, align_rigid, inverse_compose, rot_exp
+from sgraph.geometry import Pose3, inverse_compose, rot_exp, rot_log
 from sgraph.graph import Keyframe, SGraph
 from sgraph.loops import (
     LoopConfig,
@@ -16,9 +18,14 @@ from sgraph.loops import (
     NoConvergence,
     close_loops,
     find_candidates,
+    point_normals,
     register_scans,
 )
+from sgraph.pipeline import run_slam
 from sgraph.planes import PointCloud
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from workloads import WORKLOADS  # noqa: E402 - needs perfbench/ on the import path
 
 
 def make_graph(positions):
@@ -43,12 +50,21 @@ def box_scan(rng, n=600, half=4.0):
     return PointCloud(np.vstack(pts), timestamp=0.0)
 
 
+def register(query, match, initial_guess, cfg):
+    """register_scans with the query's kd-tree and normals built here."""
+    tree = cKDTree(query.points)
+    return register_scans(
+        query, tree, point_normals(query.points, tree), match, initial_guess, cfg
+    )
+
+
 def reference_register(query, match, initial_guess, cfg):
-    """register_scans with the unbounded nearest-neighbour query."""
+    """register with the unbounded nearest-neighbour query."""
     if len(query) < cfg.min_points or len(match) < cfg.min_points:
         raise NoConvergence("too few points for registration")
     target = query.points
     tree = cKDTree(target)
+    normals = point_normals(target, tree)
     pose = initial_guess
     prev_fitness = np.inf
     fitness = np.inf
@@ -59,9 +75,16 @@ def reference_register(query, match, initial_guess, cfg):
         mask = dists <= corr_dist
         if int(mask.sum()) < cfg.min_points:
             raise NoConvergence("correspondence set collapsed")
-        fitness = float(np.mean(dists[mask] ** 2))
-        step = align_rigid(moved[mask], target[idx[mask]])
-        pose = step.compose(pose)
+        p = moved[mask]
+        n = normals[idx[mask]]
+        r = np.einsum("ij,ij->i", n, p - target[idx[mask]])
+        fitness = float(np.mean(r**2))
+        J = np.hstack([np.cross(p, n), n])
+        H = J.T @ J
+        if np.linalg.matrix_rank(H) < 6:
+            raise NoConvergence("correspondences leave the pose underdetermined")
+        x = np.linalg.solve(H, -(J.T @ r))
+        pose = Pose3(rot_exp(x[:3]), x[3:]).compose(pose)
         at_final_radius = corr_dist <= cfg.max_corr_dist
         if at_final_radius and abs(prev_fitness - fitness) <= cfg.icp_tol * max(
             prev_fitness, 1e-12
@@ -75,10 +98,10 @@ def reference_register(query, match, initial_guess, cfg):
     return LoopConstraint(relative=pose, fitness=fitness, information=np.eye(6) * scale)
 
 
-def outcome(register, *args):
+def outcome(registration, *args):
     """A registration's result by bytes, or the text of its NoConvergence."""
     try:
-        c = register(*args)
+        c = registration(*args)
     except NoConvergence as exc:
         return ("no convergence", str(exc))
     return (
@@ -98,6 +121,26 @@ def grid_with_offsets(offset, n_offset):
     above = grid[:n_offset] + np.array([0.0, 0.0, offset])
     query = PointCloud(grid, timestamp=0.0)
     match = PointCloud(np.vstack([grid, above]), timestamp=1.0)
+    return query, match
+
+
+def corner_with_offsets(offset, n_offset):
+    """Three orthogonal 1 m grids, the floor z = 0 and the walls x = 0 and
+    y = 0, over 0..10 m as the query, and the same points plus n_offset
+    match points straight above floor points with x, y >= 4 m, at exactly
+    `offset` (<= 3 m) from their nearest query point: every other floor
+    point is farther, and so is every wall point."""
+    ax = np.arange(0.0, 11.0)
+    a, b = (m.ravel() for m in np.meshgrid(ax, ax, indexing="ij"))
+    floor = np.column_stack([a, b, np.zeros(a.size)])
+    up = b > 0
+    wall_x = np.column_stack([np.zeros(up.sum()), a[up], b[up]])
+    keep = (a > 0) & up
+    wall_y = np.column_stack([a[keep], np.zeros(keep.sum()), b[keep]])
+    query = PointCloud(np.vstack([floor, wall_x, wall_y]), timestamp=0.0)
+    inner = floor[(floor[:, 0] >= 4.0) & (floor[:, 1] >= 4.0)]
+    above = inner[:n_offset] + np.array([0.0, 0.0, offset])
+    match = PointCloud(np.vstack([query.points, above]), timestamp=1.0)
     return query, match
 
 
@@ -133,7 +176,7 @@ class TestFindCandidates:
             kf.scan = PointCloud(np.zeros((60, 3)), timestamp=kf.timestamp)
         guesses = []
 
-        def spy(query, match, guess, cfg):
+        def spy(query, tree, normals, match, guess, cfg):
             guesses.append(guess)
             return LoopConstraint(relative=guess, fitness=0.0, information=np.eye(6))
 
@@ -164,11 +207,11 @@ class TestRegisterScans:
         match = PointCloud(query.points @ inv.rotation.T + inv.translation, timestamp=1.0)
         guess = Pose3(np.eye(3), np.zeros(3))
         args = (query, match, guess, LoopConfig())
-        out = register_scans(*args)
+        out = register(*args)
         assert np.max(np.abs(out.relative.translation - true_rel.translation)) < 5e-3
         assert np.max(np.abs(out.relative.rotation - true_rel.rotation)) < 5e-3
         assert out.fitness < 1e-4
-        assert outcome(register_scans, *args) == outcome(reference_register, *args)
+        assert outcome(register, *args) == outcome(reference_register, *args)
 
     def test_coarse_initialization_converges(self):
         # initial guess off by well over the final correspondence radius
@@ -177,15 +220,15 @@ class TestRegisterScans:
         match = PointCloud(query.points.copy(), timestamp=1.0)
         guess = Pose3(rot_exp(np.array([0, 0, 0.1])), np.array([1.6, -1.2, 0.0]))
         args = (query, match, guess, LoopConfig())
-        out = register_scans(*args)
+        out = register(*args)
         assert np.max(np.abs(out.relative.translation)) < 2e-2
         assert np.max(np.abs(out.relative.rotation - np.eye(3))) < 2e-2
-        assert outcome(register_scans, *args) == outcome(reference_register, *args)
+        assert outcome(register, *args) == outcome(reference_register, *args)
 
     def test_too_few_points(self):
         cloud = PointCloud(np.zeros((10, 3)), timestamp=0.0)
         with pytest.raises(NoConvergence):
-            register_scans(cloud, cloud, Pose3(np.eye(3), np.zeros(3)), LoopConfig())
+            register(cloud, cloud, Pose3(np.eye(3), np.zeros(3)), LoopConfig())
 
     def test_unrelated_scans_rejected(self):
         rng = np.random.default_rng(5)
@@ -193,8 +236,8 @@ class TestRegisterScans:
         b = PointCloud(rng.uniform(-5, 5, size=(400, 3)), timestamp=1.0)
         args = (a, b, Pose3(np.eye(3), np.zeros(3)), LoopConfig())
         with pytest.raises(NoConvergence, match="fitness"):
-            register_scans(*args)
-        assert outcome(register_scans, *args) == outcome(reference_register, *args)
+            register(*args)
+        assert outcome(register, *args) == outcome(reference_register, *args)
 
     def test_collapsed_correspondences_rejected(self):
         rng = np.random.default_rng(5)
@@ -202,8 +245,8 @@ class TestRegisterScans:
         far = PointCloud(a.points + np.array([20.0, 0.0, 0.0]), timestamp=1.0)
         args = (a, far, Pose3(np.eye(3), np.zeros(3)), LoopConfig())
         with pytest.raises(NoConvergence, match="collapsed"):
-            register_scans(*args)
-        assert outcome(register_scans, *args) == outcome(reference_register, *args)
+            register(*args)
+        assert outcome(register, *args) == outcome(reference_register, *args)
 
     @pytest.mark.parametrize(
         "offset, cfg",
@@ -217,19 +260,30 @@ class TestRegisterScans:
         ],
     )
     def test_pairs_at_exactly_the_radius_are_kept(self, offset, cfg):
-        query, match = grid_with_offsets(offset, n_offset=40)
+        query, match = corner_with_offsets(offset, n_offset=40)
         args = (query, match, Pose3(np.eye(3), np.zeros(3)), cfg)
-        got = outcome(register_scans, *args)
+        got = outcome(register, *args)
         assert got == outcome(reference_register, *args)
         if cfg.max_icp_iters == 1:
-            # the 40 points at the radius count: fitness is 40 r^2 / 161
-            assert np.frombuffer(got[2])[0] == pytest.approx(40 * offset**2 / 161, rel=1e-12)
+            # the 40 points at the radius count, each at r along its floor
+            # normal: fitness is 40 r^2 / 371
+            assert np.frombuffer(got[2])[0] == pytest.approx(40 * offset**2 / 371, rel=1e-12)
+
+    def test_single_plane_is_underdetermined(self):
+        # a match slid along one plane fits it as well as the true pose, so
+        # the registration must fail rather than return a slid pose
+        query, match = grid_with_offsets(0.5, n_offset=40)
+        args = (query, match, Pose3(np.eye(3), np.array([0.3, -0.2, 0.0])),
+                LoopConfig(accept_threshold=10.0))
+        with pytest.raises(NoConvergence, match="underdetermined"):
+            register(*args)
+        assert outcome(register, *args) == outcome(reference_register, *args)
 
     def test_information_scales_with_fitness(self):
         rng = np.random.default_rng(6)
         query = box_scan(rng)
         match = PointCloud(query.points.copy(), timestamp=1.0)
-        out = register_scans(query, match, Pose3(np.eye(3), np.zeros(3)), LoopConfig())
+        out = register(query, match, Pose3(np.eye(3), np.zeros(3)), LoopConfig())
         cfg = LoopConfig()
         expect = min(1.0 / max(out.fitness, 1e-6), cfg.info_scale_cap)
         assert np.allclose(out.information, np.eye(6) * expect)
@@ -305,7 +359,8 @@ class TestCloseLoops:
 
     def serial_reference(self, graph, query_id, cfg):
         """Register the candidates with a usable scan one after another,
-        nearest first, and insert each until the first one that fails."""
+        nearest first, each against its own build of the query's kd-tree
+        and normals, and insert each until the first one that fails."""
         query = graph.keyframes[query_id]
         accepted = 0
         for match_id in find_candidates(graph, query_id, cfg):
@@ -314,7 +369,7 @@ class TestCloseLoops:
                 continue
             guess = inverse_compose(query.pose, match.pose)
             try:
-                c = register_scans(query.scan, match.scan, guess, cfg)
+                c = register(query.scan, match.scan, guess, cfg)
             except NoConvergence:
                 break
             graph.factors.append(
@@ -372,10 +427,10 @@ class TestCloseLoops:
         real = loops.register_scans
         converged = []
 
-        def failing(query, match, guess, cfg):
+        def failing(query, tree, normals, match, guess, cfg):
             if match is bad:
                 raise ValueError("boom")
-            out = real(query, match, guess, cfg)
+            out = real(query, tree, normals, match, guess, cfg)
             converged.append(match)
             return out
 
@@ -390,19 +445,16 @@ class TestCloseLoops:
         real = loops.register_scans
         registered = []
 
-        def spy(query, match, guess, cfg):
+        def spy(query, tree, normals, match, guess, cfg):
             registered.append(match)
-            return real(query, match, guess, cfg)
+            return real(query, tree, normals, match, guess, cfg)
 
         monkeypatch.setattr(loops, "register_scans", spy)
         assert close_loops(g, 14, LoopConfig(gate=1.0)) == 1
         # 2 fails, so 3, which would converge, is never registered
         assert registered == [g.keyframes[1].scan, g.keyframes[2].scan]
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_same_factors_on_any_worker_count(self, monkeypatch, workers):
-        # the host's CPU count must not reach the result
-        monkeypatch.setattr(os, "cpu_count", lambda: workers)
+    def test_run_of_accepted_factors_equals_serial_reference(self):
         cfg = LoopConfig(gate=1.0)
         ref = self.run_graph()
         assert self.serial_reference(ref, 14, cfg) == 3
@@ -422,9 +474,9 @@ class TestCloseLoops:
         registered = []
         real = loops.register_scans
 
-        def spy(query, match, guess, cfg):
+        def spy(query, tree, normals, match, guess, cfg):
             registered.append(match)
-            return real(query, match, guess, cfg)
+            return real(query, tree, normals, match, guess, cfg)
 
         monkeypatch.setattr(loops, "register_scans", spy)
         assert close_loops(g, 14, cfg) == 1
@@ -432,3 +484,53 @@ class TestCloseLoops:
         # the too-small scan never reaches the registration
         assert all(m is not g.keyframes[0].scan for m in registered)
         assert registered[0] is g.keyframes[1].scan
+
+    def test_query_target_is_built_once_and_only_when_needed(self, monkeypatch):
+        builds = Counter()
+        real_tree, real_normals = loops.cKDTree, loops.point_normals
+
+        def tree(points):
+            builds["kd-trees"] += 1
+            return real_tree(points)
+
+        def normals(points, kd_tree):
+            builds["normal sets"] += 1
+            return real_normals(points, kd_tree)
+
+        monkeypatch.setattr(loops, "cKDTree", tree)
+        monkeypatch.setattr(loops, "point_normals", normals)
+        cfg = LoopConfig(gate=1.0)
+        # five candidates, none registrable: 0 has too few points, the
+        # others no scan
+        g = self.loop_graph()
+        for i in (1, 2, 3):
+            g.keyframes[i].scan = None
+        assert close_loops(g, 14, cfg) == 0
+        assert builds == Counter()
+        # registrable candidates, but a query with too few points
+        g = self.run_graph()
+        g.keyframes[14].scan = PointCloud(g.keyframes[14].scan.points[:20], timestamp=14.0)
+        assert close_loops(g, 14, cfg) == 0
+        assert builds == Counter()
+        # three registrable candidates, each accepted
+        g = self.run_graph()
+        g.keyframes[4].scan = None
+        assert close_loops(g, 14, cfg) == 3
+        assert builds == Counter({"kd-trees": 1, "normal sets": 1})
+
+
+def test_square_loop_factors_match_ground_truth():
+    # the benchmark's square-loop workload on noise seed 0: every accepted
+    # loop must measure its keyframes' true relative pose
+    wl = WORKLOADS["square-loop"]
+    steps = wl.make_stream(wl.make_world(), 0)
+    result = run_slam(steps, wl.cfg)
+    gt = {s.timestamp: s.gt_pose for s in steps}
+    kfs = result.graph.keyframes
+    factors = [f for f in result.graph.factors if f.kind is FactorKind.LOOP_CLOSURE]
+    assert factors
+    for f in factors:
+        (_, q), (_, m) = f.variables
+        err = inverse_compose(inverse_compose(gt[kfs[q].timestamp], gt[kfs[m].timestamp]), f.measurement)
+        assert np.linalg.norm(err.translation) < 0.05, f.variables
+        assert np.linalg.norm(rot_log(err.rotation)) < 0.01, f.variables

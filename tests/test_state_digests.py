@@ -30,7 +30,7 @@ from workloads import WORKLOADS  # noqa: E402
 
 RECORDED = {
     "rooms4-online": "eb98bc397939005f16b976a654d8ab5a191d451ce95bcc828439c66944844c0e",
-    "square-loop": "1e6b9055c0b623846e01c77ebf2d6d148ebc6b9caeb7dfab9cb2abc03d688ef8",
+    "square-loop": "258190816b60600324937cb43ad91ea88be606df461600f202802da49d8c89d5",
 }
 
 
