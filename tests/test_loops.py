@@ -1,5 +1,6 @@
 """Loop closure: candidate gating, scan registration, factor insertion."""
 
+import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -454,7 +455,10 @@ class TestCloseLoops:
         # 2 fails, so 3, which would converge, is never registered
         assert registered == [g.keyframes[1].scan, g.keyframes[2].scan]
 
-    def test_run_of_accepted_factors_equals_serial_reference(self):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_same_factors_on_any_worker_count(self, monkeypatch, workers):
+        # the host's CPU count must not reach the result
+        monkeypatch.setattr(os, "cpu_count", lambda: workers)
         cfg = LoopConfig(gate=1.0)
         ref = self.run_graph()
         assert self.serial_reference(ref, 14, cfg) == 3
