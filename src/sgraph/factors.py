@@ -29,7 +29,7 @@ corridor-plane factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -67,13 +67,6 @@ class Factor:
     measurement: object  # of the type `KINDS[kind].measurement`
     information: np.ndarray
     robust: bool = False
-    _sqrt_info: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def sqrt_information(self) -> np.ndarray:
-        if self._sqrt_info is None:
-            info = np.atleast_2d(np.asarray(self.information, dtype=float))
-            self._sqrt_info = np.linalg.cholesky(info).T  # L^T, Lambda = L L^T
-        return self._sqrt_info
 
 
 @dataclass(frozen=True)
@@ -231,12 +224,13 @@ def _corridor_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
 @dataclass(frozen=True)
 class KindSpec:
     """What a factor kind is: the layer of the graph it belongs to, the
-    kinds of the two variables it joins, the kernel that evaluates it, the
-    type its measurement has, and `stack`, which turns a list of its
-    measurements into the kernel's `meas`."""
+    kinds of the two variables it joins, its residual size, the kernel that
+    evaluates it, the type its measurement has, and `stack`, which turns a
+    list of its measurements into the kernel's `meas`."""
 
     layer: str
     variables: tuple[str, str]
+    residual: int
     kernel: Kernel
     measurement: type
     stack: Callable[[list], tuple]
@@ -245,6 +239,7 @@ class KindSpec:
 _TRACKING = KindSpec(
     "tracking",
     ("kf", "kf"),
+    6,
     _between,
     Pose3,
     lambda meas: (np.array([m.rotation for m in meas]), np.array([m.translation for m in meas])),
@@ -257,15 +252,15 @@ KINDS: dict[FactorKind, KindSpec] = {
     FactorKind.ODOMETRY: _TRACKING,
     FactorKind.LOOP_CLOSURE: _TRACKING,
     FactorKind.POSE_PLANE: KindSpec(
-        "plane", ("kf", "plane"), _pose_plane, PlaneMinimal,
+        "plane", ("kf", "plane"), 3, _pose_plane, PlaneMinimal,
         lambda meas: (np.array([m.as_array() for m in meas]),),
     ),
     # topology factors measure the slot of their plane
     FactorKind.ROOM_PLANE: KindSpec(
-        "room", ("room", "plane"), _room_plane, int, lambda slots: _edge_slots(slots, 4)
+        "room", ("room", "plane"), 1, _room_plane, int, lambda slots: _edge_slots(slots, 4)
     ),
     FactorKind.CORRIDOR_PLANE: KindSpec(
-        "corridor", ("corridor", "plane"), _corridor_plane, int, lambda slots: _edge_slots(slots, 2)[1:]
+        "corridor", ("corridor", "plane"), 1, _corridor_plane, int, lambda slots: _edge_slots(slots, 2)[1:]
     ),
 }
 

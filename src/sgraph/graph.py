@@ -225,17 +225,16 @@ class SGraph:
         return lm_id
 
     def merge_planes(self, keep_id: int, drop_id: int) -> None:
-        """Re-point every factor from drop_id to keep_id and delete it. The
-        kept centroid becomes the observation-weighted mean of both, so the
-        running mean goes on over every observation counted."""
+        """Re-point every factor from drop_id to keep_id and delete it; a
+        missing keep_id raises KeyError first. The kept centroid becomes the
+        observation-weighted mean of both, over every observation counted."""
         if keep_id == drop_id or drop_id not in self.planes:
             return
+        keep, drop = self.planes[keep_id], self.planes[drop_id]
         for f in self.factors:
             f.variables = tuple(
                 ("plane", keep_id) if v == ("plane", drop_id) else v for v in f.variables
             )
-        keep = self.planes[keep_id]
-        drop = self.planes[drop_id]
         keep.extent = np.maximum(keep.extent, drop.extent)
         n_keep, n_drop = keep.observation_count, drop.observation_count
         keep.centroid = (n_keep * keep.centroid + n_drop * drop.centroid) / (n_keep + n_drop)

@@ -255,9 +255,10 @@ def graph_to_dict(graph: SGraph) -> dict:
 def graph_from_dict(d: dict) -> SGraph:
     """The graph a snapshot holds. A snapshot of another version, a factor
     without a kind, on variables of the wrong kinds for its kind or on a
-    variable the snapshot lacks, and a room or corridor plane link without
-    an edge factor on that plane in that slot raise ValueError. A node may
-    have edge factors beyond its plane links."""
+    variable the snapshot lacks or with an information that is no positive
+    definite matrix of its kind's residual size, and a room or corridor
+    plane link without an edge factor on that plane in that slot raise
+    ValueError. A node may have edge factors beyond its plane links."""
     d = dict(d)
     version = d.pop("version", None)
     if version != SNAPSHOT_VERSION:
@@ -275,6 +276,13 @@ def graph_from_dict(d: dict) -> SGraph:
                 raise ValueError(f"{f.kind.value} factor on {kind} {vid}, not in the snapshot")
         if tuple(kind for kind, _ in f.variables) != KINDS[f.kind].variables:
             raise ValueError(f"{f.kind.value} factor on {f.variables}, not on a {KINDS[f.kind].variables} pair")
+        m, info = KINDS[f.kind].residual, f.information
+        symmetric = info.shape == (m, m) and np.isfinite(info).all() and np.array_equal(info, info.T)
+        if not (symmetric and np.linalg.eigvalsh(info).min() > 0.0):
+            raise ValueError(
+                f"{f.kind.value} factor on {f.variables}: information {info.tolist()} "
+                f"is not a positive definite {m}x{m} matrix"
+            )
     edges = {
         (*f.variables, f.measurement)
         for f in graph.factors

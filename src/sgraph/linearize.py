@@ -1,12 +1,12 @@
 """The normal equations of the whole graph, one layer at a time.
 
 `BatchedFactors` owns the layout of the solve: the rows of each variable
-in the gathered arrays and its columns in H. The kernels that
-`factors.KINDS` names compute the residuals and Jacobians of every factor
-of a layer at once. `BatchedFactors.linearize` is the one place they are
-called: it whitens and Huber-weights their rows and scatters them into the
-dense normal equations, and the same pass without Jacobians gives the
-cost alone, per layer.
+in the gathered arrays and its columns. The kernels that `factors.KINDS`
+names compute the residuals and Jacobians of every factor of a layer at
+once. `BatchedFactors.linearize` is the one place they are called: it
+whitens and Huber-weights their rows and scatters them into the dense
+normal equations, and the same pass without Jacobians gives the cost
+alone, per layer.
 
 The solver works on the estimates gathered into arrays (`_Values`): it
 gathers them once, retracts a damped step onto them in batch with the
@@ -33,17 +33,15 @@ LAYERS = tuple(dict.fromkeys(spec.layer for spec in KINDS.values()))
 
 @dataclass(frozen=True)
 class FactorBlock:
-    """All factors of one layer: index arrays, measurements and scatter maps."""
+    """All factors of one layer: index arrays, measurements and whitening."""
 
     layer: str
     factor_index: np.ndarray  # (N,) position of each row's factor in graph.factors
     kernel: Kernel
     rows: np.ndarray  # (N, 2) rows of the two variables in their value arrays
     meas: tuple  # kind-specific stacked measurements
-    sqrt_info: np.ndarray  # (N, m, m)
+    sqrt_info: np.ndarray  # (N, m, m) L^T of each information L L^T
     robust: np.ndarray  # (N,) bool
-    g_keep: np.ndarray  # (N, D) Jacobian columns of non-gauge variables
-    h_keep: np.ndarray  # (N, D, D) their pairs
 
 
 # -- the batched graph -----------------------------------------------------
@@ -54,12 +52,12 @@ class BatchedFactors:
     variables.
 
     The gathered arrays (`_Values`) hold one row per variable, each kind
-    in id order. The columns of H are the local coordinates of the
-    keyframes, then of the planes, rooms and corridors, in the same order.
-    The first keyframe, row 0, is the gauge: it has no columns (-1) and is
-    held fixed. Build once per factor set; `values` gathers the graph's
-    estimates, and the other methods work on gathered values until `write`
-    stores them back.
+    in id order. The columns are the local coordinates of the keyframes,
+    then of the planes, rooms and corridors, in the same order. The first
+    keyframe, row 0, is the gauge: H and g leave out its columns, the
+    first six, so it is held fixed, and `dim` counts the rest. Build once
+    per factor set; `values` gathers the graph's estimates, and the other
+    methods work on gathered values until `write` stores them back.
     """
 
     def __init__(self, graph: SGraph):
@@ -70,24 +68,24 @@ class BatchedFactors:
             "corridor": sorted(graph.corridors),
         }
         row: dict[VariableKey, int] = {}
-        # columns in H of each variable's local coordinates, by kind and row
+        # columns of each variable's local coordinates, by kind and row
         self.columns: dict[str, np.ndarray] = {}
-        self.dim = 0
+        n_cols = 0
         for kind, ids in self.ids.items():
             row.update(((kind, vid), i) for i, vid in enumerate(ids))
             n = LOCAL_DIM[kind]
-            free = np.arange(len(ids)) - (kind == "kf")  # -1 for the gauge
-            first = self.dim + n * free[:, None]
-            self.columns[kind] = np.where(free[:, None] >= 0, first + np.arange(n), -1)
-            self.dim += n * int(np.sum(free >= 0))
+            self.columns[kind] = n_cols + n * np.arange(len(ids))[:, None] + np.arange(n)
+            n_cols += n * len(ids)
+        self._gauge = LOCAL_DIM["kf"] if self.ids["kf"] else 0
+        self.dim = n_cols - self._gauge
 
         by_layer: dict[str, list[int]] = {layer: [] for layer in LAYERS}
         for i, f in enumerate(graph.factors):
             by_layer[KINDS[f.kind].layer].append(i)
 
         self.blocks: list[FactorBlock] = []
-        # where each kept entry of the per-factor g and H blocks lands, for
-        # all blocks in order; entries of the same cell are summed
+        # where each entry of the per-factor g and H blocks lands, for all
+        # blocks in order; entries of the same cell are summed
         g_index, h_index = [np.zeros(0, int)], [np.zeros(0, int)]
         for layer, index in by_layer.items():
             if not index:
@@ -96,10 +94,9 @@ class BatchedFactors:
             spec = KINDS[factors[0].kind]
             rows = np.array([[row[k] for k in f.variables] for f in factors], dtype=int)
             cols = np.hstack([self.columns[kind][rows[:, j]] for j, kind in enumerate(spec.variables)])
-            g_keep = cols >= 0
-            h_keep = g_keep[:, :, None] & g_keep[:, None, :]
-            g_index.append(cols[g_keep])
-            h_index.append((cols[:, :, None] * self.dim + cols[:, None, :])[h_keep])
+            g_index.append(cols.ravel())
+            h_index.append((cols[:, :, None] * n_cols + cols[:, None, :]).ravel())
+            info = np.array([f.information for f in factors], dtype=float)
             self.blocks.append(
                 FactorBlock(
                     layer=layer,
@@ -107,10 +104,8 @@ class BatchedFactors:
                     kernel=spec.kernel,
                     rows=rows,
                     meas=spec.stack([f.measurement for f in factors]),
-                    sqrt_info=np.array([f.sqrt_information() for f in factors]),
+                    sqrt_info=np.linalg.cholesky(info).transpose(0, 2, 1),
                     robust=np.array([f.robust for f in factors], dtype=bool),
-                    g_keep=g_keep,
-                    h_keep=h_keep,
                 )
             )
         self._g_index = np.concatenate(g_index)
@@ -136,21 +131,20 @@ class BatchedFactors:
         )
 
     def retract(self, v: _Values, delta: np.ndarray) -> _Values:
-        """New values moved by `delta`, a step in the local coordinates of
-        the columns of H: poses by the right perturbation R <- R exp(dw),
-        t <- t + R dt, plane normals along great circles of the sphere,
-        everything else additive. The gauge keyframe stays put."""
-        cols = self.columns["kf"]
-        fixed = cols[:, :1] < 0
-        step = np.where(cols >= 0, delta[cols], 0.0)
+        """New values moved by `delta`, a step in the columns of H: poses by
+        the right perturbation R <- R exp(dw), t <- t + R dt, plane normals
+        along great circles of the sphere, everything else additive. The
+        gauge keyframe stays put."""
+        delta = np.concatenate([np.zeros(self._gauge), delta])
+        step = delta[self.columns["kf"]]
+        rotations = v.rotations @ rot_exp(step[:, 3:6])
+        translations = v.translations + _mv(v.rotations, step[:, 0:3])
+        # the gauge's zero step would still turn its -0.0 entries into +0.0
+        rotations[:1], translations[:1] = v.rotations[:1], v.translations[:1]
         return replace(
             v,
-            rotations=np.where(
-                fixed[:, :, None], v.rotations, v.rotations @ rot_exp(step[:, 3:6])
-            ),
-            translations=np.where(
-                fixed, v.translations, v.translations + _mv(v.rotations, step[:, 0:3])
-            ),
+            rotations=rotations,
+            translations=translations,
             planes=_retract_planes(v.planes, delta[self.columns["plane"]]),
             rooms=v.rooms + delta[self.columns["room"]],
             corridors=v.corridors + delta[self.columns["corridor"]],
@@ -197,11 +191,11 @@ class BatchedFactors:
             wr = wr * scale[:, None]
             wJ = scale[:, None, None] * (b.sqrt_info @ J)
             wJT = wJ.transpose(0, 2, 1)
-            g_parts.append(_mv(wJT, wr)[b.g_keep])
-            h_parts.append((wJT @ wJ)[b.h_keep])
+            g_parts.append(_mv(wJT, wr).ravel())
+            h_parts.append((wJT @ wJ).ravel())
         if not jacobians:
             return costs, None, None
-        dim = self.dim
-        g = np.bincount(self._g_index, np.concatenate(g_parts), minlength=dim)
-        H = np.bincount(self._h_index, np.concatenate(h_parts), minlength=dim * dim)
-        return costs, H.reshape(dim, dim), g
+        n, gauge = self.dim + self._gauge, self._gauge
+        g = np.bincount(self._g_index, np.concatenate(g_parts), minlength=n)
+        H = np.bincount(self._h_index, np.concatenate(h_parts), minlength=n * n)
+        return costs, H.reshape(n, n)[gauge:, gauge:], g[gauge:]

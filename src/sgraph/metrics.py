@@ -32,6 +32,8 @@ def associate(
     max_dt: float,
 ) -> list[tuple[Pose3, Pose3]]:
     """Pair each estimated pose with the nearest-in-time reference pose."""
+    if not reference:
+        return []
     ref_times = np.array([t for t, _ in reference])
     pairs = []
     for t, pose in estimated:

@@ -16,6 +16,9 @@ from .graph import SGraph
 from .linearize import BatchedFactors
 
 
+GRAD_TOL = 1e-12  # converged once the gradient's max-norm falls below it
+INIT_LAMBDA = 1e-6  # the first damping
+
 class SingularSystem(RuntimeError):
     def __init__(self, nullity: int):
         super().__init__(f"normal equations rank-deficient, null-space dim {nullity}")
@@ -26,8 +29,6 @@ class SingularSystem(RuntimeError):
 class SolverConfig:
     max_iters: int = 50
     rel_tol: float = 1e-12
-    grad_tol: float = 1e-12
-    init_lambda: float = 1e-6
     huber_delta: float = 1.0
     check_rank: bool = True
 
@@ -82,12 +83,12 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
             raise SingularSystem(nullity)
 
     initial_cost = cost
-    lam = cfg.init_lambda
+    lam = INIT_LAMBDA
     iters = accepted = rejected = 0
     status = "max_iters"
     for _ in range(cfg.max_iters):
         iters += 1
-        if float(np.max(np.abs(g))) < cfg.grad_tol:
+        if float(np.max(np.abs(g))) < GRAD_TOL:
             status = "converged"
             break
         for _try in range(20):

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from sgraph.factors import Factor, FactorKind
 from sgraph.geometry import (
     PlaneClass,
     PlaneHessian,
@@ -128,6 +129,17 @@ def test_merge_averages_the_centroids_by_observation_count():
     g.merge_planes(0, 1)
     assert np.array_equal(g.planes[0].centroid, [1.0, 0.0, 0.0])
     assert g.planes[0].observation_count == 4
+
+
+def test_merge_into_a_missing_landmark_leaves_the_graph_unchanged():
+    g = graph_with_keyframe()
+    add_landmark(g, 0, 0.0, 0.0, 2.0, PlaneClass.X_VERTICAL)
+    g.factors.append(Factor(FactorKind.POSE_PLANE, (("kf", 0), ("plane", 0)),
+                            PlaneMinimal(0.0, 0.0, 2.0), np.eye(3)))
+    with pytest.raises(KeyError):
+        g.merge_planes(99, 0)
+    assert g.factors[0].variables == (("kf", 0), ("plane", 0))
+    assert set(g.planes) == {0}
 
 
 def test_random_graphs_match_the_per_landmark_loop():

@@ -289,6 +289,18 @@ class TestExactSnapshot:
         with pytest.raises(ValueError, match="not on"):
             graph_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "index, information",
+        [(2, [[2500.0, 0.0], [0.0, 2500.0]]), (2, [[-1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]),
+         (3, [[0.0]]), (0, (np.eye(6) + 0.5 * np.eye(6, k=1)).tolist())],
+        ids=["plane-2x2", "plane-negative-definite", "room-zero", "odometry-not-symmetric"],
+    )
+    def test_bad_information_rejected(self, index, information):
+        d = graph_to_dict(sample_graph())
+        d["factors"][index]["information"] = information
+        kind = d["factors"][index]["kind"]
+        with pytest.raises(ValueError, match=f"{kind} factor on .*: information .* is not a positive definite"):
+            graph_from_dict(d)
 
     @pytest.mark.parametrize(
         "node, links",

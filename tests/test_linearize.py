@@ -53,14 +53,20 @@ def between(g, a, b, meas, kind=FactorKind.LOOP_CLOSURE, robust=True):
 
 
 def first_columns(bf):
-    """The first column in H of each variable that has columns: every
-    variable but the gauge keyframe."""
+    """The first column in H of each variable but the gauge keyframe, whose
+    columns come first in the layout and are sliced off H."""
+    gauge = LOCAL_DIM["kf"]
     return {
-        (kind, vid): int(bf.columns[kind][row, 0])
+        (kind, vid): int(bf.columns[kind][row, 0]) - gauge
         for kind, ids in bf.ids.items()
         for row, vid in enumerate(ids)
-        if bf.columns[kind][row, 0] >= 0
+        if (kind, row) != ("kf", 0)
     }
+
+
+def sqrt_information(f):
+    """L^T of the factor's information L L^T."""
+    return np.linalg.cholesky(f.information).T
 
 
 def assert_matches_reference(graph):
@@ -95,7 +101,7 @@ def dense_reference(graph, huber_delta=1.0):
     layers = dict.fromkeys(("tracking", "plane", "room", "corridor"), 0.0)
     for f in graph.factors:
         r, jacs = evaluate_factor(graph, f)
-        L = f.sqrt_information()
+        L = sqrt_information(f)
         wr = L @ r
         s = float(wr @ wr)
         weight = 1.0
@@ -277,7 +283,7 @@ class TestNormalEquations:
         between(g, 0, 1, Pose3.from_xyz_yaw(1.5, 0.0, 0.0, 0.1))  # beyond delta
         s = []
         for f in g.factors:
-            wr = f.sqrt_information() @ evaluate_factor(g, f)[0]
+            wr = sqrt_information(f) @ evaluate_factor(g, f)[0]
             s.append(float(wr @ wr))
         robust = [f.robust for f in g.factors]
         assert any(x > 1.0 and r for x, r in zip(s, robust))
@@ -294,7 +300,7 @@ class TestNormalEquations:
         _, H, grad = bf.linearize(bf.values(g), 1.0)
         f = g.factors[0]
         r, jacs = evaluate_factor(g, f)
-        L = f.sqrt_information()
+        L = sqrt_information(f)
         Jb = L @ jacs[("kf", 1)]
         assert H.shape == (6, 6)
         np.testing.assert_allclose(H, Jb.T @ Jb, rtol=1e-12, atol=1e-12)
@@ -303,18 +309,19 @@ class TestNormalEquations:
     def test_sample_graph_gauge_columns(self):
         g = sample_graph()
         bf = BatchedFactors(g)
-        offsets, dim = first_columns(bf), bf.dim
-        assert ("kf", 0) not in offsets
-        assert dim == 6 * 2 + 3 * 2 + 4 + 2
-        np.testing.assert_array_equal(bf.columns["kf"][0], [-1] * 6)
-        # keyframes by id, then planes, rooms and corridors, packed
-        assert offsets == {("kf", 1): 0, ("kf", 2): 6, ("plane", 0): 12, ("plane", 1): 15,
-                           ("room", 0): 18, ("corridor", 0): 22}
+        # the gauge keyframe has the first six columns of the layout
+        np.testing.assert_array_equal(bf.columns["kf"][0], np.arange(6))
+        assert bf.dim == 6 * 2 + 3 * 2 + 4 + 2
+        # then keyframes by id, planes, rooms and corridors, packed
+        layout = np.concatenate([cols.ravel() for cols in bf.columns.values()])
+        np.testing.assert_array_equal(layout, np.arange(6 + bf.dim))
         for kind, cols in bf.columns.items():
-            free = cols[cols[:, 0] >= 0]
-            np.testing.assert_array_equal(free, free[:, :1] + np.arange(LOCAL_DIM[kind]))
-        _, H, _ = bf.linearize(bf.values(g), 1.0)
-        assert H.shape == (dim, dim)
+            np.testing.assert_array_equal(cols, cols[:, :1] + np.arange(LOCAL_DIM[kind]))
+        # H and g have the columns after the gauge's
+        assert first_columns(bf) == {("kf", 1): 0, ("kf", 2): 6, ("plane", 0): 12,
+                                     ("plane", 1): 15, ("room", 0): 18, ("corridor", 0): 22}
+        _, H, grad = bf.linearize(bf.values(g), 1.0)
+        assert H.shape == (bf.dim, bf.dim) and grad.shape == (bf.dim,)
 
     def test_gauge_is_the_smallest_keyframe_id(self):
         g = SGraph()

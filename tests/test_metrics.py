@@ -70,6 +70,11 @@ class TestAte:
         with pytest.raises(TooFewPoses):
             ate(TrajectoryPair([(0.0, Pose3.identity())], [(9.0, Pose3.identity())]))
 
+    def test_empty_reference(self):
+        traj = [(float(i), Pose3.identity()) for i in range(3)]
+        with pytest.raises(TooFewPoses, match="only 0 associated poses"):
+            ate_alignment(TrajectoryPair(traj, []))
+
     def test_time_association_tolerance(self):
         rng = np.random.default_rng(2)
         traj = random_trajectory(rng)
