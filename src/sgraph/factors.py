@@ -17,19 +17,17 @@ Local coordinates per variable type:
                      that `sgraph.geometry` defines. (azimuth, elevation,
                      distance) is only how a plane is stored, so its pole
                      is not a singularity of the step.
-  room          : 4  [d_cx, d_cy, d_wx, d_wy]
-  corridor      : 2  [d_center_along_axis, d_width]   (the cross-axis center
-                     component is deliberately not optimized)
+  span          : 2  [d_center, d_width] along the span's axis
 
-`_Values` holds each room and corridor as one row in this order, a block
-of centers then a block of widths, so a step is added to it as it stands
-and one edge kernel, `_edge_plane`, serves the room-plane and the
-corridor-plane factors.
+The topology has one variable, the span: the gap between two facing walls
+along x or along y. A room is its x span and its y span, a corridor its one
+span, so a room takes 4 columns and a corridor 2. One edge kernel,
+`_span_plane`, serves the room-plane and the corridor-plane factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -56,9 +54,10 @@ class FactorKind(Enum):
     LOOP_CLOSURE = "loop_closure"
 
 
-VariableKey = tuple[str, int]  # ("kf" | "plane" | "room" | "corridor", id)
+VariableKey = tuple[str, int]  # ("kf" | "plane" | "span", id)
 
-LOCAL_DIM = {"kf": 6, "plane": 3, "room": 4, "corridor": 2}
+# the columns of each variable kind, and of the spans of a room and a corridor
+LOCAL_DIM = {"kf": 6, "plane": 3, "span": 2, "room": 4, "corridor": 2}
 
 @dataclass
 class Factor:
@@ -77,22 +76,19 @@ class _Values:
     rotations: np.ndarray  # (K, 3, 3)
     translations: np.ndarray  # (K, 3)
     planes: np.ndarray  # (P, 3) azimuth, elevation, distance
-    rooms: np.ndarray  # (R, 4) cx, cy, wx, wy: the room's local coordinates
-    corridors: np.ndarray  # (C, 2) center along the corridor axis, width
-    corridor_axes: np.ndarray  # (C,) that axis, 0 is x and 1 is y; never retracted
+    spans: np.ndarray  # (S, 2) center, width
 
 
 Kernel = Callable[[_Values, np.ndarray, tuple, bool], tuple[np.ndarray, np.ndarray | None]]
 
 
-def _edge_slots(slots: list, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(axis, half) of each slot of a `count`-slot node: slot s bounds axis
+def _edge_slots(slots: list) -> tuple[np.ndarray, np.ndarray]:
+    """(axis, half) of each edge slot: slot s bounds a span along axis
     s // 2, on its low edge (half -0.5) when s is even, else its high edge
-    (half +0.5). Rooms have slots 0 low-x, 1 high-x, 2 low-y, 3 high-y, and
-    a corridor has slots 0 (low) and 1 (high) along its own axis."""
+    (half +0.5). So 0 is low-x, 1 high-x, 2 low-y and 3 high-y."""
     for slot in slots:
-        if not (isinstance(slot, (int, np.integer)) and 0 <= slot < count):
-            raise ValueError(f"invalid slot {slot!r} for a {count}-slot node")
+        if not (isinstance(slot, (int, np.integer)) and 0 <= slot < 4):
+            raise ValueError(f"invalid edge slot {slot!r}")
     slots = np.array(slots, dtype=int)
     return slots // 2, np.where(slots % 2 == 0, -0.5, 0.5)
 
@@ -184,38 +180,21 @@ def _pose_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
     return r, J
 
 
-def _edge_plane(x: np.ndarray, col, axis, half: np.ndarray, planes: np.ndarray, jacobians: bool):
-    """Edge residual of a node's wall, r = center + half * width minus the
-    plane's signed distance along `axis`, the sign taken from its normal;
-    columns [node (D) | plane (3)]. `x` holds the nodes' values (N, D),
-    each a center block then a width block of D/2 entries, and `col` is
-    the column of the center along `axis`."""
-    n = np.arange(len(x))
-    width = col + x.shape[1] // 2
+def _span_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
+    """Edge residual of a span's wall, r = center + half * width minus the
+    plane's signed distance along the slot's axis, the sign taken from its
+    normal; columns [span (2) | plane (3)]."""
+    axis, half = meas
+    spans, planes = v.spans[rows[:, 0]], v.planes[rows[:, 1]]
     sign = _axis_sign(planes, axis)
-    r = (x[n, col] + half * x[n, width] - sign * planes[:, 2])[:, None]
+    r = (spans[:, 0] + half * spans[:, 1] - sign * planes[:, 2])[:, None]
     if not jacobians:
         return r, None
-    J = np.zeros((len(x), 1, x.shape[1] + 3))
-    J[n, 0, col] = 1.0
-    J[n, 0, width] = half
-    J[:, 0, -1] = -sign
+    J = np.zeros((len(rows), 1, 5))
+    J[:, 0, 0] = 1.0
+    J[:, 0, 1] = half
+    J[:, 0, 4] = -sign
     return r, J
-
-
-def _room_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
-    """Room-plane edge residual; columns [room (4) | plane (3)]."""
-    axis, half = meas
-    return _edge_plane(v.rooms[rows[:, 0]], axis, axis, half, v.planes[rows[:, 1]], jacobians)
-
-
-def _corridor_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
-    """Corridor-plane edge residual along the corridor's axis; columns
-    [corridor (2) | plane (3)]."""
-    (half,) = meas
-    corr = rows[:, 0]
-    planes = v.planes[rows[:, 1]]
-    return _edge_plane(v.corridors[corr], 0, v.corridor_axes[corr], half, planes, jacobians)
 
 
 # -- the factor kinds --------------------------------------------------------
@@ -245,6 +224,10 @@ _TRACKING = KindSpec(
     lambda meas: (np.array([m.rotation for m in meas]), np.array([m.translation for m in meas])),
 )
 
+# topology factors measure the slot of their plane; a room's and a
+# corridor's differ only in their layer
+_EDGE = KindSpec("room", ("span", "plane"), 1, _span_plane, int, _edge_slots)
+
 # The kinds of one layer share one spec, so each layer is one block of the
 # solve. The layers' order here is the order of the blocks, which fixes
 # the summation order of the normal equations.
@@ -255,15 +238,10 @@ KINDS: dict[FactorKind, KindSpec] = {
         "plane", ("kf", "plane"), 3, _pose_plane, PlaneMinimal,
         lambda meas: (np.array([m.as_array() for m in meas]),),
     ),
-    # topology factors measure the slot of their plane
-    FactorKind.ROOM_PLANE: KindSpec(
-        "room", ("room", "plane"), 1, _room_plane, int, lambda slots: _edge_slots(slots, 4)
-    ),
-    FactorKind.CORRIDOR_PLANE: KindSpec(
-        "corridor", ("corridor", "plane"), 1, _corridor_plane, int, lambda slots: _edge_slots(slots, 2)[1:]
-    ),
+    FactorKind.ROOM_PLANE: _EDGE,
+    FactorKind.CORRIDOR_PLANE: replace(_EDGE, layer="corridor"),
 }
 
 
 # values of no variable, for `replace` to fill in the arrays a kernel reads
-_NO_VALUES = _Values(*[np.zeros(0)] * 6)
+_NO_VALUES = _Values(*[np.zeros(0)] * 4)

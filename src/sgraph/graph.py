@@ -55,20 +55,25 @@ class PlaneLandmark:
 
 
 @dataclass
-class RoomNode:
-    id: int
-    center: np.ndarray  # (cx, cy) meters
-    widths: np.ndarray  # (wx, wy) meters
-    plane_links: tuple[int, int, int, int]  # low-x, high-x, low-y, high-y
+class Span:
+    """The gap between two facing walls along x or y: the solve's one
+    topology variable."""
+
+    axis: PlaneClass  # X_VERTICAL or Y_VERTICAL
+    center: float  # meters along the axis
+    width: float  # meters
+    walls: tuple[int, int]  # plane ids of the low and the high wall
+
+    def wall_slots(self) -> tuple[int, int]:
+        """The edge slots of its low and its high wall (`factors._edge_slots`)."""
+        return 2 * self.axis.index, 2 * self.axis.index + 1
 
 
 @dataclass
-class CorridorNode:
-    id: int
-    axis: PlaneClass  # X_VERTICAL or Y_VERTICAL
-    center: np.ndarray  # (kx, ky); the cross-axis component is not optimized
-    width: float
-    plane_links: tuple[int, int]  # low, high along the axis
+class Node:
+    """A room, named by its x span and its y span, or a corridor, by its one span."""
+
+    spans: tuple[int, ...]
 
 
 NEW_LANDMARK = -1
@@ -78,14 +83,26 @@ NEW_LANDMARK = -1
 class SGraph:
     keyframes: dict[int, Keyframe] = field(default_factory=dict)
     planes: dict[int, PlaneLandmark] = field(default_factory=dict)
-    rooms: dict[int, RoomNode] = field(default_factory=dict)
-    corridors: dict[int, CorridorNode] = field(default_factory=dict)
+    spans: dict[int, Span] = field(default_factory=dict)
+    rooms: dict[int, Node] = field(default_factory=dict)
+    corridors: dict[int, Node] = field(default_factory=dict)
     factors: list[Factor] = field(default_factory=list)
     _next_plane_id: int = 0
+    _next_span_id: int = 0
     _next_room_id: int = 0
     _next_corridor_id: int = 0
 
     # -- variable access ---------------------------------------------------
+
+    def _take_id(self, counter: str) -> int:
+        """The next id of the counter named `counter`, which moves past it."""
+        new_id = getattr(self, counter)
+        setattr(self, counter, new_id + 1)
+        return new_id
+
+    def node_walls(self, node: Node) -> tuple[int, ...]:
+        """The plane ids of a node's walls: low then high, span by span."""
+        return tuple(p for s in node.spans for p in self.spans[s].walls)
 
     def predict_planes(self, kf_id: int) -> np.ndarray:
         """Every mapped plane in keyframe kf_id's sensor frame, from its
@@ -196,8 +213,7 @@ class SGraph:
         meas_minimal = to_minimal(det.plane)
         if lm_id == NEW_LANDMARK:
             map_plane = transform_plane(kf.pose, det.plane, to_sensor=False)
-            lm_id = self._next_plane_id
-            self._next_plane_id += 1
+            lm_id = self._take_id("_next_plane_id")
             gap = float(map_plane.normal @ kf.pose.translation) - map_plane.distance
             self.planes[lm_id] = PlaneLandmark(
                 id=lm_id,
@@ -240,42 +256,40 @@ class SGraph:
         keep.centroid = (n_keep * keep.centroid + n_drop * drop.centroid) / (n_keep + n_drop)
         keep.observation_count = n_keep + n_drop
         del self.planes[drop_id]
-        for node in (*self.rooms.values(), *self.corridors.values()):
-            node.plane_links = tuple(keep_id if p == drop_id else p for p in node.plane_links)
+        for span in self.spans.values():
+            span.walls = tuple(keep_id if p == drop_id else p for p in span.walls)
 
     # -- topology nodes ----------------------------------------------------
 
-    def add_node(self, node: RoomNode | CorridorNode, information: float) -> int:
-        """Give a room or corridor node the next id of its kind and add one
-        edge factor per wall slot, which measures the slot. Returns the id."""
-        if isinstance(node, RoomNode):
-            kind, nodes, edge = "room", self.rooms, FactorKind.ROOM_PLANE
-            node.id, self._next_room_id = self._next_room_id, self._next_room_id + 1
-        else:
-            kind, nodes, edge = "corridor", self.corridors, FactorKind.CORRIDOR_PLANE
-            node.id, self._next_corridor_id = self._next_corridor_id, self._next_corridor_id + 1
-        nodes[node.id] = node
-        for slot, plane_id in enumerate(node.plane_links):
-            self.factors.append(
-                Factor(
-                    kind=edge,
-                    variables=((kind, node.id), ("plane", plane_id)),
-                    measurement=slot,
-                    information=np.array([[information]]),
+    def add_node(self, layer: str, spans: tuple[Span, ...], information: float) -> int:
+        """Add a node to the "room" or the "corridor" layer. Each of its spans
+        gets the next span id and one edge factor per wall, which measures
+        the wall's slot; the node gets the next id of its layer. Returns
+        that id."""
+        edge = FactorKind(f"{layer}_plane")
+        span_ids = tuple(self._take_id("_next_span_id") for _ in spans)
+        for span_id, span in zip(span_ids, spans):
+            self.spans[span_id] = span
+            for slot, plane_id in zip(span.wall_slots(), span.walls):
+                self.factors.append(
+                    Factor(
+                        kind=edge,
+                        variables=(("span", span_id), ("plane", plane_id)),
+                        measurement=slot,
+                        information=np.array([[information]]),
+                    )
                 )
-            )
-        return node.id
+        node_id = self._take_id(f"_next_{layer}_id")
+        {"room": self.rooms, "corridor": self.corridors}[layer][node_id] = Node(span_ids)
+        return node_id
 
     def remove_corridor(self, corridor_id: int) -> None:
-        self.factors = [
-            f
-            for f in self.factors
-            if not (
-                f.kind is FactorKind.CORRIDOR_PLANE
-                and f.variables[0] == ("corridor", corridor_id)
-            )
-        ]
-        self.corridors.pop(corridor_id, None)
+        """Delete a corridor, its span and the span's edge factors."""
+        spans = self.corridors.pop(corridor_id).spans
+        gone = {("span", s) for s in spans}
+        self.factors = [f for f in self.factors if f.variables[0] not in gone]
+        for s in spans:
+            del self.spans[s]
 
     # -- factor evaluation -------------------------------------------------
 

@@ -15,12 +15,12 @@ import numpy as np
 from scipy.spatial.transform import Rotation
 
 from .factors import KINDS, Factor, FactorKind
-from .geometry import Pose3
+from .geometry import PlaneClass, Pose3
 from .graph import SGraph
 from .planes import PointCloud
 from .simulator import SimStep, WorldModel
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 # -- JSON codec -------------------------------------------------------------
@@ -253,23 +253,31 @@ def graph_to_dict(graph: SGraph) -> dict:
 
 
 def graph_from_dict(d: dict) -> SGraph:
-    """The graph a snapshot holds. A snapshot of another version, a factor
-    without a kind, on variables of the wrong kinds for its kind or on a
-    variable the snapshot lacks or with an information that is no positive
-    definite matrix of its kind's residual size, and a room or corridor
-    plane link without an edge factor on that plane in that slot raise
-    ValueError. A node may have edge factors beyond its plane links."""
+    """The graph a snapshot holds. These raise ValueError:
+    - a snapshot of another version;
+    - an id counter that is not above every id it has given;
+    - a factor without a kind, on variables of the wrong kinds for its
+      kind or on a variable the snapshot lacks, or with an information
+      that is no positive definite matrix of its kind's residual size;
+    - a room or corridor that names a missing span;
+    - a span along z, or a span wall without an edge factor on that plane
+      in its slot.
+    A span may have edge factors beyond its walls."""
     d = dict(d)
     version = d.pop("version", None)
     if version != SNAPSHOT_VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
     graph = from_json(SGraph, d)
-    held = {
-        "kf": graph.keyframes,
-        "plane": graph.planes,
-        "room": graph.rooms,
-        "corridor": graph.corridors,
+    held = {"kf": graph.keyframes, "plane": graph.planes, "span": graph.spans}
+    counted = {
+        "_next_plane_id": graph.planes,
+        "_next_span_id": graph.spans,
+        "_next_room_id": graph.rooms,
+        "_next_corridor_id": graph.corridors,
     }
+    for counter, ids in counted.items():
+        if ids and getattr(graph, counter) <= max(ids):
+            raise ValueError(f"{counter} {getattr(graph, counter)} is not above id {max(ids)}, which it gave")
     for f in graph.factors:
         for kind, vid in f.variables:
             if vid not in held.get(kind, ()):
@@ -283,19 +291,21 @@ def graph_from_dict(d: dict) -> SGraph:
                 f"{f.kind.value} factor on {f.variables}: information {info.tolist()} "
                 f"is not a positive definite {m}x{m} matrix"
             )
-    edges = {
-        (*f.variables, f.measurement)
-        for f in graph.factors
-        if f.kind in (FactorKind.ROOM_PLANE, FactorKind.CORRIDOR_PLANE)
-    }
-    for kind in ("room", "corridor"):
-        for node_id, node in held[kind].items():
-            for slot, plane_id in enumerate(node.plane_links):
-                if ((kind, node_id), ("plane", plane_id), slot) not in edges:
-                    raise ValueError(
-                        f"{kind} {node_id} links plane {plane_id} in slot {slot}, "
-                        "but the snapshot has no edge factor on it in that slot"
-                    )
+    for layer, nodes in (("room", graph.rooms), ("corridor", graph.corridors)):
+        for node_id, node in nodes.items():
+            missing = [s for s in node.spans if s not in graph.spans]
+            if missing:
+                raise ValueError(f"{layer} {node_id} names span {missing[0]}, not in the snapshot")
+    edges = {(*f.variables, f.measurement) for f in graph.factors if f.variables[0][0] == "span"}
+    for span_id, span in graph.spans.items():
+        if span.axis is PlaneClass.HORIZONTAL:
+            raise ValueError(f"span {span_id} is along z, not x or y")
+        for slot, plane_id in zip(span.wall_slots(), span.walls):
+            if (("span", span_id), ("plane", plane_id), slot) not in edges:
+                raise ValueError(
+                    f"span {span_id} links plane {plane_id} in slot {slot}, "
+                    "but the snapshot has no edge factor on it in that slot"
+                )
     return graph
 
 

@@ -53,7 +53,7 @@ class BatchedFactors:
 
     The gathered arrays (`_Values`) hold one row per variable, each kind
     in id order. The columns are the local coordinates of the keyframes,
-    then of the planes, rooms and corridors, in the same order. The first
+    then of the planes and the spans, in the same order. The first
     keyframe, row 0, is the gauge: H and g leave out its columns, the
     first six, so it is held fixed, and `dim` counts the rest. Build once
     per factor set; `values` gathers the graph's estimates, and the other
@@ -64,8 +64,7 @@ class BatchedFactors:
         self.ids = {
             "kf": sorted(graph.keyframes),
             "plane": sorted(graph.planes),
-            "room": sorted(graph.rooms),
-            "corridor": sorted(graph.corridors),
+            "span": sorted(graph.spans),
         }
         row: dict[VariableKey, int] = {}
         # columns of each variable's local coordinates, by kind and row
@@ -114,27 +113,21 @@ class BatchedFactors:
     def values(self, graph: SGraph) -> _Values:
         """The graph's current estimates, gathered into arrays."""
         poses = [graph.keyframes[k].pose for k in self.ids["kf"]]
-        rooms = [graph.rooms[r] for r in self.ids["room"]]
-        corridors = [graph.corridors[c] for c in self.ids["corridor"]]
-        axes = np.array([c.axis.index for c in corridors], dtype=int)
+        spans = [graph.spans[s] for s in self.ids["span"]]
         return _Values(
             rotations=np.array([p.rotation for p in poses]).reshape(-1, 3, 3),
             translations=np.array([p.translation for p in poses]).reshape(-1, 3),
             planes=np.array(
                 [graph.planes[p].params.as_array() for p in self.ids["plane"]]
             ).reshape(-1, 3),
-            rooms=np.array([[*r.center, *r.widths] for r in rooms], dtype=float).reshape(-1, 4),
-            corridors=np.array(
-                [[c.center[a], c.width] for c, a in zip(corridors, axes)], dtype=float
-            ).reshape(-1, 2),
-            corridor_axes=axes,
+            spans=np.array([[s.center, s.width] for s in spans], dtype=float).reshape(-1, 2),
         )
 
     def retract(self, v: _Values, delta: np.ndarray) -> _Values:
         """New values moved by `delta`, a step in the columns of H: poses by
         the right perturbation R <- R exp(dw), t <- t + R dt, plane normals
-        along great circles of the sphere, everything else additive. The
-        gauge keyframe stays put."""
+        along great circles of the sphere, spans additively. The gauge
+        keyframe stays put."""
         delta = np.concatenate([np.zeros(self._gauge), delta])
         step = delta[self.columns["kf"]]
         rotations = v.rotations @ rot_exp(step[:, 3:6])
@@ -146,8 +139,7 @@ class BatchedFactors:
             rotations=rotations,
             translations=translations,
             planes=_retract_planes(v.planes, delta[self.columns["plane"]]),
-            rooms=v.rooms + delta[self.columns["room"]],
-            corridors=v.corridors + delta[self.columns["corridor"]],
+            spans=v.spans + delta[self.columns["span"]],
         )
 
     def write(self, graph: SGraph, v: _Values) -> None:
@@ -156,15 +148,9 @@ class BatchedFactors:
             graph.keyframes[k].pose = Pose3(v.rotations[i].copy(), v.translations[i].copy())
         for i, p in enumerate(self.ids["plane"]):
             graph.planes[p].params = PlaneMinimal(*v.planes[i].tolist())
-        for i, r in enumerate(self.ids["room"]):
-            room = graph.rooms[r]
-            room.center, room.widths = v.rooms[i, :2].copy(), v.rooms[i, 2:].copy()
-        for i, c in enumerate(self.ids["corridor"]):
-            corr = graph.corridors[c]
-            # the cross-axis component of the center is not optimized
-            center = np.array(corr.center, dtype=float)
-            center[v.corridor_axes[i]] = v.corridors[i, 0]
-            corr.center, corr.width = center, float(v.corridors[i, 1])
+        for i, s in enumerate(self.ids["span"]):
+            span = graph.spans[s]
+            span.center, span.width = v.spans[i].tolist()
 
     def linearize(self, v: _Values, huber_delta: float, jacobians: bool = True):
         """The robust cost per layer (tracking, plane, room, corridor) at the

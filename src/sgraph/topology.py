@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PlaneClass, from_minimal, plane_axis_sign
-from .graph import CorridorNode, PlaneLandmark, RoomNode, SGraph
+from .graph import PlaneLandmark, SGraph, Span
 
 NEW_ROOM = -1
 
@@ -54,10 +54,10 @@ def _extents_similar(a: PlaneLandmark, b: PlaneLandmark, ratio_max: float) -> bo
 
 def _wall_pair(
     a: PlaneLandmark, b: PlaneLandmark, axis: PlaneClass, cfg: RoomCriterionConfig
-) -> tuple[PlaneLandmark, PlaneLandmark, float, float] | None:
-    """The two walls in order of signed distance along `axis`, with those
-    distances, or None unless they face each other, lie more than
-    `min_width` apart and have similar extents."""
+) -> Span | None:
+    """The span between two walls along `axis`, or None unless they face
+    each other, lie more than `min_width` apart and have similar extents.
+    The center is placed midway between the signed wall distances."""
     da, db = signed_distance(a, axis), signed_distance(b, axis)
     if da > db:
         a, b, da, db = b, a, db, da
@@ -65,70 +65,46 @@ def _wall_pair(
         return None
     if not _extents_similar(a, b, cfg.extent_ratio_max):
         return None
-    return a, b, da, db
+    width = db - da
+    return Span(axis, width / 2.0 + da, width, (a.id, b.id))
 
 
 def detect_room(
     x_planes: tuple[PlaneLandmark, PlaneLandmark],
     y_planes: tuple[PlaneLandmark, PlaneLandmark],
     cfg: RoomCriterionConfig,
-) -> RoomNode | None:
-    """Room test on a 2+2 wall candidate.
+) -> tuple[Span, Span] | None:
+    """Room test on a 2+2 wall candidate: its x span and its y span.
 
     Both pairs must pass `_wall_pair`, and each wall must span roughly the
-    perpendicular room width. The center is placed midway between the
-    signed wall distances.
+    perpendicular room width.
     """
-    x_pair = _wall_pair(*x_planes, PlaneClass.X_VERTICAL, cfg)
-    y_pair = _wall_pair(*y_planes, PlaneClass.Y_VERTICAL, cfg)
-    if x_pair is None or y_pair is None:
+    x_span = _wall_pair(*x_planes, PlaneClass.X_VERTICAL, cfg)
+    y_span = _wall_pair(*y_planes, PlaneClass.Y_VERTICAL, cfg)
+    if x_span is None or y_span is None:
         return None
-    x1, x2, dx1, dx2 = x_pair
-    y1, y2, dy1, dy2 = y_pair
-    wx = dx2 - dx1
-    wy = dy2 - dy1
-    for wall, span in ((x1, wy), (x2, wy), (y1, wx), (y2, wx)):
-        length = float(np.max(wall.extent))
-        if not (cfg.coverage_min * span <= length <= cfg.coverage_max * span):
-            return None
-    center = np.array([wx / 2.0 + dx1, wy / 2.0 + dy1])
-    return RoomNode(
-        id=-1,
-        center=center,
-        widths=np.array([wx, wy]),
-        plane_links=(x1.id, x2.id, y1.id, y2.id),
-    )
+    for walls, span in ((x_planes, y_span), (y_planes, x_span)):
+        for wall in walls:
+            length = float(np.max(wall.extent))
+            if not (cfg.coverage_min * span.width <= length <= cfg.coverage_max * span.width):
+                return None
+    return x_span, y_span
 
 
-def detect_corridor(
-    pair: tuple[PlaneLandmark, PlaneLandmark], cfg: RoomCriterionConfig
-) -> CorridorNode | None:
+def detect_corridor(pair: tuple[PlaneLandmark, PlaneLandmark], cfg: RoomCriterionConfig) -> Span | None:
     """Corridor test on a parallel wall pair of equal vertical class: the
     pair must pass `_wall_pair` and be at most `corridor_max_width` wide."""
     a, b = pair
-    if a.plane_class is not b.plane_class:
+    if a.plane_class is not b.plane_class or a.plane_class is PlaneClass.HORIZONTAL:
         return None
-    if a.plane_class is PlaneClass.HORIZONTAL:
+    span = _wall_pair(a, b, a.plane_class, cfg)
+    if span is None or span.width > cfg.corridor_max_width:
         return None
-    axis = a.plane_class
-    walls = _wall_pair(a, b, axis, cfg)
-    if walls is None:
-        return None
-    p1, p2, d1, d2 = walls
-    w = d2 - d1
-    if w > cfg.corridor_max_width:
-        return None
-    center_axis = w / 2.0 + d1
-    perp_idx = 1 - axis.index
-    perp = float((p1.centroid[perp_idx] + p2.centroid[perp_idx]) / 2.0)
-    center = np.zeros(2)
-    center[axis.index] = center_axis
-    center[perp_idx] = perp
-    return CorridorNode(id=-1, axis=axis, center=center, width=w, plane_links=(p1.id, p2.id))
+    return span
 
 
-def associate_room(graph: SGraph, candidate: RoomNode, cfg: RoomCriterionConfig) -> int:
-    """Match a candidate against mapped rooms by center distance.
+def associate_room(graph: SGraph, candidate: tuple[Span, Span], cfg: RoomCriterionConfig) -> int:
+    """Match a candidate's spans against mapped rooms by center distance.
 
     The gate scales with the room size: half the smaller width. Matching
     also requires agreeing widths so a differently-shaped candidate near
@@ -136,28 +112,29 @@ def associate_room(graph: SGraph, candidate: RoomNode, cfg: RoomCriterionConfig)
     """
     best_id = NEW_ROOM
     best_dist = math.inf
-    for room in graph.rooms.values():
-        gate = min(room.widths[0], room.widths[1]) / 2.0
-        dist = float(np.linalg.norm(room.center - candidate.center))
+    for room_id, room in graph.rooms.items():
+        spans = [graph.spans[s] for s in room.spans]
+        gate = min(s.width for s in spans) / 2.0
+        dist = float(np.linalg.norm([s.center - c.center for s, c in zip(spans, candidate)]))
         if dist >= gate or dist >= best_dist:
             continue
-        if np.any(np.abs(room.widths - candidate.widths) > cfg.width_match_tol):
+        if any(abs(s.width - c.width) > cfg.width_match_tol for s, c in zip(spans, candidate)):
             continue
         best_dist = dist
-        best_id = room.id
+        best_id = room_id
     return best_id
 
 
-def merge_candidate_into_room(graph: SGraph, room_id: int, candidate: RoomNode) -> int:
+def merge_candidate_into_room(graph: SGraph, room_id: int, candidate: tuple[Span, Span]) -> int:
     """Merge duplicated wall landmarks of a re-detected room.
 
     For each wall slot where the candidate references a different landmark
     than the mapped room, the candidate's landmark is folded into the
     mapped one. Returns the number of merges performed.
     """
-    room = graph.rooms[room_id]
     merges = 0
-    for keep_id, dup_id in zip(room.plane_links, candidate.plane_links):
+    dup_ids = [p for span in candidate for p in span.walls]
+    for keep_id, dup_id in zip(graph.node_walls(graph.rooms[room_id]), dup_ids):
         if keep_id != dup_id and dup_id in graph.planes and keep_id in graph.planes:
             graph.merge_planes(keep_id, dup_id)
             merges += 1
@@ -196,19 +173,18 @@ def update_topology(
             if match != NEW_ROOM:
                 stats["merges"] += merge_candidate_into_room(graph, match, candidate)
                 continue
-            walls = set(candidate.plane_links)
-            if any(walls.intersection(r.plane_links) for r in graph.rooms.values()):
+            walls = {p for span in candidate for p in span.walls}
+            if any(walls.intersection(graph.node_walls(r)) for r in graph.rooms.values()):
                 continue
             # upgrade corridors whose walls are claimed by this room
-            claimed = [c for c, k in graph.corridors.items() if walls.intersection(k.plane_links)]
+            claimed = [c for c, k in graph.corridors.items() if walls.intersection(graph.node_walls(k))]
             for cid in claimed:
                 graph.remove_corridor(cid)
             stats["upgrades"] += len(claimed)
-            graph.add_node(candidate, information)
+            graph.add_node("room", candidate, information)
             stats["rooms_added"] += 1
 
-    nodes = (*graph.rooms.values(), *graph.corridors.values())
-    linked = {p for node in nodes for p in node.plane_links}
+    linked = {p for span in graph.spans.values() for p in span.walls}
     for group in (x_planes, y_planes):
         for pair in itertools.combinations(group, 2):
             if pair[0].id in linked or pair[1].id in linked:
@@ -218,7 +194,7 @@ def update_topology(
             candidate = detect_corridor(pair, cfg)
             if candidate is None:
                 continue
-            graph.add_node(candidate, information)
-            linked.update(candidate.plane_links)
+            graph.add_node("corridor", (candidate,), information)
+            linked.update(candidate.walls)
             stats["corridors_added"] += 1
     return stats

@@ -210,48 +210,25 @@ def plane_axis_sign(plane: PlaneMinimal, cls: PlaneClass) -> float:
     return 1.0 if n[idx] >= 0.0 else -1.0
 
 
-def room_plane_residual(
-    center: np.ndarray, widths: np.ndarray, plane: PlaneMinimal, slot: int, sign: float
+def span_plane_residual(
+    center: float, width: float, plane: PlaneMinimal, slot: int, sign: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Room-plane edge residual plus Jacobians (room 1x4, plane 1x3).
+    """Span-plane edge residual plus Jacobians (span 1x2, plane 1x3).
 
     Slots: 0 low-x, 1 high-x, 2 low-y, 3 high-y. The plane enters through
-    its signed distance along the room axis, sign fixed by its normal.
+    its signed distance along the span's axis, sign fixed by its normal.
     """
     d_signed = sign * plane.distance
-    if slot == 0:
-        r = (center[0] - widths[0] / 2.0) - d_signed
-        Jr = np.array([1.0, 0.0, -0.5, 0.0])
-    elif slot == 1:
-        r = (center[0] + widths[0] / 2.0) - d_signed
-        Jr = np.array([1.0, 0.0, 0.5, 0.0])
-    elif slot == 2:
-        r = (center[1] - widths[1] / 2.0) - d_signed
-        Jr = np.array([0.0, 1.0, 0.0, -0.5])
-    elif slot == 3:
-        r = (center[1] + widths[1] / 2.0) - d_signed
-        Jr = np.array([0.0, 1.0, 0.0, 0.5])
+    if slot in (0, 2):
+        r = (center - width / 2.0) - d_signed
+        Js = np.array([1.0, -0.5])
+    elif slot in (1, 3):
+        r = (center + width / 2.0) - d_signed
+        Js = np.array([1.0, 0.5])
     else:
-        raise ValueError(f"invalid room slot {slot}")
+        raise ValueError(f"invalid edge slot {slot}")
     Jp = np.array([0.0, 0.0, -sign])
-    return float(r), Jr, Jp
-
-
-def corridor_plane_residual(
-    center_axis: float, width: float, plane: PlaneMinimal, slot: int, sign: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Corridor-plane edge residual plus Jacobians (corridor 1x2, plane 1x3)."""
-    d_signed = sign * plane.distance
-    if slot == 0:
-        r = (center_axis - width / 2.0) - d_signed
-        Jc = np.array([1.0, -0.5])
-    elif slot == 1:
-        r = (center_axis + width / 2.0) - d_signed
-        Jc = np.array([1.0, 0.5])
-    else:
-        raise ValueError(f"invalid corridor slot {slot}")
-    Jp = np.array([0.0, 0.0, -sign])
-    return float(r), Jc, Jp
+    return float(r), Js, Jp
 
 
 def associate_plane(
@@ -312,26 +289,13 @@ def evaluate_factor(
             factor.measurement,
         )
         return r, {kk: Jpose, kp: Jplane}
-    if kind is FactorKind.ROOM_PLANE:
-        kr, kp = factor.variables
-        room = graph.rooms[kr[1]]
+    if kind in (FactorKind.ROOM_PLANE, FactorKind.CORRIDOR_PLANE):
+        ks, kp = factor.variables
+        span = graph.spans[ks[1]]
         plane = graph.planes[kp[1]]
         slot = factor.measurement
         axis = PlaneClass.X_VERTICAL if slot < 2 else PlaneClass.Y_VERTICAL
         sign = plane_axis_sign(plane.params, axis)
-        r, Jr, Jp = room_plane_residual(
-            room.center, room.widths, plane.params, slot, sign
-        )
-        return np.array([r]), {kr: Jr.reshape(1, 4), kp: Jp.reshape(1, 3)}
-    if kind is FactorKind.CORRIDOR_PLANE:
-        kc, kp = factor.variables
-        corr = graph.corridors[kc[1]]
-        plane = graph.planes[kp[1]]
-        slot = factor.measurement
-        sign = plane_axis_sign(plane.params, corr.axis)
-        axis_idx = 0 if corr.axis is PlaneClass.X_VERTICAL else 1
-        r, Jc, Jp = corridor_plane_residual(
-            float(corr.center[axis_idx]), corr.width, plane.params, slot, sign
-        )
-        return np.array([r]), {kc: Jc.reshape(1, 2), kp: Jp.reshape(1, 3)}
+        r, Js, Jp = span_plane_residual(span.center, span.width, plane.params, slot, sign)
+        return np.array([r]), {ks: Js.reshape(1, 2), kp: Jp.reshape(1, 3)}
     raise ValueError(f"unknown factor kind {kind}")

@@ -13,7 +13,9 @@ from dataclasses import replace
 import numpy as np
 
 from sgraph.ablation import run_ablation
-from sgraph.geometry import PlaneMinimal, Pose3, rot_exp
+from sgraph.factors import FactorKind
+from sgraph.geometry import PlaneClass, PlaneMinimal, Pose3, rot_exp
+from sgraph.graph import Span
 from sgraph.io import graph_from_dict, graph_to_dict, read_tum, write_tum
 from sgraph.metrics import TrajectoryPair, ate, map_rmse
 from sgraph.pipeline import SlamConfig, run_slam
@@ -33,7 +35,7 @@ from sgraph.solver import SolverConfig, layer_costs, optimize
 from sgraph.topology import detect_corridor, detect_room
 
 from reference_factors import plane_retract, pose_retract
-from test_factors import corridor_plane, pose_between, pose_plane, room_plane
+from test_factors import pose_between, pose_plane, span_plane
 from test_io import sample_graph
 from test_topology import CFG as TOPO_CFG
 from test_topology import wall
@@ -119,50 +121,34 @@ def test_criterion_2_jacobian_correctness():
             rel_err(Jplane, fd(move_plane, 3)),
         )
 
-        # room-plane and corridor-plane edge residuals, on a wall facing
-        # along +axis or -axis of the slot (azimuth 0 or pi about it)
+        # room-plane and corridor-plane edge residuals of a span on either
+        # axis, on a wall facing along +axis or -axis of the slot (azimuth 0
+        # or pi about it), so on either side of the origin
         center = rng.normal(0, 3.0, 2)
         widths = rng.uniform(2.0, 7.0, 2)
         distance = rng.uniform(1.0, 6.0)
-        slot = int(rng.integers(0, 4))
-        facing = float(rng.choice([0.0, math.pi]))
-        room_wall = PlaneMinimal(facing + math.pi / 2 * (slot // 2), 0.0, distance)
-        _, Jr, Jp = room_plane(center, widths, room_wall, slot)
+        edges = (("room_plane", FactorKind.ROOM_PLANE), ("corridor_plane", FactorKind.CORRIDOR_PLANE))
+        for name, kind in edges:
+            slot = int(rng.integers(0, 4))
+            facing = float(rng.choice([0.0, math.pi]))
+            edge_wall = PlaneMinimal(facing + math.pi / 2 * (slot // 2), 0.0, distance)
+            c, w = center[slot // 2], widths[slot // 2]
+            _, Js, Jp = span_plane(c, w, edge_wall, slot, kind)
 
-        def move_room(d, slot=slot, room_wall=room_wall):
-            return room_plane(center + d[:2], widths + d[2:], room_wall, slot)[0]
+            def move_span(d, slot=slot, edge_wall=edge_wall, c=c, w=w, kind=kind):
+                return span_plane(c + d[0], w + d[1], edge_wall, slot, kind)[0]
 
-        def move_room_plane(d, slot=slot, room_wall=room_wall):
-            p = PlaneMinimal(
-                room_wall.azimuth + d[0], room_wall.elevation + d[1], room_wall.distance + d[2]
+            def move_edge_plane(d, slot=slot, edge_wall=edge_wall, c=c, w=w, kind=kind):
+                p = PlaneMinimal(
+                    edge_wall.azimuth + d[0], edge_wall.elevation + d[1], edge_wall.distance + d[2]
+                )
+                return span_plane(c, w, p, slot, kind)[0]
+
+            worst[name] = max(
+                worst[name],
+                rel_err(Js, fd(move_span, 2)),
+                rel_err(Jp, fd(move_edge_plane, 3)),
             )
-            return room_plane(center, widths, p, slot)[0]
-
-        worst["room_plane"] = max(
-            worst["room_plane"],
-            rel_err(Jr, fd(move_room, 4)),
-            rel_err(Jp, fd(move_room_plane, 3)),
-        )
-
-        # the corridor runs along x
-        cslot = int(rng.integers(0, 2))
-        wall_plane = PlaneMinimal(facing, 0.0, distance)
-        _, Jc, Jcp = corridor_plane(center[0], widths[0], wall_plane, cslot)
-
-        def move_corr(d, cslot=cslot, wall_plane=wall_plane):
-            return corridor_plane(center[0] + d[0], widths[0] + d[1], wall_plane, cslot)[0]
-
-        def move_corr_plane(d, cslot=cslot, wall_plane=wall_plane):
-            p = PlaneMinimal(
-                wall_plane.azimuth + d[0], wall_plane.elevation + d[1], wall_plane.distance + d[2]
-            )
-            return corridor_plane(center[0], widths[0], p, cslot)[0]
-
-        worst["corridor_plane"] = max(
-            worst["corridor_plane"],
-            rel_err(Jc, fd(move_corr, 2)),
-            rel_err(Jcp, fd(move_corr_plane, 3)),
-        )
 
     ok = all(v < 1e-5 for v in worst.values())
     detail = ", ".join(f"{k} {v:.1e}" for k, v in worst.items())
@@ -171,24 +157,26 @@ def test_criterion_2_jacobian_correctness():
 
 def test_criterion_3_topological_exactness():
     # worked example: x-walls at 1 and 5, y-walls at 2 and 4
-    room = detect_room(
+    x_span, y_span = detect_room(
         (wall(0, "x", 1.0), wall(1, "x", 5.0)),
         (wall(2, "y", 2.0), wall(3, "y", 4.0)),
         TOPO_CFG,
     )
-    center_ok = np.max(np.abs(room.center - [3.0, 3.0])) < 1e-12
-    widths_ok = np.max(np.abs(room.widths - [4.0, 2.0])) < 1e-12
+    center = np.array([x_span.center, y_span.center])
+    widths = np.array([x_span.width, y_span.width])
+    center_ok = np.max(np.abs(center - [3.0, 3.0])) < 1e-12
+    widths_ok = np.max(np.abs(widths - [4.0, 2.0])) < 1e-12
     # center identities: low room edge coincides with the low wall
     ident_ok = (
-        abs((room.center[0] - room.widths[0] / 2.0) - 1.0) < 1e-12
-        and abs((room.center[1] - room.widths[1] / 2.0) - 2.0) < 1e-12
+        abs((center[0] - widths[0] / 2.0) - 1.0) < 1e-12
+        and abs((center[1] - widths[1] / 2.0) - 2.0) < 1e-12
     )
     # residuals exactly zero at creation
-    (r_lo,), _, _ = room_plane(room.center, room.widths, PlaneMinimal(0.0, 0.0, 1.0), 0)
-    (r_hi,), _, _ = room_plane(room.center, room.widths, PlaneMinimal(0.0, 0.0, 5.0), 1)
+    (r_lo,), _, _ = span_plane(x_span.center, x_span.width, PlaneMinimal(0.0, 0.0, 1.0), 0)
+    (r_hi,), _, _ = span_plane(x_span.center, x_span.width, PlaneMinimal(0.0, 0.0, 5.0), 1)
     zero_ok = r_lo == 0.0 and r_hi == 0.0
     # perturbed high-x wall 5 -> 5.2 gives residual (3 + 2) - 5.2 = -0.2
-    (r_pert,), _, _ = room_plane(room.center, room.widths, PlaneMinimal(0.0, 0.0, 5.2), 1)
+    (r_pert,), _, _ = span_plane(x_span.center, x_span.width, PlaneMinimal(0.0, 0.0, 5.2), 1)
     pert_ok = abs(r_pert - (-0.2)) < 1e-12
 
     # corridor worked example: x-walls at 0 and 2 -> center 1, width 2
@@ -198,11 +186,12 @@ def test_criterion_3_topological_exactness():
     )
     corr_ok = (
         corr is not None
-        and abs(corr.center[0] - 1.0) < 1e-12
+        and abs(corr.center - 1.0) < 1e-12
         and abs(corr.width - 2.0) < 1e-12
     )
-    (rc0,), _, _ = corridor_plane(corr.center[0], corr.width, PlaneMinimal(0.0, 0.0, 0.0), 0)
-    (rc1,), _, _ = corridor_plane(corr.center[0], corr.width, PlaneMinimal(0.0, 0.0, 2.0), 1)
+    corridor = FactorKind.CORRIDOR_PLANE
+    (rc0,), _, _ = span_plane(corr.center, corr.width, PlaneMinimal(0.0, 0.0, 0.0), 0, corridor)
+    (rc1,), _, _ = span_plane(corr.center, corr.width, PlaneMinimal(0.0, 0.0, 2.0), 1, corridor)
     corr_zero_ok = rc0 == 0.0 and rc1 == 0.0
 
     ok = center_ok and widths_ok and ident_ok and zero_ok and pert_ok and corr_ok and corr_zero_ok
@@ -256,7 +245,7 @@ def test_criterion_5_soft_loop_closure():
     assert len(graph.rooms) >= 1 and sum(layer_costs(graph).values()) < 1e-10
 
     room = next(iter(graph.rooms.values()))
-    pid = room.plane_links[0]
+    pid = graph.node_walls(room)[0]
     lm = graph.planes[pid]
     d_true = lm.params.distance
     lm.params = PlaneMinimal(lm.params.azimuth, lm.params.elevation, d_true + 0.3)
@@ -400,7 +389,9 @@ def test_criterion_8_metric_sanity():
 
 
 def test_criterion_9_serialization_round_trip(tmp_path):
-    g = sample_graph()
+    g = sample_graph()  # a room and a corridor
+    removed = Span(PlaneClass.Y_VERTICAL, 0.5, 2.0, (1, 0))
+    g.remove_corridor(g.add_node("corridor", (removed,), 100.0))
     h = graph_from_dict(graph_to_dict(g))
     worst = 0.0
     for k in g.keyframes:
@@ -414,12 +405,17 @@ def test_criterion_9_serialization_round_trip(tmp_path):
             worst,
             float(np.max(np.abs(g.planes[k].params.as_array() - h.planes[k].params.as_array()))),
         )
-    for k in g.rooms:
-        worst = max(worst, float(np.max(np.abs(g.rooms[k].center - h.rooms[k].center))))
-        worst = max(worst, float(np.max(np.abs(g.rooms[k].widths - h.rooms[k].widths))))
-    topo_ok = len(g.factors) == len(h.factors) and all(
-        fa.kind is fb.kind and fa.variables == fb.variables and fa.robust == fb.robust
-        for fa, fb in zip(g.factors, h.factors)
+    for k in g.spans:
+        sa, sb = g.spans[k], h.spans[k]
+        worst = max(worst, abs(sa.center - sb.center), abs(sa.width - sb.width))
+    nodes = (g.rooms, g.corridors, g._next_span_id, g._next_corridor_id)
+    topo_ok = (
+        nodes == (h.rooms, h.corridors, h._next_span_id, h._next_corridor_id)
+        and len(g.factors) == len(h.factors)
+        and all(
+            fa.kind is fb.kind and fa.variables == fb.variables and fa.robust == fb.robust
+            for fa, fb in zip(g.factors, h.factors)
+        )
     )
 
     rng = np.random.default_rng(5)

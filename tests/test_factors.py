@@ -18,7 +18,7 @@ from sgraph.geometry import (
     to_minimal,
     transform_plane,
 )
-from sgraph.graph import CorridorNode, Keyframe, PlaneLandmark, RoomNode, SGraph
+from sgraph.graph import Keyframe, PlaneLandmark, SGraph, Span
 
 from reference_factors import evaluate_factor, plane_retract, pose_retract
 from test_io import sample_graph
@@ -62,20 +62,13 @@ def pose_plane(pose: Pose3, plane: PlaneMinimal, meas: PlaneMinimal):
     return _evaluate(g, FactorKind.POSE_PLANE, (("kf", 0), ("plane", 0)), meas, 3)
 
 
-def room_plane(center, widths, plane: PlaneMinimal, slot: int):
-    """Room-plane edge of a room's slot; the plane's normal gives its sign."""
-    center, widths = np.asarray(center, dtype=float), np.asarray(widths, dtype=float)
-    room = RoomNode(0, center, widths, (0, 0, 0, 0))
-    g = SGraph(planes={0: _landmark(plane)}, rooms={0: room})
-    return _evaluate(g, FactorKind.ROOM_PLANE, (("room", 0), ("plane", 0)), slot, 1)
-
-
-def corridor_plane(center_axis: float, width: float, plane: PlaneMinimal, slot: int):
-    """Corridor-plane edge of an x-axis corridor's slot; the plane's normal
-    gives its sign."""
-    corr = CorridorNode(0, PlaneClass.X_VERTICAL, np.array([center_axis, 0.0]), width, (0, 0))
-    g = SGraph(planes={0: _landmark(plane)}, corridors={0: corr})
-    return _evaluate(g, FactorKind.CORRIDOR_PLANE, (("corridor", 0), ("plane", 0)), slot, 1)
+def span_plane(center: float, width: float, plane: PlaneMinimal, slot: int, kind=FactorKind.ROOM_PLANE):
+    """Edge of a span's wall slot (0 low-x, 1 high-x, 2 low-y, 3 high-y),
+    as a room's edge or, with `kind` CORRIDOR_PLANE, a corridor's; the
+    plane's normal gives its sign."""
+    axis = PlaneClass.X_VERTICAL if slot < 2 else PlaneClass.Y_VERTICAL
+    g = SGraph(planes={0: _landmark(plane)}, spans={0: Span(axis, float(center), float(width), (0, 0))})
+    return _evaluate(g, kind, (("span", 0), ("plane", 0)), slot, 1)
 
 
 class TestOdometryResidual:
@@ -124,28 +117,34 @@ class TestPlaneResidual:
 
 
 class TestRoomCorridorResidual:
+    """Edges of the room with x span (3, 4) and y span (3, 2), and of the
+    corridor with x span (1, 2)."""
+
     def test_room_consistent(self):
-        r, _, _ = room_plane(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0, 0, 1.0), 0)
+        r, _, _ = span_plane(3.0, 4.0, PlaneMinimal(0, 0, 1.0), 0)
         assert r == pytest.approx(0.0)
 
     def test_room_perturbed(self):
-        r, _, _ = room_plane(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0, 0, 5.2), 1)
+        r, _, _ = span_plane(3.0, 4.0, PlaneMinimal(0, 0, 5.2), 1)
         assert r == pytest.approx(-0.2)
 
     def test_corridor_consistent(self):
-        r, _, _ = corridor_plane(1.0, 2.0, PlaneMinimal(0, 0, 0.0), 0)
+        r, _, _ = span_plane(1.0, 2.0, PlaneMinimal(0, 0, 0.0), 0, FactorKind.CORRIDOR_PLANE)
         assert r == pytest.approx(0.0)
 
     def test_corridor_perturbed(self):
-        r, _, _ = corridor_plane(1.0, 2.0, PlaneMinimal(0, 0, 2.3), 1)
+        r, _, _ = span_plane(1.0, 2.0, PlaneMinimal(0, 0, 2.3), 1, FactorKind.CORRIDOR_PLANE)
         assert r == pytest.approx(-0.3)
 
     def test_room_jacobian_pattern(self):
-        _, Jr, Jp = room_plane(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0, 0, 1.0), 0)
-        assert np.allclose(Jr, [1, 0, -0.5, 0])
+        _, Js, Jp = span_plane(3.0, 4.0, PlaneMinimal(0, 0, 1.0), 0)
+        assert np.allclose(Js, [1, -0.5])
         assert np.allclose(Jp, [0, 0, -1])
-        _, Jr, Jp = room_plane(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0, 0, 5.0), 1)
-        assert np.allclose(Jr, [1, 0, 0.5, 0])
+        _, Js, Jp = span_plane(3.0, 4.0, PlaneMinimal(0, 0, 5.0), 1)
+        assert np.allclose(Js, [1, 0.5])
+        _, Js, Jp = span_plane(3.0, 2.0, PlaneMinimal(-math.pi / 2, 0, 2.0), 2)
+        assert np.allclose(Js, [1, -0.5])
+        assert np.allclose(Jp, [0, 0, 1])
 
 
 class TestEvaluateFactor:
@@ -258,40 +257,29 @@ class TestJacobiansAgainstFiniteDifferences:
             check_jacobian(Jpose, fd_jacobian(fpose, None, 6))
             check_jacobian(Jplane, fd_jacobian(fplane, None, 3))
 
-    def test_room_plane_jacobians(self):
-        rng = np.random.default_rng(44)
-        for _ in range(100):
-            center = rng.normal(0, 5, 2)
-            widths = rng.uniform(1, 8, 2)
-            plane = PlaneMinimal(rng.uniform(-3, 3), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 10))
-            slot = int(rng.integers(0, 4))
-            _, Jr, Jp = room_plane(center, widths, plane, slot)
-
-            def fr(d):
-                return room_plane(center + d[0:2], widths + d[2:4], plane, slot)[0]
-
-            def fp(d):
-                p = PlaneMinimal(plane.azimuth + d[0], plane.elevation + d[1], plane.distance + d[2])
-                return room_plane(center, widths, p, slot)[0]
-
-            check_jacobian(Jr, fd_jacobian(fr, None, 4))
-            check_jacobian(Jp, fd_jacobian(fp, None, 3))
-
-    def test_corridor_plane_jacobians(self):
-        rng = np.random.default_rng(45)
+    @staticmethod
+    def check_span_plane_jacobians(kind, seed):
+        """Random span edges on both axes, walls on both sides of the origin."""
+        rng = np.random.default_rng(seed)
         for _ in range(100):
             center = float(rng.normal(0, 5))
-            width = float(rng.uniform(1, 4))
+            width = float(rng.uniform(1, 8))
             plane = PlaneMinimal(rng.uniform(-3, 3), rng.uniform(-0.3, 0.3), rng.uniform(0.5, 10))
-            slot = int(rng.integers(0, 2))
-            _, Jc, Jp = corridor_plane(center, width, plane, slot)
+            slot = int(rng.integers(0, 4))
+            _, Js, Jp = span_plane(center, width, plane, slot, kind)
 
-            def fc(d):
-                return corridor_plane(center + d[0], width + d[1], plane, slot)[0]
+            def fs(d):
+                return span_plane(center + d[0], width + d[1], plane, slot, kind)[0]
 
             def fp(d):
                 p = PlaneMinimal(plane.azimuth + d[0], plane.elevation + d[1], plane.distance + d[2])
-                return corridor_plane(center, width, p, slot)[0]
+                return span_plane(center, width, p, slot, kind)[0]
 
-            check_jacobian(Jc, fd_jacobian(fc, None, 2))
+            check_jacobian(Js, fd_jacobian(fs, None, 2))
             check_jacobian(Jp, fd_jacobian(fp, None, 3))
+
+    def test_room_plane_jacobians(self):
+        self.check_span_plane_jacobians(FactorKind.ROOM_PLANE, 44)
+
+    def test_corridor_plane_jacobians(self):
+        self.check_span_plane_jacobians(FactorKind.CORRIDOR_PLANE, 45)

@@ -25,7 +25,7 @@ LIBRARY = (dict, list, tuple, set, str, bytes, int, float, io.TextIOWrapper, np.
 # the call site that uses it: a file of USERS and a text of that file. An
 # attribute read of the name alone could be of the other binding.
 CALL_SITES = {
-    "geometry:PlaneClass.index": ("sgraph/topology.py", "center[axis.index]"),
+    "geometry:PlaneClass.index": ("sgraph/graph.py", "2 * self.axis.index"),
     "geometry:Pose3.identity": ("sgraph/graph.py", "0, Pose3.identity(), np.zeros((6, 6))"),
     "geometry:Pose3.log": ("sgraph/graph.py", "rel.log()[3:6]"),
     "graph:SGraph.evaluate_factor": ("perfbench/tracing.py", "evaluate = SGraph.evaluate_factor"),

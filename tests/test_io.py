@@ -10,7 +10,7 @@ import pytest
 
 from sgraph.factors import Factor, FactorKind
 from sgraph.geometry import PlaneClass, PlaneMinimal, Pose3, rot_exp
-from sgraph.graph import CorridorNode, Keyframe, PlaneLandmark, RoomNode, SGraph
+from sgraph.graph import Keyframe, Node, PlaneLandmark, SGraph, Span
 from sgraph.io import (
     SNAPSHOT_VERSION,
     from_json,
@@ -75,19 +75,14 @@ def sample_graph():
         centroid=np.array([0.1, 1.5, 1.2]),
         side=1.0,
     )
-    g.rooms[0] = RoomNode(
-        id=0,
-        center=np.array([1.0, 2.0]),
-        widths=np.array([4.0, 3.0]),
-        plane_links=(0, 1, 0, 1),
-    )
-    g.corridors[0] = CorridorNode(
-        id=0,
-        axis=PlaneClass.X_VERTICAL,
-        center=np.array([1.0, 5.0]),
-        width=2.0,
-        plane_links=(0, 1),
-    )
+    # room 0 is spans 0 (x) and 1 (y), corridor 0 is span 2
+    g.spans = {
+        0: Span(PlaneClass.X_VERTICAL, 1.0, 4.0, (0, 1)),
+        1: Span(PlaneClass.Y_VERTICAL, 2.0, 3.0, (0, 1)),
+        2: Span(PlaneClass.X_VERTICAL, 1.0, 2.0, (0, 1)),
+    }
+    g.rooms[0] = Node((0, 1))
+    g.corridors[0] = Node((2,))
     g.factors = [
         Factor(
             kind=FactorKind.ODOMETRY,
@@ -111,23 +106,24 @@ def sample_graph():
         ),
         Factor(
             kind=FactorKind.ROOM_PLANE,
-            variables=(("room", 0), ("plane", 0)),
+            variables=(("span", 0), ("plane", 0)),
             measurement=0,
             information=np.array([[100.0]]),
         ),
         Factor(
             kind=FactorKind.CORRIDOR_PLANE,
-            variables=(("corridor", 0), ("plane", 1)),
+            variables=(("span", 2), ("plane", 1)),
             measurement=1,
             information=np.array([[100.0]]),
         ),
     ]
-    # the edge factors of the other wall slots: every plane link has its own
+    # the edge factors of the other wall slots: every span wall has its own
     g.factors += [
-        Factor(FactorKind.ROOM_PLANE, (("room", 0), ("plane", p)), slot, np.array([[100.0]]))
-        for slot, p in ((1, 1), (2, 0), (3, 1))
-    ] + [Factor(FactorKind.CORRIDOR_PLANE, (("corridor", 0), ("plane", 0)), 0, np.array([[100.0]]))]
+        Factor(FactorKind.ROOM_PLANE, (("span", span), ("plane", p)), slot, np.array([[100.0]]))
+        for span, slot, p in ((0, 1, 1), (1, 2, 0), (1, 3, 1))
+    ] + [Factor(FactorKind.CORRIDOR_PLANE, (("span", 2), ("plane", 0)), 0, np.array([[100.0]]))]
     g._next_plane_id = 2
+    g._next_span_id = 3
     g._next_room_id = 1
     g._next_corridor_id = 1
     return g
@@ -158,14 +154,9 @@ class TestGraphRoundTrip:
             assert np.array_equal(pb.extent, pa.extent)
             assert np.array_equal(pb.centroid, pa.centroid)
             assert pb.observation_count == pa.observation_count
-        for k in g.rooms:
-            assert np.array_equal(h.rooms[k].center, g.rooms[k].center)
-            assert np.array_equal(h.rooms[k].widths, g.rooms[k].widths)
-            assert h.rooms[k].plane_links == g.rooms[k].plane_links
-        for k in g.corridors:
-            assert h.corridors[k].width == g.corridors[k].width
-            assert h.corridors[k].axis is g.corridors[k].axis
-            assert np.array_equal(h.corridors[k].center, g.corridors[k].center)
+        assert h.spans == g.spans
+        assert h.spans[1].axis is PlaneClass.Y_VERTICAL
+        assert h.rooms == g.rooms and h.corridors == g.corridors
 
     def test_factor_topology_identical(self, tmp_path):
         g = sample_graph()
@@ -202,6 +193,7 @@ class TestGraphRoundTrip:
         save_graph(path, g)
         h = load_graph(path)
         assert h._next_plane_id == 2
+        assert h._next_span_id == 3
         assert h._next_room_id == 1
         assert h._next_corridor_id == 1
 
@@ -247,13 +239,23 @@ class TestExactSnapshot:
         path = tmp_path / "graph.json"
         save_graph(path, g)
         h = load_graph(path)
-        node = CorridorNode(-1, PlaneClass.X_VERTICAL, np.array([1.0, 5.0]), 2.0, (0, 1))
-        assert h.add_node(node, 100.0) == g.add_node(replace(node), 100.0) == 1
+        span = Span(PlaneClass.X_VERTICAL, 1.0, 2.0, (0, 1))
+        assert h.add_node("corridor", (span,), 100.0) == g.add_node("corridor", (replace(span),), 100.0) == 1
+        assert h.corridors[1].spans == g.corridors[1].spans == (3,)
+
+    @pytest.mark.parametrize("counter", ["_next_plane_id", "_next_span_id", "_next_room_id", "_next_corridor_id"])
+    def test_id_counter_not_above_its_ids_rejected(self, counter):
+        # a counter at an id it gave would hand that id out again, and the
+        # new variable would replace the old one under its factors
+        d = graph_to_dict(sample_graph())
+        d[counter] = 0
+        with pytest.raises(ValueError, match=counter):
+            graph_from_dict(d)
 
     def test_only_the_current_version_is_read(self):
         d = graph_to_dict(sample_graph())
-        assert d["version"] == SNAPSHOT_VERSION == 3
-        for version in (1, 2, None):
+        assert d["version"] == SNAPSHOT_VERSION == 4
+        for version in (1, 2, 3, None):
             with pytest.raises(ValueError, match="unsupported snapshot version"):
                 graph_from_dict(dict(d, version=version))
 
@@ -280,7 +282,7 @@ class TestExactSnapshot:
 
     @pytest.mark.parametrize(
         "index, variables",
-        [(2, [["room", 0], ["plane", 0]]), (3, [["plane", 0], ["room", 0]]), (0, [["kf", 0], ["plane", 0]])],
+        [(2, [["span", 0], ["plane", 0]]), (3, [["plane", 0], ["span", 0]]), (0, [["kf", 0], ["plane", 0]])],
         ids=["pose_plane-on-a-room", "room_plane-reversed", "odometry-on-a-plane"],
     )
     def test_factor_on_variables_of_the_wrong_kinds_rejected(self, index, variables):
@@ -303,19 +305,39 @@ class TestExactSnapshot:
             graph_from_dict(d)
 
     @pytest.mark.parametrize(
-        "node, links",
-        [("rooms", [0, 1, 0, 999]), ("rooms", [1, 0, 0, 1]), ("corridors", [1, 0])],
-        ids=["room-link-to-a-missing-plane", "room-x-links-swapped", "corridor-links-swapped"],
+        "mutate, message",
+        [
+            (lambda d: d["spans"]["1"].update(walls=[0, 999]), "span 1 links plane 999 in slot 3"),
+            (lambda d: d["spans"]["0"].update(walls=[1, 0]), "span 0 links plane 1 in slot 0"),
+            (lambda d: d["spans"]["2"].update(walls=[1, 0]), "span 2 links plane 1 in slot 0"),
+            (lambda d: d["spans"]["2"].update(axis="y"), "span 2 links plane 0 in slot 2"),
+            (lambda d: d["spans"]["2"].update(axis="h"), "span 2 is along z"),
+            (lambda d: d["factors"].pop(3), "span 0 links plane 0 in slot 0"),
+            (lambda d: d["factors"].pop(4), "span 2 links plane 1 in slot 1"),
+            (lambda d: d["rooms"]["0"].update(spans=[0, 7]), "room 0 names span 7"),
+            (lambda d: d["corridors"]["0"].update(spans=[3]), "corridor 0 names span 3"),
+        ],
+        ids=[
+            "room-link-to-a-missing-plane",
+            "room-x-links-swapped",
+            "corridor-links-swapped",
+            "corridor-axis-without-its-slots",
+            "corridor-along-z",
+            "span-without-its-low-edge",
+            "span-without-its-high-edge",
+            "room-names-a-missing-span",
+            "corridor-names-a-missing-span",
+        ],
     )
-    def test_plane_link_without_its_edge_factor_rejected(self, node, links):
+    def test_plane_link_without_its_edge_factor_rejected(self, mutate, message):
         d = graph_to_dict(sample_graph())
-        d[node]["0"]["plane_links"] = links
-        with pytest.raises(ValueError, match=f"{node[:-1]} 0 links plane"):
+        mutate(d)
+        with pytest.raises(ValueError, match=message):
             graph_from_dict(d)
 
     def test_edge_factor_beyond_the_plane_links_accepted(self):
         g = sample_graph()
-        g.factors.append(Factor(FactorKind.ROOM_PLANE, (("room", 0), ("plane", 1)), 0, np.array([[1.0]])))
+        g.factors.append(Factor(FactorKind.ROOM_PLANE, (("span", 0), ("plane", 1)), 0, np.array([[1.0]])))
         assert len(graph_from_dict(graph_to_dict(g)).factors) == len(g.factors)
 
 

@@ -8,6 +8,8 @@ from it.
 """
 
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sgraph.factors import KINDS, LOCAL_DIM, Factor, FactorKind
 from sgraph.geometry import PlaneClass, PlaneMinimal, Pose3, from_minimal, rot_exp, wrap_angle
-from sgraph.graph import CorridorNode, Keyframe, PlaneLandmark, RoomNode, SGraph
+from sgraph.graph import Keyframe, PlaneLandmark, SGraph, Span
 from sgraph.linearize import BatchedFactors
+from sgraph.solver import layer_costs
 
 from reference_factors import (
     evaluate_factor,
@@ -27,6 +30,9 @@ from reference_factors import (
 )
 from test_io import sample_graph
 from test_solver import variable_state
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from tracing import _graph_dim  # noqa: E402 - needs perfbench/ on the import path
 
 TOL = 1e-9
 PLANE_INFO = np.diag([2500.0, 2500.0, 2500.0])
@@ -135,6 +141,15 @@ def assert_normal_equations_match(graph, huber_delta=1.0):
     np.testing.assert_array_equal(H, H.T)
 
 
+def add_nodes(g):
+    """A room on planes 0-3, an x corridor on planes 4 and 5 and a y
+    corridor on planes 7 and 6: spans 0 and 1, 2 and 3."""
+    x, y = PlaneClass.X_VERTICAL, PlaneClass.Y_VERTICAL
+    g.add_node("room", (Span(x, 0.95, 4.1, (0, 1)), Span(y, 0.05, 2.9, (2, 3))), 100.0)
+    g.add_node("corridor", (Span(x, 7.0, 2.2, (4, 5)),), 100.0)
+    g.add_node("corridor", (Span(y, 2.5, 4.8, (7, 6)),), 100.0)
+
+
 def tilted(roll, pitch, t=(0.3, -0.4, 1.1)):
     return Pose3(rot_exp(np.array([roll, pitch, 0.0])), np.array(t))
 
@@ -146,6 +161,23 @@ def test_every_factor_kind_is_in_kinds():
         for b in FactorKind:
             if KINDS[a].layer == KINDS[b].layer:
                 assert KINDS[a] is KINDS[b]
+
+
+def test_perfbench_dimension_and_layers():
+    # perfbench counts the columns of the solve by node and reads the cost
+    # of each layer by name
+    g = SGraph()
+    add_kf(g, 0, Pose3.identity())
+    add_kf(g, 1, Pose3.from_xyz_yaw(1.0, 0.0, 0.0, 0.1))
+    for pid in range(8):
+        add_plane(g, pid, 0.0, 0.0, 1.0 + pid)
+    add_nodes(g)
+    x, y = PlaneClass.X_VERTICAL, PlaneClass.Y_VERTICAL
+    g.add_node("room", (Span(x, 1.0, 3.0, (0, 1)), Span(y, 0.0, 3.0, (2, 3))), 100.0)
+    g.remove_corridor(0)
+    assert (len(g.rooms), len(g.corridors), len(g.spans)) == (2, 1, 5)
+    assert _graph_dim(g) == BatchedFactors(g).dim == 6 + 3 * 8 + 2 * 5
+    assert set(layer_costs(g)) == {"tracking", "plane", "room", "corridor"}
 
 
 class TestResidualsAndJacobians:
@@ -242,14 +274,10 @@ class TestResidualsAndJacobians:
         add_plane(g, 5, 0.0, 0.01, 8.1)
         add_plane(g, 6, math.pi / 2 - 0.01, 0.0, 5.0, cls=PlaneClass.Y_VERTICAL)
         add_plane(g, 7, -math.pi / 2, 0.0, 0.1, cls=PlaneClass.Y_VERTICAL)
-        g.add_node(RoomNode(0, np.array([0.95, 0.05]), np.array([4.1, 2.9]), (0, 1, 2, 3)), 100.0)
-        g.add_node(CorridorNode(0, PlaneClass.X_VERTICAL, np.array([7.0, 0.3]), 2.2, (4, 5)),
-                       100.0)
-        g.add_node(CorridorNode(0, PlaneClass.Y_VERTICAL, np.array([-3.0, 2.5]), 4.8, (7, 6)),
-                       100.0)
+        add_nodes(g)
         slots = {(f.kind, f.measurement) for f in g.factors}
         assert {s for k, s in slots if k is FactorKind.ROOM_PLANE} == {0, 1, 2, 3}
-        assert {s for k, s in slots if k is FactorKind.CORRIDOR_PLANE} == {0, 1}
+        assert {s for k, s in slots if k is FactorKind.CORRIDOR_PLANE} == {0, 1, 2, 3}
         assert_matches_reference(g)
         assert_normal_equations_match(g)
 
@@ -257,8 +285,8 @@ class TestResidualsAndJacobians:
         g = SGraph()
         add_kf(g, 0, Pose3.identity())
         add_plane(g, 0, 0.0, 0.0, 1.0)
-        g.rooms[0] = RoomNode(0, np.zeros(2), np.ones(2), (0, 0, 0, 0))
-        g.factors.append(Factor(FactorKind.ROOM_PLANE, (("room", 0), ("plane", 0)), 4,
+        g.spans[0] = Span(PlaneClass.X_VERTICAL, 0.0, 1.0, (0, 0))
+        g.factors.append(Factor(FactorKind.ROOM_PLANE, (("span", 0), ("plane", 0)), 4,
                                 np.array([[100.0]])))
         with pytest.raises(ValueError):
             BatchedFactors(g)
@@ -311,15 +339,15 @@ class TestNormalEquations:
         bf = BatchedFactors(g)
         # the gauge keyframe has the first six columns of the layout
         np.testing.assert_array_equal(bf.columns["kf"][0], np.arange(6))
-        assert bf.dim == 6 * 2 + 3 * 2 + 4 + 2
-        # then keyframes by id, planes, rooms and corridors, packed
+        assert bf.dim == 6 * 2 + 3 * 2 + 2 * 3
+        # then keyframes by id, planes and spans, packed
         layout = np.concatenate([cols.ravel() for cols in bf.columns.values()])
         np.testing.assert_array_equal(layout, np.arange(6 + bf.dim))
         for kind, cols in bf.columns.items():
             np.testing.assert_array_equal(cols, cols[:, :1] + np.arange(LOCAL_DIM[kind]))
         # H and g have the columns after the gauge's
         assert first_columns(bf) == {("kf", 1): 0, ("kf", 2): 6, ("plane", 0): 12,
-                                     ("plane", 1): 15, ("room", 0): 18, ("corridor", 0): 22}
+                                     ("plane", 1): 15, ("span", 0): 18, ("span", 1): 20, ("span", 2): 22}
         _, H, grad = bf.linearize(bf.values(g), 1.0)
         assert H.shape == (bf.dim, bf.dim) and grad.shape == (bf.dim,)
 
@@ -423,27 +451,20 @@ class TestRetractAndWrite:
                 turned = math.acos(min(1.0, float(n @ before)))
                 assert turned == pytest.approx(math.hypot(d[0], d[1]), rel=1e-6, abs=1e-7)
 
-    def test_corridor_cross_axis_center_untouched_on_both_axes(self):
+    def test_spans_step_additively_on_both_axes(self):
         g = SGraph()
         add_kf(g, 0, Pose3.identity())
-        g.add_node(RoomNode(0, np.array([0.95, 0.05]), np.array([4.1, 2.9]), (0, 1, 2, 3)), 100.0)
-        g.add_node(CorridorNode(0, PlaneClass.X_VERTICAL, np.array([7.0, 0.3]), 2.2, (4, 5)),
-                       100.0)
-        g.add_node(CorridorNode(0, PlaneClass.Y_VERTICAL, np.array([-3.0, 2.5]), 4.8, (7, 6)),
-                       100.0)
+        add_nodes(g)
         for pid in range(8):
             add_plane(g, pid, 0.0, 0.0, 1.0 + pid)
         bf, offsets, v = self.solve_setup(g)
         delta = np.random.default_rng(2).normal(0, 0.1, bf.dim)
         bf.write(g, bf.retract(v, delta))
-        room = delta[offsets[("room", 0)] :][:4]
-        assert g.rooms[0].center.tolist() == [0.95 + room[0], 0.05 + room[1]]
-        assert g.rooms[0].widths.tolist() == [4.1 + room[2], 2.9 + room[3]]
-        x, y = (delta[offsets[("corridor", c)] :][:2] for c in (0, 1))
-        assert g.corridors[0].center.tolist() == [7.0 + x[0], 0.3]
-        assert g.corridors[0].width == 2.2 + x[1]
-        assert g.corridors[1].center.tolist() == [-3.0, 2.5 + y[0]]
-        assert g.corridors[1].width == 4.8 + y[1]
+        before = [(0.95, 4.1), (0.05, 2.9), (7.0, 2.2), (2.5, 4.8)]
+        assert [g.spans[s].axis.index for s in range(4)] == [0, 1, 0, 1]
+        for s, (center, width) in enumerate(before):
+            step = delta[offsets[("span", s)] :][:2]
+            assert (g.spans[s].center, g.spans[s].width) == (center + step[0], width + step[1])
 
     def test_write_of_gathered_values_changes_nothing(self):
         g = sample_graph()

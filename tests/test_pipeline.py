@@ -51,11 +51,12 @@ class TestRunSlam:
         assert len(result.graph.planes) >= 4
         assert len(result.graph.rooms) == 1
         room = next(iter(result.graph.rooms.values()))
+        spans = [result.graph.spans[s] for s in room.spans]
         # the map frame is anchored at the first pose, so the room center
         # sits at world center (0,0) minus the start position
         start_xy = steps[0].gt_pose.translation[:2]
-        assert np.allclose(room.center, -start_xy, atol=0.05)
-        assert np.allclose(room.widths, [8.0, 6.0], atol=0.1)
+        assert np.allclose([s.center for s in spans], -start_xy, atol=0.05)
+        assert np.allclose([s.width for s in spans], [8.0, 6.0], atol=0.1)
 
     def test_topology_flag_isolated(self):
         _, steps = run_steps()

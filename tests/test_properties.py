@@ -5,6 +5,7 @@ import math
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from sgraph.factors import FactorKind
 from sgraph.geometry import (
     PlaneHessian,
     Pose3,
@@ -15,7 +16,7 @@ from sgraph.geometry import (
 from sgraph.metrics import TrajectoryPair, ate
 from sgraph.topology import detect_corridor, detect_room
 
-from test_factors import corridor_plane, pose_between, room_plane
+from test_factors import pose_between, span_plane
 from test_topology import CFG as TOPO_CFG
 from test_topology import wall
 
@@ -80,15 +81,17 @@ def test_room_center_identities_and_zero_residuals(data):
     x_pair, y_pair, (dx1, dx2, dy1, dy2) = data
     room = detect_room(x_pair, y_pair, TOPO_CFG)
     assert room is not None
+    x, y = room
     # center identities: low room edge sits on the low wall of each axis
-    assert abs((room.center[0] - room.widths[0] / 2.0) - dx1) < 1e-12
-    assert abs((room.center[1] - room.widths[1] / 2.0) - dy1) < 1e-12
-    assert abs((room.center[0] + room.widths[0] / 2.0) - dx2) < 1e-12
-    assert abs((room.center[1] + room.widths[1] / 2.0) - dy2) < 1e-12
+    assert abs((x.center - x.width / 2.0) - dx1) < 1e-12
+    assert abs((y.center - y.width / 2.0) - dy1) < 1e-12
+    assert abs((x.center + x.width / 2.0) - dx2) < 1e-12
+    assert abs((y.center + y.width / 2.0) - dy2) < 1e-12
     # residuals exactly zero for the creating observation
     for slot in range(4):
         plane = x_pair[slot] if slot < 2 else y_pair[slot - 2]
-        r, _, _ = room_plane(room.center, room.widths, plane.params, slot)
+        span = room[slot // 2]
+        r, _, _ = span_plane(span.center, span.width, plane.params, slot)
         assert abs(r[0]) < 1e-12
 
 
@@ -99,9 +102,9 @@ def test_corridor_center_identity_and_zero_residuals(d1, width):
     a, b = wall(0, "x", d1, observer=obs), wall(1, "x", d2, observer=obs)
     corr = detect_corridor((a, b), TOPO_CFG)
     assert corr is not None
-    assert abs((corr.center[0] - corr.width / 2.0) - d1) < 1e-12
+    assert abs((corr.center - corr.width / 2.0) - d1) < 1e-12
     for slot, plane in enumerate((a, b)):
-        r, _, _ = corridor_plane(corr.center[0], corr.width, plane.params, slot)
+        r, _, _ = span_plane(corr.center, corr.width, plane.params, slot, FactorKind.CORRIDOR_PLANE)
         assert abs(r[0]) < 1e-12
 
 

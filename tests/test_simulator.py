@@ -238,7 +238,7 @@ class TestAnnotationsSatisfyDetection:
                         side=side,
                     )
                 )
-            node = detect_room((walls[0], walls[1]), (walls[2], walls[3]), cfg)
-            assert node is not None
-            assert np.allclose(node.center, room.center, atol=1e-12)
-            assert np.allclose(node.widths, room.widths, atol=1e-12)
+            spans = detect_room((walls[0], walls[1]), (walls[2], walls[3]), cfg)
+            assert spans is not None
+            assert np.allclose([s.center for s in spans], room.center, atol=1e-12)
+            assert np.allclose([s.width for s in spans], room.widths, atol=1e-12)

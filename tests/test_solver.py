@@ -190,8 +190,7 @@ def variable_state(g):
         {k: (kf.pose.rotation.tobytes(), kf.pose.translation.tobytes())
          for k, kf in g.keyframes.items()},
         {k: lm.params for k, lm in g.planes.items()},
-        {k: (r.center.tobytes(), r.widths.tobytes()) for k, r in g.rooms.items()},
-        {k: (c.center.tobytes(), c.width) for k, c in g.corridors.items()},
+        {k: np.array([s.center, s.width]).tobytes() for k, s in g.spans.items()},
     )
 
 

@@ -29,8 +29,8 @@ use_program_source()
 from workloads import WORKLOADS  # noqa: E402
 
 RECORDED = {
-    "rooms4-online": "eb98bc397939005f16b976a654d8ab5a191d451ce95bcc828439c66944844c0e",
-    "square-loop": "258190816b60600324937cb43ad91ea88be606df461600f202802da49d8c89d5",
+    "rooms4-online": "7964a6a933325c12502a10f2fb45023f5531a214a12e5e3fa75f3451775440f2",
+    "square-loop": "52727dea23abaabdaeb5b00e25f44b8fb6ccdaaf84eb6bb0191b69e3af2c4c2e",
 }
 
 

@@ -18,7 +18,7 @@ from sgraph.topology import (
     update_topology,
 )
 
-from test_factors import corridor_plane, room_plane
+from test_factors import span_plane
 
 CFG = RoomCriterionConfig(
     min_width=0.5, extent_ratio_max=3.0, coverage_min=0.0, coverage_max=100.0
@@ -56,6 +56,18 @@ def wall(lm_id, axis, signed_d, length=4.0, observer=(3.0, 3.0), flip_side=False
     )
 
 
+def center(spans):
+    return np.array([s.center for s in spans])
+
+
+def widths(spans):
+    return np.array([s.width for s in spans])
+
+
+def walls(spans):
+    return tuple(p for s in spans for p in s.walls)
+
+
 class TestDetectRoom:
     def test_worked_example(self):
         # x-walls at 1 and 5, y-walls at 2 and 4 -> center (3, 3), widths (4, 2)
@@ -65,9 +77,10 @@ class TestDetectRoom:
             CFG,
         )
         assert room is not None
-        assert np.allclose(room.center, [3.0, 3.0], atol=1e-12)
-        assert np.allclose(room.widths, [4.0, 2.0], atol=1e-12)
-        assert room.plane_links == (0, 1, 2, 3)
+        assert [s.axis for s in room] == [PlaneClass.X_VERTICAL, PlaneClass.Y_VERTICAL]
+        assert np.allclose(center(room), [3.0, 3.0], atol=1e-12)
+        assert np.allclose(widths(room), [4.0, 2.0], atol=1e-12)
+        assert walls(room) == (0, 1, 2, 3)
 
     def test_center_identities_exact(self):
         room = detect_room(
@@ -76,8 +89,9 @@ class TestDetectRoom:
             CFG,
         )
         # low edge of the room coincides with the low wall on both axes
-        assert abs((room.center[0] - room.widths[0] / 2.0) - 1.0) < 1e-12
-        assert abs((room.center[1] - room.widths[1] / 2.0) - 2.0) < 1e-12
+        x, y = room
+        assert abs((x.center - x.width / 2.0) - 1.0) < 1e-12
+        assert abs((y.center - y.width / 2.0) - 2.0) < 1e-12
 
     def test_same_facing_normals_rejected(self):
         # both x-walls facing the same way cannot enclose a room
@@ -108,8 +122,8 @@ class TestDetectRoom:
             CFG,
         )
         assert a is not None
-        assert np.allclose(a.center, [3.0, 3.0])
-        assert a.plane_links == (1, 0, 3, 2)  # reordered low-first
+        assert np.allclose(center(a), [3.0, 3.0])
+        assert walls(a) == (1, 0, 3, 2)  # reordered low-first
 
     def test_negative_side_walls(self):
         # room straddling the origin: x-walls at -3 and 1
@@ -119,8 +133,8 @@ class TestDetectRoom:
             CFG,
         )
         assert room is not None
-        assert np.allclose(room.center, [-1.0, 0.0], atol=1e-12)
-        assert np.allclose(room.widths, [4.0, 2.0], atol=1e-12)
+        assert np.allclose(center(room), [-1.0, 0.0], atol=1e-12)
+        assert np.allclose(widths(room), [4.0, 2.0], atol=1e-12)
 
 
 class TestDetectCorridor:
@@ -129,7 +143,7 @@ class TestDetectCorridor:
         corr = detect_corridor((wall(0, "x", 0.0, observer=(1.0, 0.0)), wall(1, "x", 2.0, observer=(1.0, 0.0))), CFG)
         assert corr is not None
         assert corr.axis is PlaneClass.X_VERTICAL
-        assert corr.center[0] == pytest.approx(1.0, abs=1e-12)
+        assert corr.center == pytest.approx(1.0, abs=1e-12)
         assert corr.width == pytest.approx(2.0, abs=1e-12)
 
     def test_same_facing_rejected(self):
@@ -157,14 +171,6 @@ class TestDetectCorridor:
     def test_exactly_max_width_accepted(self):
         corr = detect_corridor((wall(0, "x", 0.0, observer=(1.25, 0.0)), wall(1, "x", 2.5, observer=(1.25, 0.0))), CFG)
         assert corr is not None and corr.width == CFG.corridor_max_width == 2.5
-
-    def test_free_axis_center_from_centroids(self):
-        a = wall(0, "x", 0.0, observer=(1.0, 4.0))
-        b = wall(1, "x", 2.0, observer=(1.0, 4.0))
-        a.centroid = np.array([0.0, 3.0, 1.0])
-        b.centroid = np.array([2.0, 5.0, 1.0])
-        corr = detect_corridor((a, b), CFG)
-        assert corr.center[1] == pytest.approx(4.0, abs=1e-12)
 
 
 class TestMinimumWidthBoundary:
@@ -195,30 +201,26 @@ class TestResidualsAtCreation:
             2: PlaneMinimal(math.pi / 2, 0.0, 2.0),
             3: PlaneMinimal(math.pi / 2, 0.0, 4.0),
         }
-        for slot, pid in enumerate(room.plane_links):
-            r, _, _ = room_plane(room.center, room.widths, planes[pid], slot)
+        for slot, pid in enumerate(walls(room)):
+            span = room[slot // 2]
+            r, _, _ = span_plane(span.center, span.width, planes[pid], slot)
             assert abs(r[0]) < 1e-12
 
     def test_room_residual_worked_example(self):
         # room (3,3) widths (4,2): high-x wall moved to 5.2 -> (3+2) - 5.2
-        r, _, _ = room_plane(np.array([3.0, 3.0]), np.array([4.0, 2.0]), PlaneMinimal(0.0, 0.0, 5.2), 1)
+        r, _, _ = span_plane(3.0, 4.0, PlaneMinimal(0.0, 0.0, 5.2), 1)
         assert r[0] == pytest.approx(-0.2, abs=1e-12)
 
     def test_corridor_residuals_zero_at_creation(self):
         corr = detect_corridor((wall(0, "x", 1.0, observer=(2.0, 0.0)), wall(1, "x", 3.0, observer=(2.0, 0.0))), CFG)
         for slot, d in enumerate((1.0, 3.0)):
-            r, _, _ = corridor_plane(corr.center[0], corr.width, PlaneMinimal(0.0, 0.0, d), slot)
+            r, _, _ = span_plane(corr.center, corr.width, PlaneMinimal(0.0, 0.0, d), slot, FactorKind.CORRIDOR_PLANE)
             assert abs(r[0]) < 1e-12
 
     def test_corridor_residual_worked_example(self):
         # corridor center 1, width 2: high wall at 2.3 -> (1+1) - 2.3
-        r, _, _ = corridor_plane(1.0, 2.0, PlaneMinimal(0.0, 0.0, 2.3), 1)
+        r, _, _ = span_plane(1.0, 2.0, PlaneMinimal(0.0, 0.0, 2.3), 1, FactorKind.CORRIDOR_PLANE)
         assert r[0] == pytest.approx(-0.3, abs=1e-12)
-
-    def test_corridor_free_axis_not_in_jacobian(self):
-        # only the along-axis center and width enter the residual
-        _, Jc, _ = corridor_plane(1.0, 2.0, PlaneMinimal(0.0, 0.0, 0.0), 0)
-        assert Jc.shape == (1, 2)
 
 
 def graph_with_room():
@@ -233,8 +235,19 @@ def graph_with_room():
         g.planes[lm.id] = lm
     g._next_plane_id = 4
     room = detect_room((g.planes[0], g.planes[1]), (g.planes[2], g.planes[3]), CFG)
-    g.add_node(room, information=100.0)
+    g.add_node("room", room, information=100.0)
     return g
+
+
+def assert_corridor_gone(g, span_id):
+    """The upgraded corridor's span and its edge factors are gone, and every
+    edge factor left is on a span the graph holds."""
+    assert g.corridors == {}
+    assert span_id not in g.spans
+    assert not any(f.variables[0] == ("span", span_id) for f in g.factors)
+    assert not any(f.kind is FactorKind.CORRIDOR_PLANE for f in g.factors)
+    edges = [f for f in g.factors if f.kind is FactorKind.ROOM_PLANE]
+    assert edges and all(f.variables[0][1] in g.spans for f in edges)
 
 
 class TestAssociateRoomAndMerge:
@@ -349,15 +362,16 @@ class TestUpdateTopology:
         g._next_plane_id = 2
         update_topology(g, [0, 1], CFG, information=100.0)
         assert len(g.corridors) == 1
+        (span_id,) = g.corridors[0].spans
         for lm in (wall(2, "y", 0.0, observer=(1.0, 2.0)), wall(3, "y", 4.0, observer=(1.0, 2.0))):
             g.planes[lm.id] = lm
         g._next_plane_id = 4
         stats = update_topology(g, [0, 1, 2, 3], CFG, information=100.0)
         assert stats["upgrades"] == 1
-        assert len(g.corridors) == 0
         assert len(g.rooms) == 1
-        # the corridor's factors went with it
-        assert not any(f.kind is FactorKind.CORRIDOR_PLANE for f in g.factors)
+        assert g.node_walls(g.rooms[0]) == (0, 1, 2, 3)
+        # the corridor's span and factors went with it
+        assert_corridor_gone(g, span_id)
 
     def test_corridor_upgraded_when_room_claims_one_wall(self):
         # corridor between x = 0 and x = 2; a room on x in [0, 4] later
@@ -367,6 +381,7 @@ class TestUpdateTopology:
             g.planes[lm.id] = lm
         update_topology(g, [0, 1], CFG, information=100.0)
         assert sum(f.kind is FactorKind.CORRIDOR_PLANE for f in g.factors) == 2
+        (span_id,) = g.corridors[0].spans
         for lm in (
             wall(2, "y", 0.0, observer=(1.0, 2.0)),
             wall(3, "y", 4.0, observer=(1.0, 2.0)),
@@ -374,7 +389,6 @@ class TestUpdateTopology:
         ):
             g.planes[lm.id] = lm
         stats = update_topology(g, [0, 4, 2, 3], CFG, information=100.0)
-        assert g.rooms[0].plane_links == (0, 4, 2, 3)
+        assert g.node_walls(g.rooms[0]) == (0, 4, 2, 3)
         assert stats["upgrades"] == 1
-        assert g.corridors == {}
-        assert not any(f.kind is FactorKind.CORRIDOR_PLANE for f in g.factors)
+        assert_corridor_gone(g, span_id)
