@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +15,11 @@ from .planes import PointCloud
 
 class InvalidLayout(ValueError):
     """Overlapping rectangles or otherwise inconsistent floorplan."""
+
+
+class InvalidSpec(ValueError):
+    """A trajectory or scan pattern field outside its domain; the message
+    names the field."""
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,11 @@ class WorldModel:
     rooms: tuple[RoomAnnotation, ...]
     corridors: tuple[CorridorAnnotation, ...]
     wall_height: float
+
+    @cached_property
+    def _wall_table(self) -> _WallTable:
+        """The walls packed for `raycast`, on the world's first scan."""
+        return _WallTable.of(self.walls)
 
 
 @dataclass(frozen=True)
@@ -205,42 +216,111 @@ def ray_directions(pattern: ScanPattern) -> np.ndarray:
     return np.stack([ce * np.cos(az), ce * np.sin(az), np.sin(el)], axis=-1).reshape(-1, 3)
 
 
+# (wall, ray) pairs per nearest-first batch of `_WallTable.cast`, so that a
+# batch's float temporaries are at most 128 KiB, glibc's default mmap
+# threshold: larger ones are mapped and paged in afresh on every batch,
+# which made 4-wall batches of a 5 760-ray scan slower than 2-wall ones
+_BATCH_PAIRS = 16384
+# a margin above any difference between a hit's ray parameter and its
+# distance to the sensor: |dir| is 1 to within a few ulp, and a hit may lie
+# up to the 1e-12 inside tolerance outside its wall
+_RANGE_MARGIN = 1e-6
+
+
+@dataclass(frozen=True)
+class _WallTable:
+    """A world's walls as arrays, one row per wall: the normal axis and
+    offset, the in-plane (u, v) axes, and the (u, v) bounds widened by the
+    1e-12 inside tolerance of a hit."""
+
+    axis: np.ndarray  # (W,)
+    offset: np.ndarray  # (W,)
+    in_plane: np.ndarray  # (W, 2)
+    lo: np.ndarray  # (W, 2)
+    hi: np.ndarray  # (W, 2)
+
+    @classmethod
+    def of(cls, walls: tuple[WallRect, ...]) -> _WallTable:
+        return cls(
+            axis=np.array([w.axis for w in walls], dtype=np.intp),
+            offset=np.array([w.offset for w in walls], dtype=float),
+            in_plane=np.array([w.in_plane_axes for w in walls], dtype=np.intp).reshape(-1, 2),
+            lo=np.array([(w.u_min, w.v_min) for w in walls], dtype=float).reshape(-1, 2) - 1e-12,
+            hi=np.array([(w.u_max, w.v_max) for w in walls], dtype=float).reshape(-1, 2) + 1e-12,
+        )
+
+    def cast(self, pose: Pose3, max_range: float, dirs_sensor: np.ndarray) -> np.ndarray:
+        """`raycast` against these walls."""
+        dirs = dirs_sensor @ pose.rotation.T
+        origin = pose.translation
+        # each wall's distance to the sensor: to its nearest point
+        in_plane = origin[self.in_plane]
+        off_plane = in_plane - np.clip(in_plane, self.lo, self.hi)
+        dist = np.sqrt((self.offset - origin[self.axis]) ** 2 + (off_plane**2).sum(axis=1))
+        near = np.flatnonzero(dist <= max_range + _RANGE_MARGIN)
+        order = near[np.argsort(dist[near], kind="stable")]
+
+        best_t = np.full(dirs.shape[0], np.inf)
+        rays = np.arange(dirs.shape[0])
+        d = np.ascontiguousarray(dirs.T)  # (3, rays): each wall's loop runs along the rays
+        n_walls = max(1, _BATCH_PAIRS // dirs.shape[0])
+        for start in range(0, order.size, n_walls):
+            batch = order[start : start + n_walls]
+            # no wall from here on hits nearer than this batch's nearest
+            live = best_t[rays] >= dist[batch[0]] - _RANGE_MARGIN
+            if not live.all():
+                rays, d = rays[live], d.compress(live, axis=1)
+                if rays.size == 0:
+                    break
+            axis = self.axis[batch]
+            u_ax, v_ax = self.in_plane[batch].T
+            lo, hi = self.lo[batch], self.hi[batch]
+            # in place where it can be: fewer (walls x rays) temporaries
+            da = d[axis]  # (walls, rays)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                t = (self.offset[batch] - origin[axis])[:, None] / da
+                hits = np.abs(da, out=da) > 1e-12
+                hits &= t > 1e-9
+                for ax, w_lo, w_hi in ((u_ax, lo[:, :1], hi[:, :1]), (v_ax, lo[:, 1:], hi[:, 1:])):
+                    w = d[ax]
+                    w *= t
+                    w += origin[ax][:, None]  # d * t + origin == origin + t * d, bit for bit
+                    hits &= w >= w_lo
+                    hits &= w <= w_hi
+            best_t[rays] = np.minimum(best_t[rays], t.min(axis=0, initial=np.inf, where=hits))
+        hit = np.isfinite(best_t) & (best_t <= max_range)
+        return dirs_sensor[hit] * best_t[hit, None]
+
+
 def raycast(
     world: WorldModel, pose: Pose3, pattern: ScanPattern, dirs_sensor: np.ndarray | None = None
 ) -> np.ndarray:
-    """Cast the scan pattern against all wall rectangles.
+    """Cast the scan pattern against the world's wall rectangles.
 
     Returns hit points in the sensor frame (pre-noise, exactly on the hit
-    planes). Misses are dropped. `dirs_sensor` is `ray_directions(pattern)`
-    for a caller that casts the same pattern many times.
+    planes): each ray stops at its nearest wall, and misses and hits beyond
+    `pattern.max_range` are dropped. `dirs_sensor` is
+    `ray_directions(pattern)` for a caller that casts the same pattern many
+    times.
+
+    Only the walls that can still change a ray's nearest hit are
+    intersected. A wall whose nearest point is beyond max_range + 1e-6 is
+    culled. The rest are visited nearest-first, a few at a time as
+    (walls x rays) arrays of about `_BATCH_PAIRS` entries, and before each
+    batch the rays whose hit is nearer than the batch's nearest wall less
+    1e-6 are dropped. A ray's parameter at a hit differs from the hit's distance to
+    the sensor by far less than 1e-6, so a skipped (wall, ray) pair could
+    never have been the nearest hit within range. Each pair that is kept
+    goes through the same float operations as a per-wall loop over every
+    wall, and the minimum does not depend on order, so the scan is the
+    same to the bit.
+
+    The walls are packed into a table of arrays once per world, on its
+    first scan.
     """
     if dirs_sensor is None:
         dirs_sensor = ray_directions(pattern)
-    dirs = dirs_sensor @ pose.rotation.T
-    origin = pose.translation
-    n_rays = dirs.shape[0]
-    best_t = np.full(n_rays, np.inf)
-    for wall in world.walls:
-        a = wall.axis
-        u_ax, v_ax = wall.in_plane_axes
-        da = dirs[:, a]
-        valid = np.abs(da) > 1e-12
-        t = np.full(n_rays, np.inf)
-        t[valid] = (wall.offset - origin[a]) / da[valid]
-        t[t <= 1e-9] = np.inf
-        with np.errstate(invalid="ignore"):
-            u = origin[u_ax] + t * dirs[:, u_ax]
-            v = origin[v_ax] + t * dirs[:, v_ax]
-        inside = (
-            (u >= wall.u_min - 1e-12)
-            & (u <= wall.u_max + 1e-12)
-            & (v >= wall.v_min - 1e-12)
-            & (v <= wall.v_max + 1e-12)
-        )
-        t[~inside] = np.inf
-        best_t = np.minimum(best_t, t)
-    hit = np.isfinite(best_t) & (best_t <= pattern.max_range)
-    return dirs_sensor[hit] * best_t[hit, None]
+    return world._wall_table.cast(pose, pattern.max_range, dirs_sensor)
 
 
 def _interp_poses(traj: TrajectorySpec) -> tuple[np.ndarray, list[Pose3]]:
@@ -252,7 +332,7 @@ def _interp_poses(traj: TrajectorySpec) -> tuple[np.ndarray, list[Pose3]]:
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = float(cum[-1])
     if total <= 0.0:
-        raise ValueError("trajectory has zero length")
+        raise InvalidSpec("TrajectorySpec.waypoints make a trajectory of zero length")
     dt = 1.0 / traj.scan_rate
     n_steps = int(math.floor(total / traj.speed / dt)) + 1
     times = np.arange(n_steps) * dt
@@ -269,6 +349,24 @@ def _interp_poses(traj: TrajectorySpec) -> tuple[np.ndarray, list[Pose3]]:
     return times, poses
 
 
+def _check_specs(traj: TrajectorySpec, pattern: ScanPattern) -> None:
+    if not traj.waypoints:
+        raise InvalidSpec("TrajectorySpec.waypoints is empty")
+    for name, value in (("speed", traj.speed), ("scan_rate", traj.scan_rate)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidSpec(f"TrajectorySpec.{name} must be finite and > 0, not {value!r}")
+    counts = (
+        ("TrajectorySpec.loops", traj.loops),
+        ("ScanPattern.n_rings", pattern.n_rings),
+        ("ScanPattern.n_azimuth", pattern.n_azimuth),
+    )
+    for name, value in counts:
+        if value < 1:
+            raise InvalidSpec(f"{name} must be >= 1, not {value!r}")
+    if not pattern.max_range > 0.0:  # NaN fails too
+        raise InvalidSpec(f"ScanPattern.max_range must be > 0, not {pattern.max_range!r}")
+
+
 def simulate_run(
     world: WorldModel,
     traj: TrajectorySpec,
@@ -276,7 +374,12 @@ def simulate_run(
     pattern: ScanPattern = ScanPattern(),
 ) -> list[SimStep]:
     """Ground-truth poses, drifting odometry and noisy scans along the
-    trajectory. Fully deterministic given the noise seed."""
+    trajectory. Fully deterministic given the noise seed.
+
+    Raises InvalidSpec for a speed or scan rate that is not a finite number
+    above 0, a loop, ring or azimuth count below 1, a max_range that is not
+    above 0, or waypoints that make no trajectory of positive length."""
+    _check_specs(traj, pattern)
     rng = np.random.default_rng(noise.seed)
     times, gt_poses = _interp_poses(traj)
     dirs_sensor = ray_directions(pattern)

@@ -1,13 +1,15 @@
 """World generation, raycasting, odometry noise model and determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sgraph.geometry import PlaneClass, Pose3
+from sgraph.geometry import PlaneClass, Pose3, rot_exp
 from sgraph.simulator import (
     InvalidLayout,
+    InvalidSpec,
     LayoutSpec,
     NoiseSpec,
     RectSpec,
@@ -16,6 +18,7 @@ from sgraph.simulator import (
     default_multi_room_layout,
     generate_world,
     perimeter_waypoints,
+    ray_directions,
     raycast,
     simulate_run,
 )
@@ -133,6 +136,140 @@ class TestRaycast:
         assert float(np.linalg.norm(pts, axis=1).max()) <= 2.5 + 1e-9
 
 
+def _reference_raycast(
+    world, pose: Pose3, pattern: ScanPattern, dirs_sensor: np.ndarray | None = None
+) -> np.ndarray:
+    """Every ray against every wall, one wall at a time: the plain loop that
+    `raycast` must match to the bit."""
+    if dirs_sensor is None:
+        dirs_sensor = ray_directions(pattern)
+    dirs = dirs_sensor @ pose.rotation.T
+    origin = pose.translation
+    n_rays = dirs.shape[0]
+    best_t = np.full(n_rays, np.inf)
+    for wall in world.walls:
+        a = wall.axis
+        u_ax, v_ax = wall.in_plane_axes
+        da = dirs[:, a]
+        valid = np.abs(da) > 1e-12
+        t = np.full(n_rays, np.inf)
+        t[valid] = (wall.offset - origin[a]) / da[valid]
+        t[t <= 1e-9] = np.inf
+        with np.errstate(invalid="ignore"):
+            u = origin[u_ax] + t * dirs[:, u_ax]
+            v = origin[v_ax] + t * dirs[:, v_ax]
+        inside = (
+            (u >= wall.u_min - 1e-12)
+            & (u <= wall.u_max + 1e-12)
+            & (v >= wall.v_min - 1e-12)
+            & (v <= wall.v_max + 1e-12)
+        )
+        t[~inside] = np.inf
+        best_t = np.minimum(best_t, t)
+    hit = np.isfinite(best_t) & (best_t <= pattern.max_range)
+    return dirs_sensor[hit] * best_t[hit, None]
+
+
+def _rooms_world_and_poses(n_rooms: int):
+    """The world of `default_multi_room_layout(n_rooms)` and the ground-truth
+    poses of the stream through its rooms."""
+    layout = default_multi_room_layout(n_rooms)
+    traj = TrajectorySpec(waypoints=perimeter_waypoints(list(layout.rects)))
+    world = generate_world(layout)
+    steps = simulate_run(world, traj, NoiseSpec(), ScanPattern(n_rings=1, n_azimuth=1))
+    return world, [s.gt_pose for s in steps]
+
+
+def _assert_same_scans(world, poses, pattern):
+    dirs = ray_directions(pattern)
+    for pose in poses:
+        expected = _reference_raycast(world, pose, pattern, dirs)
+        assert np.array_equal(raycast(world, pose, pattern, dirs), expected)
+        assert np.array_equal(raycast(world, pose, pattern), expected)
+
+
+# enough rays that each batch of `raycast` holds one wall, so every wall's
+# distance prunes rays
+SCAN_OF_ONE_WALL_BATCHES = ScanPattern(n_azimuth=720)
+
+
+class TestRaycastMatchesReference:
+    """`raycast` culls and batches the walls; its scans equal the plain
+    per-wall loop's bit for bit."""
+
+    @pytest.mark.parametrize("max_range", [9.0, 50.0])
+    @pytest.mark.parametrize("n_rooms", [4, 8])
+    def test_every_stream_pose(self, n_rooms, max_range):
+        world, poses = _rooms_world_and_poses(n_rooms)
+        _assert_same_scans(world, poses, ScanPattern(n_azimuth=180, max_range=max_range))
+
+    def test_tilted_poses(self):
+        world, poses = _rooms_world_and_poses(4)
+        rng = np.random.default_rng(7)
+        tilted = [
+            Pose3(p.rotation @ rot_exp(np.array([roll, pitch, 0.0])), p.translation)
+            for p, (roll, pitch) in zip(poses[::6], rng.uniform(-0.8, 0.8, (len(poses), 2)))
+        ]
+        _assert_same_scans(world, tilted, ScanPattern(n_azimuth=180, max_range=9.0))
+
+    def test_random_poses_near_floor_and_ceiling(self):
+        # a low or high sensor's rays meet the nearby floor or ceiling, and
+        # many of them meet a wall of a later batch first
+        layout = default_multi_room_layout(4)
+        world = generate_world(layout)
+        rng = np.random.default_rng(11)
+        poses = []
+        for rect in (layout.rects[i] for i in rng.integers(len(layout.rects), size=40)):
+            x, y = rng.uniform((rect.x_min, rect.y_min), (rect.x_max, rect.y_max))
+            tilt = rot_exp(np.append(rng.uniform(-0.4, 0.4, 2), rng.uniform(-np.pi, np.pi)))
+            poses.append(Pose3(tilt, np.array([x, y, rng.uniform(0.05, 2.45)])))
+        for max_range in (4.0, 50.0):
+            pattern = replace(SCAN_OF_ONE_WALL_BATCHES, max_range=max_range)
+            _assert_same_scans(world, poses, pattern)
+
+    def test_a_farther_wall_cuts_a_floor_ray_short(self):
+        # from (-0.6, 0, 1) the ray 15 degrees down along +x meets the floor,
+        # 1 m away, at 3.86 m, but the x = 3 wall, 3.6 m away, already at
+        # 3.73 m: a hit beyond the wall's distance keeps the ray live
+        world = single_room_world()
+        pose = Pose3.from_xyz_yaw(-0.6, 0.0, 1.0, 0.0)
+        _assert_same_scans(world, [pose], SCAN_OF_ONE_WALL_BATCHES)
+
+    def test_sensor_on_a_wall_plane_and_at_a_corner(self):
+        # the room spans x in [-3, 3], y in [-2, 2], z in [0, 2.5]
+        world = single_room_world()
+        poses = [
+            Pose3.from_xyz_yaw(-3.0, 0.5, 1.0, 0.3),  # on the x = -3 wall
+            Pose3.from_xyz_yaw(1.0, -0.5, 0.0, 0.0),  # on the floor
+            Pose3.from_xyz_yaw(3.0, 2.0, 1.0, 0.0),  # on the edge of two walls
+            Pose3.from_xyz_yaw(3.0, 2.0, 2.5, 0.0),  # at a corner of three
+        ]
+        # nine rings: the level one meets the floor plane the sensor is on at 0 / 0
+        _assert_same_scans(world, poses, ScanPattern(n_rings=9, n_azimuth=90))
+
+    def test_odd_ring_count_has_a_level_ring(self):
+        pattern = ScanPattern(n_rings=9, n_azimuth=120, max_range=9.0)
+        assert np.count_nonzero(ray_directions(pattern)[:, 2] == 0.0) == 120
+        world, poses = _rooms_world_and_poses(4)
+        _assert_same_scans(world, poses[::5], pattern)
+
+    def test_max_range_short_of_every_wall(self):
+        # the nearest walls are the floor and ceiling, 1.25 m away
+        world = single_room_world()
+        pose = Pose3.from_xyz_yaw(0.0, 0.0, 1.25, 0.0)
+        pattern = ScanPattern(max_range=1.0)
+        assert _reference_raycast(world, pose, pattern).shape == (0, 3)
+        _assert_same_scans(world, [pose], pattern)
+
+    def test_no_wall_in_range(self):
+        world = single_room_world()
+        pose = Pose3.from_xyz_yaw(40.0, -30.0, 1.0, 0.0)
+        for max_range in (9.0, 50.0):
+            pattern = ScanPattern(n_rings=8, n_azimuth=90, max_range=max_range)
+            _assert_same_scans(world, [pose], pattern)
+        assert raycast(world, pose, ScanPattern(max_range=9.0)).shape == (0, 3)
+
+
 def small_traj():
     return TrajectorySpec(
         waypoints=((-1.5, 0.0, 0.0), (1.5, 0.0, 0.0)), speed=1.0, scan_rate=2.0
@@ -191,6 +328,33 @@ class TestSimulateRun:
         steps = simulate_run(world, small_traj(), NoiseSpec())
         ts = [s.timestamp for s in steps]
         assert all(b > a for a, b in zip(ts, ts[1:]))
+
+    @pytest.mark.parametrize(
+        ("traj", "pattern", "field"),
+        [
+            (replace(small_traj(), speed=0.0), ScanPattern(), "TrajectorySpec.speed"),
+            (replace(small_traj(), speed=-1.0), ScanPattern(), "TrajectorySpec.speed"),
+            (replace(small_traj(), speed=math.nan), ScanPattern(), "TrajectorySpec.speed"),
+            (replace(small_traj(), scan_rate=0.0), ScanPattern(), "TrajectorySpec.scan_rate"),
+            (replace(small_traj(), scan_rate=-2.0), ScanPattern(), "TrajectorySpec.scan_rate"),
+            (replace(small_traj(), scan_rate=math.inf), ScanPattern(), "TrajectorySpec.scan_rate"),
+            (replace(small_traj(), loops=0), ScanPattern(), "TrajectorySpec.loops"),
+            (replace(small_traj(), waypoints=()), ScanPattern(), "TrajectorySpec.waypoints"),
+            (
+                replace(small_traj(), waypoints=((1.0, 0.0, 0.0),)),
+                ScanPattern(),
+                "TrajectorySpec.waypoints",
+            ),
+            (small_traj(), ScanPattern(n_rings=0), "ScanPattern.n_rings"),
+            (small_traj(), ScanPattern(n_azimuth=-3), "ScanPattern.n_azimuth"),
+            (small_traj(), ScanPattern(max_range=0.0), "ScanPattern.max_range"),
+            (small_traj(), ScanPattern(max_range=-5.0), "ScanPattern.max_range"),
+            (small_traj(), ScanPattern(max_range=math.nan), "ScanPattern.max_range"),
+        ],
+    )
+    def test_degenerate_spec_raises_naming_the_field(self, traj, pattern, field):
+        with pytest.raises(InvalidSpec, match=field):
+            simulate_run(single_room_world(), traj, NoiseSpec(), pattern)
 
     def test_perimeter_waypoints_cover_rects(self):
         layout = default_multi_room_layout(4)
