@@ -141,21 +141,22 @@ def _pose_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
     where the azimuth wraps: opposite normals differ by pi. The last row
     is the distance difference.
     """
-    (m,) = meas
+    m, B = meas  # B: rows n, e_az, e_el of the measured frame
     RT = v.rotations[rows[:, 0]].transpose(0, 2, 1)
     t = v.translations[rows[:, 0]]
     planes = v.planes[rows[:, 1]]
-    n_m, e_az, e_el = _sphere_frame(planes[:, 0], planes[:, 1])
+    frame = _sphere_frame(planes[:, 0], planes[:, 1])
+    n_m = frame[0]
     n_l = _mv(RT, n_m)
     d_l = planes[:, 2] - np.einsum("ij,ij->i", t, n_m)
     # closest-point convention at the linearization point
     sign = np.where(d_l < 0.0, -1.0, 1.0)
     n_l = n_l * sign[:, None]
     d_l = d_l * sign
-    B = np.stack(_sphere_frame(m[:, 0], m[:, 1]), axis=1)  # rows n, e_az, e_el
     x, y, z = _mv(B, n_l).T
     rho = np.hypot(x, y)
-    r = np.stack([np.arctan2(y, x), np.arctan2(z, rho), d_l - m[:, 2]], axis=1)
+    r = np.empty((len(rows), 3))
+    r[:, 0], r[:, 1], r[:, 2] = np.arctan2(y, x), np.arctan2(z, rho), d_l - m[:, 2]
     if not jacobians:
         return r, None
 
@@ -167,7 +168,7 @@ def _pose_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
     Jang[:, 1, 1] = -y * z / rho
     Jang[:, 1, 2] = rho
     Jn = Jang @ B
-    tangent = np.stack([e_az, e_el], axis=2)  # (N, 3, 2) d n_m / d(u_az, u_el)
+    tangent = frame[1:].transpose(1, 2, 0).copy()  # (N, 3, 2) d n_m / d(u_az, u_el)
 
     J = np.zeros((len(rows), 3, 9))
     # pose perturbation R <- R exp(w^), t <- t + R u, and
@@ -178,6 +179,13 @@ def _pose_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
     J[:, 2, 6:8] = -sign[:, None] * (t[:, None, :] @ tangent)[:, 0]
     J[:, 2, 8] = sign
     return r, J
+
+
+def _plane_measurements(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_pose_plane`'s `meas` for stacked (azimuth, elevation, distance)
+    measurements: them, and the frame each is compared in, (N, 3, 3) with
+    rows n, e_az, e_el (`_sphere_frame`)."""
+    return m, _sphere_frame(m[:, 0], m[:, 1]).transpose(1, 0, 2).copy()
 
 
 def _span_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
@@ -236,7 +244,7 @@ KINDS: dict[FactorKind, KindSpec] = {
     FactorKind.LOOP_CLOSURE: _TRACKING,
     FactorKind.POSE_PLANE: KindSpec(
         "plane", ("kf", "plane"), 3, _pose_plane, PlaneMinimal,
-        lambda meas: (np.array([m.as_array() for m in meas]),),
+        lambda meas: _plane_measurements(np.array([m.as_array() for m in meas])),
     ),
     FactorKind.ROOM_PLANE: _EDGE,
     FactorKind.CORRIDOR_PLANE: replace(_EDGE, layer="corridor"),

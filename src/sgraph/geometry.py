@@ -79,20 +79,14 @@ def rot_log(R: np.ndarray) -> np.ndarray:
     if theta < 1e-10:
         return np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / 2.0
     if theta > math.pi - 1e-6:
-        # near pi: axis from the symmetric part, more stable than sin division
-        A = (R + np.eye(3)) / 2.0
-        axis = np.sqrt(np.maximum(np.diag(A), 0.0))
-        # fix signs using off-diagonal terms
-        i = int(np.argmax(axis))
-        if axis[i] > 0:
-            axis = axis / axis[i]
-            for j in range(3):
-                if j != i:
-                    axis[j] = A[i, j] / (axis[i] * np.sqrt(np.maximum(A[i, i], 1e-12)))
-        n = np.linalg.norm(axis)
-        if n == 0.0:
-            return np.zeros(3)
-        axis = axis / n
+        # near pi: the symmetric part A of (R + I) / 2 is ~ n n^T, more
+        # stable than sin division. Its largest diagonal entry A_ii ~ n_i^2
+        # (at least 1/3) gives |n_i|, and its row i the rest of n,
+        # n_j = A_ij / |n_i|, up to one common sign
+        A = (R + R.T) / 4.0 + np.eye(3) / 2.0
+        i = int(np.argmax(np.diag(A)))
+        axis = A[i] / math.sqrt(max(A[i, i], 1e-12))
+        axis = axis / np.linalg.norm(axis)
         # recover the sign of the axis from the skew part when it is informative
         w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
         if np.dot(w, axis) < 0.0:
@@ -278,15 +272,17 @@ def classify_plane(p: PlaneHessian) -> PlaneClass:
     return PlaneClass.Y_VERTICAL
 
 
-def _sphere_frame(az: np.ndarray, el: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sphere_frame(az: np.ndarray, el: np.ndarray) -> np.ndarray:
     """Unit normals at stacked (azimuth, elevation), and their unit tangents
     e_az and e_el along azimuth and elevation: an orthonormal frame, the
-    pole included, each (N, 3)."""
+    pole included, as one (3, N, 3) array that unpacks into n, e_az, e_el."""
     ca, sa, ce, se = np.cos(az), np.sin(az), np.cos(el), np.sin(el)
-    n = np.stack([ce * ca, ce * sa, se], axis=1)
-    e_az = np.stack([-sa, ca, np.zeros_like(az)], axis=1)
-    e_el = np.stack([-se * ca, -se * sa, ce], axis=1)
-    return n, e_az, e_el
+    frame = np.empty((3, len(az), 3))
+    n, e_az, e_el = frame
+    n[:, 0], n[:, 1], n[:, 2] = ce * ca, ce * sa, se
+    e_az[:, 0], e_az[:, 1], e_az[:, 2] = -sa, ca, 0.0
+    e_el[:, 0], e_el[:, 1], e_el[:, 2] = -se * ca, -se * sa, ce
+    return frame
 
 
 def _retract_planes(planes: np.ndarray, step: np.ndarray) -> np.ndarray:

@@ -7,7 +7,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .factors import _NO_VALUES, LOCAL_DIM, Factor, FactorKind, VariableKey, _pose_plane
+from .factors import (
+    _NO_VALUES,
+    LOCAL_DIM,
+    Factor,
+    FactorKind,
+    VariableKey,
+    _plane_measurements,
+    _pose_plane,
+)
 from .geometry import (
     Pose3,
     PlaneClass,
@@ -91,6 +99,9 @@ class SGraph:
     _next_span_id: int = 0
     _next_room_id: int = 0
     _next_corridor_id: int = 0
+    # the solve's layout, kept between solves (`solve_layout`); no part of
+    # the graph's value, and `replace` starts a copy without one
+    _layout: BatchedFactors | None = field(default=None, init=False, compare=False, repr=False)
 
     # -- variable access ---------------------------------------------------
 
@@ -188,8 +199,8 @@ class SGraph:
             planes=np.array([lm.params.as_array() for lm in candidates]),
         )
         rows = np.column_stack([np.zeros(n, dtype=int), np.arange(n)])
-        meas = np.tile(to_minimal(det.plane).as_array(), (n, 1))
-        diff, J = _pose_plane(values, rows, (meas,), True)
+        meas = _plane_measurements(np.tile(to_minimal(det.plane).as_array(), (n, 1)))
+        diff, J = _pose_plane(values, rows, meas, True)
         J_pose = J[:, :, :6]
         meas_cov = np.linalg.inv(np.asarray(plane_information, dtype=float))
         cov = meas_cov + J_pose @ kf.odom_cov @ J_pose.transpose(0, 2, 1)
@@ -290,6 +301,18 @@ class SGraph:
         self.factors = [f for f in self.factors if f.variables[0] not in gone]
         for s in spans:
             del self.spans[s]
+
+    # -- the solve ---------------------------------------------------------
+
+    def solve_layout(self) -> BatchedFactors:
+        """The layout of the solve over the current variables and factors:
+        the one this graph keeps, brought up to date by
+        `BatchedFactors.absorb`, which takes in the factors added since the
+        last call and starts again from empty after a merge or a removal."""
+        if self._layout is None:
+            self._layout = BatchedFactors()
+        self._layout.absorb(self)
+        return self._layout
 
     # -- factor evaluation -------------------------------------------------
 

@@ -1,9 +1,11 @@
 """The normal equations of the whole graph, one layer at a time.
 
 `BatchedFactors` owns the layout of the solve: the rows of each variable
-in the gathered arrays and its columns. The kernels that `factors.KINDS`
-names compute the residuals and Jacobians of every factor of a layer at
-once. `BatchedFactors.linearize` is the one place they are called: it
+in the gathered arrays and its columns, and the stacked measurements and
+whitening of each layer's factors, which it keeps from one solve to the
+next and extends with the factors added in between. The kernels that
+`factors.KINDS` names compute the residuals and Jacobians of every factor
+of a layer at once. `BatchedFactors.linearize` is the one place they are called: it
 whitens and Huber-weights their rows and scatters them into the dense
 normal equations, and the same pass without Jacobians gives the cost
 alone, per layer.
@@ -17,11 +19,12 @@ accepted result back into the graph once.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter, is_
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .factors import KINDS, LOCAL_DIM, Kernel, VariableKey, _Values
+from .factors import KINDS, LOCAL_DIM, Factor, Kernel, VariableKey, _Values
 from .geometry import PlaneMinimal, Pose3, _mv, _retract_planes, rot_exp
 
 if TYPE_CHECKING:
@@ -36,12 +39,44 @@ class FactorBlock:
     """All factors of one layer: index arrays, measurements and whitening."""
 
     layer: str
+    variables: tuple[str, str]  # the kinds of each factor's two variables
     factor_index: np.ndarray  # (N,) position of each row's factor in graph.factors
     kernel: Kernel
     rows: np.ndarray  # (N, 2) rows of the two variables in their value arrays
     meas: tuple  # kind-specific stacked measurements
     sqrt_info: np.ndarray  # (N, m, m) L^T of each information L L^T
     robust: np.ndarray  # (N,) bool
+
+    def extended(self, more: FactorBlock) -> FactorBlock:
+        """This block's factors followed by those of `more`, of the same layer."""
+        # sqrt_info stays a transposed view of the stacked L, as one
+        # `cholesky` over all the factors leaves it
+        chol = [self.sqrt_info.transpose(0, 2, 1), more.sqrt_info.transpose(0, 2, 1)]
+        return replace(
+            self,
+            factor_index=np.concatenate([self.factor_index, more.factor_index]),
+            rows=np.concatenate([self.rows, more.rows]),
+            meas=tuple(np.concatenate(pair) for pair in zip(self.meas, more.meas)),
+            sqrt_info=np.concatenate(chol).transpose(0, 2, 1),
+            robust=np.concatenate([self.robust, more.robust]),
+        )
+
+
+def _block(layer: str, factors: list[Factor], index: list[int], row: dict) -> FactorBlock:
+    """The block of `factors`, all of `layer`, at positions `index` of
+    graph.factors, their variables at the rows `row` gives."""
+    spec = KINDS[factors[0].kind]
+    info = np.array([f.information for f in factors], dtype=float)
+    return FactorBlock(
+        layer=layer,
+        variables=spec.variables,
+        factor_index=np.array(index, dtype=int),
+        kernel=spec.kernel,
+        rows=np.array([[row[k] for k in f.variables] for f in factors], dtype=int),
+        meas=spec.stack([f.measurement for f in factors]),
+        sqrt_info=np.linalg.cholesky(info).transpose(0, 2, 1),
+        robust=np.array([f.robust for f in factors], dtype=bool),
+    )
 
 
 # -- the batched graph -----------------------------------------------------
@@ -55,58 +90,87 @@ class BatchedFactors:
     in id order. The columns are the local coordinates of the keyframes,
     then of the planes and the spans, in the same order. The first
     keyframe, row 0, is the gauge: H and g leave out its columns, the
-    first six, so it is held fixed, and `dim` counts the rest. Build once
-    per factor set; `values` gathers the graph's estimates, and the other
+    first six, so it is held fixed, and `dim` counts the rest.
+
+    The layout persists: `absorb` takes in the factors a graph gained since
+    the last call and keeps the rows, stacked measurements and whitening
+    of the others, so a solve after every keyframe stacks each factor
+    once (`SGraph.solve_layout` keeps one per graph). A factor's
+    measurement, information and robust flag are read when it is
+    absorbed. `values` gathers the graph's estimates, and the other
     methods work on gathered values until `write` stores them back.
     """
 
-    def __init__(self, graph: SGraph):
-        self.ids = {
-            "kf": sorted(graph.keyframes),
-            "plane": sorted(graph.planes),
-            "span": sorted(graph.spans),
-        }
-        row: dict[VariableKey, int] = {}
+    def __init__(self, graph: SGraph | None = None):
+        self._clear()
+        if graph is not None:
+            self.absorb(graph)
+
+    def _clear(self) -> None:
+        """Empty the layout: no variable and no factor absorbed."""
+        self.ids: dict[str, list[int]] = {"kf": [], "plane": [], "span": []}
+        self._row: dict[VariableKey, int] = {}
+        self._blocks: dict[str, FactorBlock] = {}
+        # the factors absorbed, and the variables tuple of each then
+        self._factors: list[Factor] = []
+        self._variables: list[tuple[VariableKey, ...]] = []
+
+    def _extends(self, graph: SGraph, ids: dict[str, list[int]]) -> bool:
+        """Whether the graph still holds what was absorbed: the same factor
+        objects first, each on the variables tuple it had, and every kind's
+        sorted ids starting with the ids laid out. `merge_planes` replaces
+        the tuples, `remove_corridor` removes ids."""
+        return (
+            len(graph.factors) >= len(self._factors)
+            and all(ids[kind][: len(old)] == old for kind, old in self.ids.items())
+            and all(map(is_, graph.factors, self._factors))
+            and all(map(is_, map(attrgetter("variables"), graph.factors), self._variables))
+        )
+
+    def absorb(self, graph: SGraph) -> None:
+        """Bring the layout up to the graph: absorb the factors past those
+        absorbed, block by block in layer order, after the rows of the new
+        variables. When the graph no longer holds what was absorbed, start
+        again from an empty layout. The columns are laid out afresh every
+        call, since a new keyframe shifts those of every plane and span."""
+        ids = {"kf": sorted(graph.keyframes), "plane": sorted(graph.planes), "span": sorted(graph.spans)}
+        if not self._extends(graph, ids):
+            self._clear()
+        n = len(self._factors)
+        row = dict(self._row)
+        for kind, kind_ids in ids.items():
+            start = len(self.ids[kind])
+            row.update(((kind, vid), i) for i, vid in enumerate(kind_ids[start:], start))
+        by_layer: dict[str, list[int]] = {layer: [] for layer in LAYERS}
+        for i in range(n, len(graph.factors)):
+            by_layer[KINDS[graph.factors[i].kind].layer].append(i)
+        blocks = dict(self._blocks)
+        for layer, index in by_layer.items():
+            if index:
+                part = _block(layer, [graph.factors[i] for i in index], index, row)
+                blocks[layer] = blocks[layer].extended(part) if layer in blocks else part
+        new = graph.factors[n:]
+        self._factors += new
+        self._variables += [f.variables for f in new]
+        self.ids, self._row, self._blocks = ids, row, blocks
+        self.blocks = [blocks[layer] for layer in LAYERS if layer in blocks]
+
         # columns of each variable's local coordinates, by kind and row
         self.columns: dict[str, np.ndarray] = {}
         n_cols = 0
-        for kind, ids in self.ids.items():
-            row.update(((kind, vid), i) for i, vid in enumerate(ids))
-            n = LOCAL_DIM[kind]
-            self.columns[kind] = n_cols + n * np.arange(len(ids))[:, None] + np.arange(n)
-            n_cols += n * len(ids)
-        self._gauge = LOCAL_DIM["kf"] if self.ids["kf"] else 0
+        for kind, kind_ids in ids.items():
+            k = LOCAL_DIM[kind]
+            self.columns[kind] = n_cols + k * np.arange(len(kind_ids))[:, None] + np.arange(k)
+            n_cols += k * len(kind_ids)
+        self._gauge = LOCAL_DIM["kf"] if ids["kf"] else 0
         self.dim = n_cols - self._gauge
-
-        by_layer: dict[str, list[int]] = {layer: [] for layer in LAYERS}
-        for i, f in enumerate(graph.factors):
-            by_layer[KINDS[f.kind].layer].append(i)
-
-        self.blocks: list[FactorBlock] = []
         # where each entry of the per-factor g and H blocks lands, for all
         # blocks in order; entries of the same cell are summed
         g_index, h_index = [np.zeros(0, int)], [np.zeros(0, int)]
-        for layer, index in by_layer.items():
-            if not index:
-                continue
-            factors = [graph.factors[i] for i in index]
-            spec = KINDS[factors[0].kind]
-            rows = np.array([[row[k] for k in f.variables] for f in factors], dtype=int)
-            cols = np.hstack([self.columns[kind][rows[:, j]] for j, kind in enumerate(spec.variables)])
+        for b in self.blocks:
+            cols = np.hstack([self.columns[kind][b.rows[:, j]] for j, kind in enumerate(b.variables)])
             g_index.append(cols.ravel())
             h_index.append((cols[:, :, None] * n_cols + cols[:, None, :]).ravel())
-            info = np.array([f.information for f in factors], dtype=float)
-            self.blocks.append(
-                FactorBlock(
-                    layer=layer,
-                    factor_index=np.array(index, dtype=int),
-                    kernel=spec.kernel,
-                    rows=rows,
-                    meas=spec.stack([f.measurement for f in factors]),
-                    sqrt_info=np.linalg.cholesky(info).transpose(0, 2, 1),
-                    robust=np.array([f.robust for f in factors], dtype=bool),
-                )
-            )
         self._g_index = np.concatenate(g_index)
         self._h_index = np.concatenate(h_index)
 

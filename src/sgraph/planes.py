@@ -115,7 +115,8 @@ def _fit_plane_lsq(points: np.ndarray) -> tuple[np.ndarray, float]:
 
     Returns (unit normal, distance) with d >= 0.
     """
-    centroid = points.mean(axis=0)
+    # `points.mean(axis=0)`, bit for bit, without its overhead
+    centroid = np.add.reduce(points, axis=0) / points.shape[0]
     centered = points - centroid
     cov = centered.T @ centered
     _, vecs = np.linalg.eigh(cov)
@@ -155,11 +156,12 @@ def plane_extent(points: np.ndarray, plane: PlaneHessian) -> tuple[np.ndarray, n
 
 def _largest_segment(coords: np.ndarray, gap: float) -> np.ndarray:
     """Indices of the biggest run of sorted 1-D coords with no gap > gap."""
-    order = np.argsort(coords)
-    breaks = np.nonzero(np.diff(coords[order]) > gap)[0]
+    order = coords.argsort()
+    ordered = coords[order]
+    breaks = (ordered[1:] - ordered[:-1] > gap).nonzero()[0]
     starts = np.concatenate([[0], breaks + 1])
     ends = np.concatenate([breaks + 1, [coords.size]])
-    best = int(np.argmax(ends - starts))
+    best = int((ends - starts).argmax())
     return order[starts[best]:ends[best]]
 
 
@@ -173,16 +175,20 @@ def _dominant_patch(points: np.ndarray, mask: np.ndarray, normal: np.ndarray,
     separates them without fragmenting sparse ring-sampled surfaces. A mask
     that splits along neither axis comes back as given.
     """
-    idx = np.nonzero(mask)[0]
+    idx = mask.nonzero()[0]
     if idx.size == 0:
         return mask
+    patch = points[idx]
     split = False
     for axis in _plane_basis(normal):
-        coords = points[idx] @ axis
+        coords = patch @ axis
         # a plain sort finds whether there is a gap at all; only a split
         # needs the argsort that picks the segment
-        if np.any(np.diff(np.sort(coords)) > gap):
-            idx = idx[_largest_segment(coords, gap)]
+        ordered = coords.copy()
+        ordered.sort()
+        if (ordered[1:] - ordered[:-1] > gap).any():
+            segment = _largest_segment(coords, gap)
+            idx, patch = idx[segment], patch[segment]
             split = True
     if not split:
         return mask
@@ -194,9 +200,11 @@ def _dominant_patch(points: np.ndarray, mask: np.ndarray, normal: np.ndarray,
 def _median(x: np.ndarray) -> float:
     """`np.median` of a non-empty 1-D float array, bit for bit, without its overhead."""
     h = x.size // 2
+    part = x.copy()
     if x.size % 2:
-        return float(np.partition(x, h)[h])
-    part = np.partition(x, (h - 1, h))
+        part.partition(h)
+        return float(part[h])
+    part.partition((h - 1, h))
     return float((part[h - 1] + part[h]) / 2)
 
 
@@ -224,9 +232,9 @@ def _trim_fit(
         # center on the median: outliers shift the least-squares offset,
         # while the median tracks the dominant surface
         new_mask = _dominant_patch(points, np.abs(signed - med) <= band, normal)
-        if int(new_mask.sum()) < cfg.min_inliers:
+        if np.count_nonzero(new_mask) < cfg.min_inliers:
             return mask, normal, d
-        k = next((k for k, fit in enumerate(seen) if np.array_equal(fit[0], new_mask)), None)
+        k = next((k for k, fit in enumerate(seen) if (fit[0] == new_mask).all()), None)
         if k is not None:  # a settled mask is a cycle of one; max keeps the first of equals
             return max(seen[k:], key=lambda fit: np.count_nonzero(fit[0]))
         mask = new_mask

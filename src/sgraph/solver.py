@@ -2,7 +2,8 @@
 
 The first keyframe is hard-fixed to pin the 6-DoF gauge freedom; all other
 variables are updated in their local coordinates, laid out in the columns
-of H by `BatchedFactors`.
+of H by `BatchedFactors`, which the graph keeps from one solve to the next
+(`SGraph.solve_layout`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .graph import SGraph
-from .linearize import BatchedFactors
 
 
 GRAD_TOL = 1e-12  # converged once the gradient's max-norm falls below it
@@ -54,7 +54,7 @@ class SolverReport:
 
 def layer_costs(graph: SGraph, huber_delta: float = 1.0) -> dict[str, float]:
     """Per-layer cost decomposition (odometry+loop, plane, room, corridor)."""
-    factors = BatchedFactors(graph)
+    factors = graph.solve_layout()
     return factors.linearize(factors.values(graph), huber_delta, jacobians=False)[0]
 
 
@@ -69,7 +69,7 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
     """
     if not graph.keyframes:
         raise ValueError("graph has no keyframes")
-    factors = BatchedFactors(graph)
+    factors = graph.solve_layout()
     values = factors.values(graph)
     costs, H, g = factors.linearize(values, cfg.huber_delta)
     cost = sum(costs.values())
@@ -86,15 +86,21 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
     lam = INIT_LAMBDA
     iters = accepted = rejected = 0
     status = "max_iters"
+    diagonal = np.arange(factors.dim)
     for _ in range(cfg.max_iters):
         iters += 1
         if float(np.max(np.abs(g))) < GRAD_TOL:
             status = "converged"
             break
+        damping = np.maximum(np.diag(H), 1e-12)
         for _try in range(20):
-            A = H + lam * np.diag(np.maximum(np.diag(H), 1e-12))
+            # H + lam diag(damping), damped in a Fortran-ordered copy that
+            # the factorization then overwrites
+            A = H.copy(order="F")
+            A[diagonal, diagonal] += lam * damping
             try:
-                delta = cho_solve(cho_factor(A, check_finite=False), -g, check_finite=False)
+                c = cho_factor(A, overwrite_a=True, check_finite=False)
+                delta = cho_solve(c, -g, check_finite=False)
             except np.linalg.LinAlgError:
                 rejected += 1
                 lam *= 10.0

@@ -86,6 +86,24 @@ class TestPose:
         w = np.array([0.0, 0.0, math.pi - 1e-8])
         assert np.allclose(rot_log(rot_exp(w)), w, atol=1e-6)
 
+    @pytest.mark.parametrize("theta", [math.pi, math.pi - 1e-7, math.pi - 5e-7, math.pi - 9e-7])
+    def test_log_near_pi_about_off_axis_axes(self, theta):
+        # the near-pi branch recovers the whole axis, not only the angle:
+        # at pi about (0.6, 0.8, 0) it once came back 0.29 off R
+        rng = np.random.default_rng(14)
+        axes = [np.array([0.6, 0.8, 0.0]), np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)]
+        axes += list(rng.normal(size=(200, 3)))
+        for axis in axes:
+            axis = axis / np.linalg.norm(axis)
+            R = rot_exp(theta * axis)
+            w = rot_log(R)
+            assert np.linalg.norm(rot_exp(w) - R) <= 1e-6
+            assert abs(np.linalg.norm(w) - theta) <= 1e-6
+            # +axis and -axis are the same rotation at pi only
+            assert min(np.linalg.norm(w - theta * axis), np.linalg.norm(w + theta * axis)) <= 1e-6
+            if theta < math.pi - 5e-8:
+                assert np.linalg.norm(w - theta * axis) <= 1e-6
+
 
 class TestStacked:
     """`skew` and `rot_exp` on an (N, 3) stack equal their one-vector calls

@@ -9,6 +9,8 @@ from it.
 
 import math
 import sys
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,11 @@ from hypothesis import assume, given, settings, strategies as st
 from sgraph.factors import KINDS, LOCAL_DIM, Factor, FactorKind
 from sgraph.geometry import PlaneClass, PlaneMinimal, Pose3, from_minimal, rot_exp, wrap_angle
 from sgraph.graph import Keyframe, PlaneLandmark, SGraph, Span
+from sgraph.io import graph_from_dict, graph_to_dict
 from sgraph.linearize import BatchedFactors
-from sgraph.solver import layer_costs
+from sgraph.pipeline import SlamConfig, run_slam
+from sgraph.simulator import NoiseSpec
+from sgraph.solver import SolverConfig, layer_costs, optimize
 
 from reference_factors import (
     evaluate_factor,
@@ -29,6 +34,7 @@ from reference_factors import (
     pose_retract,
 )
 from test_io import sample_graph
+from test_pipeline import run_steps
 from test_solver import variable_state
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -543,3 +549,151 @@ def test_a_tiny_step_at_the_pole_changes_the_cost_tinily():
         step = rng.normal(size=bf.dim)
         moved = cost(bf.retract(v, 1e-12 * step / np.linalg.norm(step)))
         assert abs(moved - before) <= 1e-6
+
+
+# -- the layout a graph keeps between solves ---------------------------------
+
+
+@pytest.fixture
+def stacked(monkeypatch):
+    """The number of measurements each `KindSpec.stack` call stacks, in call
+    order: the factors a layout absorbs."""
+    counts = []
+
+    def counting(stack):
+        def wrapped(meas):
+            counts.append(len(meas))
+            return stack(meas)
+
+        return wrapped
+
+    for kind, spec in KINDS.items():
+        monkeypatch.setitem(KINDS, kind, replace(spec, stack=counting(spec.stack)))
+    return counts
+
+
+def assert_same_as_fresh(graph, kept):
+    """The kept layout equals a fresh `BatchedFactors` of the graph, byte for
+    byte: its blocks, columns, costs, H and g."""
+    fresh = BatchedFactors(graph)
+    assert kept.ids == fresh.ids and kept.dim == fresh.dim
+    for kind, cols in fresh.columns.items():
+        np.testing.assert_array_equal(kept.columns[kind], cols)
+    for a, b in zip(kept.blocks, fresh.blocks, strict=True):
+        assert (a.layer, a.variables, a.kernel) == (b.layer, b.variables, b.kernel)
+        arrays = zip(
+            (a.factor_index, a.rows, a.sqrt_info, a.robust, *a.meas),
+            (b.factor_index, b.rows, b.sqrt_info, b.robust, *b.meas),
+            strict=True,
+        )
+        for x, y in arrays:
+            assert (x.dtype, x.shape, x.strides, x.tobytes()) == (y.dtype, y.shape, y.strides, y.tobytes())
+    for jacobians in (True, False):
+        costs, H, g = kept.linearize(kept.values(graph), 0.5, jacobians)
+        costs_fresh, H_fresh, g_fresh = fresh.linearize(fresh.values(graph), 0.5, jacobians)
+        assert costs == costs_fresh
+        if jacobians:
+            assert (H.tobytes(), g.tobytes()) == (H_fresh.tobytes(), g_fresh.tobytes())
+
+
+class TestKeptLayout:
+    """`SGraph.solve_layout` keeps one layout per graph: it absorbs the
+    factors added since the last call and starts again from empty only
+    when the graph no longer holds what it absorbed."""
+
+    @staticmethod
+    def solve_layout(graph, stacked):
+        """The graph's kept layout, checked against a fresh one, and the
+        number of factors it absorbed on the way."""
+        stacked.clear()
+        kept = graph.solve_layout()
+        absorbed = sum(stacked)
+        assert_same_as_fresh(graph, kept)
+        return kept, absorbed
+
+    def test_matches_a_fresh_layout_after_every_change(self, stacked):
+        g = sample_graph()
+        kept, absorbed = self.solve_layout(g, stacked)
+        assert absorbed == len(g.factors)
+
+        # a keyframe, its odometry and plane observations, a new plane and a
+        # corridor with a new span: absorbed, nothing re-stacked
+        n = len(g.factors)
+        add_kf(g, 3, Pose3(rot_exp(np.array([0.1, -0.2, 0.3])), np.array([1.0, 0.5, 0.2])))
+        between(g, 2, 3, Pose3.from_xyz_yaw(0.8, 0.1, 0.0, 0.2), kind=FactorKind.ODOMETRY,
+                robust=False)
+        add_plane(g, 2, 1.5, 0.02, 2.5, cls=PlaneClass.Y_VERTICAL)
+        g._next_plane_id = 3
+        observe(g, 3, 0, (0.35, 0.0, 3.5))
+        observe(g, 3, 2, (1.45, 0.01, 2.4))
+        g.add_node("corridor", (Span(PlaneClass.Y_VERTICAL, 0.5, 4.0, (1, 2)),), 100.0)
+        assert self.solve_layout(g, stacked) == (kept, len(g.factors) - n) and n + 5 == len(g.factors)
+
+        # a merge re-points factors and a removal drops them: rebuilt
+        g.merge_planes(0, 2)
+        assert self.solve_layout(g, stacked) == (kept, len(g.factors))
+        g.remove_corridor(0)
+        assert self.solve_layout(g, stacked) == (kept, len(g.factors))
+
+        # a new list of the same factors changes nothing; a factor replaced
+        # by an equal copy, or the factors reordered, rebuilds
+        g.factors = list(g.factors)
+        assert self.solve_layout(g, stacked)[1] == 0
+        g.factors[2] = replace(g.factors[2])
+        assert self.solve_layout(g, stacked)[1] == len(g.factors)
+        g.factors = g.factors[::-1]
+        assert self.solve_layout(g, stacked)[1] == len(g.factors)
+        # the last factor dropped, with every variable kept
+        g.factors.pop()
+        assert self.solve_layout(g, stacked)[1] == len(g.factors)
+        # a plane with an id below the last one's: the rows move
+        add_plane(g, 5, 0.2, 0.0, 6.0)
+        assert self.solve_layout(g, stacked)[1] == 0
+        add_plane(g, 4, 0.1, 0.0, 5.0)
+        observe(g, 3, 4, (0.12, 0.0, 4.9))
+        assert self.solve_layout(g, stacked)[1] == len(g.factors)
+        # a factor re-pointed, as a merge does, with every variable kept
+        f = next(f for f in g.factors if f.kind is FactorKind.POSE_PLANE)
+        f.variables = (f.variables[0], ("plane", 1 if f.variables[1] == ("plane", 0) else 0))
+        assert self.solve_layout(g, stacked)[1] == len(g.factors)
+
+        # `evaluate_factor` stacks its factor in a copy of the graph
+        stacked.clear()
+        g.evaluate_factor(g.factors[0])
+        assert stacked == [1]
+        assert self.solve_layout(g, stacked) == (kept, 0)
+
+    def test_a_solve_leaves_the_graph_value_alone(self):
+        g = sample_graph()
+        optimize(g, SolverConfig(check_rank=False))
+        snapshot = graph_to_dict(g)
+        assert "_layout" not in snapshot and "_layout" not in repr(g)
+        loaded = graph_from_dict(snapshot)
+        assert graph_to_dict(loaded) == snapshot
+        # a copy starts without the layout, and solving it leaves g's alone
+        kept = g.solve_layout()
+        copy = replace(g, factors=g.factors[:3])
+        assert copy.solve_layout() is not kept
+        assert g.solve_layout() is kept
+        assert sum(len(b.rows) for b in kept.blocks) == len(g.factors) > 3
+
+    def test_append_only_stream_stacks_each_measurement_once(self, stacked, monkeypatch):
+        reshaped = Counter()
+        for name in ("merge_planes", "remove_corridor"):
+            method = getattr(SGraph, name)
+
+            def counted(self, *args, _method=method, _name=name):
+                reshaped[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(SGraph, name, counted)
+        _, steps = run_steps(NoiseSpec(trans_drift=0.01, seed=0))
+        result = run_slam(steps, SlamConfig())
+        graph = result.graph
+        assert not reshaped  # the stream only ever adds
+        assert len(result.reports) == len(graph.keyframes) > 5
+        assert graph.rooms and {f.kind for f in graph.factors} == {
+            FactorKind.ODOMETRY, FactorKind.POSE_PLANE, FactorKind.ROOM_PLANE
+        }
+        # once per factor over the whole run, not once per solve
+        assert sum(stacked) == len(graph.factors)
