@@ -162,9 +162,6 @@ class Pose3:
         Rt = self.rotation.T
         return Pose3(Rt, -Rt @ self.translation)
 
-    def transform_point(self, p: np.ndarray) -> np.ndarray:
-        return self.rotation @ np.asarray(p, dtype=float) + self.translation
-
 
 def inverse_compose(a: Pose3, b: Pose3) -> Pose3:
     """Relative pose of b expressed in frame a: (-) a (+) b."""

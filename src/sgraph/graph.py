@@ -54,8 +54,6 @@ class PlaneLandmark:
     params: PlaneMinimal  # map frame
     plane_class: PlaneClass
     extent: np.ndarray
-    centroid: np.ndarray  # map frame
-    observation_count: int = 1
     # which side of the stored plane the observer was on (+1/-1): the d >= 0
     # convention erases the facing direction, but room/corridor detection
     # needs to tell inward-facing wall pairs apart
@@ -85,6 +83,7 @@ class Node:
 
 
 NEW_LANDMARK = -1
+ASSOCIATION_GATE = 3.0  # Mahalanobis distance inside which a detection joins a mapped plane
 
 
 @dataclass
@@ -215,12 +214,12 @@ class SGraph:
         det: PlaneDetection,
         kf_id: int,
         plane_information: np.ndarray,
-        gate: float = 3.0,
     ) -> int:
-        """Associate a detection, creating a landmark when needed, and add
-        the Huber-robust pose-plane factor. Returns the landmark id."""
+        """Associate a detection through the `ASSOCIATION_GATE`, creating a
+        landmark when needed, and add the Huber-robust pose-plane factor.
+        Returns the landmark id."""
         kf = self.keyframes[kf_id]
-        lm_id = self.associate_plane(det, kf_id, gate, plane_information)
+        lm_id = self.associate_plane(det, kf_id, ASSOCIATION_GATE, plane_information)
         meas_minimal = to_minimal(det.plane)
         if lm_id == NEW_LANDMARK:
             map_plane = transform_plane(kf.pose, det.plane, to_sensor=False)
@@ -231,15 +230,11 @@ class SGraph:
                 params=to_minimal(map_plane),
                 plane_class=classify_plane(map_plane),
                 extent=np.asarray(det.extent, dtype=float).copy(),
-                centroid=kf.pose.transform_point(det.centroid),
                 side=1.0 if gap >= 0.0 else -1.0,
             )
         else:
             lm = self.planes[lm_id]
-            lm.observation_count += 1
             lm.extent = np.maximum(lm.extent, det.extent)
-            new_c = kf.pose.transform_point(det.centroid)
-            lm.centroid = lm.centroid + (new_c - lm.centroid) / lm.observation_count
         self.factors.append(
             Factor(
                 kind=FactorKind.POSE_PLANE,
@@ -253,8 +248,7 @@ class SGraph:
 
     def merge_planes(self, keep_id: int, drop_id: int) -> None:
         """Re-point every factor from drop_id to keep_id and delete it; a
-        missing keep_id raises KeyError first. The kept centroid becomes the
-        observation-weighted mean of both, over every observation counted."""
+        missing keep_id raises KeyError first."""
         if keep_id == drop_id or drop_id not in self.planes:
             return
         keep, drop = self.planes[keep_id], self.planes[drop_id]
@@ -263,9 +257,6 @@ class SGraph:
                 ("plane", keep_id) if v == ("plane", drop_id) else v for v in f.variables
             )
         keep.extent = np.maximum(keep.extent, drop.extent)
-        n_keep, n_drop = keep.observation_count, drop.observation_count
-        keep.centroid = (n_keep * keep.centroid + n_drop * drop.centroid) / (n_keep + n_drop)
-        keep.observation_count = n_keep + n_drop
         del self.planes[drop_id]
         for span in self.spans.values():
             span.walls = tuple(keep_id if p == drop_id else p for p in span.walls)

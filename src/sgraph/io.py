@@ -20,7 +20,7 @@ from .graph import SGraph
 from .planes import PointCloud
 from .simulator import SimStep, WorldModel
 
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 
 # -- JSON codec -------------------------------------------------------------
@@ -168,14 +168,17 @@ def write_ply(path, cloud: PointCloud) -> None:
 
 def read_ply(path) -> PointCloud:
     """The cloud an ASCII PLY file holds. A header without `element vertex`
-    or `end_header`, a body shorter than it declares, a vertex row of fewer
-    than three values or a token that is no number raises ValueError
-    naming the file and, where there is one, the line."""
+    or `end_header`, a negative vertex count, a body shorter than it
+    declares, a vertex row of fewer than three values or a token that is
+    no number raises ValueError naming the file and, where there is one,
+    the line."""
     lines = Path(path).read_text().splitlines()
     n, timestamp = None, 0.0
     for i, line in enumerate(lines, start=1):
         if line.startswith("element vertex"):
             (n,) = _numbers(path, i, line.split()[-1], int)
+            if n < 0:
+                raise ValueError(f"{path}:{i}: negative vertex count {n}")
         elif line.startswith("comment timestamp"):
             (timestamp,) = _numbers(path, i, line.split()[-1])
         elif line.strip() == "end_header":

@@ -40,7 +40,6 @@ class FactorBlock:
 
     layer: str
     variables: tuple[str, str]  # the kinds of each factor's two variables
-    factor_index: np.ndarray  # (N,) position of each row's factor in graph.factors
     kernel: Kernel
     rows: np.ndarray  # (N, 2) rows of the two variables in their value arrays
     meas: tuple  # kind-specific stacked measurements
@@ -54,7 +53,6 @@ class FactorBlock:
         chol = [self.sqrt_info.transpose(0, 2, 1), more.sqrt_info.transpose(0, 2, 1)]
         return replace(
             self,
-            factor_index=np.concatenate([self.factor_index, more.factor_index]),
             rows=np.concatenate([self.rows, more.rows]),
             meas=tuple(np.concatenate(pair) for pair in zip(self.meas, more.meas)),
             sqrt_info=np.concatenate(chol).transpose(0, 2, 1),
@@ -62,15 +60,14 @@ class FactorBlock:
         )
 
 
-def _block(layer: str, factors: list[Factor], index: list[int], row: dict) -> FactorBlock:
-    """The block of `factors`, all of `layer`, at positions `index` of
-    graph.factors, their variables at the rows `row` gives."""
+def _block(layer: str, factors: list[Factor], row: dict) -> FactorBlock:
+    """The block of `factors`, all of `layer`, their variables at the rows
+    `row` gives."""
     spec = KINDS[factors[0].kind]
     info = np.array([f.information for f in factors], dtype=float)
     return FactorBlock(
         layer=layer,
         variables=spec.variables,
-        factor_index=np.array(index, dtype=int),
         kernel=spec.kernel,
         rows=np.array([[row[k] for k in f.variables] for f in factors], dtype=int),
         meas=spec.stack([f.measurement for f in factors]),
@@ -136,20 +133,19 @@ class BatchedFactors:
         ids = {"kf": sorted(graph.keyframes), "plane": sorted(graph.planes), "span": sorted(graph.spans)}
         if not self._extends(graph, ids):
             self._clear()
-        n = len(self._factors)
         row = dict(self._row)
         for kind, kind_ids in ids.items():
             start = len(self.ids[kind])
             row.update(((kind, vid), i) for i, vid in enumerate(kind_ids[start:], start))
-        by_layer: dict[str, list[int]] = {layer: [] for layer in LAYERS}
-        for i in range(n, len(graph.factors)):
-            by_layer[KINDS[graph.factors[i].kind].layer].append(i)
+        new = graph.factors[len(self._factors):]
+        by_layer: dict[str, list[Factor]] = {layer: [] for layer in LAYERS}
+        for f in new:
+            by_layer[KINDS[f.kind].layer].append(f)
         blocks = dict(self._blocks)
-        for layer, index in by_layer.items():
-            if index:
-                part = _block(layer, [graph.factors[i] for i in index], index, row)
+        for layer, factors in by_layer.items():
+            if factors:
+                part = _block(layer, factors, row)
                 blocks[layer] = blocks[layer].extended(part) if layer in blocks else part
-        new = graph.factors[n:]
         self._factors += new
         self._variables += [f.variables for f in new]
         self.ids, self._row, self._blocks = ids, row, blocks

@@ -21,6 +21,14 @@ from .planes import PointCloud
 
 # neighbours whose PCA gives a query point's normal
 NORMAL_NEIGHBOURS = 20
+MIN_POINTS = 50  # points a scan and a correspondence set need for registration
+ICP_TOL = 1e-8  # relative fitness change that ends registration at the final radius
+# coarse-to-fine: the correspondence radius starts wide enough to cover the
+# drift of the initial guess (`LoopConfig.coarse_corr_dist`) and shrinks by
+# CORR_DECAY per iteration to MAX_CORR_DIST, widening the convergence basin
+MAX_CORR_DIST = 1.0
+CORR_DECAY = 0.7
+INFO_SCALE_CAP = 1e4  # most a registration's information scale can be
 
 
 class NoConvergence(RuntimeError):
@@ -35,20 +43,12 @@ class LoopConfig:
     # oscillates between correspondence sets, and on square-loop seeds 0-23
     # a cap of 60 accepted as many loops per seed
     max_icp_iters: int = 20
-    icp_tol: float = 1e-8  # relative fitness change
-    max_corr_dist: float = 1.0
-    # coarse-to-fine: the correspondence radius starts wide enough to cover
-    # the drift of the initial guess and shrinks geometrically to
-    # max_corr_dist, widening the convergence basin
-    coarse_corr_dist: float = 3.0
-    corr_decay: float = 0.7
+    coarse_corr_dist: float = 3.0  # the first correspondence radius
     # mean squared point-to-plane residual, m^2. On square-loop noise seeds
     # 0-23 (range noise 0.01 m) a registration at or below it lies within
     # 0.05 m and 0.01 rad of the true relative pose; the closest miss
     # scored 5.2e-3
     accept_threshold: float = 5e-3
-    min_points: int = 50
-    info_scale_cap: float = 1e4
 
 
 @dataclass(frozen=True)
@@ -103,20 +103,20 @@ def register_scans(
     fitness exceeds the acceptance threshold. It reads only its arguments
     and writes nothing.
     """
-    if len(query) < cfg.min_points or len(match) < cfg.min_points:
+    if len(query) < MIN_POINTS or len(match) < MIN_POINTS:
         raise NoConvergence("too few points for registration")
     target = query.points
     pose = initial_guess
     prev_fitness = np.inf
     fitness = np.inf
-    corr_dist = max(cfg.coarse_corr_dist, cfg.max_corr_dist)
+    corr_dist = max(cfg.coarse_corr_dist, MAX_CORR_DIST)
     for _ in range(cfg.max_icp_iters):
         moved = match.points @ pose.rotation.T + pose.translation
         # the margin keeps a pair at exactly corr_dist, which the bounded
         # query's strict < would drop; mask stays the deciding test
         dists, idx = tree.query(moved, k=1, distance_upper_bound=corr_dist * (1.0 + 1e-9))
         mask = dists <= corr_dist
-        if int(mask.sum()) < cfg.min_points:
+        if int(mask.sum()) < MIN_POINTS:
             raise NoConvergence("correspondence set collapsed")
         p = moved[mask]
         n = normals[idx[mask]]
@@ -129,16 +129,14 @@ def register_scans(
             raise NoConvergence("correspondences leave the pose underdetermined")
         x = np.linalg.solve(H, -(J.T @ r))
         pose = Pose3(rot_exp(x[:3]), x[3:]).compose(pose)
-        at_final_radius = corr_dist <= cfg.max_corr_dist
-        if at_final_radius and abs(prev_fitness - fitness) <= cfg.icp_tol * max(
-            prev_fitness, 1e-12
-        ):
+        at_final_radius = corr_dist <= MAX_CORR_DIST
+        if at_final_radius and abs(prev_fitness - fitness) <= ICP_TOL * max(prev_fitness, 1e-12):
             break
         prev_fitness = fitness
-        corr_dist = max(cfg.max_corr_dist, corr_dist * cfg.corr_decay)
+        corr_dist = max(MAX_CORR_DIST, corr_dist * CORR_DECAY)
     if fitness > cfg.accept_threshold:
         raise NoConvergence(f"fitness {fitness:.4f} > {cfg.accept_threshold}")
-    scale = min(1.0 / max(fitness, 1e-6), cfg.info_scale_cap)
+    scale = min(1.0 / max(fitness, 1e-6), INFO_SCALE_CAP)
     return LoopConstraint(relative=pose, fitness=fitness, information=np.eye(6) * scale)
 
 
@@ -150,9 +148,9 @@ def close_loops(graph: SGraph, query_id: int, cfg: LoopConfig) -> int:
     seen from the query as its initial guess, and the first whose
     registration does not converge ends the search: no farther candidate is
     registered, even one that would converge. Candidates without a scan or
-    with fewer than `cfg.min_points` points are skipped; they say nothing
+    with fewer than `MIN_POINTS` points are skipped; they say nothing
     about the registration's reach. A query keyframe without a scan of at
-    least `cfg.min_points` points registers nothing.
+    least `MIN_POINTS` points registers nothing.
 
     The query scan's kd-tree and `point_normals` are built once, before
     the first registration, and serve every candidate; a keyframe with no
@@ -163,13 +161,13 @@ def close_loops(graph: SGraph, query_id: int, cfg: LoopConfig) -> int:
     the number of accepted factors.
     """
     query = graph.keyframes[query_id]
-    if query.scan is None or len(query.scan) < cfg.min_points:
+    if query.scan is None or len(query.scan) < MIN_POINTS:
         return 0
     accepted: list[Factor] = []
     tree = normals = None
     for match_id in find_candidates(graph, query_id, cfg):
         match = graph.keyframes[match_id]
-        if match.scan is None or len(match.scan) < cfg.min_points:
+        if match.scan is None or len(match.scan) < MIN_POINTS:
             continue
         if tree is None:
             tree = cKDTree(query.scan.points)

@@ -32,7 +32,6 @@ class SlamConfig:
     plane_sigma_angle: float = 0.02  # rad
     plane_sigma_d: float = 0.02  # m
     topology_sigma: float = 0.1  # m
-    association_gate: float = 3.0
     min_plane_inlier_count: int = 100  # inliers a kept plane needs; RANSAC searches for no fewer
     enable_topology: bool = True
     enable_loop_closure: bool = False
@@ -95,10 +94,7 @@ def process_step(graph: SGraph, step: SimStep, cfg: SlamConfig, result: SlamResu
             detections = extract_planes(cloud, ransac, graph.predict_planes(kf_id))
         except TooFewPoints:
             detections = []
-        seen_ids = [
-            graph.add_plane_observation(det, kf_id, cfg.plane_information(), gate=cfg.association_gate)
-            for det in detections
-        ]
+        seen_ids = [graph.add_plane_observation(det, kf_id, cfg.plane_information()) for det in detections]
         if cfg.enable_topology and seen_ids:
             update_topology(graph, seen_ids, cfg.room, cfg.topology_information())
     if cfg.enable_loop_closure and kf_id > 0:

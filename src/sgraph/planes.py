@@ -66,9 +66,7 @@ class RansacConfig:
 class PlaneDetection:
     plane: PlaneHessian  # sensor frame, d >= 0
     inlier_count: int
-    inlier_rms: float
     extent: np.ndarray  # 2-vector, in-plane bounding box side lengths
-    centroid: np.ndarray  # 3-vector, sensor frame
     inlier_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
 
@@ -91,7 +89,10 @@ def voxel_downsample(points: np.ndarray, voxel_size: float) -> np.ndarray:
 
 def preprocess(cloud: PointCloud, cfg: FilterConfig) -> PointCloud:
     """Drop non-finite returns, voxel downsample, then reject range outliers
-    beyond k_sigma stddevs."""
+    beyond k_sigma stddevs. A voxel size that is not a finite number above
+    0 raises ValueError: 0, NaN or inf would merge the cloud into one point."""
+    if not (math.isfinite(cfg.voxel_size) and cfg.voxel_size > 0.0):
+        raise ValueError(f"FilterConfig.voxel_size must be finite and > 0, not {cfg.voxel_size!r}")
     if len(cloud) == 0:
         raise EmptyCloud("input cloud is empty")
     # one NaN or inf return would make the range mean NaN and empty the cloud
@@ -142,16 +143,15 @@ def _plane_basis(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def plane_extent(points: np.ndarray, plane: PlaneHessian) -> tuple[np.ndarray, np.ndarray]:
-    """In-plane bounding-box side lengths (ascending) and the 3D centroid."""
+def plane_extent(points: np.ndarray, plane: PlaneHessian) -> np.ndarray:
+    """In-plane bounding-box side lengths, ascending."""
     points = np.asarray(points, dtype=float).reshape(-1, 3)
     if points.shape[0] < 3:
         raise TooFewPoints(f"{points.shape[0]} inliers < 3")
     u, v = _plane_basis(plane.normal)
     pu = points @ u
     pv = points @ v
-    extent = np.sort(np.array([pu.max() - pu.min(), pv.max() - pv.min()]))
-    return extent, points.mean(axis=0)
+    return np.sort(np.array([pu.max() - pu.min(), pv.max() - pv.min()]))
 
 
 def _largest_segment(coords: np.ndarray, gap: float) -> np.ndarray:
@@ -400,18 +400,12 @@ def extract_planes(
             continue
         mask, normal, d = _trim_fit(owned, mask, cfg)
         idx = owned_idx[mask]
-        inliers = pts[idx]
         plane = PlaneHessian(normal, d)
-        residuals = inliers @ normal - d
-        rms = float(np.sqrt(np.mean(residuals**2)))
-        extent, centroid = plane_extent(inliers, plane)
         detections.append(
             PlaneDetection(
                 plane=plane,
                 inlier_count=int(idx.size),
-                inlier_rms=rms,
-                extent=extent,
-                centroid=centroid,
+                extent=plane_extent(pts[idx], plane),
                 inlier_indices=idx,
             )
         )

@@ -166,14 +166,21 @@ def generate_world(layout: LayoutSpec) -> WorldModel:
 
     Each rectangle has a wall at both ends of both axes, in the order x low,
     x high, y low, y high. A corridor's walls face across its shorter side
-    (x on a tie) and its width is that side."""
+    (x on a tie) and its width is that side. Raises InvalidLayout for no
+    rectangle, a wall height that is not a finite number above 0, or a
+    rectangle of unknown kind, with a bound that is not finite, of no area
+    or overlapping another."""
     rects = list(layout.rects)
     if not rects:
         raise InvalidLayout("layout needs at least one rectangle")
+    if not (math.isfinite(layout.wall_height) and layout.wall_height > 0.0):
+        raise InvalidLayout(f"wall_height must be finite and > 0, not {layout.wall_height!r}")
     bounds = [r.bounds for r in rects]
     for i, a in enumerate(rects):
         if a.kind not in ("room", "corridor"):
             raise InvalidLayout(f"rectangle {a} has kind {a.kind!r}, not 'room' or 'corridor'")
+        if not np.isfinite(bounds[i]).all():
+            raise InvalidLayout(f"rectangle {a} has a bound that is not finite")
         if any(hi <= lo for lo, hi in bounds[i]):
             raise InvalidLayout(f"degenerate rectangle {a}")
         for b in rects[i + 1 :]:
@@ -349,12 +356,18 @@ def _interp_poses(traj: TrajectorySpec) -> tuple[np.ndarray, list[Pose3]]:
     return times, poses
 
 
-def _check_specs(traj: TrajectorySpec, pattern: ScanPattern) -> None:
+def _check_specs(traj: TrajectorySpec, noise: NoiseSpec, pattern: ScanPattern) -> None:
     if not traj.waypoints:
         raise InvalidSpec("TrajectorySpec.waypoints is empty")
     for name, value in (("speed", traj.speed), ("scan_rate", traj.scan_rate)):
         if not (math.isfinite(value) and value > 0.0):
             raise InvalidSpec(f"TrajectorySpec.{name} must be finite and > 0, not {value!r}")
+    if not math.isfinite(traj.sensor_height):
+        raise InvalidSpec(f"TrajectorySpec.sensor_height must be finite, not {traj.sensor_height!r}")
+    for name in ("trans_drift", "rot_drift", "range_sigma"):
+        value = getattr(noise, name)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise InvalidSpec(f"NoiseSpec.{name} must be finite and >= 0, not {value!r}")
     counts = (
         ("TrajectorySpec.loops", traj.loops),
         ("ScanPattern.n_rings", pattern.n_rings),
@@ -377,9 +390,11 @@ def simulate_run(
     trajectory. Fully deterministic given the noise seed.
 
     Raises InvalidSpec for a speed or scan rate that is not a finite number
-    above 0, a loop, ring or azimuth count below 1, a max_range that is not
-    above 0, or waypoints that make no trajectory of positive length."""
-    _check_specs(traj, pattern)
+    above 0, a sensor height that is not finite, a drift or range noise
+    that is not a finite number of at least 0, a loop, ring or azimuth
+    count below 1, a max_range that is not above 0, or waypoints that make
+    no trajectory of positive length."""
+    _check_specs(traj, noise, pattern)
     rng = np.random.default_rng(noise.seed)
     times, gt_poses = _interp_poses(traj)
     dirs_sensor = ray_directions(pattern)

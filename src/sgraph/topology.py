@@ -13,19 +13,20 @@ from .geometry import PlaneClass, from_minimal, plane_axis_sign
 from .graph import PlaneLandmark, SGraph, Span
 
 NEW_ROOM = -1
+CORRIDOR_MAX_WIDTH = 2.5  # wall pairs wider than this are no corridor
+# a re-detected room's spans must each agree with the mapped ones this
+# closely in width
+WIDTH_MATCH_TOL = 0.5
 
 
 @dataclass(frozen=True)
 class RoomCriterionConfig:
     min_width: float = 0.5  # lambda: minimum wall separation
     extent_ratio_max: float = 3.0
-    corridor_max_width: float = 2.5  # widths above this are not corridors
     # wall length relative to the perpendicular room width; rejects
     # accidental quadruples (e.g. a corridor mouth plus far walls)
     coverage_min: float = 0.55
     coverage_max: float = 1.7
-    # association: widths must agree this closely to count as a re-detection
-    width_match_tol: float = 0.5
 
 
 def signed_distance(lm: PlaneLandmark, axis: PlaneClass) -> float:
@@ -93,22 +94,23 @@ def detect_room(
 
 def detect_corridor(pair: tuple[PlaneLandmark, PlaneLandmark], cfg: RoomCriterionConfig) -> Span | None:
     """Corridor test on a parallel wall pair of equal vertical class: the
-    pair must pass `_wall_pair` and be at most `corridor_max_width` wide."""
+    pair must pass `_wall_pair` and be at most `CORRIDOR_MAX_WIDTH` wide."""
     a, b = pair
     if a.plane_class is not b.plane_class or a.plane_class is PlaneClass.HORIZONTAL:
         return None
     span = _wall_pair(a, b, a.plane_class, cfg)
-    if span is None or span.width > cfg.corridor_max_width:
+    if span is None or span.width > CORRIDOR_MAX_WIDTH:
         return None
     return span
 
 
-def associate_room(graph: SGraph, candidate: tuple[Span, Span], cfg: RoomCriterionConfig) -> int:
+def associate_room(graph: SGraph, candidate: tuple[Span, Span]) -> int:
     """Match a candidate's spans against mapped rooms by center distance.
 
     The gate scales with the room size: half the smaller width. Matching
-    also requires agreeing widths so a differently-shaped candidate near
-    the same center is not folded in. Returns the matched id or NEW_ROOM.
+    also requires widths that agree within `WIDTH_MATCH_TOL`, so a
+    differently-shaped candidate near the same center is not folded in.
+    Returns the matched id or NEW_ROOM.
     """
     best_id = NEW_ROOM
     best_dist = math.inf
@@ -118,7 +120,7 @@ def associate_room(graph: SGraph, candidate: tuple[Span, Span], cfg: RoomCriteri
         dist = float(np.linalg.norm([s.center - c.center for s, c in zip(spans, candidate)]))
         if dist >= gate or dist >= best_dist:
             continue
-        if any(abs(s.width - c.width) > cfg.width_match_tol for s, c in zip(spans, candidate)):
+        if any(abs(s.width - c.width) > WIDTH_MATCH_TOL for s, c in zip(spans, candidate)):
             continue
         best_dist = dist
         best_id = room_id
@@ -169,7 +171,7 @@ def update_topology(
             candidate = detect_room(xp, yp, cfg)
             if candidate is None:
                 continue
-            match = associate_room(graph, candidate, cfg)
+            match = associate_room(graph, candidate)
             if match != NEW_ROOM:
                 stats["merges"] += merge_candidate_into_room(graph, match, candidate)
                 continue

@@ -35,13 +35,12 @@ def graph_with_keyframe(pose=Pose3.identity(), odom_cov=np.eye(6) * 1e-4):
 
 def add_landmark(g, pid, az, el, d, cls):
     g.planes[pid] = PlaneLandmark(id=pid, params=PlaneMinimal(az, el, d), plane_class=cls,
-                                  extent=np.ones(2), centroid=np.zeros(3))
+                                  extent=np.ones(2))
 
 
 def detection(normal, d):
     n = np.asarray(normal, dtype=float)
-    return PlaneDetection(plane=PlaneHessian(n / np.linalg.norm(n), d), inlier_count=500,
-                          inlier_rms=0.01, extent=np.ones(2), centroid=np.zeros(3))
+    return PlaneDetection(plane=PlaneHessian(n / np.linalg.norm(n), d), inlier_count=500, extent=np.ones(2))
 
 
 def associate(g, det, gate=3.0, info=PLANE_INFO):
@@ -66,8 +65,7 @@ def test_nearest_of_several_and_first_in_dict_order_on_a_tie():
     # the first of the tied pair in dict order, not the smaller id
     del g.planes[3]
     g.planes[3] = PlaneLandmark(id=3, params=PlaneMinimal(0.02, 0.0, 4.05),
-                                plane_class=PlaneClass.X_VERTICAL, extent=np.ones(2),
-                                centroid=np.zeros(3))
+                                plane_class=PlaneClass.X_VERTICAL, extent=np.ones(2))
     assert associate(g, det) == 5
 
 
@@ -118,17 +116,6 @@ def test_candidates_after_a_merge_deleted_a_landmark():
     g.merge_planes(0, 1)
     assert 1 not in g.planes
     assert associate(g, det) == 2
-
-
-def test_merge_averages_the_centroids_by_observation_count():
-    g = SGraph()
-    add_landmark(g, 0, 0.0, 0.0, 0.0, PlaneClass.X_VERTICAL)
-    add_landmark(g, 1, 0.0, 0.0, 0.0, PlaneClass.X_VERTICAL)
-    g.planes[0].observation_count, g.planes[1].observation_count = 3, 1
-    g.planes[1].centroid = np.array([4.0, 0.0, 0.0])
-    g.merge_planes(0, 1)
-    assert np.array_equal(g.planes[0].centroid, [1.0, 0.0, 0.0])
-    assert g.planes[0].observation_count == 4
 
 
 def test_merge_into_a_missing_landmark_leaves_the_graph_unchanged():

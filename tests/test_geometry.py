@@ -172,7 +172,7 @@ class TestTransformPlane:
             x = n * d + u * rng.normal(0, 3)
             assert abs(point_distance(plane, x)) < 1e-9
             out = transform_plane(pose, plane, to_sensor=False)
-            assert abs(point_distance(out, pose.transform_point(x))) < 1e-9
+            assert abs(point_distance(out, pose.rotation @ x + pose.translation)) < 1e-9
 
 
 class TestMinimal:

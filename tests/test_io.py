@@ -63,8 +63,6 @@ def sample_graph():
         params=PlaneMinimal(0.3, 0.01, 4.2),
         plane_class=PlaneClass.X_VERTICAL,
         extent=np.array([3.0, 2.5]),
-        centroid=np.array([4.2, 0.7, 1.2]),
-        observation_count=5,
         side=-1.0,
     )
     g.planes[1] = PlaneLandmark(
@@ -72,7 +70,6 @@ def sample_graph():
         params=PlaneMinimal(math.pi / 2, 0.0, 1.5),
         plane_class=PlaneClass.Y_VERTICAL,
         extent=np.array([4.0, 2.5]),
-        centroid=np.array([0.1, 1.5, 1.2]),
         side=1.0,
     )
     # room 0 is spans 0 (x) and 1 (y), corridor 0 is span 2
@@ -152,8 +149,6 @@ class TestGraphRoundTrip:
             assert pb.plane_class is pa.plane_class
             assert pb.side == pa.side
             assert np.array_equal(pb.extent, pa.extent)
-            assert np.array_equal(pb.centroid, pa.centroid)
-            assert pb.observation_count == pa.observation_count
         assert h.spans == g.spans
         assert h.spans[1].axis is PlaneClass.Y_VERTICAL
         assert h.rooms == g.rooms and h.corridors == g.corridors
@@ -254,8 +249,8 @@ class TestExactSnapshot:
 
     def test_only_the_current_version_is_read(self):
         d = graph_to_dict(sample_graph())
-        assert d["version"] == SNAPSHOT_VERSION == 4
-        for version in (1, 2, 3, None):
+        assert d["version"] == SNAPSHOT_VERSION == 5
+        for version in (1, 2, 3, 4, None):
             with pytest.raises(ValueError, match="unsupported snapshot version"):
                 graph_from_dict(dict(d, version=version))
 
@@ -418,6 +413,13 @@ class TestPlyRoundTrip:
         lines = [line for line in PLY_HEADER if line != dropped]
         path.write_text("\n".join(lines + ["1 2 3", "4 5 6", "7 8 9"]) + "\n")
         with pytest.raises(ValueError, match=f"scan.ply: PLY {message}"):
+            read_ply(path)
+
+    def test_negative_vertex_count_rejected(self, tmp_path):
+        path = tmp_path / "scan.ply"
+        lines = [line.replace("vertex 3", "vertex -1") for line in PLY_HEADER]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="scan.ply:3: negative vertex count -1"):
             read_ply(path)
 
     @pytest.mark.parametrize(("line", "bad"), [(3, "element vertex x3"), (9, "4 5 abc")])

@@ -51,7 +51,7 @@ def add_kf(g, i, pose):
 
 def add_plane(g, pid, az, el, d, cls=PlaneClass.X_VERTICAL):
     g.planes[pid] = PlaneLandmark(id=pid, params=PlaneMinimal(az, el, d), plane_class=cls,
-                                  extent=np.ones(2), centroid=np.zeros(3))
+                                  extent=np.ones(2))
 
 
 def observe(g, kf_id, pid, meas, robust=True, info=PLANE_INFO):
@@ -90,7 +90,10 @@ def assert_matches_reference(graph):
     v = bf.values(graph)
     for block in bf.blocks:
         r, J = block.kernel(v, block.rows, block.meas, True)
-        for row, fi in enumerate(block.factor_index):
+        # a fresh layout stacks a layer's factors in graph order
+        index = [i for i, f in enumerate(graph.factors) if KINDS[f.kind].layer == block.layer]
+        assert len(index) == len(block.rows)
+        for row, fi in enumerate(index):
             f = graph.factors[fi]
             r_ref, jacs = evaluate_factor(graph, f)
             if f.kind is FactorKind.POSE_PLANE:
@@ -582,8 +585,8 @@ def assert_same_as_fresh(graph, kept):
     for a, b in zip(kept.blocks, fresh.blocks, strict=True):
         assert (a.layer, a.variables, a.kernel) == (b.layer, b.variables, b.kernel)
         arrays = zip(
-            (a.factor_index, a.rows, a.sqrt_info, a.robust, *a.meas),
-            (b.factor_index, b.rows, b.sqrt_info, b.robust, *b.meas),
+            (a.rows, a.sqrt_info, a.robust, *a.meas),
+            (b.rows, b.sqrt_info, b.robust, *b.meas),
             strict=True,
         )
         for x, y in arrays:

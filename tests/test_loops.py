@@ -14,6 +14,11 @@ from sgraph.factors import Factor, FactorKind
 from sgraph.geometry import Pose3, inverse_compose, rot_exp, rot_log
 from sgraph.graph import Keyframe, SGraph
 from sgraph.loops import (
+    CORR_DECAY,
+    ICP_TOL,
+    INFO_SCALE_CAP,
+    MAX_CORR_DIST,
+    MIN_POINTS,
     LoopConfig,
     LoopConstraint,
     NoConvergence,
@@ -61,7 +66,7 @@ def register(query, match, initial_guess, cfg):
 
 def reference_register(query, match, initial_guess, cfg):
     """register with the unbounded nearest-neighbour query."""
-    if len(query) < cfg.min_points or len(match) < cfg.min_points:
+    if len(query) < MIN_POINTS or len(match) < MIN_POINTS:
         raise NoConvergence("too few points for registration")
     target = query.points
     tree = cKDTree(target)
@@ -69,12 +74,12 @@ def reference_register(query, match, initial_guess, cfg):
     pose = initial_guess
     prev_fitness = np.inf
     fitness = np.inf
-    corr_dist = max(cfg.coarse_corr_dist, cfg.max_corr_dist)
+    corr_dist = max(cfg.coarse_corr_dist, MAX_CORR_DIST)
     for _ in range(cfg.max_icp_iters):
         moved = match.points @ pose.rotation.T + pose.translation
         dists, idx = tree.query(moved, k=1)
         mask = dists <= corr_dist
-        if int(mask.sum()) < cfg.min_points:
+        if int(mask.sum()) < MIN_POINTS:
             raise NoConvergence("correspondence set collapsed")
         p = moved[mask]
         n = normals[idx[mask]]
@@ -86,16 +91,14 @@ def reference_register(query, match, initial_guess, cfg):
             raise NoConvergence("correspondences leave the pose underdetermined")
         x = np.linalg.solve(H, -(J.T @ r))
         pose = Pose3(rot_exp(x[:3]), x[3:]).compose(pose)
-        at_final_radius = corr_dist <= cfg.max_corr_dist
-        if at_final_radius and abs(prev_fitness - fitness) <= cfg.icp_tol * max(
-            prev_fitness, 1e-12
-        ):
+        at_final_radius = corr_dist <= MAX_CORR_DIST
+        if at_final_radius and abs(prev_fitness - fitness) <= ICP_TOL * max(prev_fitness, 1e-12):
             break
         prev_fitness = fitness
-        corr_dist = max(cfg.max_corr_dist, corr_dist * cfg.corr_decay)
+        corr_dist = max(MAX_CORR_DIST, corr_dist * CORR_DECAY)
     if fitness > cfg.accept_threshold:
         raise NoConvergence(f"fitness {fitness:.4f} > {cfg.accept_threshold}")
-    scale = min(1.0 / max(fitness, 1e-6), cfg.info_scale_cap)
+    scale = min(1.0 / max(fitness, 1e-6), INFO_SCALE_CAP)
     return LoopConstraint(relative=pose, fitness=fitness, information=np.eye(6) * scale)
 
 
@@ -285,8 +288,7 @@ class TestRegisterScans:
         query = box_scan(rng)
         match = PointCloud(query.points.copy(), timestamp=1.0)
         out = register(query, match, Pose3(np.eye(3), np.zeros(3)), LoopConfig())
-        cfg = LoopConfig()
-        expect = min(1.0 / max(out.fitness, 1e-6), cfg.info_scale_cap)
+        expect = min(1.0 / max(out.fitness, 1e-6), INFO_SCALE_CAP)
         assert np.allclose(out.information, np.eye(6) * expect)
 
 
@@ -366,7 +368,7 @@ class TestCloseLoops:
         accepted = 0
         for match_id in find_candidates(graph, query_id, cfg):
             match = graph.keyframes[match_id]
-            if match.scan is None or len(match.scan) < cfg.min_points:
+            if match.scan is None or len(match.scan) < MIN_POINTS:
                 continue
             guess = inverse_compose(query.pose, match.pose)
             try:
@@ -474,7 +476,7 @@ class TestCloseLoops:
     def test_too_small_candidate_does_not_end_the_search(self, monkeypatch):
         cfg = LoopConfig(gate=1.0)
         g = self.loop_graph()
-        assert len(g.keyframes[0].scan) < cfg.min_points
+        assert len(g.keyframes[0].scan) < MIN_POINTS
         registered = []
         real = loops.register_scans
 

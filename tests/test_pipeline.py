@@ -367,7 +367,14 @@ class TestSlamConfigFile:
 
     @pytest.mark.parametrize(
         "d, key",
-        [({"enable_topolgy": False}, "enable_topolgy"), ({"ransac": {"treshold": 0.1}}, "treshold")],
+        [
+            ({"enable_topolgy": False}, "enable_topolgy"),
+            ({"ransac": {"treshold": 0.1}}, "treshold"),
+            # settings that are module constants now
+            ({"loop": {"icp_tol": 1e-6}}, "icp_tol"),
+            ({"room": {"width_match_tol": 0.3}}, "width_match_tol"),
+            ({"association_gate": 4.0}, "association_gate"),
+        ],
     )
     def test_unknown_key_is_named(self, tmp_path, d, key):
         with pytest.raises(ValueError, match=key):
@@ -378,7 +385,7 @@ class TestSlamConfigFile:
         [
             ({"enable_topology": "false"}, "enable_topology"),
             ({"ransac": {"min_inliers": 120.7}}, "min_inliers"),
-            ({"association_gate": True}, "association_gate"),
+            ({"topology_sigma": True}, "topology_sigma"),
             ({"plane_sigma_d": "0.02"}, "plane_sigma_d"),
             ({"keyframe": {"min_translation": None}}, "min_translation"),
         ],
@@ -388,8 +395,8 @@ class TestSlamConfigFile:
             self.load(tmp_path, d)
 
     def test_json_integer_is_a_valid_float(self, tmp_path):
-        cfg = self.load(tmp_path, {"association_gate": 4, "ransac": {"threshold": 0}})
-        assert type(cfg.association_gate) is float and cfg.association_gate == 4.0
+        cfg = self.load(tmp_path, {"topology_sigma": 4, "ransac": {"threshold": 0}})
+        assert type(cfg.topology_sigma) is float and cfg.topology_sigma == 4.0
         assert type(cfg.ransac.threshold) is float and cfg.ransac.threshold == 0.0
         assert cfg.ransac.min_inliers == 100
 

@@ -112,6 +112,13 @@ class TestPreprocess:
         assert got.points.tobytes() == want.points.tobytes()
         assert got.timestamp == 3.0
 
+    @pytest.mark.parametrize("voxel_size", [0.0, -0.1, np.nan, np.inf])
+    def test_voxel_size_not_finite_and_positive_raises(self, voxel_size):
+        # the pipeline passes on EmptyCloud, so the error must not be one
+        with pytest.raises(ValueError, match="FilterConfig.voxel_size") as err:
+            preprocess(PointCloud(self.planar_cloud()), FilterConfig(voxel_size=voxel_size))
+        assert not isinstance(err.value, EmptyCloud)
+
     def test_all_non_finite_raises(self):
         pts = np.full((50, 3), np.nan)
         pts[::2] = [np.inf, 0.0, 1.0]
@@ -184,7 +191,7 @@ class TestExtractPlanesNoisy:
             pts = cloud.points[det.inlier_indices]
             dist = np.abs(pts @ det.plane.normal - det.plane.distance)
             assert float(dist.max()) <= cfg.threshold + 1e-12
-            assert det.inlier_rms <= cfg.threshold
+            assert float(np.sqrt(np.mean(dist**2))) <= cfg.threshold
 
     def test_deterministic_under_fixed_seed(self):
         cloud, _ = box_cloud(sigma=0.01)
@@ -347,9 +354,7 @@ def reference_extract_planes(cloud, cfg, stats):
         inliers = pts[idx]
         normal, d = planes._fit_plane_lsq(inliers)
         plane = PlaneHessian(normal, d)
-        rms = float(np.sqrt(np.mean((inliers @ normal - d) ** 2)))
-        extent, centroid = planes.plane_extent(inliers, plane)
-        detections.append(planes.PlaneDetection(plane, int(idx.size), rms, extent, centroid, idx))
+        detections.append(planes.PlaneDetection(plane, int(idx.size), planes.plane_extent(inliers, plane), idx))
     return detections
 
 
@@ -385,9 +390,7 @@ def detection_bytes(dets):
             det.plane.normal.tobytes(),
             float(det.plane.distance).hex(),
             det.inlier_count,
-            float(det.inlier_rms).hex(),
             det.extent.tobytes(),
-            det.centroid.tobytes(),
             det.inlier_indices.tobytes(),
         )
         for det in dets
@@ -684,7 +687,7 @@ class TestMapGuidedExtraction:
         inside the Mahalanobis gate (3 sigma = 0.06 m in distance at the
         first keyframe, which has no odometry uncertainty)."""
         wall = PlaneLandmark(id=0, params=PlaneMinimal(0.0, 0.0, 2.0 + offset),
-                             plane_class=PlaneClass.X_VERTICAL, extent=np.ones(2), centroid=np.zeros(3))
+                             plane_class=PlaneClass.X_VERTICAL, extent=np.ones(2))
         graph = SGraph(planes={0: wall}, _next_plane_id=1)
         cfg = SlamConfig(enable_topology=False, optimize_every_keyframe=False)
         cloud, _ = box_cloud(sigma=0.0)
@@ -694,7 +697,7 @@ class TestMapGuidedExtraction:
         seen = [f.variables[1][1] for f in graph.factors if f.kind is FactorKind.POSE_PLANE]
         assert len(seen) == 6
         assert (0 in seen) is observed
-        assert wall.observation_count == 1 + observed
+        assert seen.count(0) == observed
         assert len(graph.planes) == 7 - observed
 
 
@@ -895,20 +898,18 @@ class TestPlaneExtent:
     def test_rectangle_corners(self):
         plane = PlaneHessian(np.array([0.0, 0.0, 1.0]), 0.0)
         pts = np.array([[0, 0, 0], [2, 0, 0], [0, 3, 0], [2, 3, 0]], dtype=float)
-        extent, centroid = plane_extent(pts, plane)
-        assert np.allclose(extent, [2.0, 3.0], atol=1e-12)
-        assert np.allclose(centroid, [1.0, 1.5, 0.0])
+        assert np.allclose(plane_extent(pts, plane), [2.0, 3.0], atol=1e-12)
 
     def test_unit_square(self):
         plane = PlaneHessian(np.array([0.0, 0.0, 1.0]), 0.0)
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        extent, _ = plane_extent(pts, plane)
+        extent = plane_extent(pts, plane)
         assert np.allclose(extent, [1.0, 1.0], atol=1e-12)
 
     def test_collinear_reports_zero_component(self):
         plane = PlaneHessian(np.array([0.0, 0.0, 1.0]), 0.0)
         pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
-        extent, _ = plane_extent(pts, plane)
+        extent = plane_extent(pts, plane)
         assert extent[0] == pytest.approx(0.0, abs=1e-12)
         assert extent[1] == pytest.approx(2.0, abs=1e-12)
 
@@ -922,6 +923,6 @@ class TestPlaneExtent:
         plane = PlaneHessian(np.array([0.0, 0.0, 1.0]), 1.0)
         pts = rng.uniform(-2, 2, size=(50, 3))
         pts[:, 2] = 1.0
-        e1, _ = plane_extent(pts, plane)
-        e2, _ = plane_extent(pts[::-1], plane)
+        e1 = plane_extent(pts, plane)
+        e2 = plane_extent(pts[::-1], plane)
         assert np.allclose(e1, e2)

@@ -50,7 +50,7 @@ def test_transform_plane_preserves_incidence(pose, d, az, el):
     # a point on the plane, moved with the pose, lies on the moved plane
     x = n * d
     moved = transform_plane(pose, plane, to_sensor=True)
-    y = pose.inverse().transform_point(x)
+    y = pose.rotation.T @ (x - pose.translation)
     assert abs(float(moved.normal @ y) - moved.distance) < 1e-9
 
 

@@ -100,6 +100,20 @@ class TestGenerateWorld:
         with pytest.raises(InvalidLayout):
             generate_world(LayoutSpec(rects=(RectSpec(0.0, 0.0, 0.0, 4.0),)))
 
+    @pytest.mark.parametrize(
+        "rect",
+        [RectSpec(0.0, math.nan, 0.0, 4.0), RectSpec(-math.inf, 4.0, 0.0, 4.0), RectSpec(0.0, 4.0, 0.0, math.inf)],
+    )
+    def test_non_finite_bound_rejected(self, rect):
+        # NaN passes the `hi <= lo` test
+        with pytest.raises(InvalidLayout, match="not finite"):
+            generate_world(LayoutSpec(rects=(rect,)))
+
+    @pytest.mark.parametrize("height", [0.0, -2.5, math.nan, math.inf])
+    def test_wall_height_not_finite_and_positive_rejected(self, height):
+        with pytest.raises(InvalidLayout, match="wall_height"):
+            generate_world(LayoutSpec(rects=(RectSpec(0.0, 4.0, 0.0, 4.0),), wall_height=height))
+
     def test_default_layout_has_rooms_and_corridor(self):
         layout = default_multi_room_layout(4)
         world = generate_world(layout)
@@ -350,11 +364,19 @@ class TestSimulateRun:
             (small_traj(), ScanPattern(max_range=0.0), "ScanPattern.max_range"),
             (small_traj(), ScanPattern(max_range=-5.0), "ScanPattern.max_range"),
             (small_traj(), ScanPattern(max_range=math.nan), "ScanPattern.max_range"),
+            (replace(small_traj(), sensor_height=math.nan), ScanPattern(), "TrajectorySpec.sensor_height"),
+            (replace(small_traj(), sensor_height=-math.inf), ScanPattern(), "TrajectorySpec.sensor_height"),
         ],
     )
     def test_degenerate_spec_raises_naming_the_field(self, traj, pattern, field):
         with pytest.raises(InvalidSpec, match=field):
             simulate_run(single_room_world(), traj, NoiseSpec(), pattern)
+
+    @pytest.mark.parametrize("value", [-0.01, math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["trans_drift", "rot_drift", "range_sigma"])
+    def test_bad_noise_raises_naming_the_field(self, field, value):
+        with pytest.raises(InvalidSpec, match=f"NoiseSpec.{field}"):
+            simulate_run(single_room_world(), small_traj(), replace(NoiseSpec(), **{field: value}))
 
     def test_perimeter_waypoints_cover_rects(self):
         layout = default_multi_room_layout(4)
@@ -387,8 +409,6 @@ class TestAnnotationsSatisfyDetection:
                 if coord < 0:
                     az += math.pi
                 length = wy if axis == 0 else wx
-                centroid = np.zeros(3)
-                centroid[axis] = coord
                 sgn = 1.0 if coord >= 0 else -1.0
                 obs = cx if axis == 0 else cy
                 side = 1.0 if sgn * obs - abs(coord) >= 0 else -1.0
@@ -398,7 +418,6 @@ class TestAnnotationsSatisfyDetection:
                         params=PlaneMinimal(az, 0.0, abs(coord)),
                         plane_class=PlaneClass.X_VERTICAL if axis == 0 else PlaneClass.Y_VERTICAL,
                         extent=np.array([length, 2.5]),
-                        centroid=centroid,
                         side=side,
                     )
                 )

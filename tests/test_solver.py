@@ -125,7 +125,6 @@ class TestOptimize:
             params=PlaneMinimal(0.0, 0.0, 4.0),
             plane_class=PlaneClass.X_VERTICAL,
             extent=np.array([1.0, 1.0]),
-            centroid=np.zeros(3),
         )
         info = np.diag([2500.0, 2500.0, 2500.0])
         g.factors.append(
@@ -177,7 +176,6 @@ class TestOptimize:
             params=PlaneMinimal(0.0, 0.0, 4.0),
             plane_class=PlaneClass.X_VERTICAL,
             extent=np.array([1.0, 1.0]),
-            centroid=np.zeros(3),
         )
         with pytest.raises(SingularSystem) as err:
             optimize(g, SolverConfig(check_rank=True))

@@ -10,6 +10,7 @@ from sgraph.factors import FactorKind
 from sgraph.geometry import PlaneClass, PlaneMinimal
 from sgraph.graph import PlaneLandmark, SGraph
 from sgraph.topology import (
+    CORRIDOR_MAX_WIDTH,
     NEW_ROOM,
     RoomCriterionConfig,
     associate_room,
@@ -38,8 +39,6 @@ def wall(lm_id, axis, signed_d, length=4.0, observer=(3.0, 3.0), flip_side=False
     params = PlaneMinimal(az[(axis, sgn)], 0.0, abs(signed_d))
     cls = PlaneClass.X_VERTICAL if axis == "x" else PlaneClass.Y_VERTICAL
     idx = 0 if axis == "x" else 1
-    centroid = np.zeros(3)
-    centroid[idx] = signed_d
     # side = sign(n . observer - d) with the stored (positive-d) normal
     n_axis = float(sgn)
     gap = n_axis * observer[idx] - abs(signed_d)
@@ -51,7 +50,6 @@ def wall(lm_id, axis, signed_d, length=4.0, observer=(3.0, 3.0), flip_side=False
         params=params,
         plane_class=cls,
         extent=np.array([length, 2.5]),
-        centroid=centroid,
         side=side,
     )
 
@@ -170,7 +168,7 @@ class TestDetectCorridor:
 
     def test_exactly_max_width_accepted(self):
         corr = detect_corridor((wall(0, "x", 0.0, observer=(1.25, 0.0)), wall(1, "x", 2.5, observer=(1.25, 0.0))), CFG)
-        assert corr is not None and corr.width == CFG.corridor_max_width == 2.5
+        assert corr is not None and corr.width == CORRIDOR_MAX_WIDTH == 2.5
 
 
 class TestMinimumWidthBoundary:
@@ -254,7 +252,7 @@ class TestAssociateRoomAndMerge:
     def test_identical_redetection_matches(self):
         g = graph_with_room()
         cand = detect_room((g.planes[0], g.planes[1]), (g.planes[2], g.planes[3]), CFG)
-        assert associate_room(g, cand, CFG) == 0
+        assert associate_room(g, cand) == 0
 
     def test_far_candidate_is_new(self):
         g = graph_with_room()
@@ -263,7 +261,7 @@ class TestAssociateRoomAndMerge:
             (wall(2, "y", 2.0, observer=(9.0, 3.0)), wall(3, "y", 4.0, observer=(9.0, 3.0))),
             CFG,
         )
-        assert associate_room(g, shifted, CFG) == NEW_ROOM
+        assert associate_room(g, shifted) == NEW_ROOM
 
     def test_different_shape_near_center_is_new(self):
         g = graph_with_room()
@@ -272,7 +270,7 @@ class TestAssociateRoomAndMerge:
             (wall(2, "y", 2.0), wall(3, "y", 4.0)),
             CFG,
         )
-        assert associate_room(g, cand, CFG) == NEW_ROOM
+        assert associate_room(g, cand) == NEW_ROOM
 
     def test_duplicate_wall_merged_on_redetection(self):
         g = graph_with_room()
