@@ -38,28 +38,30 @@ def stream_digest(steps: list[SimStep]) -> str:
     return h.hexdigest()
 
 
-def duplicate_plane_count(
-    result: SlamResult, world: WorldModel, dist_tol: float = 0.5, angle_tol: float = 0.17
-) -> int:
+DUPLICATE_DIST_TOL = 0.5  # m, between a landmark's and a wall plane's signed offsets
+DUPLICATE_ANGLE_TOL = 0.17  # rad, between a landmark's normal and an axis
+
+
+def duplicate_plane_count(result: SlamResult, world: WorldModel) -> int:
     """Landmarks in excess of one per matched ground-truth wall plane.
 
     Each landmark is moved into the world frame by keyframe 0's odometry
     pose, where the map frame is anchored. A landmark whose normal lies
-    within `angle_tol` of an axis matches the wall plane of that axis
-    nearest in signed offset, if closer than `dist_tol`. A wall split by a
-    door, or shared by two rectangles, is one plane."""
+    within `DUPLICATE_ANGLE_TOL` of an axis matches the wall plane of that
+    axis nearest in signed offset, if closer than `DUPLICATE_DIST_TOL`. A
+    wall split by a door, or shared by two rectangles, is one plane."""
     origin = result.graph.keyframes[0].odom_pose
     gt = {(w.axis, round(w.offset, 9)) for w in world.walls}
     matches = Counter()
     for lm in result.graph.planes.values():
         plane = transform_plane(origin, from_minimal(lm.params), to_sensor=False)
         axis = int(np.argmax(np.abs(plane.normal)))
-        if abs(plane.normal[axis]) < np.cos(angle_tol):
+        if abs(plane.normal[axis]) < np.cos(DUPLICATE_ANGLE_TOL):
             continue
         offset = math.copysign(plane.distance, plane.normal[axis])
         near = [(abs(offset - o), (a, o)) for a, o in gt if a == axis]
-        err, key = min(near, default=(dist_tol, None))
-        if err < dist_tol:
+        err, key = min(near, default=(DUPLICATE_DIST_TOL, None))
+        if err < DUPLICATE_DIST_TOL:
             matches[key] += 1
     return sum(c - 1 for c in matches.values())
 
@@ -81,13 +83,15 @@ class AblationReport:
     full: dict[int, RunMetrics]
     without_topology: dict[int, RunMetrics]
 
+    def _runs(self, which: str) -> dict[int, RunMetrics]:
+        """The runs of "full" or "without"; any other name raises KeyError."""
+        return {"full": self.full, "without": self.without_topology}[which]
+
     def mean_ate(self, which: str) -> float:
-        runs = self.full if which == "full" else self.without_topology
-        return float(np.mean([m.ate for m in runs.values()]))
+        return float(np.mean([m.ate for m in self._runs(which).values()]))
 
     def mean_duplicates(self, which: str) -> float:
-        runs = self.full if which == "full" else self.without_topology
-        return float(np.mean([m.n_duplicates for m in runs.values()]))
+        return float(np.mean([m.n_duplicates for m in self._runs(which).values()]))
 
     @property
     def improvement_confirmed(self) -> bool:

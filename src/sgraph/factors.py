@@ -249,7 +249,3 @@ KINDS: dict[FactorKind, KindSpec] = {
     FactorKind.ROOM_PLANE: _EDGE,
     FactorKind.CORRIDOR_PLANE: replace(_EDGE, layer="corridor"),
 }
-
-
-# values of no variable, for `replace` to fill in the arrays a kernel reads
-_NO_VALUES = _Values(*[np.zeros(0)] * 4)

@@ -8,13 +8,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .factors import (
-    _NO_VALUES,
     LOCAL_DIM,
     Factor,
     FactorKind,
     VariableKey,
     _plane_measurements,
     _pose_plane,
+    _Values,
 )
 from .geometry import (
     Pose3,
@@ -99,8 +99,8 @@ class SGraph:
     _next_room_id: int = 0
     _next_corridor_id: int = 0
     # the solve's layout, kept between solves (`solve_layout`); no part of
-    # the graph's value, and `replace` starts a copy without one
-    _layout: BatchedFactors | None = field(default=None, init=False, compare=False, repr=False)
+    # the graph's value, and `replace` starts a copy with an empty one
+    _layout: BatchedFactors = field(default_factory=BatchedFactors, init=False, compare=False, repr=False)
 
     # -- variable access ---------------------------------------------------
 
@@ -191,11 +191,11 @@ class SGraph:
         if not candidates:
             return NEW_LANDMARK
         n = len(candidates)
-        values = replace(
-            _NO_VALUES,
+        values = _Values(
             rotations=kf.pose.rotation[None],
             translations=kf.pose.translation[None],
             planes=np.array([lm.params.as_array() for lm in candidates]),
+            spans=np.zeros((0, 2)),
         )
         rows = np.column_stack([np.zeros(n, dtype=int), np.arange(n)])
         meas = _plane_measurements(np.tile(to_minimal(det.plane).as_array(), (n, 1)))
@@ -300,8 +300,6 @@ class SGraph:
         the one this graph keeps, brought up to date by
         `BatchedFactors.absorb`, which takes in the factors added since the
         last call and starts again from empty after a merge or a removal."""
-        if self._layout is None:
-            self._layout = BatchedFactors()
         self._layout.absorb(self)
         return self._layout
 
@@ -316,6 +314,6 @@ class SGraph:
         first, second = factor.variables
         alone = BatchedFactors(replace(self, factors=[factor]))
         (b,) = alone.blocks
-        r, J = b.kernel(alone.values(self), b.rows, b.meas, True)
+        r, J = b.spec.kernel(alone.values(self), b.rows, b.meas, True)
         split = LOCAL_DIM[first[0]]
         return r[0], {first: J[0, :, :split], second: J[0, :, split:]}

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .factors import KINDS, LOCAL_DIM, Factor, Kernel, VariableKey, _Values
+from .factors import KINDS, LOCAL_DIM, Factor, KindSpec, VariableKey, _Values
 from .geometry import PlaneMinimal, Pose3, _mv, _retract_planes, rot_exp
 
 if TYPE_CHECKING:
@@ -36,42 +36,34 @@ LAYERS = tuple(dict.fromkeys(spec.layer for spec in KINDS.values()))
 
 @dataclass(frozen=True)
 class FactorBlock:
-    """All factors of one layer: index arrays, measurements and whitening."""
+    """All factors of one layer: its `KindSpec`, index arrays, measurements and whitening."""
 
-    layer: str
-    variables: tuple[str, str]  # the kinds of each factor's two variables
-    kernel: Kernel
+    spec: KindSpec  # the layer's, which all its kinds share
     rows: np.ndarray  # (N, 2) rows of the two variables in their value arrays
     meas: tuple  # kind-specific stacked measurements
-    sqrt_info: np.ndarray  # (N, m, m) L^T of each information L L^T
+    L: np.ndarray  # (N, m, m) Cholesky factor of each information L L^T
     robust: np.ndarray  # (N,) bool
 
     def extended(self, more: FactorBlock) -> FactorBlock:
         """This block's factors followed by those of `more`, of the same layer."""
-        # sqrt_info stays a transposed view of the stacked L, as one
-        # `cholesky` over all the factors leaves it
-        chol = [self.sqrt_info.transpose(0, 2, 1), more.sqrt_info.transpose(0, 2, 1)]
         return replace(
             self,
             rows=np.concatenate([self.rows, more.rows]),
             meas=tuple(np.concatenate(pair) for pair in zip(self.meas, more.meas)),
-            sqrt_info=np.concatenate(chol).transpose(0, 2, 1),
+            L=np.concatenate([self.L, more.L]),
             robust=np.concatenate([self.robust, more.robust]),
         )
 
 
-def _block(layer: str, factors: list[Factor], row: dict) -> FactorBlock:
-    """The block of `factors`, all of `layer`, their variables at the rows
+def _block(factors: list[Factor], row: dict) -> FactorBlock:
+    """The block of `factors`, all of one layer, their variables at the rows
     `row` gives."""
     spec = KINDS[factors[0].kind]
-    info = np.array([f.information for f in factors], dtype=float)
     return FactorBlock(
-        layer=layer,
-        variables=spec.variables,
-        kernel=spec.kernel,
+        spec=spec,
         rows=np.array([[row[k] for k in f.variables] for f in factors], dtype=int),
         meas=spec.stack([f.measurement for f in factors]),
-        sqrt_info=np.linalg.cholesky(info).transpose(0, 2, 1),
+        L=np.linalg.cholesky(np.array([f.information for f in factors], dtype=float)),
         robust=np.array([f.robust for f in factors], dtype=bool),
     )
 
@@ -144,7 +136,7 @@ class BatchedFactors:
         blocks = dict(self._blocks)
         for layer, factors in by_layer.items():
             if factors:
-                part = _block(layer, factors, row)
+                part = _block(factors, row)
                 blocks[layer] = blocks[layer].extended(part) if layer in blocks else part
         self._factors += new
         self._variables += [f.variables for f in new]
@@ -164,7 +156,7 @@ class BatchedFactors:
         # blocks in order; entries of the same cell are summed
         g_index, h_index = [np.zeros(0, int)], [np.zeros(0, int)]
         for b in self.blocks:
-            cols = np.hstack([self.columns[kind][b.rows[:, j]] for j, kind in enumerate(b.variables)])
+            cols = np.hstack([self.columns[kind][b.rows[:, j]] for j, kind in enumerate(b.spec.variables)])
             g_index.append(cols.ravel())
             h_index.append((cols[:, :, None] * n_cols + cols[:, None, :]).ravel())
         self._g_index = np.concatenate(g_index)
@@ -221,8 +213,9 @@ class BatchedFactors:
         costs = dict.fromkeys(LAYERS, 0.0)
         g_parts, h_parts = [np.zeros(0)], [np.zeros(0)]
         for b in self.blocks:
-            r, J = b.kernel(v, b.rows, b.meas, jacobians)
-            wr = _mv(b.sqrt_info, r)
+            r, J = b.spec.kernel(v, b.rows, b.meas, jacobians)
+            LT = b.L.transpose(0, 2, 1)
+            wr = _mv(LT, r)
             s = np.einsum("ij,ij->i", wr, wr)
             cost = s.copy()
             scale = np.ones_like(s)
@@ -231,11 +224,11 @@ class BatchedFactors:
                 norm = np.sqrt(s[outside])
                 cost[outside] = 2.0 * huber_delta * norm - huber_delta * huber_delta
                 scale[outside] = np.sqrt(huber_delta / norm)
-            costs[b.layer] += float(cost.sum())
+            costs[b.spec.layer] += float(cost.sum())
             if not jacobians:
                 continue
             wr = wr * scale[:, None]
-            wJ = scale[:, None, None] * (b.sqrt_info @ J)
+            wJ = scale[:, None, None] * (LT @ J)
             wJT = wJ.transpose(0, 2, 1)
             g_parts.append(_mv(wJT, wr).ravel())
             h_parts.append((wJT @ wJ).ravel())

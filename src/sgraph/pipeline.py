@@ -19,9 +19,9 @@ from .topology import RoomCriterionConfig, update_topology
 
 @dataclass(frozen=True)
 class SlamConfig:
-    keyframe: KeyframePolicy = KeyframePolicy(min_translation=1.0, min_rotation=0.5)
-    filter: FilterConfig = FilterConfig(voxel_size=0.1, k_sigma=2.0)
-    ransac: RansacConfig = RansacConfig(threshold=0.03, min_inliers=100, max_iters=300)
+    keyframe: KeyframePolicy = KeyframePolicy()
+    filter: FilterConfig = FilterConfig()
+    ransac: RansacConfig = RansacConfig(max_iters=300)
     room: RoomCriterionConfig = RoomCriterionConfig()
     loop: LoopConfig = LoopConfig()
     # LM converges linearly here, so from the third iteration on a step
@@ -63,8 +63,8 @@ class SlamResult:
     loop_constraints: int = 0
 
 
-def process_step(graph: SGraph, step: SimStep, cfg: SlamConfig, result: SlamResult) -> int | None:
-    """Feed one sensor step into the graph; returns the new keyframe id.
+def process_step(step: SimStep, cfg: SlamConfig, result: SlamResult) -> int | None:
+    """Feed one sensor step into the result's graph; returns the new keyframe id.
 
     On a new keyframe the mapped planes, predicted into its sensor frame
     from its odometry-predicted pose, claim their points in the
@@ -75,6 +75,7 @@ def process_step(graph: SGraph, step: SimStep, cfg: SlamConfig, result: SlamResu
     RANSAC's floor is raised to `cfg.min_plane_inlier_count`, so every
     detection is kept, and a cloud smaller than that is not searched.
     """
+    graph = result.graph
     kf_id = graph.maybe_add_keyframe(
         step.odom_pose,
         cfg.keyframe,
@@ -109,7 +110,7 @@ def run_slam(steps: list[SimStep], cfg: SlamConfig = SlamConfig()) -> SlamResult
     graph = SGraph()
     result = SlamResult(graph=graph)
     for step in steps:
-        process_step(graph, step, cfg, result)
+        process_step(step, cfg, result)
     if not cfg.optimize_every_keyframe and graph.keyframes:
         result.reports.append(optimize(graph, cfg.solver))
     result.trajectory = [

@@ -65,9 +65,12 @@ class RansacConfig:
 @dataclass(frozen=True)
 class PlaneDetection:
     plane: PlaneHessian  # sensor frame, d >= 0
-    inlier_count: int
     extent: np.ndarray  # 2-vector, in-plane bounding box side lengths
     inlier_indices: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+
+    @property
+    def inlier_count(self) -> int:
+        return self.inlier_indices.size
 
 
 def voxel_downsample(points: np.ndarray, voxel_size: float) -> np.ndarray:
@@ -89,10 +92,12 @@ def voxel_downsample(points: np.ndarray, voxel_size: float) -> np.ndarray:
 
 def preprocess(cloud: PointCloud, cfg: FilterConfig) -> PointCloud:
     """Drop non-finite returns, voxel downsample, then reject range outliers
-    beyond k_sigma stddevs. A voxel size that is not a finite number above
-    0 raises ValueError: 0, NaN or inf would merge the cloud into one point."""
-    if not (math.isfinite(cfg.voxel_size) and cfg.voxel_size > 0.0):
-        raise ValueError(f"FilterConfig.voxel_size must be finite and > 0, not {cfg.voxel_size!r}")
+    beyond k_sigma stddevs. A voxel size or k_sigma that is not finite and
+    above 0 raises ValueError: it would merge or empty the cloud."""
+    for name in ("voxel_size", "k_sigma"):
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"FilterConfig.{name} must be finite and > 0, not {value!r}")
     if len(cloud) == 0:
         raise EmptyCloud("input cloud is empty")
     # one NaN or inf return would make the range mean NaN and empty the cloud
@@ -165,15 +170,17 @@ def _largest_segment(coords: np.ndarray, gap: float) -> np.ndarray:
     return order[starts[best]:ends[best]]
 
 
-def _dominant_patch(points: np.ndarray, mask: np.ndarray, normal: np.ndarray,
-                    gap: float = 2.5) -> np.ndarray:
+_PATCH_GAP = 2.5  # m, the in-plane gap at which `_dominant_patch` splits a mask
+
+
+def _dominant_patch(points: np.ndarray, mask: np.ndarray, normal: np.ndarray) -> np.ndarray:
     """Restrict an inlier mask to its dominant in-plane patch.
 
     Nearly-collinear walls of different rooms (and wall stripes seen through
     door openings) can satisfy the plane distance test while lying metres
-    apart along the plane; a largest-gap split along each in-plane axis
-    separates them without fragmenting sparse ring-sampled surfaces. A mask
-    that splits along neither axis comes back as given.
+    apart along the plane; a split at every gap over `_PATCH_GAP` along each
+    in-plane axis separates them without fragmenting sparse ring-sampled
+    surfaces. A mask that splits along neither axis comes back as given.
     """
     idx = mask.nonzero()[0]
     if idx.size == 0:
@@ -186,8 +193,8 @@ def _dominant_patch(points: np.ndarray, mask: np.ndarray, normal: np.ndarray,
         # needs the argsort that picks the segment
         ordered = coords.copy()
         ordered.sort()
-        if (ordered[1:] - ordered[:-1] > gap).any():
-            segment = _largest_segment(coords, gap)
+        if (ordered[1:] - ordered[:-1] > _PATCH_GAP).any():
+            segment = _largest_segment(coords, _PATCH_GAP)
             idx, patch = idx[segment], patch[segment]
             split = True
     if not split:
@@ -354,8 +361,10 @@ def extract_planes(
 
     Deterministic for a fixed (cloud, cfg, predicted); the RNG is seeded
     per call from cfg.seed and the cloud timestamp, and claims draw nothing
-    from it.
+    from it. A threshold that is not finite and above 0 raises ValueError.
     """
+    if not (math.isfinite(cfg.threshold) and cfg.threshold > 0.0):
+        raise ValueError(f"RansacConfig.threshold must be finite and > 0, not {cfg.threshold!r}")
     if len(cloud) < cfg.min_inliers:
         raise TooFewPoints(f"{len(cloud)} points < min_inliers {cfg.min_inliers}")
     rng = np.random.default_rng((cfg.seed, np.uint64(abs(hash(cloud.timestamp)))))
@@ -364,7 +373,7 @@ def extract_planes(
     # (N, P): which points lie in which prediction's claim band
     near = np.abs(pts @ predicted[:, :3].T - predicted[:, 3]) <= _CLAIM_BANDS * cfg.threshold
     remaining_idx = np.arange(len(cloud))
-    fits: list[tuple[np.ndarray, float, np.ndarray]] = []  # (normal, d, index array)
+    fits: list[tuple[np.ndarray, float]] = []  # (normal, d)
     while remaining_idx.size >= max(cfg.min_inliers, 3):
         remaining = pts[remaining_idx]
         claims = near[remaining_idx]
@@ -380,7 +389,7 @@ def extract_planes(
             if best_mask is None or best_count < cfg.min_inliers:
                 break
         mask, normal, d = _trim_fit(remaining, best_mask, cfg)
-        fits.append((normal, d, remaining_idx[mask]))
+        fits.append((normal, d))
         remaining_idx = remaining_idx[~mask]
 
     # one joint reassignment: near junctions a point can sit inside one
@@ -389,10 +398,10 @@ def extract_planes(
     # fit within the band, then refine each fit on the points it owns
     if not fits:
         return []
-    dists = np.stack([np.abs(pts @ n - d) for n, d, _ in fits])
+    dists = np.stack([np.abs(pts @ n - d) for n, d in fits])
     owner = np.argmin(dists, axis=0)
     detections: list[PlaneDetection] = []
-    for k, (normal, _, _) in enumerate(fits):
+    for k, (normal, _) in enumerate(fits):
         owned_idx = np.nonzero((owner == k) & (dists[k] <= cfg.threshold))[0]
         owned = pts[owned_idx]
         mask = _dominant_patch(owned, np.ones(owned_idx.size, dtype=bool), normal)
@@ -401,12 +410,5 @@ def extract_planes(
         mask, normal, d = _trim_fit(owned, mask, cfg)
         idx = owned_idx[mask]
         plane = PlaneHessian(normal, d)
-        detections.append(
-            PlaneDetection(
-                plane=plane,
-                inlier_count=int(idx.size),
-                extent=plane_extent(pts[idx], plane),
-                inlier_indices=idx,
-            )
-        )
+        detections.append(PlaneDetection(plane, plane_extent(pts[idx], plane), idx))
     return detections

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PlaneClass, from_minimal, plane_axis_sign
+from .geometry import PlaneClass, _axis_sign, from_minimal
 from .graph import PlaneLandmark, SGraph, Span
 
 NEW_ROOM = -1
@@ -32,7 +32,8 @@ class RoomCriterionConfig:
 def signed_distance(lm: PlaneLandmark, axis: PlaneClass) -> float:
     """Wall distance along the positive axis, negative when the wall sits on
     the negative side of the origin."""
-    return plane_axis_sign(lm.params, axis) * lm.params.distance
+    sign = _axis_sign(lm.params.as_array()[None], np.array([axis.index]))
+    return float(sign[0]) * lm.params.distance
 
 
 def _opposed(a: PlaneLandmark, b: PlaneLandmark) -> bool:

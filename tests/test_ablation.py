@@ -55,9 +55,9 @@ def test_a_split_or_shared_wall_is_one_plane():
         # the floor and the ceiling are matched
         (((0.0, -math.pi / 2, 0.0), (0.0, -math.pi / 2, 0.2)), 1),
         (((0.0, math.pi / 2, 2.5), (0.0, math.pi / 2, 2.4)), 1),
-        # farther than dist_tol from every plane: not matched
+        # farther than DUPLICATE_DIST_TOL from every plane: not matched
         ((ON_X2, (0.0, 0.0, 2.6)), 0),
-        # tilted beyond angle_tol: not matched
+        # tilted beyond DUPLICATE_ANGLE_TOL: not matched
         ((ON_X2, (0.2, 0.0, 2.0)), 0),
         ((ON_X2, (0.0, 0.2, 2.0)), 0),
     ],
@@ -71,7 +71,7 @@ def test_duplicate_plane_count(planes, duplicates):
 
 
 def test_nearest_plane_wins():
-    # x = 2 and x = 2.4 are both within dist_tol of a landmark at 2.3:
+    # x = 2 and x = 2.4 are both within DUPLICATE_DIST_TOL of a landmark at 2.3:
     # it matches the nearer, x = 2.4, so the one at 2.0 has no duplicate
     corridor = RectSpec(2.0, 2.4, 1.5, 2.5, kind="corridor")
     world = generate_world(LayoutSpec(rects=(RectSpec(-4.0, 2.0, 1.0, 5.0), corridor)))

@@ -40,7 +40,7 @@ def add_landmark(g, pid, az, el, d, cls):
 
 def detection(normal, d):
     n = np.asarray(normal, dtype=float)
-    return PlaneDetection(plane=PlaneHessian(n / np.linalg.norm(n), d), inlier_count=500, extent=np.ones(2))
+    return PlaneDetection(plane=PlaneHessian(n / np.linalg.norm(n), d), extent=np.ones(2))
 
 
 def associate(g, det, gate=3.0, info=PLANE_INFO):

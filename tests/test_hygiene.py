@@ -1,7 +1,8 @@
 """Source hygiene: no module in the package or the tests imports a name it
 never uses, the package imports only at module level, defines no private
-name it never uses, and has no public function, class or method that is
-there for the tests alone; the README names no code that does not exist."""
+name it never uses, no defaulted parameter that no call passes, and has no
+public function, class or method that is there for the tests alone; the
+README names no code that does not exist."""
 
 import ast
 import importlib
@@ -297,6 +298,84 @@ def test_scan_catches_public_code_for_the_tests_alone():
         "a:Unused",
         "a:reexported",
         "a:tested_only",
+    ]
+
+
+def unpassed_defaults(package: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """`module:function.parameter` (`module:Class.method.parameter` for a
+    method) of each defaulted parameter of a module-level function or a
+    method of `package` that no call in `callers` passes, by keyword or by
+    position: a setting that is a constant. Calls are matched by the
+    callee's name, a class's name standing for its `__init__`; a method's
+    positions leave out its first parameter unless it is a staticmethod,
+    and a call that unpacks `*args` or `**kwargs` passes every parameter."""
+    defaults: dict[str, list[tuple[str, int | None, str]]] = {}
+    for module, source in package.items():
+        tree = ast.parse(source)
+        scopes = [(None, tree)] + [(c.name, c) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+        for cls, scope in scopes:
+            for fn in scope.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+                shift = 1 if cls and not static else 0
+                label = f"{module}:{cls + '.' if cls else ''}{fn.name}"
+                entries = defaults.setdefault(cls if fn.name == "__init__" else fn.name, [])
+                positional = fn.args.posonlyargs + fn.args.args
+                first = len(positional) - len(fn.args.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    entries.append((f"{label}.{arg.arg}", i - shift, arg.arg))
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        entries.append((f"{label}.{arg.arg}", None, arg.arg))
+    passed = set()
+    for source in callers.values():
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            unpacks = any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            )
+            keywords = {k.arg for k in call.keywords}
+            for label, position, name in defaults.get(callee, []):
+                if unpacks or name in keywords or (position is not None and len(call.args) > position):
+                    passed.add(label)
+    return sorted(label for entries in defaults.values() for label, _, _ in entries if label not in passed)
+
+
+def test_every_defaulted_parameter_is_passed():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    callers = {f"{p.parent.name}/{p.name}": p.read_text() for p in FILES + USERS}
+    assert unpassed_defaults(package, callers) == []
+
+
+def test_scan_catches_a_defaulted_parameter_no_call_passes():
+    package = {
+        "a": (
+            "def f(x, y=1, z=2, *, w=3, v=4):\n    return x\n"
+            "def g(x, y=1):\n    return x\n"
+            "def h(x=1, y=2):\n    return x\n"
+            "class Box:\n"
+            "    def __init__(self, size=1.0, seed=0):\n        pass\n"
+            "    def method(self, x, y=1):\n        return x\n"
+            "    @staticmethod\n    def static(x, y=1):\n        return x\n"
+        ),
+    }
+    callers = {
+        # y of f by position, w by keyword; h's two through **kwargs
+        "b": (
+            "from a import f, g, h, Box\n"
+            "f(0, 5, w=6)\ng(0)\nh(**{'x': 1})\n"
+            "box = Box(2.0)\nbox.method(0, 1)\nBox.static(0)\n"
+        ),
+    }
+    assert unpassed_defaults(package, callers) == [
+        "a:Box.__init__.seed",
+        "a:Box.static.y",
+        "a:f.v",
+        "a:f.z",
+        "a:g.y",
     ]
 
 

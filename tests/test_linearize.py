@@ -89,9 +89,9 @@ def assert_matches_reference(graph):
     bf = BatchedFactors(graph)
     v = bf.values(graph)
     for block in bf.blocks:
-        r, J = block.kernel(v, block.rows, block.meas, True)
+        r, J = block.spec.kernel(v, block.rows, block.meas, True)
         # a fresh layout stacks a layer's factors in graph order
-        index = [i for i, f in enumerate(graph.factors) if KINDS[f.kind].layer == block.layer]
+        index = [i for i, f in enumerate(graph.factors) if KINDS[f.kind].layer == block.spec.layer]
         assert len(index) == len(block.rows)
         for row, fi in enumerate(index):
             f = graph.factors[fi]
@@ -251,7 +251,7 @@ class TestResidualsAndJacobians:
         bf = BatchedFactors(g)
         v = bf.values(g)
         for block in bf.blocks:
-            r, _ = block.kernel(v, block.rows, block.meas, False)
+            r, _ = block.spec.kernel(v, block.rows, block.meas, False)
             assert np.all(np.abs(r[:, 0]) < 0.1)  # wrapped, not ~2*pi
         assert_matches_reference(g)
 
@@ -583,10 +583,10 @@ def assert_same_as_fresh(graph, kept):
     for kind, cols in fresh.columns.items():
         np.testing.assert_array_equal(kept.columns[kind], cols)
     for a, b in zip(kept.blocks, fresh.blocks, strict=True):
-        assert (a.layer, a.variables, a.kernel) == (b.layer, b.variables, b.kernel)
+        assert a.spec == b.spec
         arrays = zip(
-            (a.rows, a.sqrt_info, a.robust, *a.meas),
-            (b.rows, b.sqrt_info, b.robust, *b.meas),
+            (a.rows, a.L, a.robust, *a.meas),
+            (b.rows, b.L, b.robust, *b.meas),
             strict=True,
         )
         for x, y in arrays:

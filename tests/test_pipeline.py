@@ -20,7 +20,9 @@ from sgraph.simulator import (
     RectSpec,
     ScanPattern,
     TrajectorySpec,
+    default_multi_room_layout,
     generate_world,
+    perimeter_waypoints,
     simulate_run,
 )
 
@@ -32,6 +34,25 @@ PATTERN = ScanPattern(n_rings=12, n_azimuth=180)
 def run_steps(noise=NoiseSpec(seed=0)):
     world = generate_world(LAYOUT)
     return world, simulate_run(world, TRAJ, noise, PATTERN)
+
+
+def test_loop_closure_with_topology_on():
+    """Loop closure and the room and corridor layer in one run: the 2-room
+    layout's perimeter path, rooms4-online's noise, loop closure on."""
+    layout = default_multi_room_layout(2)
+    world = generate_world(layout)
+    traj = TrajectorySpec(waypoints=perimeter_waypoints(list(layout.rects)))
+    noise = NoiseSpec(trans_drift=0.02, rot_drift=0.005, range_sigma=0.01, seed=0)
+    steps = simulate_run(world, traj, noise, ScanPattern(n_rings=8, n_azimuth=180, max_range=9.0))
+    cfg = SlamConfig(enable_loop_closure=True)
+    result = run_slam(steps, cfg)
+    graph = result.graph
+    assert result.loop_constraints > 0
+    assert sum(f.kind is FactorKind.LOOP_CLOSURE for f in graph.factors) == result.loop_constraints
+    assert len(graph.rooms) >= 1
+    for kf in graph.keyframes.values():
+        assert np.isfinite(kf.pose.rotation).all() and np.isfinite(kf.pose.translation).all()
+    assert graph_to_dict(run_slam(steps, cfg).graph) == graph_to_dict(graph)
 
 
 class TestRunSlam:
@@ -443,3 +464,17 @@ def test_ablation_report_json_unchanged():
         "improvement_confirmed": True,
     }
     assert json.dumps(report.to_dict(), indent=1) == json.dumps(expected, indent=1)
+
+
+def test_ablation_report_rejects_an_unknown_run_name():
+    run = RunMetrics(ate=0.5, n_planes=7, n_duplicates=1, n_rooms=2, n_corridors=1, final_cost=3.25)
+    off = RunMetrics(ate=0.75, n_planes=9, n_duplicates=3, n_rooms=0, n_corridors=0, final_cost=4.0)
+    report = AblationReport(seeds=[4], digests={4: "abc"}, full={4: run}, without_topology={4: off})
+    assert (report.mean_ate("full"), report.mean_duplicates("full")) == (0.5, 1.0)
+    assert (report.mean_ate("without"), report.mean_duplicates("without")) == (0.75, 3.0)
+    # a typo must not silently read the topology-disabled runs
+    for name in ("ful", "Full", "without_topology", ""):
+        with pytest.raises(KeyError):
+            report.mean_ate(name)
+        with pytest.raises(KeyError):
+            report.mean_duplicates(name)

@@ -119,6 +119,13 @@ class TestPreprocess:
             preprocess(PointCloud(self.planar_cloud()), FilterConfig(voxel_size=voxel_size))
         assert not isinstance(err.value, EmptyCloud)
 
+    @pytest.mark.parametrize("k_sigma", [np.nan, -1.0, 0.0])
+    def test_k_sigma_not_finite_and_positive_raises(self, k_sigma):
+        # such a band keeps no point of any scan
+        with pytest.raises(ValueError, match="FilterConfig.k_sigma") as err:
+            preprocess(PointCloud(self.planar_cloud()), FilterConfig(k_sigma=k_sigma))
+        assert not isinstance(err.value, EmptyCloud)
+
     def test_all_non_finite_raises(self):
         pts = np.full((50, 3), np.nan)
         pts[::2] = [np.inf, 0.0, 1.0]
@@ -139,6 +146,15 @@ class TestPreprocess:
 
 
 class TestExtractPlanesNoiseless:
+    @pytest.mark.parametrize("threshold", [np.nan, -0.03, 0.0])
+    def test_threshold_not_finite_and_positive_raises(self, threshold):
+        # such a band finds no plane, even on a box the default finds whole;
+        # the pipeline passes on TooFewPoints, so the error must not be one
+        cloud, _ = box_cloud(sigma=0.0)
+        with pytest.raises(ValueError, match="RansacConfig.threshold") as err:
+            extract_planes(cloud, RansacConfig(threshold=threshold))
+        assert not isinstance(err.value, TooFewPoints)
+
     def test_box_recovered_exactly(self):
         cloud, planted = box_cloud(sigma=0.0)
         cfg = RansacConfig(threshold=0.03, min_inliers=100, max_iters=300, seed=0)
@@ -354,7 +370,7 @@ def reference_extract_planes(cloud, cfg, stats):
         inliers = pts[idx]
         normal, d = planes._fit_plane_lsq(inliers)
         plane = PlaneHessian(normal, d)
-        detections.append(planes.PlaneDetection(plane, int(idx.size), planes.plane_extent(inliers, plane), idx))
+        detections.append(planes.PlaneDetection(plane, planes.plane_extent(inliers, plane), idx))
     return detections
 
 
@@ -692,7 +708,7 @@ class TestMapGuidedExtraction:
         cfg = SlamConfig(enable_topology=False, optimize_every_keyframe=False)
         cloud, _ = box_cloud(sigma=0.0)
         rounds = count_rounds(monkeypatch)
-        process_step(graph, SimStep(1.0, Pose3.identity(), Pose3.identity(), cloud), cfg, SlamResult(graph))
+        process_step(SimStep(1.0, Pose3.identity(), Pose3.identity(), cloud), cfg, SlamResult(graph))
         assert rounds[0] == 5  # the face was claimed, not searched for
         seen = [f.variables[1][1] for f in graph.factors if f.kind is FactorKind.POSE_PLANE]
         assert len(seen) == 6
