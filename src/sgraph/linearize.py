@@ -5,20 +5,23 @@ in the gathered arrays and its columns, and the stacked measurements and
 whitening of each layer's factors, which it keeps from one solve to the
 next and extends with the factors added in between. The kernels that
 `factors.KINDS` names compute the residuals and Jacobians of every factor
-of a layer at once. `BatchedFactors.linearize` is the one place they are called: it
-whitens and Huber-weights their rows and scatters them into the dense
-normal equations, and the same pass without Jacobians gives the cost
-alone, per layer.
+of a layer at once. `BatchedFactors.linearize` is the one place they are
+called, once per block: it whitens and Huber-weights their rows and sums
+the cost of each layer. The `Linearization` it returns keeps those rows
+and scatters them into the dense normal equations on demand, g and H
+each on first use, so a point that needs no step never builds H. The
+same pass without Jacobians gives the costs alone.
 
 The solver works on the estimates gathered into arrays (`_Values`): it
 gathers them once, retracts a damped step onto them in batch with the
 stacked rotation and plane steps of `sgraph.geometry`, and writes the
-accepted result back into the graph once.
+result back into the graph once, when a step was accepted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import attrgetter, is_
 from typing import TYPE_CHECKING
 
@@ -66,6 +69,38 @@ def _block(factors: list[Factor], row: dict) -> FactorBlock:
         L=np.linalg.cholesky(np.array([f.information for f in factors], dtype=float)),
         robust=np.array([f.robust for f in factors], dtype=bool),
     )
+
+
+class Linearization:
+    """One pass of the kernels at a point: the robust cost of each layer
+    (tracking, plane, room, corridor) in `costs`, and the whitened,
+    Huber-weighted residual and Jacobian rows of each block. The normal
+    equations over those rows, g = J^T r and H = J^T J without the gauge's
+    columns, are built on first use, each once. A pass without Jacobians
+    has the costs alone."""
+
+    def __init__(self, costs: dict[str, float], rows: list | None, scatter: tuple):
+        self.costs = costs
+        self._rows = rows  # (wr, wJ) of each block, None without Jacobians
+        self._scatter = scatter  # the layout's `_scatter` at the pass
+
+    def _weighted(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        if self._rows is None:
+            raise ValueError("linearized without Jacobians: no normal equations")
+        return self._rows
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        g_index, _, n, gauge = self._scatter
+        parts = [_mv(wJ.transpose(0, 2, 1), wr).ravel() for wr, wJ in self._weighted()]
+        return np.bincount(g_index, np.concatenate([np.zeros(0), *parts]), minlength=n)[gauge:]
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        _, h_index, n, gauge = self._scatter
+        parts = [(wJ.transpose(0, 2, 1) @ wJ).ravel() for _, wJ in self._weighted()]
+        H = np.bincount(h_index, np.concatenate([np.zeros(0), *parts]), minlength=n * n)
+        return H.reshape(n, n)[gauge:, gauge:]
 
 
 # -- the batched graph -----------------------------------------------------
@@ -153,14 +188,14 @@ class BatchedFactors:
         self._gauge = LOCAL_DIM["kf"] if ids["kf"] else 0
         self.dim = n_cols - self._gauge
         # where each entry of the per-factor g and H blocks lands, for all
-        # blocks in order; entries of the same cell are summed
+        # blocks in order (entries of the same cell are summed), the number
+        # of columns and the gauge's
         g_index, h_index = [np.zeros(0, int)], [np.zeros(0, int)]
         for b in self.blocks:
             cols = np.hstack([self.columns[kind][b.rows[:, j]] for j, kind in enumerate(b.spec.variables)])
             g_index.append(cols.ravel())
             h_index.append((cols[:, :, None] * n_cols + cols[:, None, :]).ravel())
-        self._g_index = np.concatenate(g_index)
-        self._h_index = np.concatenate(h_index)
+        self._scatter = (np.concatenate(g_index), np.concatenate(h_index), n_cols, self._gauge)
 
     def values(self, graph: SGraph) -> _Values:
         """The graph's current estimates, gathered into arrays."""
@@ -204,14 +239,14 @@ class BatchedFactors:
             span = graph.spans[s]
             span.center, span.width = v.spans[i].tolist()
 
-    def linearize(self, v: _Values, huber_delta: float, jacobians: bool = True):
-        """The robust cost per layer (tracking, plane, room, corridor) at the
-        values `v` and the normal equations H = J^T J, g = J^T r over the
-        whitened, Huber-weighted residuals: `(costs, H, g)`. Without
-        `jacobians` the kernels give residuals only, and H and g are None;
-        the costs are the same either way."""
+    def linearize(self, v: _Values, huber_delta: float, jacobians: bool = True) -> Linearization:
+        """One pass of each block's kernel at the values `v`: the robust cost
+        per layer and the whitened, Huber-weighted rows that the normal
+        equations are built from. Without `jacobians` the kernels give
+        residuals only, and the `Linearization` has the costs alone; they
+        are the same either way."""
         costs = dict.fromkeys(LAYERS, 0.0)
-        g_parts, h_parts = [np.zeros(0)], [np.zeros(0)]
+        rows = []
         for b in self.blocks:
             r, J = b.spec.kernel(v, b.rows, b.meas, jacobians)
             LT = b.L.transpose(0, 2, 1)
@@ -225,16 +260,6 @@ class BatchedFactors:
                 cost[outside] = 2.0 * huber_delta * norm - huber_delta * huber_delta
                 scale[outside] = np.sqrt(huber_delta / norm)
             costs[b.spec.layer] += float(cost.sum())
-            if not jacobians:
-                continue
-            wr = wr * scale[:, None]
-            wJ = scale[:, None, None] * (LT @ J)
-            wJT = wJ.transpose(0, 2, 1)
-            g_parts.append(_mv(wJT, wr).ravel())
-            h_parts.append((wJT @ wJ).ravel())
-        if not jacobians:
-            return costs, None, None
-        n, gauge = self.dim + self._gauge, self._gauge
-        g = np.bincount(self._g_index, np.concatenate(g_parts), minlength=n)
-        H = np.bincount(self._h_index, np.concatenate(h_parts), minlength=n * n)
-        return costs, H.reshape(n, n)[gauge:, gauge:], g[gauge:]
+            if jacobians:
+                rows.append((wr * scale[:, None], scale[:, None, None] * (LT @ J)))
+        return Linearization(costs, rows if jacobians else None, self._scatter)

@@ -92,7 +92,8 @@ def process_step(step: SimStep, cfg: SlamConfig, result: SlamResult) -> int | No
         graph.keyframes[kf_id].scan = cloud  # downsampled copy for loop closure
         ransac = replace(cfg.ransac, min_inliers=max(cfg.ransac.min_inliers, cfg.min_plane_inlier_count))
         try:
-            detections = extract_planes(cloud, ransac, graph.predict_planes(kf_id))
+            predicted = graph.predict_planes(kf_id) if graph.planes else None
+            detections = extract_planes(cloud, ransac, predicted)
         except TooFewPoints:
             detections = []
         seen_ids = [graph.add_plane_observation(det, kf_id, cfg.plane_information()) for det in detections]

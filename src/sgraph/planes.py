@@ -74,20 +74,32 @@ class PlaneDetection:
 
 
 def voxel_downsample(points: np.ndarray, voxel_size: float) -> np.ndarray:
-    """Keep one centroid per occupied voxel. Deterministic (sorted keys)."""
+    """Keep one centroid per occupied voxel, the voxels in lexicographic
+    order of their (x, y, z) indices. Each point's three indices pack into
+    one int64 code, mixed radix over the cloud's own index span along each
+    axis, so one stable sort of the codes orders the points exactly as a
+    lexicographic sort of the indices would. A cloud whose indices or whose
+    grid of spans int64 cannot hold raises ValueError."""
     if points.shape[0] == 0:
         return points
-    keys = np.floor(points / voxel_size).astype(np.int64)
-    # lexicographic unique voxel ids
-    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-    keys_sorted = keys[order]
-    pts_sorted = points[order]
-    boundaries = np.any(np.diff(keys_sorted, axis=0) != 0, axis=1)
-    group_starts = np.concatenate([[0], np.nonzero(boundaries)[0] + 1])
-    group_ends = np.concatenate([group_starts[1:], [points.shape[0]]])
-    sums = np.add.reduceat(pts_sorted, group_starts, axis=0)
-    counts = (group_ends - group_starts)[:, None]
-    return sums / counts
+    # one row per axis: the reductions and the packing below then run
+    # along contiguous rows
+    cells = np.floor(np.ascontiguousarray(points.T) / voxel_size)
+    lo, hi = cells.min(axis=1), cells.max(axis=1)
+    # the span arithmetic in Python integers, which cannot overflow
+    if not (-(2.0**63) <= lo.min() and hi.max() < 2.0**63):
+        raise ValueError(f"voxel indices {lo.tolist()} to {hi.tolist()} at {voxel_size} m exceed int64")
+    lo = [int(c) for c in lo]
+    spans = [int(c) - low + 1 for c, low in zip(hi, lo)]
+    if math.prod(spans) >= 2**63:
+        raise ValueError(f"a voxel grid of {' x '.join(map(str, spans))} cells at {voxel_size} m exceeds int64")
+    keys = cells.astype(np.int64) - np.array(lo)[:, None]
+    codes = (keys[0] * spans[1] + keys[1]) * spans[2] + keys[2]
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = np.flatnonzero(np.concatenate([[True], codes[1:] != codes[:-1]]))
+    counts = np.diff(np.append(starts, codes.size))[:, None]
+    return np.add.reduceat(points.take(order, axis=0), starts, axis=0) / counts
 
 
 def preprocess(cloud: PointCloud, cfg: FilterConfig) -> PointCloud:
@@ -101,7 +113,9 @@ def preprocess(cloud: PointCloud, cfg: FilterConfig) -> PointCloud:
     if len(cloud) == 0:
         raise EmptyCloud("input cloud is empty")
     # one NaN or inf return would make the range mean NaN and empty the cloud
-    pts = cloud.points[np.isfinite(cloud.points).all(axis=1)]
+    pts = cloud.points
+    if not np.isfinite(pts).all():
+        pts = pts[np.isfinite(pts).all(axis=1)]
     if pts.shape[0] == 0:
         raise EmptyCloud("no finite points in the cloud")
     pts = voxel_downsample(pts, cfg.voxel_size)

@@ -55,14 +55,17 @@ class SolverReport:
 def layer_costs(graph: SGraph, huber_delta: float = 1.0) -> dict[str, float]:
     """Per-layer cost decomposition (odometry+loop, plane, room, corridor)."""
     factors = graph.solve_layout()
-    return factors.linearize(factors.values(graph), huber_delta, jacobians=False)[0]
+    return factors.linearize(factors.values(graph), huber_delta, jacobians=False).costs
 
 
 def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
     """Levenberg-Marquardt over all variables; mutates the graph in place.
 
     The estimates are gathered into arrays once; each damped try retracts
-    its step onto them, and the result is written back once at the end.
+    its step onto them and linearizes there, one kernel pass whose rows
+    serve both its cost and, once accepted, the next iteration's g and H.
+    H is built only to solve a step (or for `check_rank`), and the result
+    is written back once at the end, only if a step was accepted.
     Accepted steps never increase the cost; termination on relative cost
     change, gradient norm, the iteration cap, or an iteration whose damped
     tries all fail.
@@ -71,12 +74,12 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
         raise ValueError("graph has no keyframes")
     factors = graph.solve_layout()
     values = factors.values(graph)
-    costs, H, g = factors.linearize(values, cfg.huber_delta)
-    cost = sum(costs.values())
+    lin = factors.linearize(values, cfg.huber_delta)
+    cost = sum(lin.costs.values())
     if factors.dim == 0:
         return SolverReport(cost, cost, 0, "converged", 0, 0)
     if cfg.check_rank:
-        eigs = np.linalg.eigvalsh(H)
+        eigs = np.linalg.eigvalsh(lin.H)
         scale = max(float(eigs[-1]), 1.0)
         nullity = int(np.sum(eigs < 1e-12 * scale))
         if nullity > 0:
@@ -89,9 +92,12 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
     diagonal = np.arange(factors.dim)
     for _ in range(cfg.max_iters):
         iters += 1
+        g = lin.g
         if float(np.max(np.abs(g))) < GRAD_TOL:
             status = "converged"
             break
+        # built once per point, and only at a point a step is solved from
+        H = lin.H
         damping = np.maximum(np.diag(H), 1e-12)
         for _try in range(20):
             # H + lam diag(damping), damped in a Fortran-ordered copy that
@@ -105,17 +111,17 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
                 rejected += 1
                 lam *= 10.0
                 continue
-            # a damped try needs the cost only; H and g follow an accepted
-            # step, and a rejected one is dropped
+            # an accepted try's linearization is the next iteration's, and a
+            # rejected one is dropped before its g or H is built
             tried = factors.retract(values, delta)
-            cost_new = sum(factors.linearize(tried, cfg.huber_delta, jacobians=False)[0].values())
+            tried_lin = factors.linearize(tried, cfg.huber_delta)
+            cost_new = sum(tried_lin.costs.values())
             if cost_new <= cost:
                 accepted += 1
                 lam = max(lam / 10.0, 1e-12)
                 if (cost - cost_new) / max(cost, 1e-300) < cfg.rel_tol:
                     status = "converged"
-                cost = cost_new
-                values = tried
+                cost, values, lin = cost_new, tried, tried_lin
                 break
             rejected += 1
             lam *= 10.0
@@ -123,6 +129,6 @@ def optimize(graph: SGraph, cfg: SolverConfig = SolverConfig()) -> SolverReport:
             status = "stalled"
         if status != "max_iters":
             break
-        _, H, g = factors.linearize(values, cfg.huber_delta)
-    factors.write(graph, values)
+    if accepted:
+        factors.write(graph, values)
     return SolverReport(initial_cost, cost, iters, status, accepted, rejected)

@@ -32,6 +32,8 @@ CALL_SITES = {
     "graph:SGraph.evaluate_factor": ("perfbench/tracing.py", "evaluate = SGraph.evaluate_factor"),
     "linearize:BatchedFactors.values": ("sgraph/solver.py", "values = factors.values(graph)"),
     "linearize:BatchedFactors.write": ("sgraph/solver.py", "factors.write(graph, values)"),
+    "linearize:Linearization.H": ("sgraph/solver.py", "H = lin.H"),
+    "linearize:Linearization.g": ("sgraph/solver.py", "g = lin.g"),
     "pipeline:SlamConfig.odom_information": ("sgraph/pipeline.py", "cfg.odom_information()"),
     "pipeline:SlamConfig.plane_information": ("sgraph/pipeline.py", "cfg.plane_information()"),
     "simulator:RectSpec.bounds": ("sgraph/simulator.py", "[r.bounds for r in rects]"),

@@ -4,7 +4,9 @@
 replaced, written one factor at a time with their own formulas; it is the
 reference: the batched residuals and Jacobian blocks must match it per
 factor, and the assembled H, g and cost must match a dense J^T J built
-from it.
+from it. The normal equations that a `Linearization` builds on demand must
+also equal, byte for byte, those of the eager build that preceded it
+(`eager_normal_equations`).
 """
 
 import math
@@ -18,10 +20,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from sgraph.factors import KINDS, LOCAL_DIM, Factor, FactorKind
-from sgraph.geometry import PlaneClass, PlaneMinimal, Pose3, from_minimal, rot_exp, wrap_angle
+from sgraph.geometry import PlaneClass, PlaneMinimal, Pose3, _mv, from_minimal, rot_exp, wrap_angle
 from sgraph.graph import Keyframe, PlaneLandmark, SGraph, Span
 from sgraph.io import graph_from_dict, graph_to_dict
-from sgraph.linearize import BatchedFactors
+from sgraph.linearize import LAYERS, BatchedFactors
 from sgraph.pipeline import SlamConfig, run_slam
 from sgraph.simulator import NoiseSpec
 from sgraph.solver import SolverConfig, layer_costs, optimize
@@ -133,21 +135,70 @@ def dense_reference(graph, huber_delta=1.0):
     return H, g, cost, layers
 
 
+def eager_normal_equations(bf, v, huber_delta):
+    """`(costs, H, g)` at the values `v`, built the way the solve built them
+    before g and H were built on demand: each block's kernel, whitening,
+    Huber weighting and products in one loop, then both scatters."""
+    g_index, h_index, n, gauge = bf._scatter
+    costs = dict.fromkeys(LAYERS, 0.0)
+    g_parts, h_parts = [np.zeros(0)], [np.zeros(0)]
+    for b in bf.blocks:
+        r, J = b.spec.kernel(v, b.rows, b.meas, True)
+        LT = b.L.transpose(0, 2, 1)
+        wr = _mv(LT, r)
+        s = np.einsum("ij,ij->i", wr, wr)
+        cost = s.copy()
+        scale = np.ones_like(s)
+        outside = b.robust & (s > huber_delta * huber_delta)
+        if outside.any():
+            norm = np.sqrt(s[outside])
+            cost[outside] = 2.0 * huber_delta * norm - huber_delta * huber_delta
+            scale[outside] = np.sqrt(huber_delta / norm)
+        costs[b.spec.layer] += float(cost.sum())
+        wr = wr * scale[:, None]
+        wJ = scale[:, None, None] * (LT @ J)
+        wJT = wJ.transpose(0, 2, 1)
+        g_parts.append(_mv(wJT, wr).ravel())
+        h_parts.append((wJT @ wJ).ravel())
+    g = np.bincount(g_index, np.concatenate(g_parts), minlength=n)
+    H = np.bincount(h_index, np.concatenate(h_parts), minlength=n * n)
+    return costs, H.reshape(n, n)[gauge:, gauge:], g[gauge:]
+
+
+def assert_same_bytes_as_eager(bf, v, huber_delta):
+    """`linearize` at `v` gives the eager build's costs, H and g, byte for
+    byte, whichever of H and g is read first."""
+    costs, H, g = eager_normal_equations(bf, v, huber_delta)
+    for first in ("H", "g"):
+        lin = bf.linearize(v, huber_delta)
+        getattr(lin, first)
+        assert lin.costs == costs
+        assert (lin.H.shape, lin.H.tobytes()) == (H.shape, H.tobytes())
+        assert (lin.g.shape, lin.g.tobytes()) == (g.shape, g.tobytes())
+
+
 def assert_normal_equations_match(graph, huber_delta=1.0):
     H_ref, g_ref, cost_ref, layers_ref = dense_reference(graph, huber_delta)
     bf = BatchedFactors(graph)
     v = bf.values(graph)
-    layers, H, g = bf.linearize(v, huber_delta)
+    lin = bf.linearize(v, huber_delta)
+    layers, H, g = lin.costs, lin.H, lin.g
     cost = sum(layers.values())
     assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
     assert np.max(np.abs(g - g_ref)) <= 1e-12 * max(np.max(np.abs(g_ref)), 1e-300)
     assert cost == pytest.approx(cost_ref, rel=1e-12)
-    # the cost-only pass gives the same costs, per layer and in total
+    # built once: a second read gives the same array
+    assert lin.H is H and lin.g is g
+    # the cost-only pass gives the same costs, per layer and in total, and
+    # has no normal equations
     cost_only = bf.linearize(v, huber_delta, jacobians=False)
-    assert cost_only[1:] == (None, None)
-    assert cost_only[0] == layers and sum(cost_only[0].values()) == cost
+    assert cost_only.costs == layers and sum(cost_only.costs.values()) == cost
+    for name in ("H", "g"):
+        with pytest.raises(ValueError, match="without Jacobians"):
+            getattr(cost_only, name)
     assert layers == pytest.approx(layers_ref, rel=1e-12, abs=1e-300)
     np.testing.assert_array_equal(H, H.T)
+    assert_same_bytes_as_eager(bf, v, huber_delta)
 
 
 def add_nodes(g):
@@ -334,7 +385,8 @@ class TestNormalEquations:
         add_kf(g, 1, Pose3.from_xyz_yaw(1.0, 0.0, 0.0, 0.1))
         between(g, 0, 1, Pose3.from_xyz_yaw(1.1, 0.1, 0.0, -0.2), robust=False)
         bf = BatchedFactors(g)
-        _, H, grad = bf.linearize(bf.values(g), 1.0)
+        lin = bf.linearize(bf.values(g), 1.0)
+        H, grad = lin.H, lin.g
         f = g.factors[0]
         r, jacs = evaluate_factor(g, f)
         L = sqrt_information(f)
@@ -357,8 +409,8 @@ class TestNormalEquations:
         # H and g have the columns after the gauge's
         assert first_columns(bf) == {("kf", 1): 0, ("kf", 2): 6, ("plane", 0): 12,
                                      ("plane", 1): 15, ("span", 0): 18, ("span", 1): 20, ("span", 2): 22}
-        _, H, grad = bf.linearize(bf.values(g), 1.0)
-        assert H.shape == (bf.dim, bf.dim) and grad.shape == (bf.dim,)
+        lin = bf.linearize(bf.values(g), 1.0)
+        assert lin.H.shape == (bf.dim, bf.dim) and lin.g.shape == (bf.dim,)
 
     def test_gauge_is_the_smallest_keyframe_id(self):
         g = SGraph()
@@ -544,7 +596,7 @@ def test_a_tiny_step_at_the_pole_changes_the_cost_tinily():
     v = bf.values(g)
 
     def cost(values):
-        return sum(bf.linearize(values, 1.0, jacobians=False)[0].values())
+        return sum(bf.linearize(values, 1.0, jacobians=False).costs.values())
 
     before = cost(v)
     rng = np.random.default_rng(3)
@@ -577,7 +629,8 @@ def stacked(monkeypatch):
 
 def assert_same_as_fresh(graph, kept):
     """The kept layout equals a fresh `BatchedFactors` of the graph, byte for
-    byte: its blocks, columns, costs, H and g."""
+    byte: its blocks, columns, costs, H and g, and those equal the eager
+    build's."""
     fresh = BatchedFactors(graph)
     assert kept.ids == fresh.ids and kept.dim == fresh.dim
     for kind, cols in fresh.columns.items():
@@ -592,11 +645,12 @@ def assert_same_as_fresh(graph, kept):
         for x, y in arrays:
             assert (x.dtype, x.shape, x.strides, x.tobytes()) == (y.dtype, y.shape, y.strides, y.tobytes())
     for jacobians in (True, False):
-        costs, H, g = kept.linearize(kept.values(graph), 0.5, jacobians)
-        costs_fresh, H_fresh, g_fresh = fresh.linearize(fresh.values(graph), 0.5, jacobians)
-        assert costs == costs_fresh
+        lin = kept.linearize(kept.values(graph), 0.5, jacobians)
+        lin_fresh = fresh.linearize(fresh.values(graph), 0.5, jacobians)
+        assert lin.costs == lin_fresh.costs
         if jacobians:
-            assert (H.tobytes(), g.tobytes()) == (H_fresh.tobytes(), g_fresh.tobytes())
+            assert (lin.H.tobytes(), lin.g.tobytes()) == (lin_fresh.H.tobytes(), lin_fresh.g.tobytes())
+    assert_same_bytes_as_eager(kept, kept.values(graph), 0.5)
 
 
 class TestKeptLayout:

@@ -144,6 +144,81 @@ class TestPreprocess:
         b = voxel_downsample(pts, 0.25)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("where", [0, 250, 500])
+    def test_an_added_non_finite_row_changes_no_byte(self, where):
+        pts = self.planar_cloud()
+        want = preprocess(PointCloud(pts, 2.0), FilterConfig())
+        for bad in ([np.nan, 1.0, 1.0], [1.0, -np.inf, 1.0]):
+            got = preprocess(PointCloud(np.insert(pts, where, bad, axis=0), 2.0), FilterConfig())
+            assert got.points.tobytes() == want.points.tobytes()
+
+
+def reference_voxel_downsample(points, voxel_size):
+    """One centroid per voxel, voxels in `np.lexsort` order of their
+    integer indices: the filter without the packed code."""
+    keys = np.floor(points / voxel_size).astype(np.int64)
+    order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+    keys_sorted = keys[order]
+    starts = np.concatenate([[0], np.flatnonzero(np.any(np.diff(keys_sorted, axis=0) != 0, axis=1)) + 1])
+    counts = np.diff(np.append(starts, len(points)))[:, None]
+    return np.add.reduceat(points[order], starts, axis=0) / counts
+
+
+def voxel_clouds():
+    """Seeded clouds with duplicate points, negative coordinates and points
+    on voxel faces, one point and one voxel: (points, voxel size)."""
+    rng = np.random.default_rng(23)
+    spread = rng.uniform(-4.0, 3.0, size=(3000, 3))
+    duplicated = np.repeat(rng.uniform(-1.0, 1.0, size=(300, 3)), 3, axis=0)[rng.permutation(900)]
+    faces = rng.integers(-30, 30, size=(1000, 3)) * 0.25
+    faces[::2] += rng.uniform(0.0, 0.25, size=(500, 3)) * (rng.random((500, 3)) < 0.5)
+    negative = -rng.exponential(2.0, size=(1500, 3))
+    one_voxel = rng.uniform(0.3, 0.35, size=(40, 3))
+    return [
+        (spread, 0.1),
+        (spread, 0.7),
+        (duplicated, 0.05),
+        (faces, 0.25),
+        (negative, 0.1),
+        (np.array([[-1.25, 0.0, 3.5]]), 0.25),
+        (one_voxel, 0.1),
+        (np.vstack([spread, duplicated, faces, negative]), 0.1),
+    ]
+
+
+class TestVoxelDownsample:
+    @pytest.mark.parametrize("case", range(len(voxel_clouds())))
+    def test_equals_the_lexsort_filter_byte_for_byte(self, case):
+        points, voxel_size = voxel_clouds()[case]
+        got = voxel_downsample(points, voxel_size)
+        want = reference_voxel_downsample(points, voxel_size)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_one_voxel_and_one_point(self):
+        points, voxel_size = voxel_clouds()[-2]
+        assert voxel_downsample(points, voxel_size).shape == (1, 3)
+        point = np.array([[-1.25, 0.0, 3.5]])
+        assert voxel_downsample(point, 0.25).tobytes() == point.tobytes()
+
+    def test_a_grid_beyond_int64_raises(self):
+        # 1e7 voxels a side: each index fits, the 1e21 cells of the grid do not
+        points = np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
+        with pytest.raises(ValueError, match="10000001 x 10000001 x 10000001"):
+            voxel_downsample(points, 1.0)
+        # a grid of 2^62 cells still fits
+        assert voxel_downsample(np.array([[0.0, 0.0, 0.0], [2.0**62 - 1, 0.0, 0.0]]), 1.0).shape == (2, 3)
+
+    @pytest.mark.parametrize("coordinate", [2.0**63, -(2.0**63) - 2.0**11, 1e300, np.inf, np.nan])
+    def test_an_index_beyond_int64_raises(self, coordinate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no invalid-value cast on the way
+            with pytest.raises(ValueError, match="exceed int64"):
+                voxel_downsample(np.array([[0.0, 0.0, 0.0], [1.0, coordinate, 2.0]]), 1.0)
+
+    def test_the_lowest_int64_index_is_kept(self):
+        point = np.array([[-(2.0**63), 0.0, 0.0]])
+        assert voxel_downsample(point, 1.0).tobytes() == point.tobytes()
+
 
 class TestExtractPlanesNoiseless:
     @pytest.mark.parametrize("threshold", [np.nan, -0.03, 0.0])
@@ -642,7 +717,7 @@ class TestMapGuidedExtraction:
     CFG = SlamConfig().ransac
 
     def test_claims_replace_most_ransac_rounds(self, monkeypatch, rooms2_keyframes):
-        assert rooms2_keyframes[0][1].shape == (0, 4)  # the first keyframe sees an empty map
+        assert rooms2_keyframes[0][1] is None  # the first keyframe sees an empty map: no prediction
         assert all(len(pred) for _, pred in rooms2_keyframes[1:])
         rounds = count_rounds(monkeypatch)
         for cloud, pred in rooms2_keyframes[1:]:

@@ -1,15 +1,17 @@
 import dataclasses
 import math
+from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor
 
 from sgraph import solver
-from sgraph.factors import Factor, FactorKind
+from sgraph.factors import KINDS, Factor, FactorKind
 from sgraph.geometry import PlaneMinimal, Pose3
 from sgraph.graph import KeyframePolicy, SGraph
-from sgraph.linearize import LAYERS, BatchedFactors
+from sgraph.linearize import LAYERS, BatchedFactors, Linearization
 from sgraph.solver import (
     SingularSystem,
     SolverConfig,
@@ -160,7 +162,7 @@ class TestOptimize:
             g.keyframes[k].pose = pose_retract(g.keyframes[k].pose, rng.normal(0, 0.1, 6))
         costs = layer_costs(g)
         factors = BatchedFactors(g)
-        full, _, _ = factors.linearize(factors.values(g), 1.0)
+        full = factors.linearize(factors.values(g), 1.0).costs
         assert sum(costs.values()) == pytest.approx(sum(full.values()), abs=1e-12)
         assert costs["tracking"] > 0.0
         assert costs["plane"] == costs["room"] == costs["corridor"] == 0.0
@@ -198,16 +200,20 @@ def values_state(values):
 
 
 def reject_damped_tries(monkeypatch, seen=lambda values: None):
-    """Patch `BatchedFactors.linearize` so that every cost-only call, the
-    cost of a damped try, shows its values to `seen` and reads infinite in
-    every layer; full linearizations pass through."""
+    """Patch `BatchedFactors.linearize` so that every call after the first,
+    the linearization of a damped try, shows its values to `seen` and reads
+    infinite in every layer; the first, of the starting point, passes
+    through."""
     linearize = BatchedFactors.linearize
+    calls = []
 
     def reject(self, values, huber_delta, jacobians=True):
-        if jacobians:
-            return linearize(self, values, huber_delta)
-        seen(values)
-        return dict.fromkeys(LAYERS, math.inf), None, None
+        lin = linearize(self, values, huber_delta, jacobians)
+        calls.append(values)
+        if len(calls) > 1:
+            seen(values)
+            lin.costs = dict.fromkeys(LAYERS, math.inf)
+        return lin
 
     monkeypatch.setattr(BatchedFactors, "linearize", reject)
 
@@ -217,9 +223,8 @@ class TestDampedTries:
         g = sample_graph()
         factors = BatchedFactors(g)
         values = factors.values(g)
-        full, _, _ = factors.linearize(values, 1.0)
-        cost = sum(full.values())
-        cost_only, _, _ = factors.linearize(values, 1.0, jacobians=False)
+        cost = sum(factors.linearize(values, 1.0).costs.values())
+        cost_only = factors.linearize(values, 1.0, jacobians=False).costs
         assert sum(cost_only.values()) == pytest.approx(cost, rel=1e-12)
         assert sum(layer_costs(g).values()) == pytest.approx(cost, rel=1e-12)
 
@@ -234,6 +239,99 @@ class TestDampedTries:
         assert report.final_cost == report.initial_cost
         assert variable_state(g) == before
         assert (report.status, report.accepted, report.rejected) == ("stalled", 0, 20)
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """Counts, over the solves that follow, of each layer's kernel calls, of
+    each `Linearization`'s g and H builds ("g", "H") and of
+    `BatchedFactors.write` calls ("write"). Only layouts built after the
+    patch call the counted kernels."""
+    calls = Counter()
+
+    def counted_kernel(spec):
+        def kernel(*args, _kernel=spec.kernel, _layer=spec.layer):
+            calls[_layer] += 1
+            return _kernel(*args)
+
+        return dataclasses.replace(spec, kernel=kernel)
+
+    counted = {}
+    for kind, spec in KINDS.items():
+        monkeypatch.setitem(KINDS, kind, counted.setdefault(spec, counted_kernel(spec)))
+    for name in ("g", "H"):
+
+        def build(self, _build=Linearization.__dict__[name].func, _name=name):
+            calls[_name] += 1
+            return _build(self)
+
+        prop = cached_property(build)
+        prop.__set_name__(Linearization, name)
+        monkeypatch.setattr(Linearization, name, prop)
+    write = BatchedFactors.write
+
+    def counted_write(self, graph, values):
+        calls["write"] += 1
+        write(self, graph, values)
+
+    monkeypatch.setattr(BatchedFactors, "write", counted_write)
+    return calls
+
+
+class TestOnePassPerTry:
+    """Each damped try runs each block's kernel once, with Jacobians; an
+    accepted try's linearization serves the next iteration, H is built only
+    to solve a step (or for the rank check), and nothing is written back
+    unless a step was accepted."""
+
+    @pytest.mark.parametrize("check_rank", [False, True])
+    def test_a_solve_at_the_minimum_builds_no_H_and_writes_nothing(self, spied, check_rank):
+        g = make_chain(5)
+        poses = {k: kf.pose for k, kf in g.keyframes.items()}
+        report = optimize(g, SolverConfig(check_rank=check_rank))
+        assert (report.status, report.iterations, report.accepted, report.rejected) == (
+            "converged", 1, 0, 0)
+        # the rank check reads H; the solve itself reads g alone
+        assert spied == Counter(tracking=1, g=1, H=int(check_rank))
+        assert all(g.keyframes[k].pose is pose for k, pose in poses.items())
+
+    @staticmethod
+    def rejecting_chain():
+        """A chain perturbed so far that its solve rejects 6 damped tries."""
+        g = make_chain(6)
+        rng = np.random.default_rng(3)
+        for k in list(g.keyframes)[1:]:
+            g.keyframes[k].pose = pose_retract(g.keyframes[k].pose, rng.normal(0, 0.8, 6))
+        return g
+
+    @pytest.mark.parametrize("graph", ["sample", "rejecting chain"])
+    def test_each_try_runs_each_kernel_once(self, spied, graph):
+        g = sample_graph() if graph == "sample" else self.rejecting_chain()
+        report = optimize(g, SolverConfig(check_rank=False))
+        assert report.converged and report.accepted >= 2
+        assert report.rejected == (0 if graph == "sample" else 6)
+        # the start and each try, one pass each: an accepted try is not
+        # linearized again
+        passes = 1 + report.accepted + report.rejected
+        layers = {KINDS[f.kind].layer for f in g.factors}
+        assert {layer: spied[layer] for layer in LAYERS} == {
+            layer: passes if layer in layers else 0 for layer in LAYERS}
+        # g at each point an iteration starts from, H at each point a step
+        # was solved from (not at the last, when its gradient converged),
+        # and one write
+        assert (spied["g"], spied["write"]) == (report.iterations, 1)
+        assert spied["H"] == report.accepted == report.iterations - (graph == "sample")
+
+    def test_the_last_accepted_try_builds_no_normal_equations(self, spied):
+        g = TestReportStatus.perturbed_chain(5)
+        before = variable_state(g)
+        poses = {k: kf.pose for k, kf in g.keyframes.items()}
+        report = optimize(g, SolverConfig(max_iters=1, check_rank=False))
+        assert (report.status, report.accepted, report.rejected) == ("max_iters", 1, 0)
+        # g and H of the first point only
+        assert spied == Counter(tracking=2, g=1, H=1, write=1)
+        assert variable_state(g) != before
+        assert all(g.keyframes[k].pose is not pose for k, pose in list(poses.items())[1:])
 
 
 class TestReportStatus:

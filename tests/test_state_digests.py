@@ -1,9 +1,11 @@
-"""The benchmark's seed-0 streams, and rooms4-online's noise-seed-2 stream,
+"""The benchmark's seed-0 streams, and both workloads' noise-seed-2 streams,
 still end in the SLAM state recorded here: the map snapshot, every solver
 report and the loop-constraint count, hashed together. A change meant to
 leave results alone fails here if it moves any of them by one bit. The
-seed-2 stream merges planes four times, so it covers the solve's rebuilt
-layout, which seed 0 never needs.
+rooms4-online seed-2 stream merges planes four times, so it covers the
+solve's rebuilt layout, which seed 0 never needs. The square-loop seed-2
+stream rejects 21 damped tries where seed 0 rejects 7, so it covers the
+solve's rejected-try branch.
 
 Each run is a fresh interpreter with one BLAS thread, as in the benchmark:
 with two OpenBLAS threads the rooms4-online state differs in the last bits
@@ -36,6 +38,8 @@ RECORDED = {
 }
 # rooms4-online noise seed 2
 ROOMS4_SEED2 = "1fa7cd361b3f85732190b035164f94598a07319409f21bc2c114313738132ad8"
+# square-loop noise seed 2
+SQUARE_LOOP_SEED2 = "8d947eb2d61cd65cf2a2869315ed4b9354714c08debfc619ebf89d598029e6ce"
 
 
 def state_digest(workload: str, seed: int = 0) -> str:
@@ -69,6 +73,10 @@ def test_state_matches_recorded_digest(workload):
 
 def test_rooms4_seed2_state_matches_recorded_digest():
     assert digest_in_subprocess("rooms4-online", "2") == ROOMS4_SEED2
+
+
+def test_square_loop_seed2_state_matches_recorded_digest():
+    assert digest_in_subprocess("square-loop", "2") == SQUARE_LOOP_SEED2
 
 
 if __name__ == "__main__":
