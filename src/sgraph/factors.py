@@ -8,8 +8,8 @@ kind is: its graph layer, its kernel, the type of its measurement and how
 a block's measurements stack into the kernel's arrays. `sgraph.linearize`
 whitens, Huber-weights and scatters the kernels' output into the normal
 equations, `SGraph.evaluate_factor` reads one factor's row of that solve,
-and `SGraph.associate_plane` scores its candidate landmarks with the
-pose-plane kernel.
+and `SGraph.associate_plane` scores every mapped plane with the pose-plane
+kernel.
 
 Local coordinates per variable type:
   keyframe pose : 6  [dt (body frame), dw (rotation vector, right perturbation)]
@@ -38,6 +38,7 @@ from .geometry import (
     PlaneMinimal,
     _axis_sign,
     _mv,
+    _planes_to_sensor,
     _right_jacobian_inv,
     _rot_log,
     _sphere_frame,
@@ -146,13 +147,8 @@ def _pose_plane(v: _Values, rows: np.ndarray, meas: tuple, jacobians: bool):
     t = v.translations[rows[:, 0]]
     planes = v.planes[rows[:, 1]]
     frame = _sphere_frame(planes[:, 0], planes[:, 1])
-    n_m = frame[0]
-    n_l = _mv(RT, n_m)
-    d_l = planes[:, 2] - np.einsum("ij,ij->i", t, n_m)
     # closest-point convention at the linearization point
-    sign = np.where(d_l < 0.0, -1.0, 1.0)
-    n_l = n_l * sign[:, None]
-    d_l = d_l * sign
+    n_l, d_l, sign = _planes_to_sensor(RT, t, frame[0], planes[:, 2])
     x, y, z = _mv(B, n_l).T
     rho = np.hypot(x, y)
     r = np.empty((len(rows), 3))

@@ -1,9 +1,5 @@
 """Rigid-body poses, plane representations and frame transforms: the one
-copy of each rotation and plane formula in the package, but one: the
-map-to-sensor plane transform and flip of `transform_plane` is restated,
-stacked, by `SGraph.predict_planes` (`normals @ R`) and `factors._pose_plane`
-(batched R^T n). These two differ in the last bits (in 343 of 2 000 random
-planes under one pose), so merging them is a rounding-only change.
+copy of each rotation and plane formula in the package.
 
 Conventions used throughout the package:
   - A pose (R, t) maps points from its local frame to the parent frame:
@@ -19,11 +15,11 @@ Conventions used throughout the package:
 
 `skew` and `rot_exp` take one vector or a stack (..., 3). The helpers whose
 names start with an underscore work on stacks of rows, for the factor
-kernels and the solve. `rot_log` and `to_minimal` keep scalar bodies beside
-their stacked forms `_rot_log` and `_retract_planes`: np.arccos and np.hypot
-differ from math.acos and math.hypot in the last bit on some inputs, and
-`rot_log` feeds `Pose3.log`, which keyframe selection and the simulator's
-odometry noise read.
+kernels and the solve. `rot_log`, `to_minimal` and `transform_plane` keep
+scalar bodies beside their stacked forms `_rot_log`, `_retract_planes` and
+`_planes_to_sensor`, which differ from them in the last bit on some inputs
+(np.arccos, np.hypot, a stack of matrix products); `rot_log` feeds
+`Pose3.log`, which keyframe selection and the simulator's odometry noise read.
 """
 
 from __future__ import annotations
@@ -284,6 +280,17 @@ def _sphere_frame(az: np.ndarray, el: np.ndarray) -> np.ndarray:
     e_az[:, 0], e_az[:, 1], e_az[:, 2] = -sa, ca, 0.0
     e_el[:, 0], e_el[:, 1], e_el[:, 2] = -se * ca, -se * sa, ce
     return frame
+
+
+def _planes_to_sensor(RT: np.ndarray, t: np.ndarray, n_m: np.ndarray, d_m: np.ndarray):
+    """`transform_plane` into the sensor frame, row by row: stacked map
+    planes (unit normals n_m, distances d_m) seen from poses (R, t), given
+    R^T, one pose per row or one for all rows. Returns the normals and
+    distances flipped to d >= 0, and the sign each row was flipped by."""
+    n_l = _mv(RT, n_m)
+    d_l = d_m - np.einsum("ij,ij->i", t, n_m)
+    sign = np.where(d_l < 0.0, -1.0, 1.0)
+    return n_l * sign[:, None], d_l * sign, sign
 
 
 def _retract_planes(planes: np.ndarray, step: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from .geometry import (
     Pose3,
     PlaneClass,
     PlaneMinimal,
+    _planes_to_sensor,
     _sphere_frame,
     classify_plane,
     inverse_compose,
@@ -117,14 +118,13 @@ class SGraph:
     def predict_planes(self, kf_id: int) -> np.ndarray:
         """Every mapped plane in keyframe kf_id's sensor frame, from its
         current pose: (P, 4) rows of unit normal and distance >= 0, in
-        `planes` order. Row i is `transform_plane(kf.pose,
-        from_minimal(lm.params), to_sensor=True)` of the i-th landmark."""
-        kf = self.keyframes[kf_id]
+        `planes` order, moved as the pose-plane kernel moves them
+        (`geometry._planes_to_sensor`)."""
+        pose = self.keyframes[kf_id].pose
         az, el, d = np.array([lm.params.as_array() for lm in self.planes.values()]).reshape(-1, 3).T
         normals = _sphere_frame(az, el)[0]
-        d = d - normals @ kf.pose.translation
-        sign = np.where(d < 0.0, -1.0, 1.0)  # `flip_to_positive`, row by row
-        return np.column_stack([(normals @ kf.pose.rotation) * sign[:, None], d * sign])
+        n_l, d_l, _ = _planes_to_sensor(pose.rotation.T[None], pose.translation[None], normals, d)
+        return np.column_stack([n_l, d_l])
 
     # -- keyframe creation -------------------------------------------------
 
@@ -176,27 +176,22 @@ class SGraph:
     ) -> int:
         """Mahalanobis association of a detection against mapped planes.
 
-        Returns the id of the nearest same-class landmark strictly inside
-        the gate, the first in `planes` order on a tie, or NEW_LANDMARK.
-        One pose-plane kernel call predicts every candidate into the
-        current sensor frame and compares it there against the detection,
-        so the distance coordinate is not inflated by the robot's position
-        in the map. The covariance is the measurement covariance plus the
-        latest odometry-increment uncertainty pushed through the prediction.
+        Returns the id of the nearest landmark strictly inside the gate,
+        the first in `planes` order on a tie, or NEW_LANDMARK. Labels play
+        no part: the gate alone separates perpendicular and opposite planes.
+        One pose-plane kernel call predicts every landmark into the current
+        sensor frame and compares it there against the detection, so the
+        distance coordinate is not inflated by the robot's position in the
+        map. The covariance is the measurement covariance plus the latest
+        odometry-increment uncertainty pushed through the prediction.
         """
-        kf = self.keyframes[kf_id]
-        map_plane = transform_plane(kf.pose, det.plane, to_sensor=False)
-        cls = classify_plane(map_plane)
-        candidates = [lm for lm in self.planes.values() if lm.plane_class is cls]
-        if not candidates:
+        if not self.planes:
             return NEW_LANDMARK
-        n = len(candidates)
-        values = _Values(
-            rotations=kf.pose.rotation[None],
-            translations=kf.pose.translation[None],
-            planes=np.array([lm.params.as_array() for lm in candidates]),
-            spans=np.zeros((0, 2)),
-        )
+        kf = self.keyframes[kf_id]
+        landmarks = list(self.planes.values())
+        n = len(landmarks)
+        planes = np.array([lm.params.as_array() for lm in landmarks])
+        values = _Values(kf.pose.rotation[None], kf.pose.translation[None], planes, np.zeros((0, 2)))
         rows = np.column_stack([np.zeros(n, dtype=int), np.arange(n)])
         meas = _plane_measurements(np.tile(to_minimal(det.plane).as_array(), (n, 1)))
         diff, J = _pose_plane(values, rows, meas, True)
@@ -207,7 +202,7 @@ class SGraph:
         inside = np.flatnonzero(dist < gate)
         if not inside.size:
             return NEW_LANDMARK
-        return candidates[inside[np.argmin(dist[inside])]].id
+        return landmarks[inside[np.argmin(dist[inside])]].id
 
     def add_plane_observation(
         self,
@@ -217,11 +212,11 @@ class SGraph:
     ) -> int:
         """Associate a detection through the `ASSOCIATION_GATE`, creating a
         landmark when needed, and add the Huber-robust pose-plane factor.
-        Returns the landmark id."""
-        kf = self.keyframes[kf_id]
+        Returns the landmark id. A new landmark takes the label
+        (`classify_plane`) of this first observation and keeps it."""
         lm_id = self.associate_plane(det, kf_id, ASSOCIATION_GATE, plane_information)
-        meas_minimal = to_minimal(det.plane)
         if lm_id == NEW_LANDMARK:
+            kf = self.keyframes[kf_id]
             map_plane = transform_plane(kf.pose, det.plane, to_sensor=False)
             lm_id = self._take_id("_next_plane_id")
             gap = float(map_plane.normal @ kf.pose.translation) - map_plane.distance
@@ -239,7 +234,7 @@ class SGraph:
             Factor(
                 kind=FactorKind.POSE_PLANE,
                 variables=(("kf", kf_id), ("plane", lm_id)),
-                measurement=meas_minimal,
+                measurement=to_minimal(det.plane),
                 information=np.asarray(plane_information, dtype=float),
                 robust=True,
             )

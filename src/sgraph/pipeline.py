@@ -96,7 +96,8 @@ def process_step(step: SimStep, cfg: SlamConfig, result: SlamResult) -> int | No
             detections = extract_planes(cloud, ransac, predicted)
         except TooFewPoints:
             detections = []
-        seen_ids = [graph.add_plane_observation(det, kf_id, cfg.plane_information()) for det in detections]
+        plane_information = cfg.plane_information()
+        seen_ids = [graph.add_plane_observation(det, kf_id, plane_information) for det in detections]
         if cfg.enable_topology and seen_ids:
             update_topology(graph, seen_ids, cfg.room, cfg.topology_information())
     if cfg.enable_loop_closure and kf_id > 0:

@@ -23,13 +23,11 @@ from sgraph.geometry import (
     Pose3,
     PlaneClass,
     PlaneMinimal,
-    classify_plane,
     from_minimal,
     rot_exp,
     rot_log,
     skew,
     to_minimal,
-    transform_plane,
 )
 from sgraph.graph import NEW_LANDMARK, SGraph
 from sgraph.planes import PlaneDetection
@@ -240,24 +238,20 @@ def associate_plane(
 ) -> int:
     """Mahalanobis association of a detection against mapped planes.
 
-    Returns the id of the nearest same-class landmark inside the gate,
-    or NEW_LANDMARK. Each mapped plane is predicted into the current
+    Returns the id of the nearest landmark inside the gate, whatever its
+    label, or NEW_LANDMARK. Each mapped plane is predicted into the current
     sensor frame and compared there against the detection, so the
     distance coordinate is not inflated by the robot's position in the
     map. The covariance is the measurement covariance plus the latest
     odometry-increment uncertainty pushed through the prediction.
     """
     kf = graph.keyframes[kf_id]
-    map_plane = transform_plane(kf.pose, det.plane, to_sensor=False)
-    cls = classify_plane(map_plane)
     meas = to_minimal(det.plane)
     meas_cov = np.linalg.inv(np.asarray(plane_information, dtype=float))
 
     best_id = NEW_LANDMARK
     best_dist = gate
     for lm in graph.planes.values():
-        if lm.plane_class is not cls:
-            continue
         diff, Jpose, _ = pose_plane_residual(kf.pose, lm.params, meas)
         cov = meas_cov + Jpose @ kf.odom_cov @ Jpose.T
         dist = math.sqrt(float(diff @ np.linalg.solve(cov, diff)))

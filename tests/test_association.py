@@ -1,7 +1,9 @@
-"""`SGraph.associate_plane`, which scores every same-class landmark in one
-kernel call, against the per-landmark loop kept in `reference_factors`; and
-`SGraph.predict_planes`, which moves every landmark into a keyframe's
-sensor frame at once."""
+"""`SGraph.associate_plane`, which scores every landmark, whatever its
+label, in one kernel call, against the per-landmark loop kept in
+`reference_factors`; and `SGraph.predict_planes`, which moves every
+landmark into a keyframe's sensor frame at once. A RuntimeWarning is an
+error here (pyproject `filterwarnings`), so a wall scored against a floor
+or ceiling landmark, or the reverse, must score without one."""
 
 import math
 
@@ -14,6 +16,7 @@ from sgraph.geometry import (
     PlaneHessian,
     PlaneMinimal,
     Pose3,
+    classify_plane,
     from_minimal,
     rot_exp,
     to_minimal,
@@ -55,7 +58,7 @@ def test_nearest_of_several_and_first_in_dict_order_on_a_tie():
     add_landmark(g, 7, 0.0, 0.0, 4.0, PlaneClass.X_VERTICAL)
     add_landmark(g, 3, 0.02, 0.0, 4.05, PlaneClass.X_VERTICAL)  # nearest, twice
     add_landmark(g, 5, 0.02, 0.0, 4.05, PlaneClass.X_VERTICAL)
-    add_landmark(g, 1, 0.02, 0.0, 4.05, PlaneClass.Y_VERTICAL)  # other class
+    add_landmark(g, 1, 0.02, 0.0, 4.05, PlaneClass.Y_VERTICAL)  # tied too: labels play no part
     add_landmark(g, 9, math.pi, 0.0, 2.0, PlaneClass.X_VERTICAL)
     det = detection([math.cos(-0.03), math.sin(-0.03), 0.0], 3.75)
     assert associate(g, det) == 3
@@ -97,13 +100,29 @@ def test_distance_exactly_at_the_gate_gives_a_new_landmark():
     assert associate(g, det, gate=math.nextafter(2.0, 3.0), info=np.eye(3)) == 0
 
 
-def test_no_landmark_of_the_detection_class():
+def test_perpendicular_and_pole_landmarks_are_scored_and_fall_outside_the_gate():
     g = graph_with_keyframe()
     det = detection([0.0, 1.0, 0.0], 2.0)
     assert associate(g, det) == NEW_LANDMARK
     add_landmark(g, 0, 0.0, 0.0, 2.0, PlaneClass.X_VERTICAL)
     add_landmark(g, 1, 0.0, math.pi / 2, 2.0, PlaneClass.HORIZONTAL)
     assert associate(g, det) == NEW_LANDMARK
+
+
+def test_a_wall_near_45_degrees_associates_across_its_label():
+    # the landmark was labelled X at 44.9 degrees; the detection, at 45.1
+    # degrees in the map frame, would be labelled Y
+    pose = Pose3.from_xyz_yaw(0.4, -0.3, 0.0, 0.3)
+    g = graph_with_keyframe(pose)
+    az = math.radians(44.9)
+    add_landmark(g, 0, az, 0.0, 3.0, PlaneClass.X_VERTICAL)
+    add_landmark(g, 1, az + math.pi / 2, 0.0, 3.0, PlaneClass.Y_VERTICAL)  # the perpendicular wall
+    n = np.array([math.cos(math.radians(45.1)), math.sin(math.radians(45.1)), 0.0])
+    det = PlaneDetection(plane=transform_plane(pose, PlaneHessian(n, 3.01), to_sensor=True),
+                         extent=np.ones(2))
+    assert classify_plane(from_minimal(g.planes[0].params)) is PlaneClass.X_VERTICAL
+    assert classify_plane(transform_plane(pose, det.plane, to_sensor=False)) is PlaneClass.Y_VERTICAL
+    assert associate(g, det) == 0
 
 
 def test_candidates_after_a_merge_deleted_a_landmark():

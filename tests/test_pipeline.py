@@ -2,13 +2,14 @@
 
 import csv
 import json
+import math
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from sgraph import pipeline, planes
-from sgraph.ablation import AblationReport, RunMetrics
+from sgraph.ablation import AblationReport, RunMetrics, duplicate_plane_count
 from sgraph.cli import load_layout, load_slam_config, main, parse_seeds
 from sgraph.factors import FactorKind
 from sgraph.io import graph_to_dict, save_world, to_json
@@ -161,6 +162,55 @@ class TestPlaneFloor:
         result = run_slam(steps, SlamConfig())
         assert rounds[0] > 0
         assert len(result.graph.planes) >= 4
+
+
+def rooms4_run(rects, yaw=0.0):
+    """Noiseless rooms4-online scans of `rects`, walked centre to centre
+    with every waypoint at one yaw, and the run on them."""
+    world = generate_world(LayoutSpec(rects=tuple(rects)))
+    traj = TrajectorySpec(waypoints=tuple((x, y, yaw) for x, y, _ in perimeter_waypoints(list(rects))))
+    steps = simulate_run(world, traj, NoiseSpec(), ScanPattern(max_range=9.0))
+    return world, run_slam(steps, SlamConfig())
+
+
+def node_spans(graph, swap=False):
+    """Rooms, then corridors: each node's spans as sorted (axis, centre,
+    width) rows, axis 0 for x and 1 for y, or the other way round."""
+    def spans(node):
+        return sorted(
+            (1 - s.axis.index if swap else s.axis.index, s.center, s.width)
+            for s in (graph.spans[i] for i in node.spans)
+        )
+    return [np.array(sorted(spans(n) for n in layer.values())) for layer in (graph.rooms, graph.corridors)]
+
+
+class TestMapFrame:
+    """The map does not depend on how the map frame lies in the building."""
+
+    ROOMS4 = default_multi_room_layout(4).rects
+
+    @pytest.fixture(scope="class")
+    def at_zero(self):
+        return rooms4_run(self.ROOMS4)
+
+    def test_heading_45_maps_each_wall_once(self, at_zero):
+        # a wall near 45 degrees changes label between observations; the
+        # association ignores labels, so it is still mapped once
+        world, zero = at_zero
+        _, result = rooms4_run(self.ROOMS4, yaw=math.pi / 4)
+        assert duplicate_plane_count(zero, world) == 0
+        assert len(result.graph.planes) == len(zero.graph.planes)
+        assert duplicate_plane_count(result, world) == 0
+
+    def test_transposed_layout_gives_the_spans_with_the_axes_swapped(self, at_zero):
+        # the layout mirrored across y = x: the corridors become x spans,
+        # which no benchmark workload has
+        mirrored = [RectSpec(r.y_min, r.y_max, r.x_min, r.x_max, r.kind, r.name) for r in self.ROOMS4]
+        _, result = rooms4_run(mirrored)
+        _, zero = at_zero
+        for got, want in zip(node_spans(result.graph, swap=True), node_spans(zero.graph)):
+            assert got.shape == want.shape and got.size
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
 
 
 class TestCli:
